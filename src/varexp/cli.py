@@ -19,6 +19,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .config import default_problem, parse_config
 from .energy import (
     ProblemSpec,
@@ -129,8 +131,6 @@ def _config_echo(args, prob: ProblemSpec, cfg: SolverConfig) -> dict:
 
 
 def _norm_probes(prob: ProblemSpec, seed: int) -> dict:
-    import numpy as np
-
     grid = prob.grid
     ext = min(hi - lo for lo, hi in zip(grid.lo, grid.hi))
     center = tuple(0.5 * (lo + hi) for lo, hi in zip(grid.lo, grid.hi))
@@ -160,16 +160,20 @@ def _norm_probes(prob: ProblemSpec, seed: int) -> dict:
 
 
 def _eigen_block(prob: ProblemSpec, cfg: SolverConfig) -> dict:
-    out = {}
-    for label, field in (("p", prob.p), ("q", prob.q)):
+    """Rayleigh estimates for p and q; one minimization when the fields agree."""
+    def estimate(field) -> dict:
         res = minimize_rayleigh(field, prob.grid, seed=cfg.seed,
                                 gradient_stop=cfg.gradient_stop)
-        out[label] = {
+        return {
             "value": res.value,
             "restart_values": list(res.restart_values),
             "iterations": list(res.iterations),
         }
-    return out
+
+    p_est = estimate(prob.p)
+    if np.array_equal(prob.p.values, prob.q.values):
+        return {"p": p_est, "q": p_est}
+    return {"p": p_est, "q": estimate(prob.q)}
 
 
 def _write_inventory(inv, prob, outdir: Path) -> dict:

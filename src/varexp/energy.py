@@ -15,12 +15,18 @@ p < 2, where it is singular at grad u = 0, does derivative assembly use the
 regularized magnitude (|grad u|^2 + eps)^{(p-2)/2} grad u.  The energy itself
 is always integrated unregularized.
 
-Quadrant-truncated variants replace (u, v) by their clamped versions inside
-Psi while Phi keeps the raw gradients; this is the device that pins
-minimizers to a sign pattern.
+Quadrant-truncated variants replace (u, v) by their clamped versions
+s*max(0, s*t) inside Psi while Phi keeps the raw gradients; this is the
+device that pins minimizers to a sign pattern.  phi itself is the truncation
+with no clamp, so one private kernel, ``_energy``/``_gradient`` on the packed
+state w = [u.ravel(), v.ravel()] with an optional sign pattern, assembles phi
+and all four truncations; the Rayleigh quotient shares its gradient modular
+and flux adjoint.  The kernel trusts its input.  Validation (grid identity,
+zero boundary values, quadrant tags) happens once, in the public functions
+that take ``GridFunction`` pairs, and at the entry of the solvers.
 
-Also here: the sampled hypothesis checkers, the pointwise flux-monotonicity
-margins, and the Rayleigh quotient with its descent minimizer.
+Also here: the sampled hypothesis checkers and the Rayleigh quotient with its
+descent minimizer.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .exponents import ExponentField
-from .grid import Grid, GridFunction, gradient, gradient_adjoint, integrate
+from .grid import Grid, GridFunction, _adjoint_sum, _difference_components
 from .nonlinearity import LogPowerCoupling, Nonlinearity
 from .optimize import bb_minimize
 
@@ -47,13 +53,10 @@ __all__ = [
     "weak_residual",
     "gradient_norm",
     "check_hypotheses",
-    "monotonicity_margin_superquadratic",
-    "monotonicity_margin_subquadratic",
     "rayleigh_quotient",
     "rayleigh_gradient",
     "minimize_rayleigh",
     "RayleighResult",
-    "sphere_energy_minimum",
     "random_zero_boundary",
 ]
 
@@ -61,6 +64,9 @@ QUADRANTS = ("Q1", "Q2", "Q3", "Q4")
 
 # Sign pattern (s_u, s_v) of each quadrant cone.
 QUADRANT_SIGNS = {"Q1": (1, 1), "Q2": (-1, 1), "Q3": (-1, -1), "Q4": (1, -1)}
+
+# Flux regularization of the Rayleigh gradient where p < 2.
+_RAYLEIGH_EPS = 1e-10
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -147,7 +153,26 @@ class ProblemSpec:
         )
 
 
-# --- energies -----------------------------------------------------------------
+# --- energy kernel -------------------------------------------------------------
+
+
+def _quadrant_signs(quadrant: str) -> tuple[int, int]:
+    """Sign pattern (s_u, s_v) of a quadrant tag; rejects unknown tags."""
+    if quadrant not in QUADRANT_SIGNS:
+        raise ConfigError(f"invalid quadrant tag {quadrant!r}")
+    return QUADRANT_SIGNS[quadrant]
+
+
+def _clamp(values: np.ndarray, sign: int) -> np.ndarray:
+    """Nodewise clamp s*max(0, s*t) onto the half-line of the given sign."""
+    return sign * np.maximum(0.0, sign * values)
+
+
+def _clamp_pair(u: np.ndarray, v: np.ndarray, signs: tuple[int, int] | None):
+    """The pair clamped onto the cone of ``signs``; unchanged for None."""
+    if signs is None:
+        return u, v
+    return _clamp(u, signs[0]), _clamp(v, signs[1])
 
 
 def _check_pair(u: GridFunction, v: GridFunction, prob: ProblemSpec) -> None:
@@ -157,10 +182,58 @@ def _check_pair(u: GridFunction, v: GridFunction, prob: ProblemSpec) -> None:
     v.require_zero_boundary("v")
 
 
-def _phi_part(u: GridFunction, exponent: ExponentField) -> float:
-    mag2 = gradient(u).magnitude_squared()
-    pv = exponent.values
-    return integrate(mag2 ** (pv / 2.0) / pv, u.grid)
+def _pack(u: GridFunction, v: GridFunction) -> np.ndarray:
+    return np.concatenate([u.values.ravel(), v.values.ravel()])
+
+
+def _split(w: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    n = grid.n_nodes
+    return w[:n].reshape(grid.shape), w[n:].reshape(grid.shape)
+
+
+def _unpack(w: np.ndarray, grid: Grid) -> tuple[GridFunction, GridFunction]:
+    u, v = _split(w, grid)
+    return GridFunction(grid, u), GridFunction(grid, v)
+
+
+def _integral(values: np.ndarray, grid: Grid) -> float:
+    return float(np.sum(grid.weights * values))
+
+
+def _difference(
+    x: np.ndarray, grid: Grid
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Difference gradient components of a grid-shaped array and |grad x|^2."""
+    comps = _difference_components(x, grid)
+    mag2 = comps[0] ** 2
+    for c in comps[1:]:
+        mag2 = mag2 + c**2
+    return comps, mag2
+
+
+def _modular(mag2: np.ndarray, pv: np.ndarray, grid: Grid) -> float:
+    """Gradient modular: the weighted integral of (1/p)|grad x|^p."""
+    return _integral(mag2 ** (pv / 2.0) / pv, grid)
+
+
+def _flux_adjoint(
+    comps: tuple[np.ndarray, ...],
+    mag2: np.ndarray,
+    pv: np.ndarray,
+    eps: float,
+    grid: Grid,
+) -> np.ndarray:
+    """Nodal gradient of the gradient modular, from the difference gradient.
+
+    Where p >= 2 the flux |grad u|^{p-2} grad u is the exact derivative of
+    the unregularized integrand and stays finite at grad u = 0, so ``eps``
+    is added only where p < 2.  A regularization at p >= 2 would swamp the
+    flux of small-amplitude states (|grad u|^2 ~ 1e-15 against eps = 1e-10)
+    and break agreement with the energy there.
+    """
+    reg = np.where(pv < 2.0, eps, 0.0)
+    coef = grid.weights * (mag2 + reg) ** ((pv - 2.0) / 2.0)
+    return _adjoint_sum([coef * c for c in comps], grid)
 
 
 def _psi_integrand(uv: np.ndarray, vv: np.ndarray, prob: ProblemSpec) -> np.ndarray:
@@ -170,30 +243,6 @@ def _psi_integrand(uv: np.ndarray, vv: np.ndarray, prob: ProblemSpec) -> np.ndar
         * np.abs(vv) ** prob.beta.values
     )
     return coupling + prob.nonlinearity.value(uv, vv)
-
-
-def phi_energy(u: GridFunction, v: GridFunction, prob: ProblemSpec) -> float:
-    """phi(u, v) = Phi - Psi by trapezoidal quadrature."""
-    _check_pair(u, v, prob)
-    phi = _phi_part(u, prob.p) + _phi_part(v, prob.q)
-    return phi - integrate(_psi_integrand(u.values, v.values, prob), prob.grid)
-
-
-def _flux_adjoint(u: GridFunction, exponent: ExponentField, eps: float) -> np.ndarray:
-    """Nodal gradient of the weighted integral of (1/p)|grad u|^p.
-
-    Where p >= 2 the flux |grad u|^{p-2} grad u is the exact derivative of
-    the unregularized integrand and stays finite at grad u = 0, so ``eps``
-    is added only where p < 2.  A regularization at p >= 2 would swamp the
-    flux of small-amplitude states (|grad u|^2 ~ 1e-15 against eps = 1e-10)
-    and break agreement with the energy there.
-    """
-    field = gradient(u)
-    mag2 = field.magnitude_squared()
-    pv = exponent.values
-    reg = np.where(pv < 2.0, eps, 0.0)
-    coef = u.grid.weights * (mag2 + reg) ** ((pv - 2.0) / 2.0)
-    return gradient_adjoint([coef * c for c in field.components], u.grid)
 
 
 def _coupling_partials(
@@ -206,68 +255,79 @@ def _coupling_partials(
     return du, dv
 
 
+def _energy(
+    w: np.ndarray, prob: ProblemSpec, signs: tuple[int, int] | None = None
+) -> float:
+    """phi at the packed pair, or its truncation for the sign pattern ``signs``:
+    Psi sees the clamped pair, Phi the raw one."""
+    grid = prob.grid
+    u, v = _split(w, grid)
+    phi = _modular(_difference(u, grid)[1], prob.p.values, grid) + _modular(
+        _difference(v, grid)[1], prob.q.values, grid
+    )
+    return phi - _integral(_psi_integrand(*_clamp_pair(u, v, signs), prob), grid)
+
+
+def _gradient(
+    w: np.ndarray, prob: ProblemSpec, signs: tuple[int, int] | None = None
+) -> np.ndarray:
+    """Packed nodal gradient of ``_energy``; boundary entries zero.
+
+    Under a truncation the source part is evaluated at the clamped pair and
+    carries the clamp indicator (the chain-rule factor of max(0, s*t)); the
+    flux part is the raw one.
+    """
+    grid = prob.grid
+    u, v = _split(w, grid)
+    tu, tv = _clamp_pair(u, v, signs)
+    cu, cv = _coupling_partials(tu, tv, prob)
+    fu, fv = prob.nonlinearity.partials(tu, tv)
+    src_u = grid.weights * (cu + fu)
+    src_v = grid.weights * (cv + fv)
+    if signs is not None:
+        src_u = src_u * (tu != 0.0).astype(float)
+        src_v = src_v * (tv != 0.0).astype(float)
+    eps = prob.grad_regularization
+    gu = _flux_adjoint(*_difference(u, grid), prob.p.values, eps, grid) - src_u
+    gv = _flux_adjoint(*_difference(v, grid), prob.q.values, eps, grid) - src_v
+    gu[~grid.interior] = 0.0
+    gv[~grid.interior] = 0.0
+    return np.concatenate([gu.ravel(), gv.ravel()])
+
+
+# --- energies -----------------------------------------------------------------
+
+
+def phi_energy(u: GridFunction, v: GridFunction, prob: ProblemSpec) -> float:
+    """phi(u, v) = Phi - Psi by trapezoidal quadrature."""
+    _check_pair(u, v, prob)
+    return _energy(_pack(u, v), prob)
+
+
 def phi_gradient(
     u: GridFunction, v: GridFunction, prob: ProblemSpec
 ) -> tuple[GridFunction, GridFunction]:
     """Nodal gradient of phi w.r.t. interior values; boundary entries zero."""
     _check_pair(u, v, prob)
-    eps = prob.grad_regularization
-    w = prob.grid.weights
-    cu, cv = _coupling_partials(u.values, v.values, prob)
-    fu, fv = prob.nonlinearity.partials(u.values, v.values)
-    gu = _flux_adjoint(u, prob.p, eps) - w * (cu + fu)
-    gv = _flux_adjoint(v, prob.q, eps) - w * (cv + fv)
-    interior = prob.grid.interior
-    gu[~interior] = 0.0
-    gv[~interior] = 0.0
-    return GridFunction(prob.grid, gu), GridFunction(prob.grid, gv)
-
-
-def _truncate_values(vals: np.ndarray, sign: int) -> np.ndarray:
-    return sign * np.maximum(0.0, sign * vals)
+    return _unpack(_gradient(_pack(u, v), prob), prob.grid)
 
 
 def truncated_energy(
     u: GridFunction, v: GridFunction, prob: ProblemSpec, quadrant: str
 ) -> float:
     """phi with (u, v) replaced by their quadrant clamps inside Psi only."""
-    if quadrant not in QUADRANT_SIGNS:
-        raise ConfigError(f"invalid quadrant tag {quadrant!r}")
+    signs = _quadrant_signs(quadrant)
     _check_pair(u, v, prob)
-    su, sv = QUADRANT_SIGNS[quadrant]
-    tu = _truncate_values(u.values, su)
-    tv = _truncate_values(v.values, sv)
-    phi = _phi_part(u, prob.p) + _phi_part(v, prob.q)
-    return phi - integrate(_psi_integrand(tu, tv, prob), prob.grid)
+    return _energy(_pack(u, v), prob, signs)
 
 
 def truncated_gradient(
     u: GridFunction, v: GridFunction, prob: ProblemSpec, quadrant: str
 ) -> tuple[GridFunction, GridFunction]:
-    """Gradient of the truncated energy.
-
-    The source part is evaluated at the clamped pair and carries the clamp
-    indicator (the chain-rule factor of max(0, s*t)); the flux part is the
-    raw one.
-    """
-    if quadrant not in QUADRANT_SIGNS:
-        raise ConfigError(f"invalid quadrant tag {quadrant!r}")
+    """Gradient of the truncated energy (see ``_gradient``)."""
+    signs = _quadrant_signs(quadrant)
     _check_pair(u, v, prob)
-    su, sv = QUADRANT_SIGNS[quadrant]
-    tu = _truncate_values(u.values, su)
-    tv = _truncate_values(v.values, sv)
-    eps = prob.grad_regularization
-    w = prob.grid.weights
-    cu, cv = _coupling_partials(tu, tv, prob)
-    fu, fv = prob.nonlinearity.partials(tu, tv)
-    keep_u = (tu != 0.0).astype(float)
-    keep_v = (tv != 0.0).astype(float)
-    gu = _flux_adjoint(u, prob.p, eps) - w * (cu + fu) * keep_u
-    gv = _flux_adjoint(v, prob.q, eps) - w * (cv + fv) * keep_v
-    interior = prob.grid.interior
-    gu[~interior] = 0.0
-    gv[~interior] = 0.0
-    return GridFunction(prob.grid, gu), GridFunction(prob.grid, gv)
+    return _unpack(_gradient(_pack(u, v), prob, signs), prob.grid)
 
 
 def gradient_norm(gu: GridFunction, gv: GridFunction) -> float:
@@ -282,44 +342,6 @@ def weak_residual(u: GridFunction, v: GridFunction, prob: ProblemSpec) -> float:
     """
     gu, gv = phi_gradient(u, v, prob)
     return gradient_norm(gu, gv)
-
-
-# --- pointwise flux monotonicity ------------------------------------------------
-
-
-def _flux(xi: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """|xi|^{p-2} xi with the value 0 at xi = 0 (also for p < 2)."""
-    mag = np.sqrt(np.sum(xi**2, axis=-1))
-    with np.errstate(divide="ignore"):
-        scale = np.where(mag > 0.0, mag ** (p - 2.0), 0.0)
-    return scale[..., None] * xi
-
-
-def monotonicity_margin_superquadratic(xi, eta, p) -> np.ndarray:
-    """(flux(xi)-flux(eta)).(xi-eta) - (1/2)^p |xi-eta|^p;  valid for p >= 2."""
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    p = np.asarray(p, dtype=float)
-    diff = xi - eta
-    inner = np.sum((_flux(xi, p) - _flux(eta, p)) * diff, axis=-1)
-    dmag = np.sqrt(np.sum(diff**2, axis=-1))
-    return inner - 0.5**p * dmag**p
-
-
-def monotonicity_margin_subquadratic(xi, eta, p) -> np.ndarray:
-    """[(flux(xi)-flux(eta)).(xi-eta)] (|xi|+|eta|)^{2-p} - (p-1)|xi-eta|^2.
-
-    Valid for 1 < p < 2; the scale factor is taken as 0 when both arguments
-    vanish (the bound is then trivially tight).
-    """
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    p = np.asarray(p, dtype=float)
-    diff = xi - eta
-    inner = np.sum((_flux(xi, p) - _flux(eta, p)) * diff, axis=-1)
-    msum = np.sqrt(np.sum(xi**2, axis=-1)) + np.sqrt(np.sum(eta**2, axis=-1))
-    scale = np.where(msum > 0.0, msum ** (2.0 - p), 0.0)
-    return inner * scale - (p - 1.0) * np.sum(diff**2, axis=-1)
 
 
 # --- hypothesis checks ----------------------------------------------------------
@@ -545,37 +567,50 @@ def check_hypotheses(
 # --- Rayleigh quotient ----------------------------------------------------------
 
 
-def rayleigh_quotient(u: GridFunction, p: ExponentField, grid: Grid | None = None) -> float:
-    """Weighted gradient modular over weighted modular, on zero-trace data."""
-    grid = grid or u.grid
-    u.require_zero_boundary("rayleigh argument")
-    pv = p.values
-    mag2 = gradient(u).magnitude_squared()
-    num = integrate(mag2 ** (pv / 2.0) / pv, grid)
-    den = integrate(np.abs(u.values) ** pv / pv, grid)
+def _rayleigh_terms(x: np.ndarray, pv: np.ndarray, grid: Grid):
+    """Difference gradient, |grad x|^2, numerator and denominator of the
+    Rayleigh quotient of a grid-shaped array."""
+    comps, mag2 = _difference(x, grid)
+    num = _modular(mag2, pv, grid)
+    den = _integral(np.abs(x) ** pv / pv, grid)
     if den == 0.0:
         raise DataError("Rayleigh quotient of the zero function")
+    return comps, mag2, num, den
+
+
+def _rayleigh(x: np.ndarray, pv: np.ndarray, grid: Grid) -> float:
+    _, _, num, den = _rayleigh_terms(x, pv, grid)
     return num / den
 
 
+def _rayleigh_gradient(
+    x: np.ndarray, pv: np.ndarray, grid: Grid, eps: float
+) -> np.ndarray:
+    comps, mag2, num, den = _rayleigh_terms(x, pv, grid)
+    dden = grid.weights * np.sign(x) * np.abs(x) ** (pv - 1.0)
+    g = (_flux_adjoint(comps, mag2, pv, eps, grid) - (num / den) * dden) / den
+    g[~grid.interior] = 0.0
+    return g
+
+
+def _check_rayleigh_argument(u: GridFunction, p: ExponentField, grid: Grid) -> None:
+    if p.grid is not u.grid or grid is not u.grid:
+        raise DataError("Rayleigh argument, exponent and grid do not match")
+    u.require_zero_boundary("rayleigh argument")
+
+
+def rayleigh_quotient(u: GridFunction, p: ExponentField, grid: Grid | None = None) -> float:
+    """Weighted gradient modular over weighted modular, on zero-trace data."""
+    _check_rayleigh_argument(u, p, grid or u.grid)
+    return _rayleigh(u.values, p.values, u.grid)
+
+
 def rayleigh_gradient(
-    u: GridFunction, p: ExponentField, eps: float = 1e-10
+    u: GridFunction, p: ExponentField, eps: float = _RAYLEIGH_EPS
 ) -> GridFunction:
     """Nodal gradient of the Rayleigh quotient (boundary entries zero)."""
-    u.require_zero_boundary("rayleigh argument")
-    grid = u.grid
-    pv = p.values
-    mag2 = gradient(u).magnitude_squared()
-    num = integrate(mag2 ** (pv / 2.0) / pv, grid)
-    den = integrate(np.abs(u.values) ** pv / pv, grid)
-    if den == 0.0:
-        raise DataError("Rayleigh quotient of the zero function")
-    r = num / den
-    dnum = _flux_adjoint(u, p, eps)
-    dden = grid.weights * np.sign(u.values) * np.abs(u.values) ** (pv - 1.0)
-    g = (dnum - r * dden) / den
-    g[~grid.interior] = 0.0
-    return GridFunction(grid, g)
+    _check_rayleigh_argument(u, p, u.grid)
+    return GridFunction(u.grid, _rayleigh_gradient(u.values, p.values, u.grid, eps))
 
 
 def random_zero_boundary(
@@ -628,22 +663,21 @@ def minimize_rayleigh(
     descent runs on the raw nodal values with no normalization; a safeguard
     rescale only triggers on extreme amplitude drift.
     """
+    if p.grid is not grid:
+        raise DataError("exponent field lives on a different grid")
     rng = np.random.default_rng(seed)
     best_val = np.inf
     best_u: GridFunction | None = None
     values: list[float] = []
     iters: list[int] = []
 
-    shape = grid.shape
-
-    def unpack(x: np.ndarray) -> GridFunction:
-        return GridFunction(grid, x.reshape(shape))
+    shape, pv = grid.shape, p.values
 
     def f(x: np.ndarray) -> float:
-        return rayleigh_quotient(unpack(x), p)
+        return _rayleigh(x.reshape(shape), pv, grid)
 
     def g(x: np.ndarray) -> np.ndarray:
-        return rayleigh_gradient(unpack(x), p).values.ravel()
+        return _rayleigh_gradient(x.reshape(shape), pv, grid, _RAYLEIGH_EPS).ravel()
 
     for _ in range(max(1, restarts)):
         u0 = random_zero_boundary(grid, rng)
@@ -660,40 +694,10 @@ def minimize_rayleigh(
         iters.append(res.iterations)
         if res.f_value < best_val:
             best_val = res.f_value
-            best_u = unpack(res.x)
+            best_u = GridFunction(grid, res.x.reshape(shape))
     return RayleighResult(
         value=float(best_val),
         minimizer=best_u,
         restart_values=values,
         iterations=iters,
     )
-
-
-# --- sphere sampling -------------------------------------------------------------
-
-
-def sphere_energy_minimum(
-    prob: ProblemSpec,
-    radius: float,
-    samples: int = 200,
-    seed: int = 0,
-) -> float:
-    """Sampled minimum of phi over pairs with gradient-norm sum = radius.
-
-    Used as a desk-scale estimate of the ring level separating the origin
-    from the negative-energy far field.
-    """
-    from .spaces import sobolev_norm  # local import to avoid a cycle
-
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    for _ in range(samples):
-        u = random_zero_boundary(prob.grid, rng)
-        v = random_zero_boundary(prob.grid, rng)
-        total = sobolev_norm(u, prob.p) + sobolev_norm(v, prob.q)
-        if total == 0.0:
-            continue
-        c = radius / total
-        val = phi_energy(c * u, c * v, prob)
-        best = min(best, val)
-    return float(best)

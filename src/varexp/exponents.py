@@ -64,12 +64,6 @@ class ExponentField:
             np.asarray(self.descriptor.evaluate(env), dtype=float), self.grid.shape
         )
 
-    def at(self, **coords) -> np.ndarray:
-        """Evaluate the descriptor at arbitrary points (keywords x, y)."""
-        if self.descriptor is None:
-            raise ConfigError("exponent field has no symbolic descriptor")
-        return np.asarray(self.descriptor.evaluate(coords), dtype=float)
-
     @property
     def min(self) -> float:
         return float(np.min(self.values))
@@ -83,13 +77,6 @@ class ExponentField:
         if not np.any(mask):
             raise DataError("empty mask")
         return float(np.min(self.values[mask]))
-
-    def shifted(self, delta: float) -> "ExponentField":
-        """Pointwise p(x) + delta, carrying the descriptor along."""
-        desc = None
-        if self.descriptor is not None:
-            desc = parse_expression(f"({self.descriptor.text()}) + {float(delta)!r}")
-        return ExponentField(self.grid, self.values + float(delta), desc)
 
     def describe(self) -> str:
         if self.descriptor is not None:

@@ -244,16 +244,26 @@ def _adjoint_diff_axis(coef: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(a, 0, axis)
 
 
+def _difference_components(arr: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...]:
+    """Per-axis difference gradient of a grid-shaped array, unchecked."""
+    return tuple(_diff_axis(arr, h, axis) for axis, h in enumerate(grid.spacing))
+
+
+def _adjoint_sum(coefficients: Sequence[np.ndarray], grid: Grid) -> np.ndarray:
+    """sum_k D_k^T c_k accumulated from zeros in axis order, unchecked."""
+    out = np.zeros(grid.shape)
+    for axis, (c, h) in enumerate(zip(coefficients, grid.spacing)):
+        out += _adjoint_diff_axis(c, h, axis)
+    return out
+
+
 def gradient(u: GridFunction) -> VectorField:
     """Difference gradient of a nodal function.
 
     Exact for affine data at interior nodes; the two extreme nodes of each
     axis use first-order one-sided differences.
     """
-    comps = tuple(
-        _diff_axis(u.values, h, axis) for axis, h in enumerate(u.grid.spacing)
-    )
-    return VectorField(u.grid, comps)
+    return VectorField(u.grid, _difference_components(u.values, u.grid))
 
 
 def gradient_adjoint(coefficients: Sequence[np.ndarray], grid: Grid) -> np.ndarray:
@@ -263,12 +273,10 @@ def gradient_adjoint(coefficients: Sequence[np.ndarray], grid: Grid) -> np.ndarr
     coefficients c, ``sum(gradient(u)_k * c_k) == sum(u * gradient_adjoint(c))``
     up to rounding.
     """
-    out = np.zeros(grid.shape)
-    for axis, (c, h) in enumerate(zip(coefficients, grid.spacing)):
+    for c in coefficients:
         if c.shape != grid.shape:
             raise DataError(f"coefficient shape {c.shape} != grid shape {grid.shape}")
-        out += _adjoint_diff_axis(np.asarray(c, dtype=float), h, axis)
-    return out
+    return _adjoint_sum([np.asarray(c, dtype=float) for c in coefficients], grid)
 
 
 def integrate(values, grid: Grid) -> float:

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .energy import phi_energy, weak_residual
 from .errors import DataError
 from .grid import Grid, GridFunction
 from .solve import CriticalPoint, ScanResult, SolutionInventory
@@ -166,10 +165,3 @@ def read_solution_csv(path, grid: Grid) -> tuple[GridFunction, GridFunction]:
         GridFunction(grid, v.reshape(grid.shape)),
     )
 
-
-def check_csv_energies(path, point: CriticalPoint, prob, tol: float = 1e-10) -> bool:
-    """True when the CSV reload reproduces the stored energy within tol."""
-    u, v = read_solution_csv(path, point.u.grid)
-    energy = phi_energy(u, v, prob)
-    residual = weak_residual(u, v, prob)
-    return abs(energy - point.energy) <= tol and abs(residual - point.residual) <= tol

@@ -15,6 +15,12 @@ Three experiment drivers sit on top of two engines:
   its residual meets the stopping tolerance and its energy exceeds both
   endpoints, otherwise relocation resumes.
 
+Both engines work on packed states w = [u.ravel(), v.ravel()] and call the
+energy kernel of ``varexp.energy`` directly, bound to the run's sign pattern
+(none for the plain functional).  Start pairs and path endpoints are
+validated once, on entry (grid, zero boundary values, quadrant tag, cone);
+line searches, BB steps and the Newton polish build no ``GridFunction``.
+
 Deflation is a sup-norm merge relative to amplitude: points closer than
 ``deflation_distance`` times the larger of their sup norms (capped at 1)
 count as one, keeping the lower residual.  For states of unit amplitude and
@@ -28,6 +34,7 @@ Q1/Q2 descents and the Q1 pass instead of being recomputed.
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 
@@ -36,12 +43,16 @@ from .energy import (
     QUADRANT_SIGNS,
     QUADRANTS,
     ProblemSpec,
+    _check_pair,
+    _clamp_pair,
+    _energy,
+    _gradient,
+    _pack,
+    _quadrant_signs,
+    _unpack,
     check_hypotheses,
-    gradient_norm,
     phi_energy,
-    phi_gradient,
     truncated_energy,
-    truncated_gradient,
     weak_residual,
 )
 from .grid import Grid, GridFunction, tent_function
@@ -130,11 +141,7 @@ def project_quadrant(
     u: GridFunction, v: GridFunction, quadrant: str
 ) -> tuple[GridFunction, GridFunction]:
     """Nodewise clamp of the pair onto the quadrant's sign cone (idempotent)."""
-    if quadrant not in QUADRANT_SIGNS:
-        raise ConfigError(f"invalid quadrant tag {quadrant!r}")
-    su, sv = QUADRANT_SIGNS[quadrant]
-    cu = su * np.maximum(0.0, su * u.values)
-    cv = sv * np.maximum(0.0, sv * v.values)
+    cu, cv = _clamp_pair(u.values, v.values, _quadrant_signs(quadrant))
     return GridFunction(u.grid, cu), GridFunction(v.grid, cv)
 
 
@@ -165,59 +172,32 @@ def smooth_bump(
     return GridFunction(grid, vals)
 
 
-# --- state packing ---------------------------------------------------------------
+# --- the functional on packed states ----------------------------------------------
 
 
-def _pack(u: GridFunction, v: GridFunction) -> np.ndarray:
-    return np.concatenate([u.values.ravel(), v.values.ravel()])
+def _signs(quadrant: str | None) -> tuple[int, int] | None:
+    """Sign pattern of a quadrant run, None for the plain functional."""
+    return None if quadrant is None else _quadrant_signs(quadrant)
 
 
-def _unpack(w: np.ndarray, grid: Grid) -> tuple[GridFunction, GridFunction]:
-    n = grid.n_nodes
-    return (
-        GridFunction(grid, w[:n].reshape(grid.shape)),
-        GridFunction(grid, w[n:].reshape(grid.shape)),
-    )
-
-
-def _cone_projector(grid: Grid, quadrant: str):
-    su, sv = QUADRANT_SIGNS[quadrant]
+def _cone_projector(grid: Grid, signs: tuple[int, int]):
     n = grid.n_nodes
 
     def proj(w: np.ndarray) -> np.ndarray:
-        out = w.copy()
-        out[:n] = su * np.maximum(0.0, su * out[:n])
-        out[n:] = sv * np.maximum(0.0, sv * out[n:])
-        return out
+        return np.concatenate(_clamp_pair(w[:n], w[n:], signs))
 
     return proj
 
 
-def _functional(prob: ProblemSpec, quadrant: str | None):
-    grid = prob.grid
-    if quadrant is None:
-
-        def f(w):
-            u, v = _unpack(w, grid)
-            return phi_energy(u, v, prob)
-
-        def g(w):
-            u, v = _unpack(w, grid)
-            gu, gv = phi_gradient(u, v, prob)
-            return _pack(gu, gv)
-
-        return f, g, None
-
-    def f(w):
-        u, v = _unpack(w, grid)
-        return truncated_energy(u, v, prob, quadrant)
-
-    def g(w):
-        u, v = _unpack(w, grid)
-        gu, gv = truncated_gradient(u, v, prob, quadrant)
-        return _pack(gu, gv)
-
-    return f, g, _cone_projector(grid, quadrant)
+def _functional(prob: ProblemSpec, signs: tuple[int, int] | None):
+    """Energy, gradient and cone projector (None without a truncation) on
+    packed states: the energy kernel bound to the sign pattern."""
+    proj = None if signs is None else _cone_projector(prob.grid, signs)
+    return (
+        partial(_energy, prob=prob, signs=signs),
+        partial(_gradient, prob=prob, signs=signs),
+        proj,
+    )
 
 
 def _make_point(
@@ -271,7 +251,7 @@ def _ray_minimum(f, direction: np.ndarray) -> tuple[float, float] | None:
     return None
 
 
-def _descent_units(grid: Grid, f, w0, quadrant, cfg) -> tuple[float, float]:
+def _descent_units(grid: Grid, f, w0, signs, cfg) -> tuple[float, float]:
     """Amplitude and energy units (s, c) for the descent variables W = w/s.
 
     Seeds of unit order descend in the raw variables (1, 1).  A nonzero seed
@@ -286,7 +266,7 @@ def _descent_units(grid: Grid, f, w0, quadrant, cfg) -> tuple[float, float]:
     seed_sup = float(np.max(np.abs(w0)))
     if not 0.0 < seed_sup <= cfg.deflation_distance:
         return 1.0, 1.0
-    su, sv = QUADRANT_SIGNS.get(quadrant, (1, 1))
+    su, sv = signs or (1, 1)
     e = _broad_profile(grid)
     ray = _ray_minimum(f, np.concatenate([su * e, sv * e]))
     if ray is None:
@@ -311,17 +291,15 @@ def descend(
     the same variables.
     """
     u0, v0 = start
-    u0.require_zero_boundary("start u")
-    v0.require_zero_boundary("start v")
-    if quadrant is not None:
-        su, sv = QUADRANT_SIGNS.get(quadrant, (None, None))
-        if su is None:
-            raise ConfigError(f"invalid quadrant tag {quadrant!r}")
+    _check_pair(u0, v0, prob)
+    signs = _signs(quadrant)
+    if signs is not None:
+        su, sv = signs
         if np.min(su * u0.values) < 0.0 or np.min(sv * v0.values) < 0.0:
             raise ConfigError(f"start pair is not inside the {quadrant} cone")
-    f_raw, g_raw, proj = _functional(prob, quadrant)
+    f_raw, g_raw, proj = _functional(prob, signs)
     w0 = _pack(u0, v0)
-    s, c = _descent_units(prob.grid, f_raw, w0, quadrant, cfg)
+    s, c = _descent_units(prob.grid, f_raw, w0, signs, cfg)
 
     def f(w):
         return f_raw(s * w) / c
@@ -451,7 +429,9 @@ def mountain_pass(
     Newton.  Success requires the final residual to meet ``gradient_stop``
     and the energy to exceed both endpoint energies.
     """
-    f, g, proj = _functional(prob, quadrant)
+    for u, v in (endpoint_a, endpoint_b):
+        _check_pair(u, v, prob)
+    f, g, proj = _functional(prob, _signs(quadrant))
     wa = _pack(*endpoint_a)
     wb = _pack(*endpoint_b)
     if proj is not None:

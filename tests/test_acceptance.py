@@ -132,7 +132,8 @@ def test_criterion_2_pointwise_monotonicity_inequalities():
 
 
 def test_criterion_3_gradients_match_finite_differences():
-    """phi, all four truncations, Rayleigh: rel FD error < 1e-5, 50 probes each. <30 s."""
+    """phi, all four truncations, Rayleigh (1D and 2D): rel FD error < 1e-5,
+    50 probes each. <30 s."""
     t0 = time.perf_counter()
     g = make_grid((0.0, 1.0), 65)
     raw = json.dumps(
@@ -171,20 +172,23 @@ def test_criterion_3_gradients_match_finite_differences():
             lambda u, v, q=quad: truncated_gradient(u, v, prob, q),
         )
 
-    # Rayleigh quotient (single-component functional)
-    p = prob.p
-    for _ in range(50):
-        u = random_zero_boundary(g, rng)
-        if u.sup_norm() < 1e-12:
-            continue
-        d = np.where(g.interior, rng.standard_normal(g.shape), 0.0)
-        analytic = float(np.sum(rayleigh_gradient(u, p).values * d))
-        fd = (
-            rayleigh_quotient(g.function(u.values + s * d), p)
-            - rayleigh_quotient(g.function(u.values - s * d), p)
-        ) / (2 * s)
-        denom = max(abs(fd), abs(analytic), 1e-12)
-        assert abs(analytic - fd) / denom < 1e-5
+    # Rayleigh quotient (single-component functional), also on a 2D square
+    # whose variable p straddles 2
+    g2 = make_grid([(0.0, 1.0), (0.0, 1.0)], [17, 17])
+    p2 = exponent_from_expression(g2, "1.6 + 0.8*x + 0.4*y")
+    for grid, p in ((g, prob.p), (g2, p2)):
+        for _ in range(50):
+            u = random_zero_boundary(grid, rng)
+            if u.sup_norm() < 1e-12:
+                continue
+            d = np.where(grid.interior, rng.standard_normal(grid.shape), 0.0)
+            analytic = float(np.sum(rayleigh_gradient(u, p).values * d))
+            fd = (
+                rayleigh_quotient(grid.function(u.values + s * d), p)
+                - rayleigh_quotient(grid.function(u.values - s * d), p)
+            ) / (2 * s)
+            denom = max(abs(fd), abs(analytic), 1e-12)
+            assert abs(analytic - fd) / denom < 1e-5
 
     assert time.perf_counter() - t0 < 30.0
 

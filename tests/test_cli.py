@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from varexp import cli
 from varexp.cli import main
 from varexp.config import (
     DEFAULT_LAMBDA,
@@ -15,6 +16,7 @@ from varexp.config import (
     parse_config,
     parse_config_text,
 )
+from varexp.energy import RayleighResult
 from varexp.errors import ConfigError
 from varexp.report import load_report
 
@@ -294,3 +296,28 @@ def test_eigen_command_small_grid(tmp_path):
     assert "p" in est and "q" in est
     assert est["p"]["value"] > 0.0
     assert len(est["p"]["restart_values"]) >= 1
+
+
+@pytest.mark.parametrize(
+    "overrides, expected_calls",
+    [({}, 1), ({"exponents.q": 2.5, "nonlinearity.theta2": 1.25}, 2)],
+    ids=["p_equals_q", "p_differs_from_q"],
+)
+def test_eigen_minimizes_once_when_p_equals_q(tmp_path, monkeypatch, overrides,
+                                              expected_calls):
+    """Identical p and q fields share one Rayleigh minimization, reported
+    under both labels."""
+    fields = []
+
+    def counting(field, grid, **kwargs):
+        fields.append(field)
+        return RayleighResult(value=field.min, minimizer=None,
+                              restart_values=[field.min], iterations=[1])
+
+    monkeypatch.setattr(cli, "minimize_rayleigh", counting)
+    code, out = run_cli(tmp_path, small_config(**overrides), "eigen")
+    assert code == 0
+    assert len(fields) == expected_calls
+    est = load_report(out / "results.json")["eigen_estimates"]
+    assert est["p"]["value"] == 3.0
+    assert est["q"]["value"] == (3.0 if expected_calls == 1 else 2.5)

@@ -21,7 +21,12 @@ from varexp.energy import (
 from varexp.errors import ConfigError, DataError
 from varexp.exponents import constant_exponent, exponent_from_expression
 from varexp.grid import make_grid, tent_function
-from varexp.nonlinearity import CustomExpression, LinearSource, LogPowerCoupling
+from varexp.nonlinearity import (
+    CustomExpression,
+    LinearSource,
+    LogPowerCoupling,
+    SeparablePower,
+)
 from varexp.spaces import sobolev_norm
 
 
@@ -40,6 +45,23 @@ def build_problem(n=33, p_val=3.0, alpha=1.2, lam=1e-3, nonlinearity=None, grid=
 
 PROB = build_problem()
 RNG = np.random.default_rng(2024)
+
+
+def build_problem_2d():
+    """17x17 unit square with p = q = 1.6 + 0.8x + 0.4y, which straddles 2,
+    so both the exact and the regularized flux branches are exercised.  A
+    separable power source: log_power would need theta1/p + theta2/q = 1
+    at every node."""
+    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [17, 17])
+    p = exponent_from_expression(g, "1.6 + 0.8*x + 0.4*y")
+    al = constant_exponent(g, 1.2)
+    return ProblemSpec(
+        grid=g, p=p, q=p, alpha=al, beta=al, lam=1e-3,
+        nonlinearity=SeparablePower(g, 1.0, 3.0, 1.0, 3.0),
+    )
+
+
+PROB_2D = build_problem_2d()
 
 
 def random_pair(prob, rng, scale=1.0):
@@ -115,22 +137,24 @@ def test_state_on_wrong_grid_rejected():
 
 @pytest.mark.parametrize("quadrant", [None, *QUADRANTS])
 def test_gradients_match_directional_derivatives(quadrant):
+    """On the 1D problem and on the 2D one with a variable p straddling 2."""
     rng = np.random.default_rng(13)
-    if quadrant is None:
-        fun = lambda u, v: phi_energy(u, v, PROB)
-        grad = lambda u, v: phi_gradient(u, v, PROB)
-    else:
-        fun = lambda u, v: truncated_energy(u, v, PROB, quadrant)
-        grad = lambda u, v: truncated_gradient(u, v, PROB, quadrant)
-    interior = PROB.grid.interior
-    for _ in range(12):
-        u, v = random_pair(PROB, rng, scale=2.0)
-        d_u = np.where(interior, rng.standard_normal(PROB.grid.shape), 0.0)
-        d_v = np.where(interior, rng.standard_normal(PROB.grid.shape), 0.0)
-        gu, gv = grad(u, v)
-        analytic = float(np.sum(gu.values * d_u) + np.sum(gv.values * d_v))
-        fd = pack_fd_gradient(fun, u, v, d_u, d_v)
-        assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-9)
+    for prob in (PROB, PROB_2D):
+        if quadrant is None:
+            fun = lambda u, v: phi_energy(u, v, prob)
+            grad = lambda u, v: phi_gradient(u, v, prob)
+        else:
+            fun = lambda u, v: truncated_energy(u, v, prob, quadrant)
+            grad = lambda u, v: truncated_gradient(u, v, prob, quadrant)
+        interior = prob.grid.interior
+        for _ in range(12):
+            u, v = random_pair(prob, rng, scale=2.0)
+            d_u = np.where(interior, rng.standard_normal(prob.grid.shape), 0.0)
+            d_v = np.where(interior, rng.standard_normal(prob.grid.shape), 0.0)
+            gu, gv = grad(u, v)
+            analytic = float(np.sum(gu.values * d_u) + np.sum(gv.values * d_v))
+            fd = pack_fd_gradient(fun, u, v, d_u, d_v)
+            assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
 @pytest.mark.parametrize("quadrant", [None, *QUADRANTS])
@@ -387,6 +411,17 @@ def test_rayleigh_quotient_rejects_zero():
     g = make_grid((0.0, 1.0), 33)
     with pytest.raises(DataError):
         rayleigh_quotient(g.zeros(), constant_exponent(g, 2.0))
+
+
+def test_rayleigh_rejects_exponent_on_another_grid():
+    """Same shape, different grid object: rejected at the API boundary."""
+    g = make_grid((0.0, 1.0), 33)
+    p_other = constant_exponent(make_grid((0.0, 1.0), 33), 2.0)
+    u = random_zero_boundary(g, np.random.default_rng(3))
+    with pytest.raises(DataError, match="grid"):
+        rayleigh_quotient(u, p_other)
+    with pytest.raises(DataError, match="grid"):
+        minimize_rayleigh(p_other, g, restarts=1)
 
 
 def test_minimize_rayleigh_laplacian():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from varexp.energy import ProblemSpec, phi_energy, truncated_energy
-from varexp.errors import ConfigError, GeometryError
+from varexp import solve
+from varexp.errors import ConfigError, DataError, GeometryError
 from varexp.exponents import constant_exponent
 from varexp.grid import make_grid, tent_function
 from varexp.nonlinearity import CustomExpression, LinearSource, LogPowerCoupling
@@ -282,6 +283,20 @@ def test_mountain_pass_rejects_positive_energy_endpoint():
     assert phi_energy(small, small, PROB) > 0.0
     with pytest.raises(ConfigError, match="energy"):
         mountain_pass(PROB, zero, (small, small), cfg=FAST)
+
+
+def test_mountain_pass_rejects_nonzero_boundary_endpoint(monkeypatch):
+    """The zero-boundary check runs at entry: no relocation is attempted."""
+    def no_relocation(*args, **kwargs):
+        raise AssertionError("relocation attempted before the endpoint check")
+
+    monkeypatch.setattr(solve, "backtracking_step", no_relocation)
+    g = PROB.grid
+    far = negative_endpoint(PROB)
+    lifted = g.function(far[0].values + np.where(g.interior, 0.0, 1.0))
+    zero = (g.zeros(), g.zeros())
+    with pytest.raises(DataError, match="boundary"):
+        mountain_pass(PROB, zero, (lifted, far[1]), cfg=FAST)
 
 
 def test_mountain_pass_rejects_identical_endpoints():
