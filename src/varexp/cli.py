@@ -6,7 +6,8 @@ experiments, --theorem 1 or 2), scan (ray energy trace), pairs (paired
 solutions via evenness).  Every run writes results.json to --out; solve and
 pairs additionally dump one CSV per stored solution.
 
-Exit status: 0 full success, 2 partial convergence or failed verdicts,
+Exit status: 0 full success, 2 partial convergence, failed verdicts or
+pair levels collapsed onto one point (flag ``pair_runs_collapsed``),
 1 configuration or I/O error.
 """
 
@@ -249,7 +250,11 @@ def _run(args) -> int:
         inv = symmetric_pairs(prob, _PAIR_SITES, cfg)
         report.inventory = _write_inventory(inv, prob, outdir)
         timings["pairs"] = time.perf_counter() - t0
-        if not all(run.converged for run in inv.runs) or len(inv.runs) < _PAIR_SITES:
+        if (
+            not all(run.converged for run in inv.runs)
+            or len(inv.runs) < _PAIR_SITES
+            or "pair_runs_collapsed" in inv.flags
+        ):
             status = 2
 
     if not args.deterministic:

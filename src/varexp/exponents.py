@@ -72,12 +72,6 @@ class ExponentField:
     def max(self) -> float:
         return float(np.max(self.values))
 
-    def min_on(self, mask: np.ndarray) -> float:
-        """Minimum sample over a boolean node mask (e.g. a bump support)."""
-        if not np.any(mask):
-            raise DataError("empty mask")
-        return float(np.min(self.values[mask]))
-
     def describe(self) -> str:
         if self.descriptor is not None:
             return self.descriptor.text()

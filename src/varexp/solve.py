@@ -21,6 +21,14 @@ energy kernel of ``varexp.energy`` directly, bound to the run's sign pattern
 validated once, on entry (grid, zero boundary values, quadrant tag, cone);
 line searches, BB steps and the Newton polish build no ``GridFunction``.
 
+One ray scan fixes the amplitude of a quadrant run: ``_ray_minimum`` finds
+the near-origin minimum s of the energy along the broad profile
+e = prod sin(pi x) signed into the cone.  The quadrant driver seeds its
+descent there, and ``descend`` continues any run that ends at or below
+``deflation_distance`` in the units that scan gives.  Path endpoints are the
+least dyadic multiple of a bump state with negative energy
+(``_first_negative_multiple``).
+
 Deflation is a sup-norm merge relative to amplitude: points closer than
 ``deflation_distance`` times the larger of their sup norms (capped at 1)
 count as one, keeping the lower residual.  For states of unit amplitude and
@@ -52,7 +60,6 @@ from .energy import (
     _unpack,
     check_hypotheses,
     phi_energy,
-    truncated_energy,
     weak_residual,
 )
 from .grid import Grid, GridFunction, tent_function
@@ -225,53 +232,34 @@ def _make_point(
 # --- descent ---------------------------------------------------------------------
 
 
-def _broad_profile(grid: Grid) -> np.ndarray:
-    """Lowest Dirichlet mode of the box, prod sin(pi (x - lo)/(hi - lo)), as
-    a flat nodal vector with zero boundary values."""
+def _ray_minimum(
+    prob: ProblemSpec, signs: tuple[int, int] | None
+) -> tuple[float, np.ndarray, float] | None:
+    """Near-origin ray minimum of the broad profile in a cone.
+
+    The profile is the lowest Dirichlet mode of the box,
+    e = prod sin(pi (x - lo)/(hi - lo)), signed into the cone of ``signs``
+    (Q1's for the plain functional) as the packed direction
+    d = (s_u e, s_v e).  Returns (s, d, f(s*d)) for the first local minimum
+    with negative energy of s -> f(s*d) over the dyadic amplitudes
+    s = 2^-100 .. 2^10, f the energy truncated to the cone.  That is the
+    near-origin dip; the far-field descent of a superlinear coupling never
+    turns up inside the scan.  None when there is no such dip.
+    """
+    grid = prob.grid
     vals = np.ones(grid.shape)
     for x, lo, hi in zip(grid.coordinate_arrays(), grid.lo, grid.hi):
         vals = vals * np.sin(np.pi * (x - lo) / (hi - lo))
     vals[~grid.interior] = 0.0
-    return vals.ravel()
-
-
-def _ray_minimum(f, direction: np.ndarray) -> tuple[float, float] | None:
-    """First local minimum with negative energy of s -> f(s*direction) over
-    the dyadic amplitudes s = 2^-100 .. 2^10, as (s, f(s*direction)).
-
-    The first one is the near-origin dip; the far-field descent of a
-    superlinear coupling never turns up inside the scan.  None when there
-    is no such dip.
-    """
-    amps = 2.0 ** np.arange(-100, 11)
-    vals = [f(a * direction) for a in amps]
-    for k in range(1, len(amps) - 1):
-        if vals[k] < 0.0 and vals[k] <= vals[k - 1] and vals[k] < vals[k + 1]:
-            return float(amps[k]), float(vals[k])
-    return None
-
-
-def _descent_units(grid: Grid, f, w0, signs, cfg) -> tuple[float, float]:
-    """Amplitude and energy units (s, c) for the descent variables W = w/s.
-
-    Seeds of unit order descend in the raw variables (1, 1).  A nonzero seed
-    whose sup is at or below the nontriviality threshold
-    ``deflation_distance`` instead descends at the problem's own scale: s is
-    the near-origin ray minimum of the broad profile in the quadrant's cone
-    and c the magnitude of the energy there, so f(sW)/c and W are both of
-    unit order and an absolute stopping rule in W is a relative one in w.
-    The seed's own amplitude is no unit: a narrow bump scaled until its
-    energy turns negative sits orders of magnitude below the minimizer.
-    """
-    seed_sup = float(np.max(np.abs(w0)))
-    if not 0.0 < seed_sup <= cfg.deflation_distance:
-        return 1.0, 1.0
     su, sv = signs or (1, 1)
-    e = _broad_profile(grid)
-    ray = _ray_minimum(f, np.concatenate([su * e, sv * e]))
-    if ray is None:
-        return 1.0, 1.0
-    return ray[0], -ray[1]
+    d = np.concatenate([su * vals.ravel(), sv * vals.ravel()])
+    amps = 2.0 ** np.arange(-100, 11)
+    energies = [_energy(a * d, prob, signs) for a in amps]
+    for k in range(1, len(amps) - 1):
+        e = energies[k]
+        if e < 0.0 and e <= energies[k - 1] and e < energies[k + 1]:
+            return float(amps[k]), d, float(e)
+    return None
 
 
 def descend(
@@ -283,12 +271,18 @@ def descend(
     """Projected gradient descent with backtracking on phi (or its quadrant
     truncation).  Non-convergence is reported by flag, not by exception.
 
-    Small seeds descend in amplitude-rescaled variables (see
-    ``_descent_units``) and stop on the rescaled stationarity.  A descent
-    that stalls at the line-search floor above the tolerance -- energy
-    round-off hides a decrease long before the gradient is small -- is
-    finished by the damped Newton iteration of the mountain-pass polish, in
-    the same variables.
+    The descent runs in the raw variables first.  If it ends at or below
+    the nontriviality threshold ``deflation_distance`` -- a small seed, or a
+    run drawn into the near-origin dip -- an absolute stopping rule means
+    nothing there, so it continues at the problem's own scale: in the
+    variables W = w/s with energy unit c, where s is the amplitude that
+    ``_ray_minimum`` finds in the run's cone and -c the energy there.  f(sW)/c and
+    W are both of unit order, and the absolute stopping rule in W is a
+    relative one in w.  Both phases share the ``max_iterations`` budget.  A
+    descent that stalls at the line-search floor above the tolerance --
+    energy round-off hides a decrease long before the gradient is small --
+    is finished by the damped Newton iteration of the mountain-pass polish,
+    in the units of its last phase.
     """
     u0, v0 = start
     _check_pair(u0, v0, prob)
@@ -298,20 +292,8 @@ def descend(
         if np.min(su * u0.values) < 0.0 or np.min(sv * v0.values) < 0.0:
             raise ConfigError(f"start pair is not inside the {quadrant} cone")
     f_raw, g_raw, proj = _functional(prob, signs)
-    w0 = _pack(u0, v0)
-    s, c = _descent_units(prob.grid, f_raw, w0, signs, cfg)
-
-    def f(w):
-        return f_raw(s * w) / c
-
-    def g(w):
-        return (s / c) * g_raw(s * w)
-
-    res = bb_minimize(
-        f,
-        g,
-        w0 / s,
-        max_iterations=cfg.max_iterations,
+    run = partial(
+        bb_minimize,
         gradient_stop=cfg.gradient_stop,
         step_init=cfg.step_init,
         shrink=cfg.step_shrink,
@@ -319,7 +301,23 @@ def descend(
         project=proj,
         step_cap_sup=cfg.max_step_sup,
     )
-    w, iterations, converged = res.x, res.iterations, res.converged
+    res = run(f_raw, g_raw, _pack(u0, v0), max_iterations=cfg.max_iterations)
+    iterations, s, g = res.iterations, 1.0, g_raw
+    ray = None
+    if float(np.max(np.abs(res.x))) <= cfg.deflation_distance:
+        ray = _ray_minimum(prob, signs)
+    if ray is not None:
+        s, c = ray[0], -ray[2]
+
+        def f(w):
+            return f_raw(s * w) / c
+
+        def g(w):
+            return (s / c) * g_raw(s * w)
+
+        res = run(f, g, res.x / s, max_iterations=cfg.max_iterations - iterations)
+        iterations += res.iterations
+    w, converged = res.x, res.converged
     skip_flag = None
     if res.stop_reason == "line_search_floor" and not converged:
         w, polish_iters, converged, skip_flag = _newton_polish(
@@ -603,31 +601,14 @@ def _even_symmetric(prob: ProblemSpec, seed: int) -> bool:
 
 
 def _negated(point: CriticalPoint, prob: ProblemSpec) -> CriticalPoint:
-    u = -point.u
-    v = -point.v
-    return CriticalPoint(
-        u=u,
-        v=v,
-        energy=phi_energy(u, v, prob),
-        residual=weak_residual(u, v, prob),
-        quadrant=classify_quadrant(u, v, prob.quadrant_tol),
-        method=point.method,
-        iterations=point.iterations,
-        converged=point.converged,
-        flags=point.flags + ["negation_pair"],
+    return _make_point(
+        prob,
+        -_pack(point.u, point.v),
+        point.method,
+        point.iterations,
+        point.converged,
+        point.flags + ["negation_pair"],
     )
-
-
-def _scaled_quadrant_start(prob, quadrant, u0, v0, p_min, q_min):
-    """Shrink t geometrically until the truncated energy goes negative."""
-    su, sv = QUADRANT_SIGNS[quadrant]
-    t = 1.0
-    for _ in range(300):
-        start = ((su * t ** (1.0 / p_min)) * u0, (sv * t ** (1.0 / q_min)) * v0)
-        if truncated_energy(start[0], start[1], prob, quadrant) < 0.0:
-            return start, True
-        t /= 4.0
-    return start, False
 
 
 def find_constant_sign_solutions(
@@ -635,8 +616,10 @@ def find_constant_sign_solutions(
     cfg: SolverConfig = SolverConfig(),
     quadrants=QUADRANTS,
 ) -> SolutionInventory:
-    """One descent run per quadrant from a small bump start with negative
-    truncated energy; constant-sign minimizers collected with deflation."""
+    """One descent run per quadrant, seeded at the near-origin ray minimum
+    of the broad profile in its cone (``_ray_minimum``), or at the zero pair
+    when that ray has no negative dip; constant-sign minimizers collected
+    with deflation."""
     bad = [q for q in quadrants if q not in QUADRANT_SIGNS]
     if bad:
         raise ConfigError(f"invalid quadrant tags: {', '.join(bad)}")
@@ -655,12 +638,7 @@ def find_constant_sign_solutions(
     if prob.lam > prob.lambda_smallness:
         flags.append("lambda_exceeds_smallness_threshold")
 
-    u0 = smooth_bump(prob.grid)
-    v0 = u0
-    support = u0.values > 0.0
-    p_min = prob.p.min_on(support)
-    q_min = prob.q.min_on(support)
-
+    zero = prob.grid.zeros()
     symmetric = _even_symmetric(prob, cfg.seed)
     done: dict[str, CriticalPoint] = {}
     runs: list[CriticalPoint] = []
@@ -669,11 +647,10 @@ def find_constant_sign_solutions(
         if mirror is not None:
             pt = _negated(mirror, prob)
         else:
-            start, found = _scaled_quadrant_start(
-                prob, quadrant, u0, v0, p_min, q_min
-            )
+            ray = _ray_minimum(prob, QUADRANT_SIGNS[quadrant])
+            start = (zero, zero) if ray is None else _unpack(ray[0] * ray[1], prob.grid)
             pt = descend(prob, start, quadrant, cfg)
-            if not found:
+            if ray is None:
                 pt.flags.append("no_negative_energy_start")
             # Absolute on purpose: a component whose sup is at or below
             # deflation_distance is flagged as below the nontriviality
@@ -698,6 +675,15 @@ def find_constant_sign_solutions(
     )
 
 
+def _first_negative_multiple(prob: ProblemSpec, w: np.ndarray) -> float | None:
+    """Least t = 2^k, k = 0..60, with phi(t*w) < 0 on the packed state w, or
+    None when there is none."""
+    for t in 2.0 ** np.arange(61):
+        if _energy(t * w, prob, None) < 0.0:
+            return float(t)
+    return None
+
+
 def _mountain_endpoints(prob: ProblemSpec):
     """Disjoint tent pair and a scale at which their joint energy is negative."""
     grid = prob.grid
@@ -707,12 +693,7 @@ def _mountain_endpoints(prob: ProblemSpec):
     c2 = tuple(lo + 0.75 * (hi - lo) for lo, hi in zip(grid.lo, grid.hi))
     h1 = tent_function(c1, eps, grid)
     h2 = tent_function(c2, eps, grid)
-    t = 1.0
-    while phi_energy(t * h1, t * h2, prob) >= 0.0:
-        t *= 2.0
-        if t > 2.0**40:
-            return h1, h2, None
-    return h1, h2, t
+    return h1, h2, _first_negative_multiple(prob, _pack(h1, h2))
 
 
 def find_six_solutions(
@@ -785,7 +766,11 @@ def symmetric_pairs(
     prob: ProblemSpec, k: int, cfg: SolverConfig = SolverConfig()
 ) -> SolutionInventory:
     """Mountain passes toward scaled n-bump states, n = 1..k, each returned
-    with its negation (an equally valid critical point by evenness)."""
+    with its negation (an equally valid critical point by evenness).
+
+    When the deflation merge drops any of these states -- two levels landed
+    on one critical point -- the inventory is flagged ``pair_runs_collapsed``.
+    """
     _require_hypotheses(prob, ("even_symmetry",), cfg.seed)
     centers, eps = _pair_sites(prob.grid, k)
     tents = [tent_function(c, eps, prob.grid) for c in centers]
@@ -799,12 +784,8 @@ def symmetric_pairs(
         bump_sum = tents[0]
         for h in tents[1:n]:
             bump_sum = bump_sum + h
-        t = 1.0
-        while phi_energy(t * bump_sum, t * bump_sum, prob) >= 0.0:
-            t *= 2.0
-            if t > 2.0**60:
-                break
-        if phi_energy(t * bump_sum, t * bump_sum, prob) >= 0.0:
+        t = _first_negative_multiple(prob, _pack(bump_sum, bump_sum))
+        if t is None:
             flags.append(f"no_negative_energy_endpoint_n{n}")
             continue
         mp = mountain_pass(
@@ -820,6 +801,8 @@ def symmetric_pairs(
     if any(b < a - 1e-12 for a, b in zip(energies, energies[1:])):
         flags.append("energy_sequence_not_nondecreasing")
     merged = merge_points(points, cfg.deflation_distance)
+    if len(merged) < len(points):
+        flags.append("pair_runs_collapsed")
     return SolutionInventory(
         points=merged,
         runs=runs,

@@ -19,6 +19,7 @@ from varexp.config import (
 from varexp.energy import RayleighResult
 from varexp.errors import ConfigError
 from varexp.report import load_report
+from varexp.solve import CriticalPoint, SolutionInventory
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 
@@ -296,6 +297,29 @@ def test_eigen_command_small_grid(tmp_path):
     assert "p" in est and "q" in est
     assert est["p"]["value"] > 0.0
     assert len(est["p"]["restart_values"]) >= 1
+
+
+@pytest.mark.parametrize(
+    "flags, expected_code",
+    [([], 0), (["pair_runs_collapsed"], 2)],
+    ids=["distinct_levels", "collapsed_levels"],
+)
+def test_pairs_exits_2_when_levels_collapse(tmp_path, monkeypatch, flags,
+                                            expected_code):
+    """Converged pair runs whose levels merged into fewer points are a
+    partial result: the command exits 2."""
+    def stub(prob, k, cfg):
+        z = prob.grid.zeros()
+        run = CriticalPoint(u=z, v=z, energy=1.0, residual=0.0, quadrant="Q1",
+                            method="mountain_pass", iterations=1, converged=True)
+        return SolutionInventory(points=[run], runs=[run] * k, distinct_count=1,
+                                 theorem_target="pairs", flags=list(flags),
+                                 energy_sequence=[1.0] * k)
+
+    monkeypatch.setattr(cli, "symmetric_pairs", stub)
+    code, out = run_cli(tmp_path, small_config(), "pairs")
+    assert code == expected_code
+    assert load_report(out / "results.json")["inventory"]["flags"] == flags
 
 
 @pytest.mark.parametrize(

@@ -21,8 +21,10 @@ from varexp.solve import (
     pair_distance,
     project_quadrant,
     smooth_bump,
+    symmetric_pairs,
+    _first_negative_multiple,
     _pair_sites,
-    _scaled_quadrant_start,
+    _ray_minimum,
 )
 
 
@@ -223,20 +225,34 @@ def test_descend_negation_equivariance_is_exact():
 
 
 def test_descend_leaves_the_quadrant_seed():
-    """The seed of find_constant_sign_solutions has sup ~1e-10, far below the
-    minimizer; an absolute stopping rule would accept it at iteration 0."""
-    b = smooth_bump(PROB.grid)
-    support = b.values > 0.0
-    start, found = _scaled_quadrant_start(
-        PROB, "Q1", b, b, PROB.p.min_on(support), PROB.q.min_on(support)
-    )
-    assert found
+    """The seed of find_constant_sign_solutions is the near-origin ray
+    minimum of the broad profile, sup ~5e-8, far below unit order; an
+    absolute stopping rule would accept it at iteration 0."""
+    s, d, _ = _ray_minimum(PROB, (1, 1))
+    g = PROB.grid
+    n = g.n_nodes
+    start = (g.function(s * d[:n]), g.function(s * d[n:]))
     e0 = truncated_energy(start[0], start[1], PROB, "Q1")
     pt = descend(PROB, start, quadrant="Q1", cfg=FAST)
     assert pt.iterations > 0
     assert pt.energy < e0
     assert pt.converged
     assert pt.residual <= FAST.gradient_stop
+
+
+def test_descend_from_unit_order_seed_continues_at_problem_scale():
+    """A raw descent from 0.05*bump stops near the origin (sup ~5e-5, energy
+    > 0) on the absolute stopping rule; below deflation_distance it must go
+    on in the ray's units and end below the ray seed's energy."""
+    g = PROB.grid
+    b = smooth_bump(g)
+    start = (g.function(0.05 * b.values), g.function(0.05 * b.values))
+    _, _, e_ray = _ray_minimum(PROB, (1, 1))
+    assert e_ray < 0.0
+    pt = descend(PROB, start, quadrant="Q1", cfg=FAST)
+    assert pt.converged
+    assert pt.residual <= FAST.gradient_stop
+    assert pt.energy < e_ray, (pt.energy, e_ray, pt.u.sup_norm())
 
 
 def test_descend_iteration_cap_flags_not_converged():
@@ -355,6 +371,25 @@ def test_scan_without_attraction_stays_nonnegative():
     assert res.first_negative_t is None
 
 
+def test_first_negative_multiple_is_least_power_of_two():
+    """The least t = 2^k with phi(t*w) < 0, or None where the energy stays
+    nonnegative (no attraction)."""
+    g = PROB.grid
+    h1 = tent_function(0.3, 0.15, g)
+    h2 = tent_function(0.7, 0.15, g)
+    w = np.concatenate([h1.values, h2.values])
+    t = _first_negative_multiple(PROB, w)
+    assert t is not None and t > 1.0
+    k = int(np.log2(t))
+    assert t == 2.0**k
+    assert phi_energy(t * h1, t * h2, PROB) < 0.0
+    assert all(
+        phi_energy(2.0**j * h1, 2.0**j * h2, PROB) >= 0.0 for j in range(k)
+    )
+    flat = make_problem(lam=0.0, nonlinearity=lambda g: CustomExpression(g, "0*u*v"))
+    assert _first_negative_multiple(flat, w) is None
+
+
 def test_scan_rejects_empty_list():
     g = PROB.grid
     h = tent_function(0.5, 0.2, g)
@@ -452,6 +487,15 @@ def test_large_lambda_is_flagged_not_fatal():
     prob = make_problem(lam=0.5)
     inv = find_constant_sign_solutions(prob, cfg=FAST, quadrants=("Q1",))
     assert "lambda_exceeds_smallness_threshold" in inv.flags
+
+
+def test_symmetric_pairs_flags_collapsed_levels():
+    """On this problem the 2- and 3-bump passes land on one state: the merge
+    keeps 4 of the 6 stored points, and the inventory must say so."""
+    inv = symmetric_pairs(PROB, 3, FAST)
+    assert len(inv.runs) == 3
+    assert inv.distinct_count < 2 * len(inv.runs)
+    assert "pair_runs_collapsed" in inv.flags
 
 
 # ---------------------------------------------------------------------------
