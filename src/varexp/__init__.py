@@ -53,7 +53,6 @@ from .solve import (
     find_constant_sign_solutions,
     find_six_solutions,
     mountain_pass,
-    project_quadrant,
     smooth_bump,
     symmetric_pairs,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "parse_config_text",
     "phi_energy",
     "phi_gradient",
-    "project_quadrant",
     "rayleigh_quotient",
     "smooth_bump",
     "sobolev_norm",

@@ -23,7 +23,6 @@ __all__ = [
     "exponent_from_expression",
     "exponent_from_values",
     "conjugate_exponent",
-    "field_extrema",
 ]
 
 _SPACE_NAMES = {1: {"x"}, 2: {"x", "y"}}
@@ -123,7 +122,3 @@ def conjugate_exponent(p: ExponentField) -> ExponentField:
         desc = parse_expression(f"({t}) / (({t}) - 1)")
     return ExponentField(p.grid, p.values / (p.values - 1.0), desc)
 
-
-def field_extrema(p: ExponentField) -> tuple[float, float]:
-    """(min, max) over the stored samples."""
-    return (p.min, p.max)

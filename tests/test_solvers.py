@@ -3,12 +3,24 @@
 import numpy as np
 import pytest
 
-from varexp.energy import ProblemSpec, phi_energy, truncated_energy
+from varexp.energy import (
+    QUADRANT_SIGNS,
+    QUADRANTS,
+    ProblemSpec,
+    phi_energy,
+    random_zero_boundary,
+    truncated_energy,
+)
 from varexp import solve
 from varexp.errors import ConfigError, DataError, GeometryError
-from varexp.exponents import constant_exponent
+from varexp.exponents import constant_exponent, exponent_from_expression
 from varexp.grid import make_grid, tent_function
-from varexp.nonlinearity import CustomExpression, LinearSource, LogPowerCoupling
+from varexp.nonlinearity import (
+    CustomExpression,
+    LinearSource,
+    LogPowerCoupling,
+    SeparablePower,
+)
 from varexp.solve import (
     CriticalPoint,
     SolverConfig,
@@ -19,7 +31,6 @@ from varexp.solve import (
     merge_points,
     mountain_pass,
     pair_distance,
-    project_quadrant,
     smooth_bump,
     symmetric_pairs,
     _first_negative_multiple,
@@ -78,32 +89,17 @@ def test_solver_config_defaults_are_valid():
 # quadrant geometry
 
 
-def test_project_quadrant_clamps():
-    g = PROB.grid
-    vals = np.linspace(-1, 1, g.shape[0])
-    u, v = project_quadrant(g.function(vals.copy()), g.function(-vals.copy()), "Q1")
-    assert np.all(u.values >= 0.0) and np.all(v.values >= 0.0)
-    # already-admissible pairs come back unchanged
-    u2, v2 = project_quadrant(u, v, "Q1")
-    np.testing.assert_array_equal(u2.values, u.values)
-    np.testing.assert_array_equal(v2.values, v.values)
-
-
 def test_project_q3_is_negated_q1():
+    """The cone projector of the solvers clamps into the cone, leaves
+    admissible states unchanged, and Q3 is the negated Q1."""
     g = PROB.grid
     rng = np.random.default_rng(3)
-    a = g.function(rng.standard_normal(g.shape))
-    b = g.function(rng.standard_normal(g.shape))
-    u3, v3 = project_quadrant(a, b, "Q3")
-    u1, v1 = project_quadrant(g.function(-a.values), g.function(-b.values), "Q1")
-    np.testing.assert_array_equal(u3.values, -u1.values)
-    np.testing.assert_array_equal(v3.values, -v1.values)
-
-
-def test_project_quadrant_bad_tag():
-    z = PROB.grid.zeros()
-    with pytest.raises(ConfigError):
-        project_quadrant(z, z, "Q0")
+    w = rng.standard_normal(2 * g.n_nodes)
+    q1 = solve._cone_projector(g, QUADRANT_SIGNS["Q1"])
+    q3 = solve._cone_projector(g, QUADRANT_SIGNS["Q3"])
+    assert np.all(q1(w) >= 0.0)
+    np.testing.assert_array_equal(q1(q1(w)), q1(w))
+    np.testing.assert_array_equal(q3(w), -q1(-w))
 
 
 def test_classify_quadrant():
@@ -331,6 +327,118 @@ def test_mountain_pass_negation_equivariance():
     np.testing.assert_array_equal(p2.u.values, -p1.u.values)
     np.testing.assert_array_equal(p2.v.values, -p1.v.values)
     assert p2.residual == p1.residual
+
+
+# ---------------------------------------------------------------------------
+# Newton polish Jacobian
+
+
+def make_problem_2d():
+    """17x17 unit square with p = q = 1.6 + 0.8x + 0.4y straddling 2 and a
+    separable power source (the 2D problem of test_energy.py)."""
+    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [17, 17])
+    p = exponent_from_expression(g, "1.6 + 0.8*x + 0.4*y")
+    al = constant_exponent(g, 1.2)
+    return ProblemSpec(
+        grid=g, p=p, q=p, alpha=al, beta=al, lam=1e-3,
+        nonlinearity=SeparablePower(g, 1.0, 3.0, 1.0, 3.0),
+    )
+
+
+PROB_2D = make_problem_2d()
+
+
+def free_dofs(grid):
+    return np.nonzero(np.concatenate([grid.interior.ravel()] * 2))[0]
+
+
+def random_state(prob, rng, amplitude):
+    u = random_zero_boundary(prob.grid, rng).values
+    v = random_zero_boundary(prob.grid, rng).values
+    return amplitude * np.concatenate([u.ravel(), v.ravel()])
+
+
+def polish_step(w):
+    return 1e-6 * max(1.0, float(np.max(np.abs(w))))
+
+
+def dense_fd_jacobian(gfun, w, idx, h):
+    """Reference: one +-h gradient pair per free column."""
+    jac = np.empty((idx.size, idx.size))
+    for k, j in enumerate(idx):
+        wp = w.copy()
+        wp[j] += h
+        wm = w.copy()
+        wm[j] -= h
+        jac[:, k] = (gfun(wp)[idx] - gfun(wm)[idx]) / (2.0 * h)
+    return jac
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 1e-7])
+@pytest.mark.parametrize("quadrant", [None, *QUADRANTS])
+@pytest.mark.parametrize("prob", [PROB, PROB_2D], ids=["1d", "2d"])
+def test_coloured_jacobian_equals_dense_column_loop(prob, quadrant, amplitude):
+    """Bit for bit, for phi and every truncation, at unit amplitude and at
+    the scale of the quadrant minimizers."""
+    gfun = solve._functional(prob, solve._signs(quadrant))[1]
+    w = random_state(prob, np.random.default_rng(31), amplitude)
+    idx = free_dofs(prob.grid)
+    h = polish_step(w)
+    colours = solve._jacobian_colours(prob.grid, idx)
+    coloured = solve._fd_jacobian(gfun, w, idx, h, colours)
+    assert np.array_equal(coloured, dense_fd_jacobian(gfun, w, idx, h))
+
+
+class JacobianBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "prob, n_colours", [(PROB, 10), (PROB_2D, 50)], ids=["1d", "2d"]
+)
+def test_polish_jacobian_costs_two_gradient_calls_per_colour(
+    prob, n_colours, monkeypatch
+):
+    """One Newton step evaluates the residual once, then 2 gradients per
+    colour for its Jacobian, however many free columns there are (62 in
+    1D, 450 in 2D)."""
+    gfun = solve._functional(prob, None)[1]
+    calls = 0
+
+    def counted(w):
+        nonlocal calls
+        calls += 1
+        return gfun(w)
+
+    def stop(*args, **kwargs):
+        raise JacobianBuilt
+
+    monkeypatch.setattr(np.linalg, "solve", stop)
+    w = random_state(prob, np.random.default_rng(37), 1.0)
+    with pytest.raises(JacobianBuilt):
+        solve._newton_polish(counted, None, prob.grid, w, SolverConfig())
+    assert calls == 1 + 2 * n_colours
+
+
+def test_polish_jacobian_pattern_is_the_stencil_reach():
+    """The colouring is exact only while no row of the nodal gradient reads
+    a node more than ``_STENCIL_REACH`` steps away on an axis.  A wider
+    stencil must fail here: the dense Jacobian has to vanish outside that
+    box, and the colours must fill every entry inside it exactly once."""
+    grid = PROB_2D.grid
+    idx = free_dofs(grid)
+    nodes = np.array(np.unravel_index(idx % grid.n_nodes, grid.shape))
+    offset = np.max(np.abs(nodes[:, :, None] - nodes[:, None, :]), axis=0)
+    box = offset <= solve._STENCIL_REACH
+    gfun = solve._functional(PROB_2D, None)[1]
+    w = random_state(PROB_2D, np.random.default_rng(41), 1.0)
+    dense = dense_fd_jacobian(gfun, w, idx, polish_step(w))
+    assert np.count_nonzero(dense[box]) > 0
+    assert np.count_nonzero(dense[~box]) == 0
+    filled = np.zeros(box.shape, dtype=int)
+    for _, rows, cols in solve._jacobian_colours(grid, idx):
+        np.add.at(filled, (rows, cols), 1)
+    np.testing.assert_array_equal(filled, box)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from varexp.exponents import (
     constant_exponent,
     exponent_from_expression,
     exponent_from_values,
-    field_extrema,
 )
 from varexp.grid import make_grid, tent_function
 from varexp.spaces import (
@@ -48,15 +47,6 @@ def test_exponent_must_exceed_one():
         exponent_from_values(g, np.ones(g.shape))
     with pytest.raises(ConfigError):
         exponent_from_expression(g, "1 + x")  # hits 1 at x=0
-
-
-def test_field_extrema():
-    g = COARSE
-    assert field_extrema(constant_exponent(g, 2.0)) == (2.0, 2.0)
-    assert field_extrema(exponent_from_expression(g, "2 + x")) == (2.0, 3.0)
-    g2 = make_grid([(0.0, 1.0), (0.0, 1.0)], [21, 21])
-    p2 = exponent_from_expression(g2, "2.5 + y")
-    assert field_extrema(p2) == (2.5, 3.5)
 
 
 def test_conjugate_exponent_values():

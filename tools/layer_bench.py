@@ -1,0 +1,207 @@
+"""Per-layer costs of ``varexp`` for the ``layers`` block of BENCH_<n>.json.
+
+Run from the root of a source checkout, one process per source tree:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/layer_bench.py
+
+It prints one JSON object with:
+
+* ``kernel_us``: microseconds per call of the energy kernel, its gradient,
+  and the two back to back, on ``configs/default.json`` at 129 and 1025
+  nodes and on the unit square at 65x65 with the same constants;
+* ``polish``: one Newton-polish Jacobian at 129 nodes, built column by
+  column (the reference loop below) and, where the tree has it, coloured
+  (``solve._fd_jacobian``); one dense Newton solve on it;
+* ``gradient_calls``: gradient-kernel calls per stage (descent,
+  mountain-pass relocation, Newton polish) of ``solve --theorem 2`` and
+  ``pairs`` on ``configs/default.json``, with the number of Newton
+  Jacobians built.  These counts repeat exactly from run to run.
+
+Times are medians over 7 repeats; run it on an idle machine.
+"""
+
+from __future__ import annotations
+
+import json
+import statistics
+import sys
+import time
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+
+from varexp import cli, solve
+from varexp.config import parse_config_text
+from varexp.energy import _energy, _gradient
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+
+
+def problem(extents, nodes):
+    data = json.loads(CONFIG.read_text(encoding="utf-8"))
+    data["domain"] = {"extents": extents, "nodes": nodes}
+    return parse_config_text(json.dumps(data))
+
+
+def per_call_us(fn, repeats=7, min_seconds=0.2):
+    number = 1
+    while True:
+        t0 = time.perf_counter()
+        for _ in range(number):
+            fn()
+        if time.perf_counter() - t0 >= min_seconds / repeats:
+            break
+        number *= 2
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(number):
+            fn()
+        samples.append((time.perf_counter() - t0) / number)
+    return round(1e6 * statistics.median(samples), 2)
+
+
+def smooth_state(prob):
+    grid = prob.grid
+    vals = np.ones(grid.shape)
+    for x in grid.coordinate_arrays():
+        vals = vals * np.sin(np.pi * x)
+    vals[~grid.interior] = 0.0
+    return np.concatenate([vals.ravel(), 0.5 * vals.ravel()])
+
+
+def kernel_us():
+    out = {}
+    for label, extents, nodes in (
+        ("1d_n129", [[0.0, 1.0]], [129]),
+        ("1d_n1025", [[0.0, 1.0]], [1025]),
+        ("2d_65x65", [[0.0, 1.0], [0.0, 1.0]], [65, 65]),
+    ):
+        prob, _ = problem(extents, nodes)
+        w = smooth_state(prob)
+        f = partial(_energy, w, prob, None)
+        g = partial(_gradient, w, prob, None)
+        out[label] = {
+            "energy": per_call_us(f),
+            "gradient": per_call_us(g),
+            "energy_and_gradient": per_call_us(lambda: (f(), g())),
+        }
+    return out
+
+
+def dense_jacobian(gfun, w, idx, h):
+    """The column-by-column reference: one +-h gradient pair per column."""
+    jac = np.empty((idx.size, idx.size))
+    for k, j in enumerate(idx):
+        wp = w.copy()
+        wp[j] += h
+        wm = w.copy()
+        wm[j] -= h
+        jac[:, k] = (gfun(wp)[idx] - gfun(wm)[idx]) / (2.0 * h)
+    return jac
+
+
+def polish():
+    prob, _ = problem([[0.0, 1.0]], [129])
+    grid = prob.grid
+    h1, h2, t = solve._mountain_endpoints(prob)
+    w = t * solve._pack(h1, h2)
+    gfun = partial(_gradient, prob=prob, signs=None)
+    idx = np.nonzero(np.concatenate([grid.interior.ravel()] * 2))[0]
+    h = 1e-6 * max(1.0, float(np.max(np.abs(w))))
+    jac = dense_jacobian(gfun, w, idx, h)
+    rhs = gfun(w)[idx]
+    out = {
+        "free_dofs": int(idx.size),
+        "dense_jacobian_us": per_call_us(
+            lambda: dense_jacobian(gfun, w, idx, h), repeats=5
+        ),
+        "dense_jacobian_gradient_calls": 2 * int(idx.size),
+        "newton_solve_us": per_call_us(lambda: np.linalg.solve(jac, rhs)),
+    }
+    if hasattr(solve, "_fd_jacobian"):
+        colours = solve._jacobian_colours(grid, idx)
+        out["colour_pattern_us"] = per_call_us(
+            lambda: solve._jacobian_colours(grid, idx)
+        )
+        out["coloured_jacobian_us"] = per_call_us(
+            lambda: solve._fd_jacobian(gfun, w, idx, h, colours)
+        )
+        out["coloured_jacobian_gradient_calls"] = 2 * len(colours)
+        out["coloured_equals_dense"] = bool(
+            np.array_equal(solve._fd_jacobian(gfun, w, idx, h, colours), jac)
+        )
+    return out
+
+
+def gradient_calls():
+    """Gradient-kernel calls per innermost stage, counted by wrapping the
+    solver's module globals."""
+    stack = ["other"]
+    counts: dict[str, int] = {}
+    jacobian_builds = [0]
+
+    def staged(name, fn):
+        def wrapper(*args, **kwargs):
+            stack.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+
+        return wrapper
+
+    def counted_gradient(*args, **kwargs):
+        counts[stack[-1]] = counts.get(stack[-1], 0) + 1
+        return _gradient(*args, **kwargs)
+
+    real_solve = np.linalg.solve
+
+    def counted_solve(*args, **kwargs):
+        jacobian_builds[0] += 1
+        return real_solve(*args, **kwargs)
+
+    patches = {
+        "_gradient": counted_gradient,
+        "descend": staged("descent", solve.descend),
+        "mountain_pass": staged("mountain_pass", solve.mountain_pass),
+        "_newton_polish": staged("newton_polish", solve._newton_polish),
+    }
+    saved = {name: getattr(solve, name) for name in patches}
+    prob, cfg = cli.parse_config(CONFIG)
+    out = {}
+    try:
+        for name, fn in patches.items():
+            setattr(solve, name, fn)
+        np.linalg.solve = counted_solve
+        for label, run in (
+            ("solve_theorem_2", lambda: solve.find_six_solutions(prob, cfg)),
+            ("pairs", lambda: solve.symmetric_pairs(prob, cli._PAIR_SITES, cfg)),
+        ):
+            counts.clear()
+            jacobian_builds[0] = 0
+            run()
+            out[label] = dict(sorted(counts.items()))
+            out[label]["total"] = sum(counts.values())
+            out[label]["newton_jacobians"] = jacobian_builds[0]
+    finally:
+        for name, fn in saved.items():
+            setattr(solve, name, fn)
+        np.linalg.solve = real_solve
+    return out
+
+
+def main() -> int:
+    result = {
+        "kernel_us": kernel_us(),
+        "polish": polish(),
+        "gradient_calls": gradient_calls(),
+    }
+    json.dump(result, sys.stdout, indent=1)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
