@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .exponents import ExponentField
-from .grid import Grid, GridFunction, _adjoint_sum, _difference_components
+from .grid import Grid, GridFunction, VectorField, _adjoint_sum, _difference_components
 from .nonlinearity import LogPowerCoupling, Nonlinearity
 from .optimize import bb_minimize
 
@@ -200,15 +200,10 @@ def _integral(values: np.ndarray, grid: Grid) -> float:
     return float(np.sum(grid.weights * values))
 
 
-def _difference(
-    x: np.ndarray, grid: Grid
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def _difference(x: np.ndarray, grid: Grid) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Difference gradient components of a grid-shaped array and |grad x|^2."""
-    comps = _difference_components(x, grid)
-    mag2 = comps[0] ** 2
-    for c in comps[1:]:
-        mag2 = mag2 + c**2
-    return comps, mag2
+    field = VectorField(grid, _difference_components(x, grid))
+    return field.components, field.magnitude_squared()
 
 
 def _modular(mag2: np.ndarray, pv: np.ndarray, grid: Grid) -> float:
@@ -584,9 +579,9 @@ def _rayleigh(x: np.ndarray, pv: np.ndarray, grid: Grid) -> float:
 
 
 def _rayleigh_gradient(
-    x: np.ndarray, pv: np.ndarray, grid: Grid, eps: float
+    x: np.ndarray, terms: tuple, pv: np.ndarray, grid: Grid, eps: float
 ) -> np.ndarray:
-    comps, mag2, num, den = _rayleigh_terms(x, pv, grid)
+    comps, mag2, num, den = terms
     dden = grid.weights * np.sign(x) * np.abs(x) ** (pv - 1.0)
     g = (_flux_adjoint(comps, mag2, pv, eps, grid) - (num / den) * dden) / den
     g[~grid.interior] = 0.0
@@ -610,7 +605,8 @@ def rayleigh_gradient(
 ) -> GridFunction:
     """Nodal gradient of the Rayleigh quotient (boundary entries zero)."""
     _check_rayleigh_argument(u, p, u.grid)
-    return GridFunction(u.grid, _rayleigh_gradient(u.values, p.values, u.grid, eps))
+    terms = _rayleigh_terms(u.values, p.values, u.grid)
+    return GridFunction(u.grid, _rayleigh_gradient(u.values, terms, p.values, u.grid, eps))
 
 
 def random_zero_boundary(
@@ -666,38 +662,36 @@ def minimize_rayleigh(
     if p.grid is not grid:
         raise DataError("exponent field lives on a different grid")
     rng = np.random.default_rng(seed)
-    best_val = np.inf
-    best_u: GridFunction | None = None
-    values: list[float] = []
-    iters: list[int] = []
-
     shape, pv = grid.shape, p.values
+    last: list = [None, None]  # the last evaluated state (a copy) and its terms
+
+    def terms(x: np.ndarray) -> tuple:
+        if last[0] is None or not np.array_equal(last[0], x):
+            last[:] = [x.copy(), _rayleigh_terms(x.reshape(shape), pv, grid)]
+        return last[1]
 
     def f(x: np.ndarray) -> float:
-        return _rayleigh(x.reshape(shape), pv, grid)
+        _, _, num, den = terms(x)
+        return num / den
 
     def g(x: np.ndarray) -> np.ndarray:
-        return _rayleigh_gradient(x.reshape(shape), pv, grid, _RAYLEIGH_EPS).ravel()
+        return _rayleigh_gradient(x.reshape(shape), terms(x), pv, grid, _RAYLEIGH_EPS).ravel()
 
-    for _ in range(max(1, restarts)):
-        u0 = random_zero_boundary(grid, rng)
-        x0 = u0.values.ravel().copy()
-        res = bb_minimize(
+    runs = [
+        bb_minimize(
             f,
             g,
-            x0,
+            random_zero_boundary(grid, rng).values.ravel().copy(),
             max_iterations=max_iterations,
             gradient_stop=gradient_stop,
             rescale_window=(1e-6, 1e6),
         )
-        values.append(res.f_value)
-        iters.append(res.iterations)
-        if res.f_value < best_val:
-            best_val = res.f_value
-            best_u = GridFunction(grid, res.x.reshape(shape))
+        for _ in range(max(1, restarts))
+    ]
+    best = min(runs, key=lambda res: res.f_value)
     return RayleighResult(
-        value=float(best_val),
-        minimizer=best_u,
-        restart_values=values,
-        iterations=iters,
+        value=float(best.f_value),
+        minimizer=GridFunction(grid, best.x.reshape(shape)),
+        restart_values=[res.f_value for res in runs],
+        iterations=[res.iterations for res in runs],
     )

@@ -12,7 +12,8 @@ checks at machine-level tolerances.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Sequence
+import functools
+from typing import Sequence
 
 import numpy as np
 
@@ -114,11 +115,8 @@ def make_grid(extents, nodes) -> Grid:
 
     interior = np.ones(tuple(counts), dtype=bool)
     for axis in range(len(counts)):
-        sl = [slice(None)] * len(counts)
-        sl[axis] = 0
-        interior[tuple(sl)] = False
-        sl[axis] = -1
-        interior[tuple(sl)] = False
+        _, _, _, first, _, last, _ = _axis_slices(axis)
+        interior[first] = interior[last] = False
 
     weights = np.ascontiguousarray(weights)
     weights.setflags(write=False)
@@ -221,27 +219,35 @@ class VectorField:
         return np.sqrt(self.magnitude_squared())
 
 
+@functools.lru_cache(maxsize=None)
+def _axis_slices(axis: int) -> tuple[tuple, ...]:
+    """Index tuples picking [1:-1], [2:], [:-2], 0, 1, -1 and -2 along ``axis``."""
+    picks = (slice(1, -1), slice(2, None), slice(None, -2), 0, 1, -1, -2)
+    return tuple((slice(None),) * axis + (pick,) for pick in picks)
+
+
 def _diff_axis(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Central differences inside, one-sided at the two extreme nodes."""
-    a = np.moveaxis(arr, axis, 0)
-    g = np.empty_like(a)
-    g[1:-1] = (a[2:] - a[:-2]) / (2.0 * h)
-    g[0] = (a[1] - a[0]) / h
-    g[-1] = (a[-1] - a[-2]) / h
-    return np.moveaxis(g, 0, axis)
+    inner, above, below, first, second, last, penult = _axis_slices(axis)
+    g = np.empty_like(arr)
+    np.divide(arr[above] - arr[below], 2.0 * h, out=g[inner])
+    g[first] = (arr[second] - arr[first]) / h
+    g[last] = (arr[last] - arr[penult]) / h
+    return g
 
 
 def _adjoint_diff_axis(coef: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Exact transpose of :func:`_diff_axis` applied to ``coef``."""
-    c = np.moveaxis(coef, axis, 0)
-    a = np.zeros_like(c)
-    a[2:] += c[1:-1] / (2.0 * h)
-    a[:-2] -= c[1:-1] / (2.0 * h)
-    a[0] -= c[0] / h
-    a[1] += c[0] / h
-    a[-1] += c[-1] / h
-    a[-2] -= c[-1] / h
-    return np.moveaxis(a, 0, axis)
+    inner, above, below, first, second, last, penult = _axis_slices(axis)
+    a = np.zeros_like(coef)
+    half = coef[inner] / (2.0 * h)
+    a[above] += half
+    a[below] -= half
+    a[first] -= coef[first] / h
+    a[second] += coef[first] / h
+    a[last] += coef[last] / h
+    a[penult] -= coef[last] / h
+    return a
 
 
 def _difference_components(arr: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...]:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from varexp import energy
 from varexp.energy import (
     HYPOTHESIS_NAMES,
     QUADRANTS,
@@ -13,6 +14,7 @@ from varexp.energy import (
     phi_energy,
     phi_gradient,
     random_zero_boundary,
+    rayleigh_gradient,
     rayleigh_quotient,
     truncated_energy,
     truncated_gradient,
@@ -27,6 +29,7 @@ from varexp.nonlinearity import (
     LogPowerCoupling,
     SeparablePower,
 )
+from varexp.optimize import bb_minimize
 from varexp.spaces import sobolev_norm
 
 
@@ -438,3 +441,69 @@ def test_minimize_rayleigh_restarts_agree():
     res = minimize_rayleigh(constant_exponent(g, 2.0), g, restarts=3, seed=1)
     spread = max(res.restart_values) - min(res.restart_values)
     assert spread < 1e-4 * res.value
+
+
+def _square_rayleigh_setup():
+    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [9, 9])
+    return g, exponent_from_expression(g, "3 + x/2")
+
+
+def test_minimize_rayleigh_evaluates_terms_once_per_energy_call(monkeypatch):
+    """The gradient at a state whose terms the line search just computed
+    reuses them: the terms are evaluated once per energy call, no more."""
+    g, p = _square_rayleigh_setup()
+    calls = {"terms": 0, "f": 0, "grad": 0}
+    real_terms, real_bb = energy._rayleigh_terms, energy.bb_minimize
+
+    def counted_terms(*args):
+        calls["terms"] += 1
+        return real_terms(*args)
+
+    def counted_bb(f, grad, x0, **kwargs):
+        def cf(x):
+            calls["f"] += 1
+            return f(x)
+
+        def cg(x):
+            calls["grad"] += 1
+            return grad(x)
+
+        return real_bb(cf, cg, x0, **kwargs)
+
+    monkeypatch.setattr(energy, "_rayleigh_terms", counted_terms)
+    monkeypatch.setattr(energy, "bb_minimize", counted_bb)
+    res = minimize_rayleigh(p, g, restarts=1, seed=0, max_iterations=50)
+    assert res.iterations == [50]
+    assert calls["grad"] == 51
+    assert calls["terms"] == calls["f"]
+
+
+def test_minimize_rayleigh_matches_uncached_descent_bitwise():
+    """The shared terms change no bit: same values, iteration counts and
+    minimizer as a descent on the uncached quotient and public gradient."""
+    g, p = _square_rayleigh_setup()
+    res = minimize_rayleigh(p, g, restarts=2, seed=0, max_iterations=50)
+
+    def f(x):
+        return energy._rayleigh(x.reshape(g.shape), p.values, g)
+
+    def grad(x):
+        return rayleigh_gradient(g.function(x.reshape(g.shape)), p).values.ravel()
+
+    rng = np.random.default_rng(0)
+    runs = [
+        bb_minimize(
+            f,
+            grad,
+            random_zero_boundary(g, rng).values.ravel().copy(),
+            max_iterations=50,
+            gradient_stop=1e-8,
+            rescale_window=(1e-6, 1e6),
+        )
+        for _ in range(2)
+    ]
+    best = min(runs, key=lambda r: r.f_value)
+    assert res.restart_values == [r.f_value for r in runs]
+    assert res.iterations == [r.iterations for r in runs]
+    assert res.value == best.f_value
+    assert res.minimizer.values.tobytes() == best.x.reshape(g.shape).tobytes()

@@ -13,6 +13,7 @@ from varexp.grid import (
     make_grid,
     tent_function,
 )
+from varexp.grid import _adjoint_diff_axis, _adjoint_sum, _diff_axis
 
 # ---------------------------------------------------------------------------
 # construction
@@ -144,6 +145,51 @@ def test_adjoint_identity():
         lhs = sum(np.sum(ck * dk) for ck, dk in zip(c, comps))
         rhs = np.sum(u * gradient_adjoint(c, g))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def _reference_diff_axis(arr, h, axis):
+    """The np.moveaxis stencil the sliced one replaced."""
+    a = np.moveaxis(arr, axis, 0)
+    g = np.empty_like(a)
+    g[1:-1] = (a[2:] - a[:-2]) / (2.0 * h)
+    g[0] = (a[1] - a[0]) / h
+    g[-1] = (a[-1] - a[-2]) / h
+    return np.moveaxis(g, 0, axis)
+
+
+def _reference_adjoint_diff_axis(coef, h, axis):
+    """The np.moveaxis transpose the sliced one replaced."""
+    c = np.moveaxis(coef, axis, 0)
+    a = np.zeros_like(c)
+    a[2:] += c[1:-1] / (2.0 * h)
+    a[:-2] -= c[1:-1] / (2.0 * h)
+    a[0] -= c[0] / h
+    a[1] += c[0] / h
+    a[-1] += c[-1] / h
+    a[-2] -= c[-1] / h
+    return np.moveaxis(a, 0, axis)
+
+
+@pytest.mark.parametrize("shape", [(3,), (4,), (129,), (3, 5), (49, 49)])
+def test_sliced_stencils_match_moveaxis_reference_bitwise(shape):
+    rng = np.random.default_rng(sum(shape))
+    h = 1.0 / (shape[0] - 1)
+    for axis in range(len(shape)):
+        arr = rng.standard_normal(shape)
+        assert np.array_equal(_diff_axis(arr, h, axis), _reference_diff_axis(arr, h, axis))
+        assert np.array_equal(
+            _adjoint_diff_axis(arr, h, axis), _reference_adjoint_diff_axis(arr, h, axis)
+        )
+
+
+def test_adjoint_sum_matches_moveaxis_reference_bitwise():
+    rng = np.random.default_rng(11)
+    g = make_grid([(0.0, 1.0), (0.0, 2.0)], [9, 13])
+    coefs = [rng.standard_normal(g.shape) for _ in range(2)]
+    expected = np.zeros(g.shape)
+    for axis, (c, h) in enumerate(zip(coefs, g.spacing)):
+        expected += _reference_adjoint_diff_axis(c, h, axis)
+    assert np.array_equal(_adjoint_sum(coefs, g), expected)
 
 
 def test_integration_by_parts_error_shrinks():

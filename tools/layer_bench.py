@@ -15,14 +15,24 @@ It prints one JSON object with:
 * ``gradient_calls``: gradient-kernel calls per stage (descent,
   mountain-pass relocation, Newton polish) of ``solve --theorem 2`` and
   ``pairs`` on ``configs/default.json``, with the number of Newton
-  Jacobians built.  These counts repeat exactly from run to run.
+  Jacobians built.  These counts repeat exactly from run to run;
+* ``rayleigh_us``: on the 49x49 square of ``bench/eigen_2d_varp.json``
+  with p = 3.5 + x/2 + y/4, microseconds per Rayleigh quotient and per
+  Rayleigh gradient computed from scratch (and, where the tree has it,
+  from terms already computed), and the ``_rayleigh_terms`` evaluations
+  per iteration of one 500-iteration ``minimize_rayleigh`` restart, an
+  exact count;
+* ``host``: processor count, Python, numpy and the BLAS thread variables.
 
 Times are medians over 7 repeats; run it on an idle machine.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
+import os
+import platform
 import statistics
 import sys
 import time
@@ -31,9 +41,11 @@ from pathlib import Path
 
 import numpy as np
 
-from varexp import cli, solve
+from varexp import cli, energy, solve
 from varexp.config import parse_config_text
 from varexp.energy import _energy, _gradient
+from varexp.exponents import exponent_from_expression
+from varexp.grid import make_grid
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
@@ -192,11 +204,64 @@ def gradient_calls():
     return out
 
 
+def rayleigh_us():
+    grid = make_grid([[0.0, 1.0], [0.0, 1.0]], [49, 49])
+    p = exponent_from_expression(grid, "3.5 + x/2 + y/4")
+    pv, eps = p.values, energy._RAYLEIGH_EPS
+    x = energy.random_zero_boundary(grid, np.random.default_rng(0)).values
+    out = {"quotient": per_call_us(lambda: energy._rayleigh(x, pv, grid))}
+    if "terms" in inspect.signature(energy._rayleigh_gradient).parameters:
+        terms = energy._rayleigh_terms(x, pv, grid)
+        out["gradient"] = per_call_us(
+            lambda: energy._rayleigh_gradient(
+                x, energy._rayleigh_terms(x, pv, grid), pv, grid, eps
+            )
+        )
+        out["gradient_from_terms"] = per_call_us(
+            lambda: energy._rayleigh_gradient(x, terms, pv, grid, eps)
+        )
+    else:
+        out["gradient"] = per_call_us(
+            lambda: energy._rayleigh_gradient(x, pv, grid, eps)
+        )
+
+    real_terms = energy._rayleigh_terms
+    calls = [0]
+
+    def counted_terms(*args):
+        calls[0] += 1
+        return real_terms(*args)
+
+    energy._rayleigh_terms = counted_terms
+    try:
+        res = energy.minimize_rayleigh(p, grid, restarts=1, max_iterations=500)
+    finally:
+        energy._rayleigh_terms = real_terms
+    out["iterations"] = res.iterations[0]
+    out["terms_evaluations"] = calls[0]
+    out["terms_per_iteration"] = round(calls[0] / res.iterations[0], 3)
+    return out
+
+
+def host():
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas_threads": {
+            name: os.environ.get(name)
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+    }
+
+
 def main() -> int:
     result = {
+        "host": host(),
         "kernel_us": kernel_us(),
         "polish": polish(),
         "gradient_calls": gradient_calls(),
+        "rayleigh_us": rayleigh_us(),
     }
     json.dump(result, sys.stdout, indent=1)
     print()
