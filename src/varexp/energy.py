@@ -21,9 +21,14 @@ device that pins minimizers to a sign pattern.  phi itself is the truncation
 with no clamp, so one private kernel, ``_energy``/``_gradient`` on the packed
 state w = [u.ravel(), v.ravel()] with an optional sign pattern, assembles phi
 and all four truncations; the Rayleigh quotient shares its gradient modular
-and flux adjoint.  The kernel trusts its input.  Validation (grid identity,
-zero boundary values, quadrant tags) happens once, in the public functions
-that take ``GridFunction`` pairs, and at the entry of the solvers.
+and flux adjoint.  The kernel also takes a stack of packed states, shape
+(..., 2n), and returns one energy (or gradient) per state, bit for bit what
+it returns for that state alone, so the solvers evaluate independent states
+(a mountain-pass path, a ray scan, the perturbed states of a Newton
+Jacobian) in one numpy call.  The kernel trusts its input.  Validation
+(grid identity, zero boundary values, quadrant tags) happens once, in the
+public functions that take ``GridFunction`` pairs, and at the entry of the
+solvers; those stay single-state.
 
 Also here: the sampled hypothesis checkers and the Rayleigh quotient with its
 descent minimizer.
@@ -187,8 +192,8 @@ def _pack(u: GridFunction, v: GridFunction) -> np.ndarray:
 
 
 def _split(w: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    n = grid.n_nodes
-    return w[:n].reshape(grid.shape), w[n:].reshape(grid.shape)
+    n, shape = grid.n_nodes, w.shape[:-1] + grid.shape
+    return w[..., :n].reshape(shape), w[..., n:].reshape(shape)
 
 
 def _unpack(w: np.ndarray, grid: Grid) -> tuple[GridFunction, GridFunction]:
@@ -196,8 +201,14 @@ def _unpack(w: np.ndarray, grid: Grid) -> tuple[GridFunction, GridFunction]:
     return GridFunction(grid, u), GridFunction(grid, v)
 
 
-def _integral(values: np.ndarray, grid: Grid) -> float:
-    return float(np.sum(grid.weights * values))
+def _integral(values: np.ndarray, grid: Grid) -> float | np.ndarray:
+    """Trapezoidal quadrature over the trailing grid axes: a float for one
+    grid-shaped array, one value per state for a stack.  Each contiguous row
+    is summed pairwise as np.sum would sum it alone, so a stack gives the
+    bits of a loop over its rows."""
+    lead = values.ndim - grid.ndim
+    total = np.add.reduce(grid.weights * values, axis=tuple(range(lead, values.ndim)))
+    return total if lead else float(total)
 
 
 def _difference(x: np.ndarray, grid: Grid) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -206,7 +217,7 @@ def _difference(x: np.ndarray, grid: Grid) -> tuple[tuple[np.ndarray, ...], np.n
     return field.components, field.magnitude_squared()
 
 
-def _modular(mag2: np.ndarray, pv: np.ndarray, grid: Grid) -> float:
+def _modular(mag2: np.ndarray, pv: np.ndarray, grid: Grid) -> float | np.ndarray:
     """Gradient modular: the weighted integral of (1/p)|grad x|^p."""
     return _integral(mag2 ** (pv / 2.0) / pv, grid)
 
@@ -252,9 +263,10 @@ def _coupling_partials(
 
 def _energy(
     w: np.ndarray, prob: ProblemSpec, signs: tuple[int, int] | None = None
-) -> float:
+) -> float | np.ndarray:
     """phi at the packed pair, or its truncation for the sign pattern ``signs``:
-    Psi sees the clamped pair, Phi the raw one."""
+    Psi sees the clamped pair, Phi the raw one.  A float for one state, one
+    energy per row for a stack of shape (..., 2n)."""
     grid = prob.grid
     u, v = _split(w, grid)
     phi = _modular(_difference(u, grid)[1], prob.p.values, grid) + _modular(
@@ -266,7 +278,8 @@ def _energy(
 def _gradient(
     w: np.ndarray, prob: ProblemSpec, signs: tuple[int, int] | None = None
 ) -> np.ndarray:
-    """Packed nodal gradient of ``_energy``; boundary entries zero.
+    """Packed nodal gradient of ``_energy`` (row by row for a stack);
+    boundary entries zero.
 
     Under a truncation the source part is evaluated at the clamped pair and
     carries the clamp indicator (the chain-rule factor of max(0, s*t)); the
@@ -285,9 +298,10 @@ def _gradient(
     eps = prob.grad_regularization
     gu = _flux_adjoint(*_difference(u, grid), prob.p.values, eps, grid) - src_u
     gv = _flux_adjoint(*_difference(v, grid), prob.q.values, eps, grid) - src_v
-    gu[~grid.interior] = 0.0
-    gv[~grid.interior] = 0.0
-    return np.concatenate([gu.ravel(), gv.ravel()])
+    np.copyto(gu, 0.0, where=~grid.interior)
+    np.copyto(gv, 0.0, where=~grid.interior)
+    flat = w.shape[:-1] + (grid.n_nodes,)
+    return np.concatenate([gu.reshape(flat), gv.reshape(flat)], axis=-1)
 
 
 # --- energies -----------------------------------------------------------------
@@ -584,7 +598,7 @@ def _rayleigh_gradient(
     comps, mag2, num, den = terms
     dden = grid.weights * np.sign(x) * np.abs(x) ** (pv - 1.0)
     g = (_flux_adjoint(comps, mag2, pv, eps, grid) - (num / den) * dden) / den
-    g[~grid.interior] = 0.0
+    np.copyto(g, 0.0, where=~grid.interior)
     return g
 
 

@@ -251,15 +251,19 @@ def _adjoint_diff_axis(coef: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 
 def _difference_components(arr: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...]:
-    """Per-axis difference gradient of a grid-shaped array, unchecked."""
-    return tuple(_diff_axis(arr, h, axis) for axis, h in enumerate(grid.spacing))
+    """Per-axis difference gradient of a grid-shaped array, or of a stack of
+    them along leading axes, unchecked."""
+    lead = arr.ndim - grid.ndim
+    return tuple(_diff_axis(arr, h, lead + axis) for axis, h in enumerate(grid.spacing))
 
 
 def _adjoint_sum(coefficients: Sequence[np.ndarray], grid: Grid) -> np.ndarray:
-    """sum_k D_k^T c_k accumulated from zeros in axis order, unchecked."""
-    out = np.zeros(grid.shape)
+    """sum_k D_k^T c_k accumulated from zeros in axis order, unchecked; the
+    coefficients may carry the same leading stack axes."""
+    out = np.zeros(coefficients[0].shape)
+    lead = out.ndim - grid.ndim
     for axis, (c, h) in enumerate(zip(coefficients, grid.spacing)):
-        out += _adjoint_diff_axis(c, h, axis)
+        out += _adjoint_diff_axis(c, h, lead + axis)
     return out
 
 
@@ -279,10 +283,13 @@ def gradient_adjoint(coefficients: Sequence[np.ndarray], grid: Grid) -> np.ndarr
     coefficients c, ``sum(gradient(u)_k * c_k) == sum(u * gradient_adjoint(c))``
     up to rounding.
     """
-    for c in coefficients:
+    arrays = [np.asarray(c, dtype=float) for c in coefficients]
+    if len(arrays) != grid.ndim:
+        raise DataError(f"need {grid.ndim} coefficient arrays, got {len(arrays)}")
+    for c in arrays:
         if c.shape != grid.shape:
             raise DataError(f"coefficient shape {c.shape} != grid shape {grid.shape}")
-    return _adjoint_sum([np.asarray(c, dtype=float) for c in coefficients], grid)
+    return _adjoint_sum(arrays, grid)
 
 
 def integrate(values, grid: Grid) -> float:

@@ -15,7 +15,7 @@ Three experiment drivers sit on top of two engines:
   its residual meets the stopping tolerance and its energy exceeds both
   endpoints, otherwise relocation resumes.  The nodal gradient is a local
   stencil, so the Newton Jacobian is built by Curtis-Powell-Reid column
-  colouring: one pair of gradient calls per colour (10 in 1D, 50 in 2D),
+  colouring: one pair of perturbed states per colour (10 in 1D, 50 in 2D),
   not per free degree of freedom, with the same bits as the column-by-column
   difference.  It is still stored and solved dense.
 
@@ -24,6 +24,11 @@ energy kernel of ``varexp.energy`` directly, bound to the run's sign pattern
 (none for the plain functional).  Start pairs and path endpoints are
 validated once, on entry (grid, zero boundary values, quadrant tag, cone);
 line searches, BB steps and the Newton polish build no ``GridFunction``.
+The kernel and the cone projector take stacks of packed states, so states
+that do not depend on one another go through in one numpy call each: the
+whole mountain-pass path after every re-spacing, the amplitudes of the ray
+scan, and the perturbed states of a Newton Jacobian (one stacked gradient
+call per step).
 
 One ray scan fixes the amplitude of a quadrant run: ``_ray_minimum`` finds
 the near-origin minimum s of the energy along the broad profile
@@ -186,7 +191,7 @@ def _cone_projector(grid: Grid, signs: tuple[int, int]):
     n = grid.n_nodes
 
     def proj(w: np.ndarray) -> np.ndarray:
-        return np.concatenate(_clamp_pair(w[:n], w[n:], signs))
+        return np.concatenate(_clamp_pair(w[..., :n], w[..., n:], signs), axis=-1)
 
     return proj
 
@@ -249,7 +254,7 @@ def _ray_minimum(
     su, sv = signs or (1, 1)
     d = np.concatenate([su * vals.ravel(), sv * vals.ravel()])
     amps = 2.0 ** np.arange(-100, 11)
-    energies = [_energy(a * d, prob, signs) for a in amps]
+    energies = _energy(amps[:, None] * d, prob, signs)
     for k in range(1, len(amps) - 1):
         e = energies[k]
         if e < 0.0 and e <= energies[k - 1] and e < energies[k + 1]:
@@ -406,19 +411,21 @@ def _jacobian_colours(grid: Grid, idx: np.ndarray):
 
 def _fd_jacobian(gfun, w: np.ndarray, idx: np.ndarray, h: float, colours):
     """Central-difference Jacobian of ``gfun`` over the free positions
-    ``idx``: one +-h gradient pair per colour of ``_jacobian_colours``.
+    ``idx``: a +-h state pair per colour of ``_jacobian_colours``, all
+    evaluated in one stacked ``gfun`` call.
 
     Each entry reads the same floating-point inputs as a one-column-at-a-time
     difference, since no row sees a second perturbed column, so the two
     Jacobians are equal bit for bit; entries off the pattern are zero in both.
     """
+    states = np.tile(w, (2 * len(colours), 1))
+    for k, (perturbed, _, _) in enumerate(colours):
+        states[2 * k, perturbed] += h
+        states[2 * k + 1, perturbed] -= h
+    grads = gfun(states)[:, idx]
+    diffs = (grads[0::2] - grads[1::2]) / (2.0 * h)
     jac = np.zeros((idx.size, idx.size))
-    for perturbed, rows, cols in colours:
-        wp = w.copy()
-        wp[perturbed] += h
-        wm = w.copy()
-        wm[perturbed] -= h
-        diff = (gfun(wp)[idx] - gfun(wm)[idx]) / (2.0 * h)
+    for diff, (_, rows, cols) in zip(diffs, colours):
         jac[rows, cols] = diff[rows]
     return jac
 
@@ -427,10 +434,11 @@ def _newton_polish(gfun, proj, grid: Grid, w, cfg):
     """Damped Newton on the nodal gradient system ``gfun(w) = 0``.
 
     Column-coloured finite-difference Jacobian over the free (interior)
-    degrees of freedom (``_fd_jacobian``: 2 * 10 gradient calls per step in
-    1D, 2 * 50 in 2D, whatever the grid size), stored dense, direct solve
-    with a least-squares fallback, step halving until the gradient norm
-    decreases, cone projection for quadrant runs.  Returns
+    degrees of freedom (``_fd_jacobian``: one stacked gradient call of
+    2 * 10 states per step in 1D, 2 * 50 in 2D, whatever the grid size),
+    stored dense, direct solve with a least-squares fallback, step halving
+    until the gradient norm decreases, cone projection for quadrant runs.
+    The gradient at an accepted trial is kept for the next step.  Returns
     (w, iterations, converged, skip_flag).  First-order alternatives (BB
     descent on 0.5*|G|^2 driven by Hessian-vector differences) were measured
     to creep near a saddle: the Hessian degenerates along the bump peak
@@ -443,8 +451,8 @@ def _newton_polish(gfun, proj, grid: Grid, w, cfg):
     colours = _jacobian_colours(grid, idx)
     target = max(0.01 * cfg.gradient_stop, 1e-13)
     iters = 0
+    gw = gfun(w)
     for iters in range(1, cfg.refine_iterations + 1):
-        gw = gfun(w)
         gn = float(np.linalg.norm(gw))
         if gn <= target:
             return w, iters, True, None
@@ -461,14 +469,15 @@ def _newton_polish(gfun, proj, grid: Grid, w, cfg):
             wn[idx] -= step * delta
             if proj is not None:
                 wn = proj(wn)
-            if float(np.linalg.norm(gfun(wn))) < (1.0 - 1e-4 * step) * gn:
-                w = wn
+            gwn = gfun(wn)
+            if float(np.linalg.norm(gwn)) < (1.0 - 1e-4 * step) * gn:
+                w, gw = wn, gwn
                 moved = True
                 break
             step *= cfg.step_shrink
         if not moved:
             return w, iters, False, None
-    gn = float(np.linalg.norm(gfun(w)))
+    gn = float(np.linalg.norm(gw))
     return w, iters, gn <= cfg.gradient_stop, None
 
 
@@ -504,10 +513,10 @@ def mountain_pass(
         raise ConfigError("mountain-pass endpoints must be distinct")
 
     m = cfg.path_points
-    path = np.array([wa + s * (wb - wa) for s in np.linspace(0.0, 1.0, m)])
+    path = wa + np.linspace(0.0, 1.0, m)[:, None] * (wb - wa)
     if proj is not None:
-        path = np.array([proj(z) for z in path])
-    fvals = np.array([f(z) for z in path])
+        path = proj(path)
+    fvals = f(path)
 
     flags: list[str] = []
     total_iters = 0
@@ -543,8 +552,8 @@ def mountain_pass(
             if accepted % 10 == 0:
                 path = _respace(path)
                 if proj is not None:
-                    path = np.array([proj(z) for z in path])
-                fvals = np.array([f(z) for z in path])
+                    path = proj(path)
+                fvals = f(path)
         j = 1 + int(np.argmax(fvals[1:-1]))
         w, refine_iters, ok, skip_flag = _newton_polish(
             g, proj, prob.grid, path[j].copy(), cfg

@@ -192,6 +192,65 @@ def test_gradient_boundary_entries_are_zero():
     assert gv.values[0] == 0.0 and gv.values[-1] == 0.0
 
 
+def _assert_stack_matches_row_loop(prob, signs, states):
+    """The kernel on a stack gives, bit for bit, what it gives row by row;
+    a single state still gets a float."""
+    rows = [energy._energy(w, prob, signs) for w in states]
+    assert all(isinstance(e, float) for e in rows)
+    assert np.array_equal(energy._energy(states, prob, signs), rows)
+    assert np.array_equal(
+        energy._gradient(states, prob, signs),
+        [energy._gradient(w, prob, signs) for w in states],
+    )
+
+
+def _packed_states(prob, rng, amplitude, count=6):
+    return np.array(
+        [energy._pack(*random_pair(prob, rng, amplitude)) for _ in range(count)]
+    )
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 1e-7])
+@pytest.mark.parametrize("quadrant", [None, *QUADRANTS])
+@pytest.mark.parametrize("prob", [PROB, PROB_2D], ids=["1d", "2d"])
+def test_stacked_states_match_the_row_loop_bitwise(prob, quadrant, amplitude):
+    """phi and every truncation, at unit amplitude and at the scale of the
+    quadrant minimizers; two leading axes behave like one."""
+    signs = None if quadrant is None else energy.QUADRANT_SIGNS[quadrant]
+    states = _packed_states(prob, np.random.default_rng(41), amplitude)
+    _assert_stack_matches_row_loop(prob, signs, states)
+    nested = states.reshape(2, 3, -1)
+    assert np.array_equal(
+        energy._energy(nested, prob, signs),
+        energy._energy(states, prob, signs).reshape(2, 3),
+    )
+    assert np.array_equal(
+        energy._gradient(nested, prob, signs),
+        energy._gradient(states, prob, signs).reshape(nested.shape),
+    )
+
+
+@pytest.mark.parametrize(
+    "grid, nonlinearity",
+    [
+        (PROB.grid, PROB.nonlinearity),
+        (PROB.grid, SeparablePower(PROB.grid, 1.0, 3.0, 2.0, 2.5)),
+        (PROB.grid, LinearSource(PROB.grid, np.sin(np.pi * PROB.grid.axes[0]), 0.5)),
+        (PROB.grid, CustomExpression(PROB.grid, "x * u^2 * v^2 + u^4")),
+        (PROB_2D.grid, CustomExpression(PROB_2D.grid, "(1 + x*y) * u^2 * v^2")),
+    ],
+    ids=["log_power", "separable_power", "linear_source", "custom", "custom_2d"],
+)
+@pytest.mark.parametrize("quadrant", [None, "Q2"])
+def test_stacked_states_match_the_row_loop_for_every_nonlinearity(
+    grid, nonlinearity, quadrant
+):
+    prob = build_problem(grid=grid, nonlinearity=nonlinearity)
+    signs = None if quadrant is None else energy.QUADRANT_SIGNS[quadrant]
+    states = _packed_states(prob, np.random.default_rng(43), 1.0)
+    _assert_stack_matches_row_loop(prob, signs, states)
+
+
 def test_gradient_is_poisson_residual_for_p2_linear_source():
     """p=q=2, lambda=0, F = g u: the nodal gradient must equal the
     hand-assembled quadratic-form residual D^T W D u - W g, where D is the

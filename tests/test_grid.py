@@ -13,7 +13,12 @@ from varexp.grid import (
     make_grid,
     tent_function,
 )
-from varexp.grid import _adjoint_diff_axis, _adjoint_sum, _diff_axis
+from varexp.grid import (
+    _adjoint_diff_axis,
+    _adjoint_sum,
+    _diff_axis,
+    _difference_components,
+)
 
 # ---------------------------------------------------------------------------
 # construction
@@ -190,6 +195,32 @@ def test_adjoint_sum_matches_moveaxis_reference_bitwise():
     for axis, (c, h) in enumerate(zip(coefs, g.spacing)):
         expected += _reference_adjoint_diff_axis(c, h, axis)
     assert np.array_equal(_adjoint_sum(coefs, g), expected)
+
+
+def test_gradient_adjoint_converts_and_checks_its_coefficients():
+    g = make_grid((0.0, 1.0), 5)
+    c = [0.5, -1.0, 2.0, 0.25, 3.0]
+    assert np.array_equal(gradient_adjoint([c], g), gradient_adjoint([np.array(c)], g))
+    with pytest.raises(DataError, match="shape"):
+        gradient_adjoint([c[:4]], g)
+    with pytest.raises(DataError, match="coefficient arrays"):
+        gradient_adjoint([c, c], g)
+
+
+@pytest.mark.parametrize("shape", [(33,), (17, 33)])
+def test_stencils_on_a_stack_match_the_row_loop_bitwise(shape):
+    """Leading stack axes pass through the difference gradient and its
+    adjoint sum untouched."""
+    rng = np.random.default_rng(len(shape))
+    g = make_grid([(0.0, 1.0)] * len(shape), list(shape))
+    stack = rng.standard_normal((4,) + shape)
+    comps = _difference_components(stack, g)
+    for k, row in enumerate(stack):
+        for c, c_row in zip(comps, _difference_components(row, g)):
+            assert np.array_equal(c[k], c_row)
+    summed = _adjoint_sum(comps, g)
+    for k in range(len(stack)):
+        assert np.array_equal(summed[k], _adjoint_sum([c[k] for c in comps], g))
 
 
 def test_integration_by_parts_error_shrinks():

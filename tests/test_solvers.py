@@ -329,6 +329,38 @@ def test_mountain_pass_negation_equivariance():
     assert p2.residual == p1.residual
 
 
+def test_mountain_pass_evaluates_its_path_in_one_call_per_respacing(monkeypatch):
+    """The whole path goes through the energy as one stack of path_points
+    states: once at the start and once after every re-spacing (one call per
+    path point before the kernel took stacks)."""
+    stacks = []
+    respacings = [0]
+    functional, respace = solve._functional, solve._respace
+
+    def counted_functional(prob, signs):
+        f, g, proj = functional(prob, signs)
+
+        def counted_f(w):
+            if w.ndim > 1:
+                stacks.append(w.shape[0])
+            return f(w)
+
+        return counted_f, g, proj
+
+    def counted_respace(path):
+        respacings[0] += 1
+        return respace(path)
+
+    monkeypatch.setattr(solve, "_functional", counted_functional)
+    monkeypatch.setattr(solve, "_respace", counted_respace)
+    far = negative_endpoint(PROB)
+    zero = (PROB.grid.zeros(), PROB.grid.zeros())
+    cfg = SolverConfig(path_points=11, max_iterations=60)
+    mountain_pass(PROB, zero, far, "Q1", cfg)
+    assert respacings[0] >= 3
+    assert stacks == [cfg.path_points] * (1 + respacings[0])
+
+
 # ---------------------------------------------------------------------------
 # Newton polish Jacobian
 
@@ -396,18 +428,15 @@ class JacobianBuilt(Exception):
 @pytest.mark.parametrize(
     "prob, n_colours", [(PROB, 10), (PROB_2D, 50)], ids=["1d", "2d"]
 )
-def test_polish_jacobian_costs_two_gradient_calls_per_colour(
-    prob, n_colours, monkeypatch
-):
-    """One Newton step evaluates the residual once, then 2 gradients per
-    colour for its Jacobian, however many free columns there are (62 in
-    1D, 450 in 2D)."""
+def test_polish_jacobian_is_one_stacked_gradient_call(prob, n_colours, monkeypatch):
+    """One Newton step evaluates the residual once, then its Jacobian in one
+    gradient call on a stack of 2 states per colour, however many free
+    columns there are (62 in 1D, 450 in 2D)."""
     gfun = solve._functional(prob, None)[1]
-    calls = 0
+    states = []
 
     def counted(w):
-        nonlocal calls
-        calls += 1
+        states.append(1 if w.ndim == 1 else w.shape[0])
         return gfun(w)
 
     def stop(*args, **kwargs):
@@ -417,7 +446,32 @@ def test_polish_jacobian_costs_two_gradient_calls_per_colour(
     w = random_state(prob, np.random.default_rng(37), 1.0)
     with pytest.raises(JacobianBuilt):
         solve._newton_polish(counted, None, prob.grid, w, SolverConfig())
-    assert calls == 1 + 2 * n_colours
+    assert states == [1, 2 * n_colours]
+
+
+def test_newton_polish_never_evaluates_a_state_twice():
+    """The gradient at an accepted trial is the next step's residual, so it
+    is kept, not recomputed: every single-state call sees a new state, one
+    for the start and one per line-search trial."""
+    far = negative_endpoint(PROB)
+    zero = (PROB.grid.zeros(), PROB.grid.zeros())
+    pt = mountain_pass(PROB, zero, far, cfg=FAST)
+    w = solve._pack(pt.u, pt.v) + 1e-4 * random_state(PROB, np.random.default_rng(5), 1.0)
+    gfun = solve._functional(PROB, None)[1]
+    seen = []
+
+    def counted(x):
+        seen.append(x.copy())
+        return gfun(x)
+
+    _, iters, converged, _ = solve._newton_polish(counted, None, PROB.grid, w, SolverConfig())
+    assert converged and iters >= 3
+    single = [x for x in seen if x.ndim == 1]
+    jacobians = len(seen) - len(single)
+    assert jacobians == iters - 1
+    assert len(single) == 1 + jacobians  # every full Newton step accepted
+    for i, a in enumerate(single):
+        assert not any(np.array_equal(a, b) for b in single[:i])
 
 
 def test_polish_jacobian_pattern_is_the_stencil_reach():

@@ -12,10 +12,16 @@ It prints one JSON object with:
 * ``polish``: one Newton-polish Jacobian at 129 nodes, built column by
   column (the reference loop below) and, where the tree has it, coloured
   (``solve._fd_jacobian``); one dense Newton solve on it;
-* ``gradient_calls``: gradient-kernel calls per stage (descent,
+* ``batched_us``: at 129 nodes, the 21 states of a mountain-pass path
+  through the energy kernel as one stacked call and as 21 single calls,
+  and the 20 perturbed states of one coloured Jacobian through the
+  gradient kernel as one stacked call and as 20 single calls (only where
+  the kernel takes stacks);
+* ``gradient_calls``: gradient evaluations per stage (descent,
   mountain-pass relocation, Newton polish) of ``solve --theorem 2`` and
-  ``pairs`` on ``configs/default.json``, with the number of Newton
-  Jacobians built.  These counts repeat exactly from run to run;
+  ``pairs`` on ``configs/default.json``, counting every state of a stacked
+  call, with the number of gradient-kernel calls and of Newton Jacobians
+  built.  These counts repeat exactly from run to run;
 * ``rayleigh_us``: on the 49x49 square of ``bench/eigen_2d_varp.json``
   with p = 3.5 + x/2 + y/4, microseconds per Rayleigh quotient and per
   Rayleigh gradient computed from scratch (and, where the tree has it,
@@ -147,11 +153,52 @@ def polish():
     return out
 
 
+def takes_stacks(prob) -> bool:
+    """Whether this tree's energy kernel evaluates a stack of packed states."""
+    states = np.zeros((2, 2 * prob.grid.n_nodes))
+    try:
+        return np.shape(_energy(states, prob, None)) == (2,)
+    except ValueError:
+        return False
+
+
+def batched_us():
+    prob, cfg = problem([[0.0, 1.0]], [129])
+    if not takes_stacks(prob):
+        return None
+    grid = prob.grid
+    h1, h2, t = solve._mountain_endpoints(prob)
+    w = t * solve._pack(h1, h2)
+    path = np.linspace(0.0, 1.0, cfg.path_points)[:, None] * w
+    idx = np.nonzero(np.concatenate([grid.interior.ravel()] * 2))[0]
+    colours = solve._jacobian_colours(grid, idx)
+    h = 1e-6 * max(1.0, float(np.max(np.abs(w))))
+    perturbed = np.tile(w, (2 * len(colours), 1))
+    for k, (cols, _, _) in enumerate(colours):
+        perturbed[2 * k, cols] += h
+        perturbed[2 * k + 1, cols] -= h
+    return {
+        "path_states": len(path),
+        "path_energy_stacked": per_call_us(lambda: _energy(path, prob, None)),
+        "path_energy_single_calls": per_call_us(
+            lambda: [_energy(z, prob, None) for z in path]
+        ),
+        "jacobian_states": len(perturbed),
+        "jacobian_gradient_stacked": per_call_us(
+            lambda: _gradient(perturbed, prob, None)
+        ),
+        "jacobian_gradient_single_calls": per_call_us(
+            lambda: [_gradient(z, prob, None) for z in perturbed]
+        ),
+    }
+
+
 def gradient_calls():
-    """Gradient-kernel calls per innermost stage, counted by wrapping the
-    solver's module globals."""
+    """Gradient evaluations (one per state of a stacked call) per innermost
+    stage, counted by wrapping the solver's module globals."""
     stack = ["other"]
     counts: dict[str, int] = {}
+    kernel_calls = [0]
     jacobian_builds = [0]
 
     def staged(name, fn):
@@ -164,9 +211,11 @@ def gradient_calls():
 
         return wrapper
 
-    def counted_gradient(*args, **kwargs):
-        counts[stack[-1]] = counts.get(stack[-1], 0) + 1
-        return _gradient(*args, **kwargs)
+    def counted_gradient(w, *args, **kwargs):
+        states = 1 if w.ndim == 1 else len(w)
+        counts[stack[-1]] = counts.get(stack[-1], 0) + states
+        kernel_calls[0] += 1
+        return _gradient(w, *args, **kwargs)
 
     real_solve = np.linalg.solve
 
@@ -192,10 +241,11 @@ def gradient_calls():
             ("pairs", lambda: solve.symmetric_pairs(prob, cli._PAIR_SITES, cfg)),
         ):
             counts.clear()
-            jacobian_builds[0] = 0
+            kernel_calls[0] = jacobian_builds[0] = 0
             run()
             out[label] = dict(sorted(counts.items()))
             out[label]["total"] = sum(counts.values())
+            out[label]["kernel_calls"] = kernel_calls[0]
             out[label]["newton_jacobians"] = jacobian_builds[0]
     finally:
         for name, fn in saved.items():
@@ -260,6 +310,7 @@ def main() -> int:
         "host": host(),
         "kernel_us": kernel_us(),
         "polish": polish(),
+        "batched_us": batched_us(),
         "gradient_calls": gradient_calls(),
         "rayleigh_us": rayleigh_us(),
     }
