@@ -18,17 +18,20 @@ is always integrated unregularized.
 Quadrant-truncated variants replace (u, v) by their clamped versions
 s*max(0, s*t) inside Psi while Phi keeps the raw gradients; this is the
 device that pins minimizers to a sign pattern.  phi itself is the truncation
-with no clamp, so one private kernel, ``_energy``/``_gradient`` on the packed
-state w = [u.ravel(), v.ravel()] with an optional sign pattern, assembles phi
-and all four truncations; the Rayleigh quotient shares its gradient modular
-and flux adjoint.  The kernel also takes a stack of packed states, shape
-(..., 2n), and returns one energy (or gradient) per state, bit for bit what
-it returns for that state alone, so the solvers evaluate independent states
-(a mountain-pass path, a ray scan, the perturbed states of a Newton
-Jacobian) in one numpy call.  The kernel trusts its input.  Validation
-(grid identity, zero boundary values, quadrant tags) happens once, in the
-public functions that take ``GridFunction`` pairs, and at the entry of the
-solvers; those stay single-state.
+with no clamp, so one private kernel, ``_energy``/``_gradient`` on the
+packed state w = [u.ravel(), v.ravel()] with an optional sign pattern,
+assembles phi and all four truncations.  It views w as one array of shape
+(2, *grid.shape), so u and v pass through the stencils, the gradient modular
+and the flux adjoint together against p and q stacked, with the arrays that
+depend on the exponents alone built once per problem; the Rayleigh quotient
+shares the modular and the flux adjoint.  The kernel also takes a stack of
+packed states, shape (..., 2n), and returns one energy (or gradient) per
+state, bit for bit what it returns for that state alone, so the solvers
+evaluate independent states (a mountain-pass path, a ray scan, the perturbed
+states of a Newton Jacobian) in one numpy call.  The kernel trusts its
+input.  Validation (grid identity, zero boundary values, quadrant tags)
+happens once, in the public functions that take ``GridFunction`` pairs, and
+at the entry of the solvers; those stay single-state.
 
 Also here: the sampled hypothesis checkers and the Rayleigh quotient with its
 descent minimizer.
@@ -37,6 +40,8 @@ descent minimizer.
 from __future__ import annotations
 
 import dataclasses
+import functools
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -141,6 +146,11 @@ class ProblemSpec:
         if self.grad_regularization <= 0.0:
             raise ConfigError("gradient regularization must be positive")
 
+    @functools.cached_property
+    def _plan(self) -> SimpleNamespace:
+        """The exponent-only arrays of p stacked over those of q."""
+        return _exponent_plan(np.stack([self.p.values, self.q.values]), self.grad_regularization)
+
     def coupling_margin(self) -> float:
         """max over nodes of alpha/p + beta/q (subcritical iff < 1)."""
         vals = self.alpha.values / self.p.values + self.beta.values / self.q.values
@@ -161,6 +171,13 @@ class ProblemSpec:
 # --- energy kernel -------------------------------------------------------------
 
 
+def _exponent_plan(pv: np.ndarray, eps: float) -> SimpleNamespace:
+    """Arrays that depend on an exponent field alone: p, p/2, the flux
+    regularization (eps where p < 2, else 0), (p - 2)/2 and p - 1."""
+    reg = np.where(pv < 2.0, eps, 0.0)
+    return SimpleNamespace(p=pv, half=pv / 2.0, reg=reg, flux=(pv - 2.0) / 2.0, less_one=pv - 1.0)
+
+
 def _quadrant_signs(quadrant: str) -> tuple[int, int]:
     """Sign pattern (s_u, s_v) of a quadrant tag; rejects unknown tags."""
     if quadrant not in QUADRANT_SIGNS:
@@ -168,16 +185,25 @@ def _quadrant_signs(quadrant: str) -> tuple[int, int]:
     return QUADRANT_SIGNS[quadrant]
 
 
-def _clamp(values: np.ndarray, sign: int) -> np.ndarray:
-    """Nodewise clamp s*max(0, s*t) onto the half-line of the given sign."""
-    return sign * np.maximum(0.0, sign * values)
+def _pairs(w: np.ndarray, grid: Grid) -> np.ndarray:
+    """Packed states of shape (..., 2n) viewed as (..., 2, *grid.shape):
+    u then v, with no copy."""
+    return w.reshape(w.shape[:-1] + (2,) + grid.shape)
 
 
-def _clamp_pair(u: np.ndarray, v: np.ndarray, signs: tuple[int, int] | None):
-    """The pair clamped onto the cone of ``signs``; unchanged for None."""
+def _clamp(W: np.ndarray, signs: tuple[int, int] | None, grid: Grid) -> np.ndarray:
+    """Both components clamped nodewise, s*max(0, s*t), onto the cone of
+    ``signs``; W itself for None."""
     if signs is None:
-        return u, v
-    return _clamp(u, signs[0]), _clamp(v, signs[1])
+        return W
+    s = np.reshape(np.array(signs, dtype=float), (2,) + (1,) * grid.ndim)
+    return s * np.maximum(0.0, s * W)
+
+
+def _uv(W: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The u and v views of a pair array of shape (..., 2, *grid.shape)."""
+    rest = (slice(None),) * grid.ndim
+    return W[(Ellipsis, 0) + rest], W[(Ellipsis, 1) + rest]
 
 
 def _check_pair(u: GridFunction, v: GridFunction, prob: ProblemSpec) -> None:
@@ -191,14 +217,9 @@ def _pack(u: GridFunction, v: GridFunction) -> np.ndarray:
     return np.concatenate([u.values.ravel(), v.values.ravel()])
 
 
-def _split(w: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    n, shape = grid.n_nodes, w.shape[:-1] + grid.shape
-    return w[..., :n].reshape(shape), w[..., n:].reshape(shape)
-
-
 def _unpack(w: np.ndarray, grid: Grid) -> tuple[GridFunction, GridFunction]:
-    u, v = _split(w, grid)
-    return GridFunction(grid, u), GridFunction(grid, v)
+    W = _pairs(w, grid)
+    return GridFunction(grid, W[0]), GridFunction(grid, W[1])
 
 
 def _integral(values: np.ndarray, grid: Grid) -> float | np.ndarray:
@@ -217,17 +238,13 @@ def _difference(x: np.ndarray, grid: Grid) -> tuple[tuple[np.ndarray, ...], np.n
     return field.components, field.magnitude_squared()
 
 
-def _modular(mag2: np.ndarray, pv: np.ndarray, grid: Grid) -> float | np.ndarray:
+def _modular(mag2: np.ndarray, plan: SimpleNamespace, grid: Grid) -> float | np.ndarray:
     """Gradient modular: the weighted integral of (1/p)|grad x|^p."""
-    return _integral(mag2 ** (pv / 2.0) / pv, grid)
+    return _integral(mag2**plan.half / plan.p, grid)
 
 
 def _flux_adjoint(
-    comps: tuple[np.ndarray, ...],
-    mag2: np.ndarray,
-    pv: np.ndarray,
-    eps: float,
-    grid: Grid,
+    comps: tuple[np.ndarray, ...], mag2: np.ndarray, plan: SimpleNamespace, grid: Grid
 ) -> np.ndarray:
     """Nodal gradient of the gradient modular, from the difference gradient.
 
@@ -237,8 +254,7 @@ def _flux_adjoint(
     flux of small-amplitude states (|grad u|^2 ~ 1e-15 against eps = 1e-10)
     and break agreement with the energy there.
     """
-    reg = np.where(pv < 2.0, eps, 0.0)
-    coef = grid.weights * (mag2 + reg) ** ((pv - 2.0) / 2.0)
+    coef = grid.weights * (mag2 + plan.reg) ** plan.flux
     return _adjoint_sum([coef * c for c in comps], grid)
 
 
@@ -268,11 +284,11 @@ def _energy(
     Psi sees the clamped pair, Phi the raw one.  A float for one state, one
     energy per row for a stack of shape (..., 2n)."""
     grid = prob.grid
-    u, v = _split(w, grid)
-    phi = _modular(_difference(u, grid)[1], prob.p.values, grid) + _modular(
-        _difference(v, grid)[1], prob.q.values, grid
-    )
-    return phi - _integral(_psi_integrand(*_clamp_pair(u, v, signs), prob), grid)
+    W = _pairs(w, grid)
+    m = _modular(_difference(W, grid)[1], prob._plan, grid)
+    psi = _integral(_psi_integrand(*_uv(_clamp(W, signs, grid), grid), prob), grid)
+    e = m[..., 0] + m[..., 1] - psi
+    return float(e) if w.ndim == 1 else e
 
 
 def _gradient(
@@ -286,22 +302,17 @@ def _gradient(
     flux part is the raw one.
     """
     grid = prob.grid
-    u, v = _split(w, grid)
-    tu, tv = _clamp_pair(u, v, signs)
+    W = _pairs(w, grid)
+    T = _clamp(W, signs, grid)
+    tu, tv = _uv(T, grid)
     cu, cv = _coupling_partials(tu, tv, prob)
     fu, fv = prob.nonlinearity.partials(tu, tv)
-    src_u = grid.weights * (cu + fu)
-    src_v = grid.weights * (cv + fv)
+    src = grid.weights * np.stack([cu + fu, cv + fv], axis=-grid.ndim - 1)
     if signs is not None:
-        src_u = src_u * (tu != 0.0).astype(float)
-        src_v = src_v * (tv != 0.0).astype(float)
-    eps = prob.grad_regularization
-    gu = _flux_adjoint(*_difference(u, grid), prob.p.values, eps, grid) - src_u
-    gv = _flux_adjoint(*_difference(v, grid), prob.q.values, eps, grid) - src_v
-    np.copyto(gu, 0.0, where=~grid.interior)
-    np.copyto(gv, 0.0, where=~grid.interior)
-    flat = w.shape[:-1] + (grid.n_nodes,)
-    return np.concatenate([gu.reshape(flat), gv.reshape(flat)], axis=-1)
+        src = src * (T != 0.0).astype(float)
+    g = _flux_adjoint(*_difference(W, grid), prob._plan, grid) - src
+    np.copyto(g, 0.0, where=~grid.interior)
+    return g.reshape(w.shape)
 
 
 # --- energies -----------------------------------------------------------------
@@ -576,28 +587,29 @@ def check_hypotheses(
 # --- Rayleigh quotient ----------------------------------------------------------
 
 
-def _rayleigh_terms(x: np.ndarray, pv: np.ndarray, grid: Grid):
-    """Difference gradient, |grad x|^2, numerator and denominator of the
-    Rayleigh quotient of a grid-shaped array."""
+def _rayleigh_terms(x: np.ndarray, plan: SimpleNamespace, grid: Grid):
+    """Difference gradient, |grad x|^2, |x|, numerator and denominator of
+    the Rayleigh quotient of a grid-shaped array."""
     comps, mag2 = _difference(x, grid)
-    num = _modular(mag2, pv, grid)
-    den = _integral(np.abs(x) ** pv / pv, grid)
+    ax = np.abs(x)
+    num = _modular(mag2, plan, grid)
+    den = _integral(ax**plan.p / plan.p, grid)
     if den == 0.0:
         raise DataError("Rayleigh quotient of the zero function")
-    return comps, mag2, num, den
+    return comps, mag2, ax, num, den
 
 
-def _rayleigh(x: np.ndarray, pv: np.ndarray, grid: Grid) -> float:
-    _, _, num, den = _rayleigh_terms(x, pv, grid)
+def _rayleigh(x: np.ndarray, plan: SimpleNamespace, grid: Grid) -> float:
+    *_, num, den = _rayleigh_terms(x, plan, grid)
     return num / den
 
 
 def _rayleigh_gradient(
-    x: np.ndarray, terms: tuple, pv: np.ndarray, grid: Grid, eps: float
+    x: np.ndarray, terms: tuple, plan: SimpleNamespace, grid: Grid
 ) -> np.ndarray:
-    comps, mag2, num, den = terms
-    dden = grid.weights * np.sign(x) * np.abs(x) ** (pv - 1.0)
-    g = (_flux_adjoint(comps, mag2, pv, eps, grid) - (num / den) * dden) / den
+    comps, mag2, ax, num, den = terms
+    dden = grid.weights * np.sign(x) * ax**plan.less_one
+    g = (_flux_adjoint(comps, mag2, plan, grid) - (num / den) * dden) / den
     np.copyto(g, 0.0, where=~grid.interior)
     return g
 
@@ -611,7 +623,7 @@ def _check_rayleigh_argument(u: GridFunction, p: ExponentField, grid: Grid) -> N
 def rayleigh_quotient(u: GridFunction, p: ExponentField, grid: Grid | None = None) -> float:
     """Weighted gradient modular over weighted modular, on zero-trace data."""
     _check_rayleigh_argument(u, p, grid or u.grid)
-    return _rayleigh(u.values, p.values, u.grid)
+    return _rayleigh(u.values, _exponent_plan(p.values, _RAYLEIGH_EPS), u.grid)
 
 
 def rayleigh_gradient(
@@ -619,8 +631,9 @@ def rayleigh_gradient(
 ) -> GridFunction:
     """Nodal gradient of the Rayleigh quotient (boundary entries zero)."""
     _check_rayleigh_argument(u, p, u.grid)
-    terms = _rayleigh_terms(u.values, p.values, u.grid)
-    return GridFunction(u.grid, _rayleigh_gradient(u.values, terms, p.values, u.grid, eps))
+    plan = _exponent_plan(p.values, eps)
+    terms = _rayleigh_terms(u.values, plan, u.grid)
+    return GridFunction(u.grid, _rayleigh_gradient(u.values, terms, plan, u.grid))
 
 
 def random_zero_boundary(
@@ -676,20 +689,20 @@ def minimize_rayleigh(
     if p.grid is not grid:
         raise DataError("exponent field lives on a different grid")
     rng = np.random.default_rng(seed)
-    shape, pv = grid.shape, p.values
+    shape, plan = grid.shape, _exponent_plan(p.values, _RAYLEIGH_EPS)
     last: list = [None, None]  # the last evaluated state (a copy) and its terms
 
     def terms(x: np.ndarray) -> tuple:
         if last[0] is None or not np.array_equal(last[0], x):
-            last[:] = [x.copy(), _rayleigh_terms(x.reshape(shape), pv, grid)]
+            last[:] = [x.copy(), _rayleigh_terms(x.reshape(shape), plan, grid)]
         return last[1]
 
     def f(x: np.ndarray) -> float:
-        _, _, num, den = terms(x)
+        *_, num, den = terms(x)
         return num / den
 
     def g(x: np.ndarray) -> np.ndarray:
-        return _rayleigh_gradient(x.reshape(shape), terms(x), pv, grid, _RAYLEIGH_EPS).ravel()
+        return _rayleigh_gradient(x.reshape(shape), terms(x), plan, grid).ravel()
 
     runs = [
         bb_minimize(

@@ -243,10 +243,11 @@ def _adjoint_diff_axis(coef: np.ndarray, h: float, axis: int) -> np.ndarray:
     half = coef[inner] / (2.0 * h)
     a[above] += half
     a[below] -= half
-    a[first] -= coef[first] / h
-    a[second] += coef[first] / h
-    a[last] += coef[last] / h
-    a[penult] -= coef[last] / h
+    head, tail = coef[first] / h, coef[last] / h
+    a[first] -= head
+    a[second] += head
+    a[last] += tail
+    a[penult] -= tail
     return a
 
 
@@ -258,12 +259,13 @@ def _difference_components(arr: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...
 
 
 def _adjoint_sum(coefficients: Sequence[np.ndarray], grid: Grid) -> np.ndarray:
-    """sum_k D_k^T c_k accumulated from zeros in axis order, unchecked; the
-    coefficients may carry the same leading stack axes."""
-    out = np.zeros(coefficients[0].shape)
-    lead = out.ndim - grid.ndim
-    for axis, (c, h) in enumerate(zip(coefficients, grid.spacing)):
-        out += _adjoint_diff_axis(c, h, lead + axis)
+    """sum_k D_k^T c_k in axis order, unchecked; the coefficients may carry
+    the same leading stack axes.  It starts from D_0^T c_0, which never holds
+    -0.0 (exact cancellations round to +0.0): the bits of a start from zeros."""
+    lead = coefficients[0].ndim - grid.ndim
+    out = _adjoint_diff_axis(coefficients[0], grid.spacing[0], lead)
+    for axis in range(1, grid.ndim):
+        out += _adjoint_diff_axis(coefficients[axis], grid.spacing[axis], lead + axis)
     return out
 
 

@@ -87,6 +87,7 @@ class LogPowerCoupling(Nonlinearity):
         self.theta1 = theta1
         self.theta2 = theta2
         self._validate()
+        self._less_one = tuple(f.values - 1.0 for f in (p, q, a, b, theta1, theta2))
 
     def _validate(self) -> None:
         p, q = self.p.values, self.q.values
@@ -125,18 +126,21 @@ class LogPowerCoupling(Nonlinearity):
 
     def partials(self, u, v, at=None):
         p, q, a, b, t1, t2 = self._fields(at)
+        pm, qm, am, bm, t1m, t2m = (_take(f, at) for f in self._less_one)
         au, av = np.abs(u), np.abs(v)
         lu, lv = np.log1p(au), np.log1p(av)
+        ou, ov = 1.0 + au, 1.0 + av
+        ut1, vt2 = au**t1, av**t2
         su, sv = np.sign(u), np.sign(v)
         fu = su * (
-            p * au ** (p - 1.0) * lu**a
-            + a * au**p * lu ** (a - 1.0) / (1.0 + au)
-            + av**t2 * lv * (t1 * au ** (t1 - 1.0) * lu + au**t1 / (1.0 + au))
+            p * au**pm * lu**a
+            + a * au**p * lu**am / ou
+            + vt2 * lv * (t1 * au**t1m * lu + ut1 / ou)
         )
         fv = sv * (
-            q * av ** (q - 1.0) * lv**b
-            + b * av**q * lv ** (b - 1.0) / (1.0 + av)
-            + au**t1 * lu * (t2 * av ** (t2 - 1.0) * lv + av**t2 / (1.0 + av))
+            q * av**qm * lv**b
+            + b * av**q * lv**bm / ov
+            + ut1 * lu * (t2 * av**t2m * lv + vt2 / ov)
         )
         return fu, fv
 

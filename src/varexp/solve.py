@@ -61,10 +61,11 @@ from .energy import (
     QUADRANTS,
     ProblemSpec,
     _check_pair,
-    _clamp_pair,
+    _clamp,
     _energy,
     _gradient,
     _pack,
+    _pairs,
     _quadrant_signs,
     _unpack,
     check_hypotheses,
@@ -188,10 +189,8 @@ def _signs(quadrant: str | None) -> tuple[int, int] | None:
 
 
 def _cone_projector(grid: Grid, signs: tuple[int, int]):
-    n = grid.n_nodes
-
     def proj(w: np.ndarray) -> np.ndarray:
-        return np.concatenate(_clamp_pair(w[..., :n], w[..., n:], signs), axis=-1)
+        return _clamp(_pairs(w, grid), signs, grid).reshape(w.shape)
 
     return proj
 

@@ -67,6 +67,34 @@ def build_problem_2d():
 PROB_2D = build_problem_2d()
 
 
+def build_problem_pq(ndim):
+    """A problem with p != q, so a kernel that pairs v with p (or u with q)
+    shows.  In 2D the 17x17 square with p = 1.6 + 0.8x + 0.4y, which
+    straddles 2, q = 3 - x/2 and a separable power source; in 1D 33 nodes
+    with p = 3 + x/2, q = 4 - x, both above 2 so the flux is exact at small
+    amplitude, and log_power with a = p + 1, b = q + 1, theta = (p/2, q/2)."""
+    al = lambda g: constant_exponent(g, 1.2)
+    if ndim == 2:
+        g = make_grid([(0.0, 1.0), (0.0, 1.0)], [17, 17])
+        p = exponent_from_expression(g, "1.6 + 0.8*x + 0.4*y")
+        q = exponent_from_expression(g, "3 - x/2")
+        nl = SeparablePower(g, 1.0, 3.0, 1.0, 3.0)
+    else:
+        g = make_grid((0.0, 1.0), 33)
+        p = exponent_from_expression(g, "3 + x/2")
+        q = exponent_from_expression(g, "4 - x")
+        nl = LogPowerCoupling(
+            g, p, q,
+            *(exponent_from_expression(g, e) for e in ("4 + x/2", "5 - x", "1.5 + x/4", "2 - x/2")),
+        )
+    return ProblemSpec(
+        grid=g, p=p, q=q, alpha=al(g), beta=al(g), lam=1e-3, nonlinearity=nl
+    )
+
+
+PROB_PQ_1D, PROB_PQ_2D = build_problem_pq(1), build_problem_pq(2)
+
+
 def random_pair(prob, rng, scale=1.0):
     u = prob.grid.function(scale * random_zero_boundary(prob.grid, rng).values)
     v = prob.grid.function(scale * random_zero_boundary(prob.grid, rng).values)
@@ -140,9 +168,10 @@ def test_state_on_wrong_grid_rejected():
 
 @pytest.mark.parametrize("quadrant", [None, *QUADRANTS])
 def test_gradients_match_directional_derivatives(quadrant):
-    """On the 1D problem and on the 2D one with a variable p straddling 2."""
+    """On the 1D problem, on the 2D one with a variable p straddling 2, and
+    on both p != q problems."""
     rng = np.random.default_rng(13)
-    for prob in (PROB, PROB_2D):
+    for prob in (PROB, PROB_2D, PROB_PQ_1D, PROB_PQ_2D):
         if quadrant is None:
             fun = lambda u, v: phi_energy(u, v, prob)
             grad = lambda u, v: phi_gradient(u, v, prob)
@@ -164,24 +193,27 @@ def test_gradients_match_directional_derivatives(quadrant):
 def test_gradients_match_directional_derivatives_at_small_amplitude(quadrant):
     """Same check at amplitude 1e-7, the scale of the small-lambda quadrant
     minimizers, with the step scaled to the amplitude.  A flux regularized
-    by (|grad u|^2 + 1e-10) at p >= 2 is off by orders of magnitude here."""
+    by (|grad u|^2 + 1e-10) at p >= 2 is off by orders of magnitude here.
+    The p != q problem is the 1D one: where p < 2 the flux is regularized
+    on purpose and is not the derivative at this amplitude."""
     rng = np.random.default_rng(29)
-    if quadrant is None:
-        fun = lambda u, v: phi_energy(u, v, PROB)
-        grad = lambda u, v: phi_gradient(u, v, PROB)
-    else:
-        fun = lambda u, v: truncated_energy(u, v, PROB, quadrant)
-        grad = lambda u, v: truncated_gradient(u, v, PROB, quadrant)
     amplitude = 1e-7
-    interior = PROB.grid.interior
-    for _ in range(12):
-        u, v = random_pair(PROB, rng, scale=amplitude)
-        d_u = np.where(interior, rng.standard_normal(PROB.grid.shape), 0.0)
-        d_v = np.where(interior, rng.standard_normal(PROB.grid.shape), 0.0)
-        gu, gv = grad(u, v)
-        analytic = float(np.sum(gu.values * d_u) + np.sum(gv.values * d_v))
-        fd = pack_fd_gradient(fun, u, v, d_u, d_v, s=1e-6 * amplitude)
-        assert analytic == pytest.approx(fd, rel=1e-5, abs=0.0)
+    for prob in (PROB, PROB_PQ_1D):
+        if quadrant is None:
+            fun = lambda u, v: phi_energy(u, v, prob)
+            grad = lambda u, v: phi_gradient(u, v, prob)
+        else:
+            fun = lambda u, v: truncated_energy(u, v, prob, quadrant)
+            grad = lambda u, v: truncated_gradient(u, v, prob, quadrant)
+        interior = prob.grid.interior
+        for _ in range(12):
+            u, v = random_pair(prob, rng, scale=amplitude)
+            d_u = np.where(interior, rng.standard_normal(prob.grid.shape), 0.0)
+            d_v = np.where(interior, rng.standard_normal(prob.grid.shape), 0.0)
+            gu, gv = grad(u, v)
+            analytic = float(np.sum(gu.values * d_u) + np.sum(gv.values * d_v))
+            fd = pack_fd_gradient(fun, u, v, d_u, d_v, s=1e-6 * amplitude)
+            assert analytic == pytest.approx(fd, rel=1e-5, abs=0.0)
 
 
 def test_gradient_boundary_entries_are_zero():
@@ -212,7 +244,9 @@ def _packed_states(prob, rng, amplitude, count=6):
 
 @pytest.mark.parametrize("amplitude", [1.0, 1e-7])
 @pytest.mark.parametrize("quadrant", [None, *QUADRANTS])
-@pytest.mark.parametrize("prob", [PROB, PROB_2D], ids=["1d", "2d"])
+@pytest.mark.parametrize(
+    "prob", [PROB, PROB_2D, PROB_PQ_1D, PROB_PQ_2D], ids=["1d", "2d", "pq_1d", "pq_2d"]
+)
 def test_stacked_states_match_the_row_loop_bitwise(prob, quadrant, amplitude):
     """phi and every truncation, at unit amplitude and at the scale of the
     quadrant minimizers; two leading axes behave like one."""
@@ -228,6 +262,49 @@ def test_stacked_states_match_the_row_loop_bitwise(prob, quadrant, amplitude):
         energy._gradient(nested, prob, signs),
         energy._gradient(states, prob, signs).reshape(nested.shape),
     )
+
+
+def _per_component_reference(w, prob, signs):
+    """The assembly the pair pass replaced: u with p and v with q, each
+    through its own stencils, modular and flux adjoint, joined by a
+    concatenate.  Returns the energy and the packed gradient."""
+    grid, n = prob.grid, prob.grid.n_nodes
+    u, v = w[:n].reshape(grid.shape), w[n:].reshape(grid.shape)
+    tu, tv = u, v
+    if signs is not None:
+        tu, tv = (s * np.maximum(0.0, s * x) for s, x in zip(signs, (u, v)))
+    eps = prob.grad_regularization
+    plans = [energy._exponent_plan(f.values, eps) for f in (prob.p, prob.q)]
+    diffs = [energy._difference(x, grid) for x in (u, v)]
+    phi = energy._modular(diffs[0][1], plans[0], grid) + energy._modular(
+        diffs[1][1], plans[1], grid
+    )
+    e = phi - energy._integral(energy._psi_integrand(tu, tv, prob), grid)
+    sources = [
+        grid.weights * (c + f)
+        for c, f in zip(energy._coupling_partials(tu, tv, prob), prob.nonlinearity.partials(tu, tv))
+    ]
+    grads = []
+    for (comps, mag2), plan, src, t in zip(diffs, plans, sources, (tu, tv)):
+        if signs is not None:
+            src = src * (t != 0.0).astype(float)
+        g = energy._flux_adjoint(comps, mag2, plan, grid) - src
+        np.copyto(g, 0.0, where=~grid.interior)
+        grads.append(g.ravel())
+    return e, np.concatenate(grads)
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 1e-7])
+@pytest.mark.parametrize("quadrant", [None, *QUADRANTS])
+@pytest.mark.parametrize("prob", [PROB_PQ_1D, PROB_PQ_2D], ids=["1d", "2d"])
+def test_pair_pass_matches_the_per_component_assembly_bitwise(prob, quadrant, amplitude):
+    """Both components through one stencil, modular and flux pass give the
+    bits of one pass per component, on the p != q problems."""
+    signs = None if quadrant is None else energy.QUADRANT_SIGNS[quadrant]
+    for w in _packed_states(prob, np.random.default_rng(47), amplitude, count=3):
+        e, g = _per_component_reference(w, prob, signs)
+        assert np.array_equal(energy._energy(w, prob, signs), e)
+        assert np.array_equal(energy._gradient(w, prob, signs), g)
 
 
 @pytest.mark.parametrize(
@@ -539,12 +616,12 @@ def test_minimize_rayleigh_evaluates_terms_once_per_energy_call(monkeypatch):
 
 def test_minimize_rayleigh_matches_uncached_descent_bitwise():
     """The shared terms change no bit: same values, iteration counts and
-    minimizer as a descent on the uncached quotient and public gradient."""
+    minimizer as a descent on the uncached public quotient and gradient."""
     g, p = _square_rayleigh_setup()
     res = minimize_rayleigh(p, g, restarts=2, seed=0, max_iterations=50)
 
     def f(x):
-        return energy._rayleigh(x.reshape(g.shape), p.values, g)
+        return rayleigh_quotient(g.function(x.reshape(g.shape)), p)
 
     def grad(x):
         return rayleigh_gradient(g.function(x.reshape(g.shape)), p).values.ravel()

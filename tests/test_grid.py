@@ -188,13 +188,21 @@ def test_sliced_stencils_match_moveaxis_reference_bitwise(shape):
 
 
 def test_adjoint_sum_matches_moveaxis_reference_bitwise():
+    """Against the sum accumulated from zeros, on random coefficients and
+    on coefficients of +0.0, -0.0 and +-1.5, which cancel exactly at many
+    nodes; the signs of the zeros must agree too."""
     rng = np.random.default_rng(11)
     g = make_grid([(0.0, 1.0), (0.0, 2.0)], [9, 13])
-    coefs = [rng.standard_normal(g.shape) for _ in range(2)]
-    expected = np.zeros(g.shape)
-    for axis, (c, h) in enumerate(zip(coefs, g.spacing)):
-        expected += _reference_adjoint_diff_axis(c, h, axis)
-    assert np.array_equal(_adjoint_sum(coefs, g), expected)
+    signed_zeros = [rng.choice([0.0, -0.0, 1.5, -1.5], size=g.shape) for _ in range(2)]
+    assert np.any(np.signbit(signed_zeros[0]) & (signed_zeros[0] == 0.0))
+    for coefs in ([rng.standard_normal(g.shape) for _ in range(2)], signed_zeros):
+        expected = np.zeros(g.shape)
+        for axis, (c, h) in enumerate(zip(coefs, g.spacing)):
+            expected += _reference_adjoint_diff_axis(c, h, axis)
+        got = _adjoint_sum(coefs, g)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+    assert np.any(expected == 0.0)
 
 
 def test_gradient_adjoint_converts_and_checks_its_coefficients():

@@ -8,7 +8,8 @@ It prints one JSON object with:
 
 * ``kernel_us``: microseconds per call of the energy kernel, its gradient,
   and the two back to back, on ``configs/default.json`` at 129 and 1025
-  nodes and on the unit square at 65x65 with the same constants;
+  nodes and on the unit square at 65x65 with the same constants, and at
+  129 nodes of ``LogPowerCoupling.partials`` alone;
 * ``polish``: one Newton-polish Jacobian at 129 nodes, built column by
   column (the reference loop below) and, where the tree has it, coloured
   (``solve._fd_jacobian``); one dense Newton solve on it;
@@ -21,11 +22,17 @@ It prints one JSON object with:
   mountain-pass relocation, Newton polish) of ``solve --theorem 2`` and
   ``pairs`` on ``configs/default.json``, counting every state of a stacked
   call, with the number of gradient-kernel calls and of Newton Jacobians
-  built.  These counts repeat exactly from run to run;
+  built;
+* ``energy_evaluations``: for the same two runs, energy evaluations made by
+  the solvers per stage, the share of them that are line-search trials, and
+  the line-search steps (descent iterations, mountain-pass relocations)
+  they were spent in.  These counts repeat exactly from run to run;
 * ``rayleigh_us``: on the 49x49 square of ``bench/eigen_2d_varp.json``
   with p = 3.5 + x/2 + y/4, microseconds per Rayleigh quotient and per
   Rayleigh gradient computed from scratch (and, where the tree has it,
-  from terms already computed), and the ``_rayleigh_terms`` evaluations
+  from terms already computed), each given the exponent in the form the
+  tree's private functions take (the raw values, or the exponent plan
+  built once), and the ``_rayleigh_terms`` evaluations
   per iteration of one 500-iteration ``minimize_rayleigh`` restart, an
   exact count;
 * ``host``: processor count, Python, numpy and the BLAS thread variables.
@@ -47,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from varexp import cli, energy, solve
+from varexp import cli, energy, optimize, solve
 from varexp.config import parse_config_text
 from varexp.energy import _energy, _gradient
 from varexp.exponents import exponent_from_expression
@@ -105,6 +112,11 @@ def kernel_us():
             "gradient": per_call_us(g),
             "energy_and_gradient": per_call_us(lambda: (f(), g())),
         }
+        if nodes == [129]:
+            u, v = w.reshape(2, -1)
+            out[label]["log_power_partials"] = per_call_us(
+                lambda: prob.nonlinearity.partials(u, v)
+            )
     return out
 
 
@@ -193,13 +205,23 @@ def batched_us():
     }
 
 
-def gradient_calls():
-    """Gradient evaluations (one per state of a stacked call) per innermost
-    stage, counted by wrapping the solver's module globals."""
+def evaluation_counts():
+    """Gradient and energy evaluations (one per state of a stacked call) per
+    innermost stage, counted by wrapping the solver's module globals; the
+    line-search steps and their energy trials are counted through
+    ``backtracking_step``, which ``bb_minimize`` and ``mountain_pass`` both
+    call."""
     stack = ["other"]
     counts: dict[str, int] = {}
+    energies: dict[str, dict[str, int]] = {}
+    in_step = [0]
     kernel_calls = [0]
     jacobian_builds = [0]
+
+    def tally(key, states):
+        row = energies.setdefault(stack[-1], dict.fromkeys(
+            ("energy", "line_search_trials", "line_search_steps"), 0))
+        row[key] += states
 
     def staged(name, fn):
         def wrapper(*args, **kwargs):
@@ -217,6 +239,23 @@ def gradient_calls():
         kernel_calls[0] += 1
         return _gradient(w, *args, **kwargs)
 
+    def counted_energy(w, *args, **kwargs):
+        states = 1 if w.ndim == 1 else len(w)
+        tally("energy", states)
+        if in_step[0]:
+            tally("line_search_trials", states)
+        return _energy(w, *args, **kwargs)
+
+    real_step = optimize.backtracking_step
+
+    def counted_step(*args, **kwargs):
+        tally("line_search_steps", 1)
+        in_step[0] += 1
+        try:
+            return real_step(*args, **kwargs)
+        finally:
+            in_step[0] -= 1
+
     real_solve = np.linalg.solve
 
     def counted_solve(*args, **kwargs):
@@ -225,24 +264,29 @@ def gradient_calls():
 
     patches = {
         "_gradient": counted_gradient,
+        "_energy": counted_energy,
+        "backtracking_step": counted_step,
         "descend": staged("descent", solve.descend),
         "mountain_pass": staged("mountain_pass", solve.mountain_pass),
         "_newton_polish": staged("newton_polish", solve._newton_polish),
     }
     saved = {name: getattr(solve, name) for name in patches}
     prob, cfg = cli.parse_config(CONFIG)
-    out = {}
+    out, energy_out = {}, {}
     try:
         for name, fn in patches.items():
             setattr(solve, name, fn)
+        optimize.backtracking_step = counted_step
         np.linalg.solve = counted_solve
         for label, run in (
             ("solve_theorem_2", lambda: solve.find_six_solutions(prob, cfg)),
             ("pairs", lambda: solve.symmetric_pairs(prob, cli._PAIR_SITES, cfg)),
         ):
             counts.clear()
+            energies.clear()
             kernel_calls[0] = jacobian_builds[0] = 0
             run()
+            energy_out[label] = dict(sorted(energies.items()))
             out[label] = dict(sorted(counts.items()))
             out[label]["total"] = sum(counts.values())
             out[label]["kernel_calls"] = kernel_calls[0]
@@ -250,29 +294,36 @@ def gradient_calls():
     finally:
         for name, fn in saved.items():
             setattr(solve, name, fn)
+        optimize.backtracking_step = real_step
         np.linalg.solve = real_solve
-    return out
+    return out, energy_out
 
 
 def rayleigh_us():
     grid = make_grid([[0.0, 1.0], [0.0, 1.0]], [49, 49])
     p = exponent_from_expression(grid, "3.5 + x/2 + y/4")
-    pv, eps = p.values, energy._RAYLEIGH_EPS
+    eps = energy._RAYLEIGH_EPS
+    # The exponent as this tree's private functions take it: a plan built
+    # once (eps inside it), or the raw values with eps passed apart.
+    if "plan" in inspect.signature(energy._rayleigh).parameters:
+        expo, tail = energy._exponent_plan(p.values, eps), ()
+    else:
+        expo, tail = p.values, (eps,)
     x = energy.random_zero_boundary(grid, np.random.default_rng(0)).values
-    out = {"quotient": per_call_us(lambda: energy._rayleigh(x, pv, grid))}
+    out = {"quotient": per_call_us(lambda: energy._rayleigh(x, expo, grid))}
     if "terms" in inspect.signature(energy._rayleigh_gradient).parameters:
-        terms = energy._rayleigh_terms(x, pv, grid)
+        terms = energy._rayleigh_terms(x, expo, grid)
         out["gradient"] = per_call_us(
             lambda: energy._rayleigh_gradient(
-                x, energy._rayleigh_terms(x, pv, grid), pv, grid, eps
+                x, energy._rayleigh_terms(x, expo, grid), expo, grid, *tail
             )
         )
         out["gradient_from_terms"] = per_call_us(
-            lambda: energy._rayleigh_gradient(x, terms, pv, grid, eps)
+            lambda: energy._rayleigh_gradient(x, terms, expo, grid, *tail)
         )
     else:
         out["gradient"] = per_call_us(
-            lambda: energy._rayleigh_gradient(x, pv, grid, eps)
+            lambda: energy._rayleigh_gradient(x, expo, grid, *tail)
         )
 
     real_terms = energy._rayleigh_terms
@@ -311,9 +362,9 @@ def main() -> int:
         "kernel_us": kernel_us(),
         "polish": polish(),
         "batched_us": batched_us(),
-        "gradient_calls": gradient_calls(),
         "rayleigh_us": rayleigh_us(),
     }
+    result["gradient_calls"], result["energy_evaluations"] = evaluation_counts()
     json.dump(result, sys.stdout, indent=1)
     print()
     return 0
