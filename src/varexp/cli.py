@@ -195,6 +195,8 @@ def _parse_t_list(text: str) -> list[float]:
 
 def _parse_quadrants(text: str) -> tuple[str, ...]:
     tags = tuple(tok.strip().upper() for tok in text.split(",") if tok.strip())
+    if not tags:
+        raise ConfigError("--quadrants: no quadrant tags given")
     bad = [t for t in tags if t not in QUADRANTS]
     if bad:
         raise ConfigError(f"--quadrants: unknown tags {', '.join(bad)}")

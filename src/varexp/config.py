@@ -20,10 +20,12 @@ from .energy import HypothesisConstants, ProblemSpec
 from .errors import ConfigError
 from .exponents import (
     ExponentField,
+    _parse_on_grid,
+    _sample,
     constant_exponent,
     exponent_from_expression,
 )
-from .expressions import ExpressionError, parse_expression
+from .expressions import ExpressionError
 from .grid import Grid, make_grid
 from .nonlinearity import (
     CustomExpression,
@@ -113,7 +115,7 @@ def _field(grid: Grid, value, path: str, text: str | None) -> ExponentField:
         if isinstance(value, str):
             return exponent_from_expression(grid, value)
         return constant_exponent(grid, _number(value, path, text))
-    except ConfigError as exc:
+    except (ConfigError, ExpressionError) as exc:
         raise _fail(text, path, str(exc)) from exc
 
 
@@ -121,18 +123,10 @@ def _source_values(grid: Grid, value, path: str, text: str | None) -> np.ndarray
     """A plain coefficient field (no exponent constraints): constant or
     expression in the space variables."""
     if isinstance(value, str):
-        allowed = {"x"} if grid.ndim == 1 else {"x", "y"}
         try:
-            expr = parse_expression(value, allowed=allowed)
+            vals = _sample(grid, _parse_on_grid(grid, value))
         except ExpressionError as exc:
             raise _fail(text, path, str(exc)) from exc
-        coords = grid.coordinate_arrays()
-        env = {"x": coords[0]}
-        if grid.ndim == 2:
-            env["y"] = coords[1]
-        vals = np.broadcast_to(
-            np.asarray(expr.evaluate(env), dtype=float), grid.shape
-        ).copy()
     else:
         vals = np.full(grid.shape, _number(value, path, text))
     if not np.all(np.isfinite(vals)):
@@ -189,7 +183,10 @@ def _build_nonlinearity(grid, p, q, data, text) -> Nonlinearity:
         expr = data.get("expression")
         if not isinstance(expr, str):
             raise _fail(text, f"{path}.expression", "expected an expression string")
-        return CustomExpression(grid, expr)
+        try:
+            return CustomExpression(grid, expr)
+        except ExpressionError as exc:
+            raise _fail(text, f"{path}.expression", str(exc)) from exc
     except ConfigError as exc:
         if "theta1/p + theta2/q" in str(exc):
             raise _fail(text, path,

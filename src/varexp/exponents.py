@@ -5,6 +5,10 @@ descriptor (an expression over the space variables).  The descriptor — not
 interpolation of samples — is what monotonicity probing and off-node
 evaluation use, so those checks stay exact.  All samples must be strictly
 greater than 1.
+
+Field sampling for the whole package lives here too: ``_parse_on_grid`` and
+``_sample`` parse an expression over the space variables and evaluate it at
+the nodes, for exponents, configuration coefficients and the custom coupling.
 """
 
 from __future__ import annotations
@@ -24,9 +28,6 @@ __all__ = [
     "exponent_from_values",
     "conjugate_exponent",
 ]
-
-_SPACE_NAMES = {1: {"x"}, 2: {"x", "y"}}
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ExponentField:
@@ -50,18 +51,12 @@ class ExponentField:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         if self.descriptor is not None:
-            nodal = self._descriptor_on_nodes()
+            nodal = _sample(self.grid, self.descriptor)
             gap = float(np.max(np.abs(nodal - arr)))
             if gap > 1e-12:
                 raise ConfigError(
                     f"descriptor disagrees with stored samples by {gap:.3g} (> 1e-12)"
                 )
-
-    def _descriptor_on_nodes(self) -> np.ndarray:
-        env = _space_env(self.grid)
-        return np.broadcast_to(
-            np.asarray(self.descriptor.evaluate(env), dtype=float), self.grid.shape
-        )
 
     @property
     def min(self) -> float:
@@ -81,11 +76,21 @@ class ExponentField:
 
 
 def _space_env(grid: Grid) -> dict[str, np.ndarray]:
-    coords = grid.coordinate_arrays()
-    env = {"x": coords[0]}
-    if grid.ndim == 2:
-        env["y"] = coords[1]
-    return env
+    """The space variables, x (and y in 2D), at the nodes."""
+    return dict(zip("xy", grid.coordinate_arrays()))
+
+
+def _parse_on_grid(grid: Grid, text: str, *extra: str) -> Expression:
+    """Parse ``text`` allowing the space variables of ``grid`` and the names
+    in ``extra``; a malformed expression raises ``ExpressionError``."""
+    return parse_expression(text, allowed={*"xy"[: grid.ndim], *extra})
+
+
+def _sample(grid: Grid, expr: Expression) -> np.ndarray:
+    """``expr`` at the nodes of ``grid``, as a fresh grid-shaped array."""
+    return np.broadcast_to(
+        np.asarray(expr.evaluate(_space_env(grid)), dtype=float), grid.shape
+    ).copy()
 
 
 def constant_exponent(grid: Grid, value: float) -> ExponentField:
@@ -97,12 +102,8 @@ def constant_exponent(grid: Grid, value: float) -> ExponentField:
 
 def exponent_from_expression(grid: Grid, text: str) -> ExponentField:
     """Parse an expression over the space variables and sample it on the grid."""
-    expr = parse_expression(text, allowed=_SPACE_NAMES[grid.ndim])
-    env = _space_env(grid)
-    vals = np.broadcast_to(
-        np.asarray(expr.evaluate(env), dtype=float), grid.shape
-    ).copy()
-    return ExponentField(grid, vals, expr)
+    expr = _parse_on_grid(grid, text)
+    return ExponentField(grid, _sample(grid, expr), expr)
 
 
 def exponent_from_values(
@@ -110,7 +111,7 @@ def exponent_from_values(
 ) -> ExponentField:
     expr = None
     if descriptor is not None:
-        expr = parse_expression(descriptor, allowed=_SPACE_NAMES[grid.ndim])
+        expr = _parse_on_grid(grid, descriptor)
     return ExponentField(grid, np.asarray(values, dtype=float), expr)
 
 

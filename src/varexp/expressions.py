@@ -83,9 +83,6 @@ class Expression:
     def diff(self, var: str) -> "Expression":
         raise NotImplementedError
 
-    def variables(self) -> set[str]:
-        raise NotImplementedError
-
     def text(self) -> str:
         raise NotImplementedError
 
@@ -106,9 +103,6 @@ class Const(Expression):
     def diff(self, var):
         return Const(0.0)
 
-    def variables(self):
-        return set()
-
     def text(self):
         v = self.value
         if v == int(v) and abs(v) < 1e15:
@@ -128,9 +122,6 @@ class Var(Expression):
 
     def diff(self, var):
         return Const(1.0 if var == self.name else 0.0)
-
-    def variables(self):
-        return {self.name}
 
     def text(self):
         return self.name
@@ -175,9 +166,6 @@ class Binary(Expression):
         inner = _add(_mul(db, Call("ln", (fa,))), _div(_mul(fb, da), fa))
         return _mul(_pow(fa, fb), inner)
 
-    def variables(self):
-        return self.left.variables() | self.right.variables()
-
     def text(self):
         op = "^" if self.op == "^" else self.op
         return f"({self.left.text()} {op} {self.right.text()})"
@@ -192,9 +180,6 @@ class Neg(Expression):
 
     def diff(self, var):
         return _neg(self.arg.diff(var))
-
-    def variables(self):
-        return self.arg.variables()
 
     def text(self):
         return f"(-{self.arg.text()})"
@@ -234,12 +219,6 @@ class Call(Expression):
             raise ExpressionError(f"cannot differentiate {self.func!r}")
         return _mul(outer, dg)
 
-    def variables(self):
-        out: set[str] = set()
-        for a in self.args:
-            out |= a.variables()
-        return out
-
     def text(self):
         inner = ", ".join(a.text() for a in self.args)
         return f"{self.func}({inner})"
@@ -258,9 +237,6 @@ class Sign(Expression):
         # Derivative of sign is 0 a.e.; the kink at 0 is accepted, matching
         # the convention used by the truncated functionals.
         return Const(0.0)
-
-    def variables(self):
-        return self.arg.variables()
 
     def text(self):
         return f"sign({self.arg.text()})"

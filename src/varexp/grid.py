@@ -51,10 +51,6 @@ class Grid:
     def n_nodes(self) -> int:
         return int(np.prod(self.shape))
 
-    @property
-    def n_boundary(self) -> int:
-        return int(self.n_nodes - np.count_nonzero(self.interior))
-
     def coordinate_arrays(self) -> tuple[np.ndarray, ...]:
         """Per-node coordinate arrays (meshgrid with matrix indexing)."""
         if self.ndim == 1:
@@ -192,12 +188,6 @@ class GridFunction:
             raise DataError(f"{name} is not zero on the boundary nodes")
         return self
 
-    def with_zero_boundary(self) -> "GridFunction":
-        """Copy with boundary nodes forced to exactly 0."""
-        arr = self.values.copy()
-        arr[~self.grid.interior] = 0.0
-        return self._wrap(arr)
-
     def __repr__(self) -> str:
         return f"GridFunction(shape={self.values.shape}, sup={self.sup_norm():.3g})"
 
@@ -294,12 +284,22 @@ def gradient_adjoint(coefficients: Sequence[np.ndarray], grid: Grid) -> np.ndarr
     return _adjoint_sum(arrays, grid)
 
 
+def _integral(values: np.ndarray, grid: Grid) -> float | np.ndarray:
+    """Trapezoidal quadrature over the trailing grid axes, unchecked: a float
+    for one grid-shaped array, one value per state for a stack.  Each
+    contiguous row is summed pairwise as np.sum would sum it alone, so a
+    stack gives the bits of a loop over its rows."""
+    lead = values.ndim - grid.ndim
+    total = np.add.reduce(grid.weights * values, axis=tuple(range(lead, values.ndim)))
+    return total if lead else float(total)
+
+
 def integrate(values, grid: Grid) -> float:
     """Trapezoidal quadrature of per-node values over the box."""
     arr = np.asarray(values, dtype=float)
     if arr.shape != grid.shape:
         raise DataError(f"integrand shape {arr.shape} != grid shape {grid.shape}")
-    return float(np.sum(grid.weights * arr))
+    return _integral(arr, grid)
 
 
 def tent_function(center, epsilon: float, grid: Grid) -> GridFunction:

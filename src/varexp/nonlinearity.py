@@ -32,8 +32,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .exponents import ExponentField
-from .expressions import Expression, parse_expression
+from .exponents import ExponentField, _parse_on_grid, _space_env
+from .expressions import Expression
 from .grid import Grid
 
 __all__ = [
@@ -210,16 +210,12 @@ class CustomExpression(Nonlinearity):
     kind = "custom"
 
     def __init__(self, grid: Grid, text: str):
-        allowed = {"x", "u", "v"} if grid.ndim == 1 else {"x", "y", "u", "v"}
         self.grid = grid
         self.text = text
-        self.expr: Expression = parse_expression(text, allowed=allowed)
+        self.expr: Expression = _parse_on_grid(grid, text, "u", "v")
         self.expr_u = self.expr.diff("u")
         self.expr_v = self.expr.diff("v")
-        coords = grid.coordinate_arrays()
-        self._coords = {"x": coords[0]}
-        if grid.ndim == 2:
-            self._coords["y"] = coords[1]
+        self._coords = _space_env(grid)
         # F(x,0,0) = 0 is required of every nonlinearity.
         zero = np.zeros(grid.shape)
         probe = np.asarray(self.expr.evaluate({**self._coords, "u": zero, "v": zero}))

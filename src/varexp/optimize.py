@@ -54,7 +54,6 @@ def backtracking_step(
     armijo: float = 1e-4,
     project: Callable[[np.ndarray], np.ndarray] | None = None,
     step_cap_sup: float | None = None,
-    max_shrinks: int = _MAX_SHRINKS,
 ) -> tuple[np.ndarray, float, float, bool]:
     """One descent relocation along -g.  Returns (x_new, f_new, step, moved)."""
     t = step_init
@@ -62,7 +61,7 @@ def backtracking_step(
         gs = float(np.max(np.abs(g)))
         if gs > 0.0:
             t = min(t, step_cap_sup / gs)
-    for _ in range(max_shrinks):
+    for _ in range(_MAX_SHRINKS):
         xn = x - t * g
         if project is not None:
             xn = project(xn)

@@ -119,6 +119,8 @@ class SolverConfig:
             raise ConfigError("iteration caps must be positive")
         if self.gradient_stop < 0.0 or self.deflation_distance < 0.0:
             raise ConfigError("tolerances must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclasses.dataclass
@@ -160,16 +162,11 @@ def classify_quadrant(u: GridFunction, v: GridFunction, tol: float = 1e-12) -> s
     return "mixed"
 
 
-def smooth_bump(
-    grid: Grid, center=None, radius_fraction: float = 0.15
-) -> GridFunction:
-    """Nonnegative C^1 bump (squared cosine profile) supported in a ball
-    around the domain center, peak value 1."""
-    if center is None:
-        center = tuple(0.5 * (lo + hi) for lo, hi in zip(grid.lo, grid.hi))
-    elif np.isscalar(center):
-        center = (float(center),)
-    radius = radius_fraction * min(hi - lo for lo, hi in zip(grid.lo, grid.hi))
+def smooth_bump(grid: Grid) -> GridFunction:
+    """Nonnegative C^1 bump (squared cosine profile), peak value 1 at the domain
+    center, supported in the ball of radius 0.15 times the shortest extent."""
+    center = tuple(0.5 * (lo + hi) for lo, hi in zip(grid.lo, grid.hi))
+    radius = 0.15 * min(hi - lo for lo, hi in zip(grid.lo, grid.hi))
     coords = grid.coordinate_arrays()
     dist2 = np.zeros(grid.shape)
     for x, c in zip(coords, center):
@@ -521,7 +518,6 @@ def mountain_pass(
     total_iters = 0
     relocations = 0
     chunk_target = 2000
-    refined = None
     path_dead = False
     while True:
         accepted = 0
@@ -561,20 +557,18 @@ def mountain_pass(
         if skip_flag is not None and skip_flag not in flags:
             flags.append(skip_flag)
         if ok and f(w) > max(fa, fb):
-            refined = w
             break
+        # Otherwise w is kept as a best effort if relocation cannot resume.
         if path_dead:
             flags.append("path_maximum_stalled")
-            refined = w  # best effort
             break
         if relocations >= cfg.max_iterations:
             flags.append("relocation_budget_exhausted")
-            refined = w  # best effort
             break
 
     point = _make_point(
         prob,
-        refined,
+        w,
         "mountain_pass",
         relocations + total_iters,
         True,
@@ -647,25 +641,32 @@ def merge_points(
 # --- experiment drivers ---------------------------------------------------------------
 
 
-def _require_hypotheses(prob: ProblemSpec, names, seed: int) -> None:
-    verdicts = check_hypotheses(prob, sample_budget=500, seed=seed, names=tuple(names))
-    failed = [n for n, v in verdicts.items() if not v.passed]
+def _require_hypotheses(prob: ProblemSpec, names, seed: int) -> bool:
+    """One sampled pass over ``names`` and ``even_symmetry``.  Raises unless
+    every hypothesis in ``names`` holds; returns the ``even_symmetry``
+    verdict, under which the negation of a critical point is one as well."""
+    verdicts = check_hypotheses(
+        prob, sample_budget=500, seed=seed, names=(*names, "even_symmetry")
+    )
+    failed = [n for n, v in verdicts.items() if n in names and not v.passed]
     if failed:
         raise ConfigError(
             "theorem preconditions fail for hypotheses: " + ", ".join(failed)
         )
+    return verdicts["even_symmetry"].passed
 
 
 _OPPOSITE_QUADRANT = {"Q1": "Q3", "Q2": "Q4", "Q3": "Q1", "Q4": "Q2"}
 
-
-def _even_symmetric(prob: ProblemSpec, seed: int) -> bool:
-    """Whether the sampled even_symmetry verdict passes, so that the
-    negation of a critical point is one as well."""
-    verdicts = check_hypotheses(
-        prob, sample_budget=500, seed=seed, names=("even_symmetry",)
-    )
-    return verdicts["even_symmetry"].passed
+# Preconditions of the four-solution theorem; the six-solution one adds
+# log_improved_superlinearity.
+_FOUR_SOLUTION_HYPOTHESES = (
+    "coupling_product_subcritical",
+    "derivative_growth_bound",
+    "higher_order_at_origin",
+    "axis_derivatives_vanish",
+    "exponent_monotone_direction",
+)
 
 
 def _negated(point: CriticalPoint, prob: ProblemSpec) -> CriticalPoint:
@@ -679,35 +680,21 @@ def _negated(point: CriticalPoint, prob: ProblemSpec) -> CriticalPoint:
     )
 
 
-def find_constant_sign_solutions(
-    prob: ProblemSpec,
-    cfg: SolverConfig = SolverConfig(),
-    quadrants=QUADRANTS,
-) -> SolutionInventory:
-    """One descent run per quadrant, seeded at the near-origin ray minimum
-    of the broad profile in its cone (``_ray_minimum``), or at the zero pair
-    when that ray has no negative dip; constant-sign minimizers collected
-    with deflation."""
+def _quadrant_inventory(
+    prob: ProblemSpec, cfg: SolverConfig, quadrants, names
+) -> tuple[SolutionInventory, bool]:
+    """The quadrant runs shared by both theorem drivers, after one hypothesis
+    pass requiring ``names``; returns the four-solution inventory and the
+    pass's ``even_symmetry`` verdict."""
     bad = [q for q in quadrants if q not in QUADRANT_SIGNS]
     if bad:
         raise ConfigError(f"invalid quadrant tags: {', '.join(bad)}")
-    _require_hypotheses(
-        prob,
-        (
-            "coupling_product_subcritical",
-            "derivative_growth_bound",
-            "higher_order_at_origin",
-            "axis_derivatives_vanish",
-            "exponent_monotone_direction",
-        ),
-        cfg.seed,
-    )
+    symmetric = _require_hypotheses(prob, names, cfg.seed)
     flags: list[str] = []
     if prob.lam > prob.lambda_smallness:
         flags.append("lambda_exceeds_smallness_threshold")
 
     zero = prob.grid.zeros()
-    symmetric = _even_symmetric(prob, cfg.seed)
     done: dict[str, CriticalPoint] = {}
     runs: list[CriticalPoint] = []
     for quadrant in quadrants:
@@ -734,13 +721,21 @@ def find_constant_sign_solutions(
         if pt.converged and pt.residual <= cfg.gradient_stop and pt.energy < 0.0
     ]
     points = merge_points(eligible, cfg.deflation_distance)
-    return SolutionInventory(
-        points=points,
-        runs=runs,
-        distinct_count=len(points),
-        theorem_target="four",
-        flags=flags,
-    )
+    inventory = SolutionInventory(points=points, runs=runs, distinct_count=len(points),
+                                  theorem_target="four", flags=flags)
+    return inventory, symmetric
+
+
+def find_constant_sign_solutions(
+    prob: ProblemSpec,
+    cfg: SolverConfig = SolverConfig(),
+    quadrants=QUADRANTS,
+) -> SolutionInventory:
+    """One descent run per quadrant, seeded at the near-origin ray minimum
+    of the broad profile in its cone (``_ray_minimum``), or at the zero pair
+    when that ray has no negative dip; constant-sign minimizers collected
+    with deflation."""
+    return _quadrant_inventory(prob, cfg, quadrants, _FOUR_SOLUTION_HYPOTHESES)[0]
 
 
 def _first_negative_multiple(prob: ProblemSpec, w: np.ndarray) -> float | None:
@@ -771,8 +766,9 @@ def find_six_solutions(
 ) -> SolutionInventory:
     """The four quadrant minimizers plus mountain passes in Q1 and Q3 (the
     Q3 pass is the negated Q1 pass when the energy is even)."""
-    _require_hypotheses(prob, ("log_improved_superlinearity",), cfg.seed)
-    inv4 = find_constant_sign_solutions(prob, cfg, quadrants)
+    inv4, symmetric = _quadrant_inventory(
+        prob, cfg, quadrants, ("log_improved_superlinearity", *_FOUR_SOLUTION_HYPOTHESES)
+    )
     flags = list(inv4.flags)
 
     h1, h2, t_star = _mountain_endpoints(prob)
@@ -785,7 +781,7 @@ def find_six_solutions(
         mp1 = mountain_pass(
             prob, (zero, zero), (t_star * h1, t_star * h2), "Q1", cfg
         )
-        if _even_symmetric(prob, cfg.seed):
+        if symmetric:
             mp3 = _negated(mp1, prob)
         else:
             mp3 = mountain_pass(

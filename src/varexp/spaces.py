@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError
 from .exponents import ExponentField, conjugate_exponent
-from .grid import Grid, GridFunction, gradient, integrate
+from .grid import Grid, GridFunction, _integral, gradient, integrate
 
 __all__ = [
     "ModularReport",
@@ -52,9 +52,7 @@ def modular(u: GridFunction, p: ExponentField) -> float:
 
 def _scaled_modular(abs_u: np.ndarray, p: ExponentField, mu: float) -> float:
     with np.errstate(over="ignore"):
-        vals = (abs_u / mu) ** p.values
-        total = float(np.sum(p.grid.weights * vals))
-    return total
+        return _integral((abs_u / mu) ** p.values, p.grid)
 
 
 def luxemburg_norm(u: GridFunction, p: ExponentField) -> float:

@@ -126,6 +126,27 @@ def test_exponent_expression_is_accepted():
     assert prob.p.max == pytest.approx(3.5)
 
 
+@pytest.mark.parametrize(
+    "section, fields, path",
+    [
+        ("exponents", {"p": "3 +* x", "q": 3.0}, "exponents.p"),
+        ("coupling", {"alpha": "3 +* x", "beta": 1.2}, "coupling.alpha"),
+        ("nonlinearity", {"kind": "log_power", "a": "3 +* x"}, "nonlinearity[log_power]"),
+        ("nonlinearity", {"kind": "custom", "expression": "u^4 +* v"},
+         "nonlinearity[custom]"),
+        ("hypothesis_constants", {"gamma": "3 +* x", "delta": 3.5, "C": 400.0},
+         "hypothesis_constants.gamma"),
+    ],
+)
+def test_malformed_expression_is_a_config_error(tmp_path, capsys, section, fields, path):
+    path_to_config = write_config(tmp_path, small_config(**{section: fields}))
+    code = main(["check", "--config", str(path_to_config), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}")
+    assert "(line " in err
+
+
 def test_config_file_not_found(tmp_path):
     with pytest.raises(ConfigError, match="config file not found"):
         parse_config(tmp_path / "absent.json")
@@ -214,6 +235,14 @@ def test_solve_rejects_unknown_quadrant(tmp_path):
     code = main(["solve", "--quadrants", "Q9",
                  "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+def test_solve_rejects_empty_quadrant_list(tmp_path, capsys):
+    path = write_config(tmp_path, small_config())
+    code = main(["solve", "--quadrants", ",",
+                 "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "--quadrants" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_reported(tmp_path, capsys):

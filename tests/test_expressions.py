@@ -39,11 +39,6 @@ def test_evaluate_broadcasts_over_arrays():
     np.testing.assert_allclose(e.evaluate({"x": x}), 3 + x / 2, rtol=0, atol=0)
 
 
-def test_variables_reported():
-    assert parse_expression("x*y + ln(1+x)").variables() == {"x", "y"}
-    assert parse_expression("2 + 2").variables() == set()
-
-
 @pytest.mark.parametrize(
     "bad",
     ["", "   ", "x +", "(x", "x)", "foo(x)", "x & y", "1..2", "sin()", "sin(x, y)"],

@@ -28,6 +28,7 @@ from varexp.solve import (
     descend,
     divergence_scan,
     find_constant_sign_solutions,
+    find_six_solutions,
     merge_points,
     mountain_pass,
     pair_distance,
@@ -72,6 +73,7 @@ FAST = SolverConfig(path_points=11)
         {"path_points": 4},
         {"max_iterations": 0},
         {"gradient_stop": -1.0},
+        {"seed": -1},
     ],
 )
 def test_solver_config_rejects_bad_values(kwargs):
@@ -658,6 +660,37 @@ def test_symmetric_pairs_flags_collapsed_levels():
     assert len(inv.runs) == 3
     assert inv.distinct_count < 2 * len(inv.runs)
     assert "pair_runs_collapsed" in inv.flags
+
+
+@pytest.mark.parametrize(
+    "driver",
+    [
+        lambda: find_constant_sign_solutions(PROB, FAST),
+        lambda: find_six_solutions(PROB, FAST),
+        lambda: symmetric_pairs(PROB, 3, FAST),
+    ],
+    ids=["theorem1", "theorem2", "pairs"],
+)
+def test_each_driver_runs_one_hypothesis_pass(driver, monkeypatch):
+    """The preconditions and the even_symmetry verdict come from one
+    sampled pass per driver; the descents and passes are stubbed out."""
+    real = solve.check_hypotheses
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("names"))
+        return real(*args, **kwargs)
+
+    def point(quadrant):
+        z = PROB.grid.zeros()
+        return CriticalPoint(u=z, v=z, energy=-1.0, residual=0.0, quadrant=quadrant or "Q1",
+                             method="stub", iterations=0, converged=True)
+
+    monkeypatch.setattr(solve, "check_hypotheses", counted)
+    monkeypatch.setattr(solve, "descend", lambda prob, start, quadrant, cfg: point(quadrant))
+    monkeypatch.setattr(solve, "mountain_pass", lambda prob, a, b, quadrant, cfg: point(quadrant))
+    driver()
+    assert len(calls) == 1, calls
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,12 @@ It prints one JSON object with:
   nodes and on the unit square at 65x65 with the same constants, and at
   129 nodes of ``LogPowerCoupling.partials`` alone;
 * ``polish``: one Newton-polish Jacobian at 129 nodes, built column by
-  column (the reference loop below) and, where the tree has it, coloured
-  (``solve._fd_jacobian``); one dense Newton solve on it;
+  column (the reference loop below) and coloured (``solve._fd_jacobian``);
+  one dense Newton solve on it;
 * ``batched_us``: at 129 nodes, the 21 states of a mountain-pass path
   through the energy kernel as one stacked call and as 21 single calls,
   and the 20 perturbed states of one coloured Jacobian through the
-  gradient kernel as one stacked call and as 20 single calls (only where
-  the kernel takes stacks);
+  gradient kernel as one stacked call and as 20 single calls;
 * ``gradient_calls``: gradient evaluations per stage (descent,
   mountain-pass relocation, Newton polish) of ``solve --theorem 2`` and
   ``pairs`` on ``configs/default.json``, counting every state of a stacked
@@ -29,12 +28,10 @@ It prints one JSON object with:
   they were spent in.  These counts repeat exactly from run to run;
 * ``rayleigh_us``: on the 49x49 square of ``bench/eigen_2d_varp.json``
   with p = 3.5 + x/2 + y/4, microseconds per Rayleigh quotient and per
-  Rayleigh gradient computed from scratch (and, where the tree has it,
-  from terms already computed), each given the exponent in the form the
-  tree's private functions take (the raw values, or the exponent plan
-  built once), and the ``_rayleigh_terms`` evaluations
-  per iteration of one 500-iteration ``minimize_rayleigh`` restart, an
-  exact count;
+  Rayleigh gradient computed from scratch and from terms already computed,
+  each given the exponent plan built once, and the ``_rayleigh_terms``
+  evaluations per iteration of one 500-iteration ``minimize_rayleigh``
+  restart, an exact count;
 * ``host``: processor count, Python, numpy and the BLAS thread variables.
 
 Times are medians over 7 repeats; run it on an idle machine.
@@ -42,7 +39,6 @@ Times are medians over 7 repeats; run it on an idle machine.
 
 from __future__ import annotations
 
-import inspect
 import json
 import os
 import platform
@@ -150,34 +146,20 @@ def polish():
         "dense_jacobian_gradient_calls": 2 * int(idx.size),
         "newton_solve_us": per_call_us(lambda: np.linalg.solve(jac, rhs)),
     }
-    if hasattr(solve, "_fd_jacobian"):
-        colours = solve._jacobian_colours(grid, idx)
-        out["colour_pattern_us"] = per_call_us(
-            lambda: solve._jacobian_colours(grid, idx)
-        )
-        out["coloured_jacobian_us"] = per_call_us(
-            lambda: solve._fd_jacobian(gfun, w, idx, h, colours)
-        )
-        out["coloured_jacobian_gradient_calls"] = 2 * len(colours)
-        out["coloured_equals_dense"] = bool(
-            np.array_equal(solve._fd_jacobian(gfun, w, idx, h, colours), jac)
-        )
+    colours = solve._jacobian_colours(grid, idx)
+    out["colour_pattern_us"] = per_call_us(lambda: solve._jacobian_colours(grid, idx))
+    out["coloured_jacobian_us"] = per_call_us(
+        lambda: solve._fd_jacobian(gfun, w, idx, h, colours)
+    )
+    out["coloured_jacobian_gradient_calls"] = 2 * len(colours)
+    out["coloured_equals_dense"] = bool(
+        np.array_equal(solve._fd_jacobian(gfun, w, idx, h, colours), jac)
+    )
     return out
-
-
-def takes_stacks(prob) -> bool:
-    """Whether this tree's energy kernel evaluates a stack of packed states."""
-    states = np.zeros((2, 2 * prob.grid.n_nodes))
-    try:
-        return np.shape(_energy(states, prob, None)) == (2,)
-    except ValueError:
-        return False
 
 
 def batched_us():
     prob, cfg = problem([[0.0, 1.0]], [129])
-    if not takes_stacks(prob):
-        return None
     grid = prob.grid
     h1, h2, t = solve._mountain_endpoints(prob)
     w = t * solve._pack(h1, h2)
@@ -302,29 +284,20 @@ def evaluation_counts():
 def rayleigh_us():
     grid = make_grid([[0.0, 1.0], [0.0, 1.0]], [49, 49])
     p = exponent_from_expression(grid, "3.5 + x/2 + y/4")
-    eps = energy._RAYLEIGH_EPS
-    # The exponent as this tree's private functions take it: a plan built
-    # once (eps inside it), or the raw values with eps passed apart.
-    if "plan" in inspect.signature(energy._rayleigh).parameters:
-        expo, tail = energy._exponent_plan(p.values, eps), ()
-    else:
-        expo, tail = p.values, (eps,)
+    plan = energy._exponent_plan(p.values, energy._RAYLEIGH_EPS)
     x = energy.random_zero_boundary(grid, np.random.default_rng(0)).values
-    out = {"quotient": per_call_us(lambda: energy._rayleigh(x, expo, grid))}
-    if "terms" in inspect.signature(energy._rayleigh_gradient).parameters:
-        terms = energy._rayleigh_terms(x, expo, grid)
-        out["gradient"] = per_call_us(
+    terms = energy._rayleigh_terms(x, plan, grid)
+    out = {
+        "quotient": per_call_us(lambda: energy._rayleigh(x, plan, grid)),
+        "gradient": per_call_us(
             lambda: energy._rayleigh_gradient(
-                x, energy._rayleigh_terms(x, expo, grid), expo, grid, *tail
+                x, energy._rayleigh_terms(x, plan, grid), plan, grid
             )
-        )
-        out["gradient_from_terms"] = per_call_us(
-            lambda: energy._rayleigh_gradient(x, terms, expo, grid, *tail)
-        )
-    else:
-        out["gradient"] = per_call_us(
-            lambda: energy._rayleigh_gradient(x, expo, grid, *tail)
-        )
+        ),
+        "gradient_from_terms": per_call_us(
+            lambda: energy._rayleigh_gradient(x, terms, plan, grid)
+        ),
+    }
 
     real_terms = energy._rayleigh_terms
     calls = [0]
