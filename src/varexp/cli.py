@@ -6,9 +6,10 @@ experiments, --theorem 1 or 2), scan (ray energy trace), pairs (paired
 solutions via evenness).  Every run writes results.json to --out; solve and
 pairs additionally dump one CSV per stored solution.
 
-Exit status: 0 full success, 2 partial convergence, failed verdicts or
-pair levels collapsed onto one point (flag ``pair_runs_collapsed``),
-1 configuration or I/O error.
+Exit status: 0 full success, 2 partial convergence, failed verdicts, pair
+levels collapsed onto one point (flag ``pair_runs_collapsed``) or an eigen
+estimate whose least restart stopped at its iteration cap, 1 configuration
+or I/O error.
 """
 
 from __future__ import annotations
@@ -119,12 +120,6 @@ def _config_echo(args, prob: ProblemSpec, cfg: SolverConfig) -> dict:
         },
         "nonlinearity": prob.nonlinearity.describe(),
         "solver": dataclasses.asdict(cfg),
-        "tolerances": {
-            "grad_regularization": prob.grad_regularization,
-            "lambda_smallness": prob.lambda_smallness,
-            "inequality_slack": prob.inequality_slack,
-            "quadrant_tol": prob.quadrant_tol,
-        },
     }
     if getattr(args, "theorem", None) is not None:
         echo["command"]["theorem"] = args.theorem
@@ -142,7 +137,7 @@ def _norm_probes(prob: ProblemSpec, seed: int) -> dict:
     }
     out = {}
     for name, u in probes.items():
-        rep = norm_modular_relation_check(u, prob.p, slack=prob.inequality_slack)
+        rep = norm_modular_relation_check(u, prob.p)
         out[name] = {
             "luxemburg_norm": luxemburg_norm(u, prob.p),
             "modular": modular(u, prob.p),
@@ -151,8 +146,7 @@ def _norm_probes(prob: ProblemSpec, seed: int) -> dict:
             "trichotomy_holds": rep.trichotomy_holds,
             "sobolev_norm": sobolev_norm(u, prob.p),
         }
-    pair = holder_check(probes["tent"], probes["bump"], prob.p,
-                        slack=prob.inequality_slack)
+    pair = holder_check(probes["tent"], probes["bump"], prob.p)
     out["holder_tent_bump"] = {
         "lhs": pair.lhs, "rhs": pair.rhs,
         "factor": pair.factor, "holds": pair.holds,
@@ -169,6 +163,7 @@ def _eigen_block(prob: ProblemSpec, cfg: SolverConfig) -> dict:
             "value": res.value,
             "restart_values": list(res.restart_values),
             "iterations": list(res.iterations),
+            "stop_reasons": list(res.stop_reasons),
         }
 
     p_est = estimate(prob.p)
@@ -177,7 +172,7 @@ def _eigen_block(prob: ProblemSpec, cfg: SolverConfig) -> dict:
     return {"p": p_est, "q": estimate(prob.q)}
 
 
-def _write_inventory(inv, prob, outdir: Path) -> dict:
+def _write_inventory(inv, outdir: Path) -> dict:
     names = []
     for i, pt in enumerate(inv.points):
         name = f"solution_{solution_tag(i, pt)}.csv"
@@ -230,6 +225,10 @@ def _run(args) -> int:
     elif args.subcommand == "eigen":
         report.eigen_estimates = _eigen_block(prob, cfg)
         timings["eigen"] = time.perf_counter() - t0
+        for est in report.eigen_estimates.values():
+            least = est["restart_values"].index(est["value"])
+            if est["stop_reasons"][least] == "iteration_cap":
+                status = 2
     elif args.subcommand == "solve":
         quadrants = QUADRANTS
         if args.quadrants is not None:
@@ -238,7 +237,7 @@ def _run(args) -> int:
             inv = find_constant_sign_solutions(prob, cfg, quadrants)
         else:
             inv = find_six_solutions(prob, cfg, quadrants)
-        report.inventory = _write_inventory(inv, prob, outdir)
+        report.inventory = _write_inventory(inv, outdir)
         timings["solve"] = time.perf_counter() - t0
         if not all(run.converged for run in inv.runs):
             status = 2
@@ -250,7 +249,7 @@ def _run(args) -> int:
         timings["scan"] = time.perf_counter() - t0
     elif args.subcommand == "pairs":
         inv = symmetric_pairs(prob, _PAIR_SITES, cfg)
-        report.inventory = _write_inventory(inv, prob, outdir)
+        report.inventory = _write_inventory(inv, outdir)
         timings["pairs"] = time.perf_counter() - t0
         if (
             not all(run.converged for run in inv.runs)

@@ -45,12 +45,10 @@ SCHEMA_TAG = "varexp-config/1"
 DEFAULT_LAMBDA = 1e-3
 
 _TOP_KEYS = {"schema", "domain", "exponents", "coupling", "nonlinearity",
-             "solver", "tolerances", "hypothesis_constants"}
+             "solver", "hypothesis_constants"}
 _DOMAIN_KEYS = {"extents", "nodes"}
 _EXPONENT_KEYS = {"p", "q"}
 _COUPLING_KEYS = {"alpha", "beta", "lambda"}
-_TOLERANCE_KEYS = {"grad_regularization", "lambda_smallness",
-                   "inequality_slack", "quadrant_tol"}
 _CONSTANT_KEYS = {"gamma", "delta", "C", "M", "C1", "C2"}
 _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 _NONLINEARITY_KEYS = {
@@ -157,36 +155,32 @@ def _build_nonlinearity(grid, p, q, data, text) -> Nonlinearity:
                     f"{', '.join(sorted(_NONLINEARITY_KEYS))})")
     _reject_unknown(data, _NONLINEARITY_KEYS[kind], "nonlinearity", text)
     path = f"nonlinearity[{kind}]"
-    try:
-        if kind == "log_power":
-            return LogPowerCoupling(
-                grid, p, q,
-                _field(grid, data.get("a", 4.0), f"{path}.a", text),
-                _field(grid, data.get("b", 4.0), f"{path}.b", text),
-                _field(grid, data.get("theta1", 1.5), f"{path}.theta1", text),
-                _field(grid, data.get("theta2", 1.5), f"{path}.theta2", text),
-            )
-        if kind == "separable_power":
-            return SeparablePower(
-                grid,
-                _number(data.get("c1", 1.0), f"{path}.c1", text),
-                _number(data.get("gamma1"), f"{path}.gamma1", text),
-                _number(data.get("c2", 1.0), f"{path}.c2", text),
-                _number(data.get("gamma2"), f"{path}.gamma2", text),
-            )
-        if kind == "linear_source":
-            return LinearSource(
-                grid,
-                _source_values(grid, data.get("g", 0.0), f"{path}.g", text),
-                _source_values(grid, data.get("h", 0.0), f"{path}.h", text),
-            )
+    # Entries are read before the constructor runs: their errors already
+    # carry their own dotted path, so only the constructor's get the kind's.
+    if kind == "log_power":
+        make, args = LogPowerCoupling, [p, q] + [
+            _field(grid, data.get(key, default), f"{path}.{key}", text)
+            for key, default in (("a", 4.0), ("b", 4.0), ("theta1", 1.5), ("theta2", 1.5))
+        ]
+    elif kind == "separable_power":
+        make, args = SeparablePower, [
+            _number(data.get(key, default), f"{path}.{key}", text)
+            for key, default in (("c1", 1.0), ("gamma1", None), ("c2", 1.0), ("gamma2", None))
+        ]
+    elif kind == "linear_source":
+        make, args = LinearSource, [
+            _source_values(grid, data.get(key, 0.0), f"{path}.{key}", text)
+            for key in ("g", "h")
+        ]
+    else:
         expr = data.get("expression")
         if not isinstance(expr, str):
             raise _fail(text, f"{path}.expression", "expected an expression string")
-        try:
-            return CustomExpression(grid, expr)
-        except ExpressionError as exc:
-            raise _fail(text, f"{path}.expression", str(exc)) from exc
+        make, args = CustomExpression, [expr]
+    try:
+        return make(grid, *args)
+    except ExpressionError as exc:
+        raise _fail(text, f"{path}.expression", str(exc)) from exc
     except ConfigError as exc:
         if "theta1/p + theta2/q" in str(exc):
             raise _fail(text, path,
@@ -218,7 +212,7 @@ def _build_solver(data, text) -> SolverConfig:
     _reject_unknown(data, _SOLVER_KEYS, "solver", text)
     kwargs = {}
     for key, value in data.items():
-        if key in ("max_iterations", "path_points", "seed", "refine_iterations"):
+        if key in ("max_iterations", "path_points", "seed"):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise _fail(text, f"solver.{key}", f"expected an integer, got {value!r}")
             kwargs[key] = value
@@ -272,10 +266,6 @@ def parse_config_text(raw: str, source: str = "<config>") -> tuple[ProblemSpec, 
         log.info("coupling.lambda not set; using the documented default %g",
                  DEFAULT_LAMBDA)
 
-    tol = _require_mapping(data.get("tolerances", {}), "tolerances", raw)
-    _reject_unknown(tol, _TOLERANCE_KEYS, "tolerances", raw)
-    tol_kwargs = {k: _number(v, f"tolerances.{k}", raw) for k, v in tol.items()}
-
     nonlinearity = _build_nonlinearity(
         grid, p, q, data.get("nonlinearity", {"kind": "log_power"}), raw
     )
@@ -286,7 +276,7 @@ def parse_config_text(raw: str, source: str = "<config>") -> tuple[ProblemSpec, 
     try:
         prob = ProblemSpec(grid=grid, p=p, q=q, alpha=alpha, beta=beta,
                            lam=lam, nonlinearity=nonlinearity,
-                           hypothesis_constants=constants, **tol_kwargs)
+                           hypothesis_constants=constants)
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 

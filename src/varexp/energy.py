@@ -51,6 +51,7 @@ from .grid import (Grid, GridFunction, VectorField, _adjoint_sum,
                    _difference_components, _integral)
 from .nonlinearity import LogPowerCoupling, Nonlinearity
 from .optimize import bb_minimize
+from .spaces import INEQUALITY_SLACK
 
 __all__ = [
     "ProblemSpec",
@@ -76,8 +77,9 @@ QUADRANTS = ("Q1", "Q2", "Q3", "Q4")
 # Sign pattern (s_u, s_v) of each quadrant cone.
 QUADRANT_SIGNS = {"Q1": (1, 1), "Q2": (-1, 1), "Q3": (-1, -1), "Q4": (1, -1)}
 
-# Flux regularization of the Rayleigh gradient where p < 2.
-_RAYLEIGH_EPS = 1e-10
+# Flux regularization eps where p < 2, for phi and the Rayleigh quotient alike
+# (see ``_flux_adjoint``).
+_FLUX_EPS = 1e-10
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -130,10 +132,6 @@ class ProblemSpec:
     beta: ExponentField
     lam: float
     nonlinearity: Nonlinearity
-    grad_regularization: float = 1e-10
-    lambda_smallness: float = 1e-3
-    inequality_slack: float = 1e-9
-    quadrant_tol: float = 1e-12
     hypothesis_constants: HypothesisConstants | None = None
 
     def __post_init__(self):
@@ -144,13 +142,11 @@ class ProblemSpec:
             raise ConfigError("coupling exponents alpha, beta must exceed 1")
         if self.lam < 0.0:
             raise ConfigError("coupling weight lambda must be nonnegative")
-        if self.grad_regularization <= 0.0:
-            raise ConfigError("gradient regularization must be positive")
 
     @functools.cached_property
     def _plan(self) -> SimpleNamespace:
         """The exponent-only arrays of p stacked over those of q."""
-        return _exponent_plan(np.stack([self.p.values, self.q.values]), self.grad_regularization)
+        return _exponent_plan(np.stack([self.p.values, self.q.values]))
 
     def coupling_margin(self) -> float:
         """max over nodes of alpha/p + beta/q (subcritical iff < 1)."""
@@ -172,10 +168,10 @@ class ProblemSpec:
 # --- energy kernel -------------------------------------------------------------
 
 
-def _exponent_plan(pv: np.ndarray, eps: float) -> SimpleNamespace:
+def _exponent_plan(pv: np.ndarray) -> SimpleNamespace:
     """Arrays that depend on an exponent field alone: p, p/2, the flux
-    regularization (eps where p < 2, else 0), (p - 2)/2 and p - 1."""
-    reg = np.where(pv < 2.0, eps, 0.0)
+    regularization (``_FLUX_EPS`` where p < 2, else 0), (p - 2)/2 and p - 1."""
+    reg = np.where(pv < 2.0, _FLUX_EPS, 0.0)
     return SimpleNamespace(p=pv, half=pv / 2.0, reg=reg, flux=(pv - 2.0) / 2.0, less_one=pv - 1.0)
 
 
@@ -416,7 +412,7 @@ def check_hypotheses(
     m = max(16, int(sample_budget))
     nl = prob.nonlinearity
     n_nodes = prob.grid.n_nodes
-    slack = prob.inequality_slack
+    slack = INEQUALITY_SLACK
 
     if "coupling_product_subcritical" in names:
         worst = prob.coupling_margin()
@@ -610,13 +606,13 @@ def _check_rayleigh_argument(u: GridFunction, p: ExponentField) -> None:
 def rayleigh_quotient(u: GridFunction, p: ExponentField) -> float:
     """Weighted gradient modular over weighted modular, on zero-trace data."""
     _check_rayleigh_argument(u, p)
-    return _rayleigh(u.values, _exponent_plan(p.values, _RAYLEIGH_EPS), u.grid)
+    return _rayleigh(u.values, _exponent_plan(p.values), u.grid)
 
 
 def rayleigh_gradient(u: GridFunction, p: ExponentField) -> GridFunction:
     """Nodal gradient of the Rayleigh quotient (boundary entries zero)."""
     _check_rayleigh_argument(u, p)
-    plan = _exponent_plan(p.values, _RAYLEIGH_EPS)
+    plan = _exponent_plan(p.values)
     terms = _rayleigh_terms(u.values, plan, u.grid)
     return GridFunction(u.grid, _rayleigh_gradient(u.values, terms, plan, u.grid))
 
@@ -654,6 +650,8 @@ class RayleighResult:
     minimizer: GridFunction
     restart_values: list[float]
     iterations: list[int]
+    # ``OptimizeResult.stop_reason`` of each restart
+    stop_reasons: list[str]
 
 
 def minimize_rayleigh(
@@ -673,7 +671,7 @@ def minimize_rayleigh(
     if p.grid is not grid:
         raise DataError("exponent field lives on a different grid")
     rng = np.random.default_rng(seed)
-    shape, plan = grid.shape, _exponent_plan(p.values, _RAYLEIGH_EPS)
+    shape, plan = grid.shape, _exponent_plan(p.values)
     last: list = [None, None]  # the last evaluated state (a copy) and its terms
 
     def terms(x: np.ndarray) -> tuple:
@@ -705,4 +703,5 @@ def minimize_rayleigh(
         minimizer=GridFunction(grid, best.x.reshape(shape)),
         restart_values=[res.f_value for res in runs],
         iterations=[res.iterations for res in runs],
+        stop_reasons=[res.stop_reason for res in runs],
     )

@@ -106,13 +106,8 @@ def exponent_from_expression(grid: Grid, text: str) -> ExponentField:
     return ExponentField(grid, _sample(grid, expr), expr)
 
 
-def exponent_from_values(
-    grid: Grid, values, descriptor: str | None = None
-) -> ExponentField:
-    expr = None
-    if descriptor is not None:
-        expr = _parse_on_grid(grid, descriptor)
-    return ExponentField(grid, np.asarray(values, dtype=float), expr)
+def exponent_from_values(grid: Grid, values) -> ExponentField:
+    return ExponentField(grid, np.asarray(values, dtype=float))
 
 
 def conjugate_exponent(p: ExponentField) -> ExponentField:

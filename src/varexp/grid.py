@@ -179,9 +179,8 @@ class GridFunction:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def is_zero_boundary(self, tol: float = 0.0) -> bool:
-        boundary = ~self.grid.interior
-        return bool(np.all(np.abs(self.values[boundary]) <= tol))
+    def is_zero_boundary(self) -> bool:
+        return bool(np.all(self.values[~self.grid.interior] == 0.0))
 
     def require_zero_boundary(self, name: str = "function") -> "GridFunction":
         if not self.is_zero_boundary():

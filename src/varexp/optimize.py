@@ -23,6 +23,11 @@ __all__ = ["OptimizeResult", "bb_minimize", "backtracking_step"]
 _BB_CLIP = (1e-12, 1e12)
 _MAX_SHRINKS = 60
 _TINY = 1e-300
+# Initial (and reset) step, backtracking shrink factor and sufficient-decrease
+# constant c of the line search.
+_STEP_INIT = 1.0
+_SHRINK = 0.5
+_ARMIJO = 1e-4
 
 
 @dataclasses.dataclass
@@ -49,9 +54,7 @@ def backtracking_step(
     x: np.ndarray,
     fx: float,
     g: np.ndarray,
-    step_init: float = 1.0,
-    shrink: float = 0.5,
-    armijo: float = 1e-4,
+    step_init: float = _STEP_INIT,
     project: Callable[[np.ndarray], np.ndarray] | None = None,
     step_cap_sup: float | None = None,
 ) -> tuple[np.ndarray, float, float, bool]:
@@ -70,9 +73,9 @@ def backtracking_step(
         if nd2 == 0.0:
             return x, fx, t, False
         fn = f(xn)
-        if fn <= fx - armijo * nd2 / max(t, _TINY):
+        if fn <= fx - _ARMIJO * nd2 / max(t, _TINY):
             return xn, fn, t, True
-        t *= shrink
+        t *= _SHRINK
     return x, fx, t, False
 
 
@@ -82,9 +85,6 @@ def bb_minimize(
     x0: np.ndarray,
     max_iterations: int = 20000,
     gradient_stop: float = 1e-8,
-    step_init: float = 1.0,
-    shrink: float = 0.5,
-    armijo: float = 1e-4,
     project: Callable[[np.ndarray], np.ndarray] | None = None,
     step_cap_sup: float | None = None,
     rescale_window: tuple[float, float] | None = None,
@@ -99,7 +99,7 @@ def bb_minimize(
     x = project(x0) if project is not None else np.array(x0, dtype=float)
     fx = f(x)
     g = grad(x)
-    t_bb = step_init
+    t_bb = _STEP_INIT
     it = 0
     for it in range(1, max_iterations + 1):
         stat = _stationarity(x, g, project)
@@ -107,15 +107,7 @@ def bb_minimize(
             return OptimizeResult(x, fx, stat, it - 1, True, "tolerance")
         t0 = float(np.clip(t_bb, *_BB_CLIP))
         xn, fn, t_used, moved = backtracking_step(
-            f,
-            x,
-            fx,
-            g,
-            step_init=t0,
-            shrink=shrink,
-            armijo=armijo,
-            project=project,
-            step_cap_sup=step_cap_sup,
+            f, x, fx, g, step_init=t0, project=project, step_cap_sup=step_cap_sup
         )
         if not moved:
             # Line-search floor: no acceptable decrease at any scale.
@@ -126,7 +118,7 @@ def bb_minimize(
         dx = xn - x
         dg = gn - g
         denom = float(np.dot(dx, dg))
-        t_bb = float(np.dot(dx, dx)) / denom if denom > 0.0 else step_init
+        t_bb = float(np.dot(dx, dx)) / denom if denom > 0.0 else _STEP_INIT
         x, fx, g = xn, fn, gn
         if rescale_window is not None:
             sup = float(np.max(np.abs(x)))
@@ -134,7 +126,7 @@ def bb_minimize(
                 x = x / sup
                 fx = f(x)
                 g = grad(x)
-                t_bb = step_init
+                t_bb = _STEP_INIT
     stat = _stationarity(x, g, project)
     converged = stat <= gradient_stop
     reason = "tolerance" if converged else "iteration_cap"

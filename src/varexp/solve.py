@@ -34,12 +34,12 @@ One ray scan fixes the amplitude of a quadrant run: ``_ray_minimum`` finds
 the near-origin minimum s of the energy along the broad profile
 e = prod sin(pi x) signed into the cone.  The quadrant driver seeds its
 descent there, and ``descend`` continues any run that ends at or below
-``deflation_distance`` in the units that scan gives.  Path endpoints are the
+``_DEFLATION_DISTANCE`` in the units that scan gives.  Path endpoints are the
 least dyadic multiple of a bump state with negative energy
 (``_first_negative_multiple``).
 
 Deflation is a sup-norm merge relative to amplitude: points closer than
-``deflation_distance`` times the larger of their sup norms (capped at 1)
+``_DEFLATION_DISTANCE`` times the larger of their sup norms (capped at 1)
 count as one, keeping the lower residual.  For states of unit amplitude and
 above this is the plain absolute distance.
 
@@ -73,7 +73,7 @@ from .energy import (
     weak_residual,
 )
 from .grid import Grid, GridFunction, tent_function
-from .optimize import backtracking_step, bb_minimize
+from .optimize import _SHRINK, backtracking_step, bb_minimize
 
 __all__ = [
     "SolverConfig",
@@ -93,32 +93,36 @@ __all__ = [
 ]
 
 
+# Per-step sup-norm cap; keeps descent from hopping across the positive
+# energy ridge that separates the near-origin dip from the far field.
+_MAX_STEP_SUP = 1.0
+
+# Newton steps per polish call.
+_REFINE_ITERATIONS = 40
+
+# Nontriviality threshold of a descent and distance of the deflation merge,
+# both in sup norm.
+_DEFLATION_DISTANCE = 1e-4
+
+# Largest lambda the theorems' smallness condition is taken to cover; runs
+# above it are flagged, not refused.
+_LAMBDA_SMALLNESS = 1e-3
+
+
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
     max_iterations: int = 20000
     gradient_stop: float = 1e-8
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    armijo: float = 1e-4
     path_points: int = 21
-    deflation_distance: float = 1e-4
     seed: int = 0
-    # Per-step sup-norm cap; keeps descent from hopping across the positive
-    # energy ridge that separates the near-origin dip from the far field.
-    max_step_sup: float = 1.0
-    refine_iterations: int = 40
 
     def __post_init__(self):
-        if not (0.0 < self.step_shrink < 1.0):
-            raise ConfigError("step shrink factor must lie in (0, 1)")
-        if not (0.0 < self.armijo <= 0.5):
-            raise ConfigError("sufficient-decrease constant must lie in (0, 0.5]")
         if self.path_points < 5:
             raise ConfigError("mountain-pass path needs at least 5 points")
-        if self.max_iterations < 1 or self.refine_iterations < 1:
-            raise ConfigError("iteration caps must be positive")
-        if self.gradient_stop < 0.0 or self.deflation_distance < 0.0:
-            raise ConfigError("tolerances must be nonnegative")
+        if self.max_iterations < 1:
+            raise ConfigError("iteration cap must be positive")
+        if self.gradient_stop < 0.0:
+            raise ConfigError("gradient stop must be nonnegative")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
@@ -155,7 +159,8 @@ class ScanResult:
 # --- quadrant helpers -----------------------------------------------------------
 
 
-def classify_quadrant(u: GridFunction, v: GridFunction, tol: float = 1e-12) -> str:
+def classify_quadrant(u: GridFunction, v: GridFunction) -> str:
+    tol = 1e-12
     for tag, (su, sv) in QUADRANT_SIGNS.items():
         if np.all(su * u.values >= -tol) and np.all(sv * v.values >= -tol):
             return tag
@@ -217,7 +222,7 @@ def _make_point(
         v=v,
         energy=phi_energy(u, v, prob),
         residual=weak_residual(u, v, prob),
-        quadrant=classify_quadrant(u, v, prob.quadrant_tol),
+        quadrant=classify_quadrant(u, v),
         method=method,
         iterations=iterations,
         converged=converged,
@@ -268,7 +273,7 @@ def descend(
     truncation).  Non-convergence is reported by flag, not by exception.
 
     The descent runs in the raw variables first.  If it ends at or below
-    the nontriviality threshold ``deflation_distance`` -- a small seed, or a
+    the nontriviality threshold ``_DEFLATION_DISTANCE`` -- a small seed, or a
     run drawn into the near-origin dip -- an absolute stopping rule means
     nothing there, so it continues at the problem's own scale: in the
     variables W = w/s with energy unit c, where s is the amplitude that
@@ -291,16 +296,13 @@ def descend(
     run = partial(
         bb_minimize,
         gradient_stop=cfg.gradient_stop,
-        step_init=cfg.step_init,
-        shrink=cfg.step_shrink,
-        armijo=cfg.armijo,
         project=proj,
-        step_cap_sup=cfg.max_step_sup,
+        step_cap_sup=_MAX_STEP_SUP,
     )
     res = run(f_raw, g_raw, _pack(u0, v0), max_iterations=cfg.max_iterations)
     iterations, s, g = res.iterations, 1.0, g_raw
     ray = None
-    if float(np.max(np.abs(res.x))) <= cfg.deflation_distance:
+    if float(np.max(np.abs(res.x))) <= _DEFLATION_DISTANCE:
         ray = _ray_minimum(prob, signs)
     if ray is not None:
         s, c = ray[0], -ray[2]
@@ -448,7 +450,7 @@ def _newton_polish(gfun, proj, grid: Grid, w, cfg):
     target = max(0.01 * cfg.gradient_stop, 1e-13)
     iters = 0
     gw = gfun(w)
-    for iters in range(1, cfg.refine_iterations + 1):
+    for iters in range(1, _REFINE_ITERATIONS + 1):
         gn = float(np.linalg.norm(gw))
         if gn <= target:
             return w, iters, True, None
@@ -470,7 +472,7 @@ def _newton_polish(gfun, proj, grid: Grid, w, cfg):
                 w, gw = wn, gwn
                 moved = True
                 break
-            step *= cfg.step_shrink
+            step *= _SHRINK
         if not moved:
             return w, iters, False, None
     gn = float(np.linalg.norm(gw))
@@ -526,17 +528,9 @@ def mountain_pass(
             j = 1 + int(np.argmax(fvals[1:-1]))
             gz = g(path[j])
             scale = max(1.0, float(np.max(np.abs(path[j]))))
-            cap = max(cfg.max_step_sup, 0.02 * scale)
+            cap = max(_MAX_STEP_SUP, 0.02 * scale)
             zn, fn, _, moved = backtracking_step(
-                f,
-                path[j],
-                fvals[j],
-                gz,
-                step_init=cfg.step_init,
-                shrink=cfg.step_shrink,
-                armijo=cfg.armijo,
-                project=proj,
-                step_cap_sup=cap,
+                f, path[j], fvals[j], gz, project=proj, step_cap_sup=cap
             )
             if not moved or float(np.max(np.abs(zn - path[j]))) <= 1e-12 * scale:
                 path_dead = True
@@ -691,7 +685,7 @@ def _quadrant_inventory(
         raise ConfigError(f"invalid quadrant tags: {', '.join(bad)}")
     symmetric = _require_hypotheses(prob, names, cfg.seed)
     flags: list[str] = []
-    if prob.lam > prob.lambda_smallness:
+    if prob.lam > _LAMBDA_SMALLNESS:
         flags.append("lambda_exceeds_smallness_threshold")
 
     zero = prob.grid.zeros()
@@ -708,9 +702,9 @@ def _quadrant_inventory(
             if ray is None:
                 pt.flags.append("no_negative_energy_start")
             # Absolute on purpose: a component whose sup is at or below
-            # deflation_distance is flagged as below the nontriviality
+            # _DEFLATION_DISTANCE is flagged as below the nontriviality
             # threshold, whatever the relative deflation merge decides.
-            if min(pt.u.sup_norm(), pt.v.sup_norm()) <= cfg.deflation_distance:
+            if min(pt.u.sup_norm(), pt.v.sup_norm()) <= _DEFLATION_DISTANCE:
                 pt.flags.append("component_below_nontriviality_threshold")
         done[quadrant] = pt
         runs.append(pt)
@@ -720,7 +714,7 @@ def _quadrant_inventory(
         for pt in runs
         if pt.converged and pt.residual <= cfg.gradient_stop and pt.energy < 0.0
     ]
-    points = merge_points(eligible, cfg.deflation_distance)
+    points = merge_points(eligible, _DEFLATION_DISTANCE)
     inventory = SolutionInventory(points=points, runs=runs, distinct_count=len(points),
                                   theorem_target="four", flags=flags)
     return inventory, symmetric
@@ -793,7 +787,7 @@ def find_six_solutions(
                 pool.append(mp)
             else:
                 flags.append(f"mountain_pass_{mp.quadrant}_not_converged")
-    points = merge_points(pool, cfg.deflation_distance)
+    points = merge_points(pool, _DEFLATION_DISTANCE)
     return SolutionInventory(
         points=points,
         runs=runs,
@@ -864,7 +858,7 @@ def symmetric_pairs(
             flags.append(f"pair_search_n{n}_not_converged")
     if any(b < a - 1e-12 for a, b in zip(energies, energies[1:])):
         flags.append("energy_sequence_not_nondecreasing")
-    merged = merge_points(points, cfg.deflation_distance)
+    merged = merge_points(points, _DEFLATION_DISTANCE)
     if len(merged) < len(points):
         flags.append("pair_runs_collapsed")
     return SolutionInventory(

@@ -104,12 +104,7 @@ class HolderReport:
     holds: bool
 
 
-def holder_check(
-    u: GridFunction,
-    v: GridFunction,
-    p: ExponentField,
-    slack: float = INEQUALITY_SLACK,
-) -> HolderReport:
+def holder_check(u: GridFunction, v: GridFunction, p: ExponentField) -> HolderReport:
     """|integral of u*v| against (1/p^- + 1/(p0)^-) |u|_p |v|_{p0}.
 
     p0 is the pointwise conjugate exponent field.
@@ -120,7 +115,8 @@ def holder_check(
     factor = 1.0 / p.min + 1.0 / pc.min
     lhs = abs(integrate(u.values * v.values, grid))
     rhs = factor * luxemburg_norm(u, p) * luxemburg_norm(v, pc)
-    return HolderReport(lhs=lhs, rhs=rhs, factor=factor, holds=lhs <= rhs * (1.0 + slack))
+    holds = lhs <= rhs * (1.0 + INEQUALITY_SLACK)
+    return HolderReport(lhs=lhs, rhs=rhs, factor=factor, holds=holds)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -132,11 +128,7 @@ class ModularReport:
     trichotomy_holds: bool
 
 
-def norm_modular_relation_check(
-    u: GridFunction,
-    p: ExponentField,
-    slack: float = INEQUALITY_SLACK,
-) -> ModularReport:
+def norm_modular_relation_check(u: GridFunction, p: ExponentField) -> ModularReport:
     """Power-band relation between the modular and the Luxemburg norm.
 
     For norm > 1 the modular sits in [norm^{p^-}, norm^{p^+}]; for norm < 1
@@ -148,7 +140,9 @@ def norm_modular_relation_check(
     norm = luxemburg_norm(u, p)
     lo_exp, hi_exp = (p.min, p.max) if norm > 1.0 else (p.max, p.min)
     band = (norm**lo_exp, norm**hi_exp) if norm > 0.0 else (0.0, 0.0)
-    band_holds = band[0] * (1.0 - slack) <= rho <= band[1] * (1.0 + slack)
+    band_holds = (
+        band[0] * (1.0 - INEQUALITY_SLACK) <= rho <= band[1] * (1.0 + INEQUALITY_SLACK)
+    )
     unit_tol = 1e-8
     if norm > 1.0 + unit_tol:
         trichotomy = rho > 1.0 - unit_tol

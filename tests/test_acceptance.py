@@ -36,6 +36,7 @@ from varexp.exponents import (
 from varexp.grid import make_grid, tent_function
 from varexp.nonlinearity import LinearSource
 from varexp.solve import (
+    _DEFLATION_DISTANCE,
     QUADRANTS,
     find_constant_sign_solutions,
     find_six_solutions,
@@ -349,9 +350,9 @@ def test_criterion_7_mountain_passes_on_top_of_minimizers():
         assert mp.energy > 0.0
         assert mp.residual <= 1e-6
         for mn in minimizers:
-            assert pair_distance(mp, mn) >= cfg.deflation_distance
+            assert pair_distance(mp, mn) >= _DEFLATION_DISTANCE
     # the two passes are distinct from each other as well
-    assert pair_distance(passes[0], passes[1]) >= cfg.deflation_distance
+    assert pair_distance(passes[0], passes[1]) >= _DEFLATION_DISTANCE
 
 
 def test_criterion_8_symmetric_pairs_by_negation():

@@ -72,20 +72,25 @@ def test_wrong_schema_tag():
 
 
 def test_unknown_top_level_key_named_with_line():
-    cfg = small_config()
-    cfg["extras"] = {}
-    raw = json.dumps(cfg, indent=2)
-    with pytest.raises(ConfigError) as exc:
-        parse_config_text(raw, source="conf.json")
-    msg = str(exc.value)
-    assert "extras" in msg
-    assert "line" in msg  # diagnostics carry the offending line
+    # "tolerances" is no section: its values are constants of the code.
+    for key in ("extras", "tolerances"):
+        cfg = small_config()
+        cfg[key] = {}
+        raw = json.dumps(cfg, indent=2)
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(raw, source="conf.json")
+        msg = str(exc.value)
+        assert msg.startswith(key)
+        assert "line" in msg  # diagnostics carry the offending line
 
 
 def test_unknown_solver_key_uses_dotted_path():
-    cfg = small_config(**{"solver.bogus_knob": 3})
-    with pytest.raises(ConfigError, match="bogus_knob"):
-        parse_config_text(json.dumps(cfg))
+    # The last six name constants of the code, not solver settings.
+    for key in ("bogus_knob", "step_init", "step_shrink", "armijo",
+                "max_step_sup", "refine_iterations", "deflation_distance"):
+        cfg = small_config(**{f"solver.{key}": 3})
+        with pytest.raises(ConfigError, match=rf"^solver\.{key}\b"):
+            parse_config_text(json.dumps(cfg))
 
 
 def test_missing_exponent_section():
@@ -145,6 +150,27 @@ def test_malformed_expression_is_a_config_error(tmp_path, capsys, section, field
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}")
     assert "(line " in err
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("log_power", "a", "3 +* x"),
+        ("log_power", "b", "3 +* x"),
+        ("log_power", "theta1", "3 +* x"),
+        ("log_power", "theta2", "3 +* x"),
+        ("separable_power", "gamma1", "x"),
+        ("linear_source", "g", "3 +* x"),
+        ("custom", "expression", "u^4 +* v"),
+    ],
+)
+def test_nonlinearity_entry_error_names_its_path_once(kind, key, value):
+    cfg = small_config(nonlinearity={"kind": kind, key: value})
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(json.dumps(cfg))
+    msg = str(exc.value)
+    assert msg.startswith(f"nonlinearity[{kind}].{key} (line ")
+    assert msg.count(f"nonlinearity[{kind}]") == 1
 
 
 def test_config_file_not_found(tmp_path):
@@ -320,12 +346,36 @@ def test_norm_command_reports_probe_functions(tmp_path):
 
 def test_eigen_command_small_grid(tmp_path):
     code, out = run_cli(tmp_path, small_config(), "eigen")
-    assert code == 0
+    # At 33 nodes every restart stops at the 4000-iteration cap.
+    assert code == 2
     rep = load_report(out / "results.json")
     est = rep["eigen_estimates"]
     assert "p" in est and "q" in est
     assert est["p"]["value"] > 0.0
     assert len(est["p"]["restart_values"]) >= 1
+    assert est["p"]["stop_reasons"] == ["iteration_cap"] * len(est["p"]["iterations"])
+
+
+@pytest.mark.parametrize(
+    "stop_reasons, expected_code",
+    [(["tolerance", "tolerance"], 0),
+     (["tolerance", "iteration_cap"], 2),
+     (["iteration_cap", "line_search_floor"], 0)],
+    ids=["converged", "least_capped", "other_capped"],
+)
+def test_eigen_exits_2_when_least_restart_is_capped(tmp_path, monkeypatch,
+                                                    stop_reasons, expected_code):
+    """An estimate whose least restart stopped at the iteration cap is a
+    partial result: the command exits 2.  The second restart is the least."""
+    def stub(field, grid, **kwargs):
+        return RayleighResult(value=1.0, minimizer=None, restart_values=[2.0, 1.0],
+                              iterations=[1, 1], stop_reasons=list(stop_reasons))
+
+    monkeypatch.setattr(cli, "minimize_rayleigh", stub)
+    code, out = run_cli(tmp_path, small_config(), "eigen")
+    assert code == expected_code
+    est = load_report(out / "results.json")["eigen_estimates"]
+    assert est["p"]["stop_reasons"] == stop_reasons
 
 
 @pytest.mark.parametrize(
@@ -365,7 +415,8 @@ def test_eigen_minimizes_once_when_p_equals_q(tmp_path, monkeypatch, overrides,
     def counting(field, grid, **kwargs):
         fields.append(field)
         return RayleighResult(value=field.min, minimizer=None,
-                              restart_values=[field.min], iterations=[1])
+                              restart_values=[field.min], iterations=[1],
+                              stop_reasons=["tolerance"])
 
     monkeypatch.setattr(cli, "minimize_rayleigh", counting)
     code, out = run_cli(tmp_path, small_config(**overrides), "eigen")

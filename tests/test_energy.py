@@ -273,8 +273,7 @@ def _per_component_reference(w, prob, signs):
     tu, tv = u, v
     if signs is not None:
         tu, tv = (s * np.maximum(0.0, s * x) for s, x in zip(signs, (u, v)))
-    eps = prob.grad_regularization
-    plans = [energy._exponent_plan(f.values, eps) for f in (prob.p, prob.q)]
+    plans = [energy._exponent_plan(f.values) for f in (prob.p, prob.q)]
     diffs = [energy._difference(x, grid) for x in (u, v)]
     phi = energy._modular(diffs[0][1], plans[0], grid) + energy._modular(
         diffs[1][1], plans[1], grid

@@ -66,10 +66,6 @@ FAST = SolverConfig(path_points=11)
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"step_shrink": 0.0},
-        {"step_shrink": 1.0},
-        {"armijo": 0.0},
-        {"armijo": 0.6},
         {"path_points": 4},
         {"max_iterations": 0},
         {"gradient_stop": -1.0},
@@ -84,7 +80,7 @@ def test_solver_config_rejects_bad_values(kwargs):
 def test_solver_config_defaults_are_valid():
     cfg = SolverConfig()
     assert cfg.gradient_stop == 1e-8
-    assert cfg.deflation_distance == 1e-4
+    assert solve._DEFLATION_DISTANCE == 1e-4
 
 
 # ---------------------------------------------------------------------------

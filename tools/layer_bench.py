@@ -284,7 +284,7 @@ def evaluation_counts():
 def rayleigh_us():
     grid = make_grid([[0.0, 1.0], [0.0, 1.0]], [49, 49])
     p = exponent_from_expression(grid, "3.5 + x/2 + y/4")
-    plan = energy._exponent_plan(p.values, energy._RAYLEIGH_EPS)
+    plan = energy._exponent_plan(p.values)
     x = energy.random_zero_boundary(grid, np.random.default_rng(0)).values
     terms = energy._rayleigh_terms(x, plan, grid)
     out = {
