@@ -157,8 +157,7 @@ def _norm_probes(prob: ProblemSpec, seed: int) -> dict:
 def _eigen_block(prob: ProblemSpec, cfg: SolverConfig) -> dict:
     """Rayleigh estimates for p and q; one minimization when the fields agree."""
     def estimate(field) -> dict:
-        res = minimize_rayleigh(field, prob.grid, seed=cfg.seed,
-                                gradient_stop=cfg.gradient_stop)
+        res = minimize_rayleigh(field, seed=cfg.seed, gradient_stop=cfg.gradient_stop)
         return {
             "value": res.value,
             "restart_values": list(res.restart_values),

@@ -656,7 +656,6 @@ class RayleighResult:
 
 def minimize_rayleigh(
     p: ExponentField,
-    grid: Grid,
     restarts: int = 5,
     seed: int = 0,
     max_iterations: int = 4000,
@@ -668,8 +667,7 @@ def minimize_rayleigh(
     descent runs on the raw nodal values with no normalization; a safeguard
     rescale only triggers on extreme amplitude drift.
     """
-    if p.grid is not grid:
-        raise DataError("exponent field lives on a different grid")
+    grid = p.grid
     rng = np.random.default_rng(seed)
     shape, plan = grid.shape, _exponent_plan(p.values)
     last: list = [None, None]  # the last evaluated state (a copy) and its terms

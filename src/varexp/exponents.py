@@ -1,10 +1,10 @@
 """Spatially varying exponents sampled on a grid.
 
 An exponent field stores nodal samples together with an optional symbolic
-descriptor (an expression over the space variables).  The descriptor — not
-interpolation of samples — is what monotonicity probing and off-node
-evaluation use, so those checks stay exact.  All samples must be strictly
-greater than 1.
+descriptor (an expression over the space variables, checked against the
+samples on construction).  The descriptor only names the field in
+``describe()``; every computation, monotonicity probing included, reads
+the samples.  All samples must be strictly greater than 1.
 
 Field sampling for the whole package lives here too: ``_parse_on_grid`` and
 ``_sample`` parse an expression over the space variables and evaluate it at

@@ -97,6 +97,10 @@ class Expression:
 class Const(Expression):
     value: float
 
+    def __post_init__(self):
+        if not np.isfinite(self.value):
+            raise ExpressionError(f"constant {self.value!r} is not finite")
+
     def evaluate(self, env):
         return self.value
 

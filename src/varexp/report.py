@@ -143,8 +143,9 @@ def read_solution_csv(path, grid: Grid) -> tuple[GridFunction, GridFunction]:
                 f"{path}: header {header!r} does not match grid "
                 f"(expected {expected!r})"
             )
-        u = np.full(grid.n_nodes, np.nan)
-        v = np.full(grid.n_nodes, np.nan)
+        u = np.empty(grid.n_nodes)
+        v = np.empty(grid.n_nodes)
+        seen = np.zeros(grid.n_nodes, dtype=bool)
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -154,11 +155,16 @@ def read_solution_csv(path, grid: Grid) -> tuple[GridFunction, GridFunction]:
                 raise DataError(f"{path}:{lineno}: expected {3 + grid.ndim} columns")
             try:
                 i = int(parts[0])
-                u[i] = float(parts[-2])
-                v[i] = float(parts[-1])
-            except (ValueError, IndexError) as exc:
+                values = float(parts[-2]), float(parts[-1])
+            except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
-    if np.any(np.isnan(u)) or np.any(np.isnan(v)):
+            if not 0 <= i < grid.n_nodes:
+                raise DataError(f"{path}:{lineno}: node index {i} outside [0, {grid.n_nodes})")
+            if seen[i]:
+                raise DataError(f"{path}:{lineno}: node index {i} repeated")
+            seen[i] = True
+            u[i], v[i] = values
+    if not seen.all():
         raise DataError(f"{path}: some node indices missing")
     return (
         GridFunction(grid, u.reshape(grid.shape)),

@@ -6,7 +6,7 @@ Three experiment drivers sit on top of two engines:
   energy.  Minimizers of the truncated functional with a clamped sign
   pattern are the constant-sign solutions.
 * ``mountain_pass`` — the classical numerical mountain-pass scheme: a
-  piecewise-linear path between two low-energy states whose maximal-energy
+  piecewise-linear path from zero to a low-energy state whose maximal-energy
   interior point is repeatedly relocated downhill and re-spaced by
   arclength.  Relocation alone creeps near the saddle (the p-Laplacian
   Hessian degenerates where the gradient of the state vanishes), so the
@@ -21,7 +21,7 @@ Three experiment drivers sit on top of two engines:
 
 Both engines work on packed states w = [u.ravel(), v.ravel()] and call the
 energy kernel of ``varexp.energy`` directly, bound to the run's sign pattern
-(none for the plain functional).  Start pairs and path endpoints are
+(none for the plain functional).  Start pairs and the far path endpoint are
 validated once, on entry (grid, zero boundary values, quadrant tag, cone);
 line searches, BB steps and the Newton polish build no ``GridFunction``.
 The kernel and the cone projector take stacks of packed states, so states
@@ -34,8 +34,8 @@ One ray scan fixes the amplitude of a quadrant run: ``_ray_minimum`` finds
 the near-origin minimum s of the energy along the broad profile
 e = prod sin(pi x) signed into the cone.  The quadrant driver seeds its
 descent there, and ``descend`` continues any run that ends at or below
-``_DEFLATION_DISTANCE`` in the units that scan gives.  Path endpoints are the
-least dyadic multiple of a bump state with negative energy
+``_DEFLATION_DISTANCE`` in the units that scan gives.  The far path endpoint
+is the least dyadic multiple of a bump state with negative energy
 (``_first_negative_multiple``).
 
 Deflation is a sup-norm merge relative to amplitude: points closer than
@@ -364,67 +364,49 @@ _POLISH_DOF_CAP = 1600
 _STENCIL_REACH = 2
 
 
-def _jacobian_colours(grid: Grid, idx: np.ndarray):
+def _jacobian_pattern(grid: Grid, idx: np.ndarray):
     """Curtis-Powell-Reid column colouring of the polish Jacobian.
 
     The free degree of freedom at node r of component c (u or v) gets the
-    colour (r mod 5 on each axis, c).  The nodal gradient at node r reads
-    nodes within ``_STENCIL_REACH`` steps per axis and couples u and v only
-    through the pointwise source at r itself, so a row sees at most one
-    column of each colour: the one of that colour's component at
-    j = r + ((colour residue - r + 2) mod 5) - 2 on each axis, when j is a
-    free node.  Returns one (perturbed, rows, cols) triple per non-empty
-    colour: the packed indices to perturb together, and the Jacobian entries
-    (positions in ``idx``) that their central difference fills.
+    colour (c, r mod 5 on each axis), numbered in that order over the
+    non-empty colours.  The nodal gradient at node r reads nodes within
+    ``_STENCIL_REACH`` steps per axis and couples u and v only through the
+    pointwise source at r itself, so a row sees at most one column of each
+    colour.  Returns (colour, rows, cols): each free column's colour, and
+    the Jacobian entries (positions in ``idx``) whose nodes lie within
+    ``_STENCIL_REACH`` of each other on every axis.
     """
     period = 2 * _STENCIL_REACH + 1
-    n = grid.n_nodes
-    position = np.full(2 * n, -1)
-    position[idx] = np.arange(idx.size)
-    component, node = np.divmod(idx, n)
+    component, node = np.divmod(idx, grid.n_nodes)
     r = np.unravel_index(node, grid.shape)
-    per_component = period**grid.ndim
-    colours = []
-    for colour in range(2 * per_component):
-        c, rest = divmod(colour, per_component)
-        residues = np.unravel_index(rest, (period,) * grid.ndim)
-        members = np.logical_and.reduce(
-            [component == c] + [ra % period == ca for ra, ca in zip(r, residues)]
-        )
-        if not members.any():
-            continue
-        j = [
-            ra + (ca - ra + _STENCIL_REACH) % period - _STENCIL_REACH
-            for ra, ca in zip(r, residues)
-        ]
-        inside = np.logical_and.reduce(
-            [(ja >= 0) & (ja < na) for ja, na in zip(j, grid.shape)]
-        )
-        flat = np.ravel_multi_index(j, grid.shape, mode="clip")
-        col = np.where(inside, position[c * n + flat], -1)
-        rows = np.nonzero(col >= 0)[0]
-        colours.append((idx[members], rows, col[rows]))
-    return colours
+    key = np.ravel_multi_index(
+        (component, *(ra % period for ra in r)), (2,) + (period,) * grid.ndim
+    )
+    colour = np.unique(key, return_inverse=True)[1]
+    near = np.logical_and.reduce(
+        [np.abs(ra[:, None] - ra[None, :]) <= _STENCIL_REACH for ra in r]
+    )
+    rows, cols = np.nonzero(near)
+    return colour, rows, cols
 
 
-def _fd_jacobian(gfun, w: np.ndarray, idx: np.ndarray, h: float, colours):
+def _fd_jacobian(gfun, w: np.ndarray, idx: np.ndarray, h: float, pattern):
     """Central-difference Jacobian of ``gfun`` over the free positions
-    ``idx``: a +-h state pair per colour of ``_jacobian_colours``, all
+    ``idx``: a +-h state pair per colour of ``_jacobian_pattern``, all
     evaluated in one stacked ``gfun`` call.
 
     Each entry reads the same floating-point inputs as a one-column-at-a-time
     difference, since no row sees a second perturbed column, so the two
     Jacobians are equal bit for bit; entries off the pattern are zero in both.
     """
-    states = np.tile(w, (2 * len(colours), 1))
-    for k, (perturbed, _, _) in enumerate(colours):
-        states[2 * k, perturbed] += h
-        states[2 * k + 1, perturbed] -= h
+    colour, rows, cols = pattern
+    states = np.tile(w, (2 * (colour.max() + 1), 1))
+    states[2 * colour, idx] += h
+    states[2 * colour + 1, idx] -= h
     grads = gfun(states)[:, idx]
     diffs = (grads[0::2] - grads[1::2]) / (2.0 * h)
     jac = np.zeros((idx.size, idx.size))
-    for diff, (_, rows, cols) in zip(diffs, colours):
-        jac[rows, cols] = diff[rows]
+    jac[rows, cols] = diffs[colour[cols], rows]
     return jac
 
 
@@ -446,7 +428,7 @@ def _newton_polish(gfun, proj, grid: Grid, w, cfg):
     idx = np.nonzero(free)[0]
     if idx.size > _POLISH_DOF_CAP:
         return w, 0, False, "polish_skipped_large_system"
-    colours = _jacobian_colours(grid, idx)
+    pattern = _jacobian_pattern(grid, idx)
     target = max(0.01 * cfg.gradient_stop, 1e-13)
     iters = 0
     gw = gfun(w)
@@ -455,7 +437,7 @@ def _newton_polish(gfun, proj, grid: Grid, w, cfg):
         if gn <= target:
             return w, iters, True, None
         h = 1e-6 * max(1.0, float(np.max(np.abs(w))))
-        jac = _fd_jacobian(gfun, w, idx, h, colours)
+        jac = _fd_jacobian(gfun, w, idx, h, pattern)
         try:
             delta = np.linalg.solve(jac, gw[idx])
         except np.linalg.LinAlgError:
@@ -481,12 +463,11 @@ def _newton_polish(gfun, proj, grid: Grid, w, cfg):
 
 def mountain_pass(
     prob: ProblemSpec,
-    endpoint_a: tuple[GridFunction, GridFunction],
-    endpoint_b: tuple[GridFunction, GridFunction],
+    endpoint: tuple[GridFunction, GridFunction],
     quadrant: str | None = None,
     cfg: SolverConfig = SolverConfig(),
 ) -> CriticalPoint:
-    """Path max-minimization between two non-positive-energy states.
+    """Path max-minimization from the origin to a non-positive-energy state.
 
     Relocates the maximal-energy interior path point along the negative
     gradient (lowest index on ties), re-spaces the path by arclength every
@@ -494,21 +475,20 @@ def mountain_pass(
     Newton.  Success requires the final residual to meet ``gradient_stop``
     and the energy to exceed both endpoint energies.
     """
-    for u, v in (endpoint_a, endpoint_b):
-        _check_pair(u, v, prob)
+    _check_pair(*endpoint, prob)
     f, g, proj = _functional(prob, _signs(quadrant))
-    wa = _pack(*endpoint_a)
-    wb = _pack(*endpoint_b)
-    if proj is not None:
-        if not (np.allclose(proj(wa), wa) and np.allclose(proj(wb), wb)):
-            raise ConfigError("mountain-pass endpoints must lie inside the cone")
+    wb = _pack(*endpoint)
+    if proj is not None and not np.allclose(proj(wb), wb):
+        raise ConfigError("mountain-pass endpoint must lie inside the cone")
+    # Evaluated, not taken as 0: a custom F may miss 0 at the origin by 1e-12.
+    wa = np.zeros_like(wb)
     fa, fb = f(wa), f(wb)
     if fa > 0.0 or fb > 0.0:
         raise ConfigError(
             f"mountain-pass endpoints must have non-positive energy (got {fa:.3g}, {fb:.3g})"
         )
-    if float(np.max(np.abs(wa - wb))) == 0.0:
-        raise ConfigError("mountain-pass endpoints must be distinct")
+    if not wb.any():
+        raise ConfigError("mountain-pass endpoint must be nonzero")
 
     m = cfg.path_points
     path = wa + np.linspace(0.0, 1.0, m)[:, None] * (wb - wa)
@@ -771,16 +751,11 @@ def find_six_solutions(
     if t_star is None:
         flags.append("no_negative_energy_mountain_endpoint")
     else:
-        zero = prob.grid.zeros()
-        mp1 = mountain_pass(
-            prob, (zero, zero), (t_star * h1, t_star * h2), "Q1", cfg
-        )
+        mp1 = mountain_pass(prob, (t_star * h1, t_star * h2), "Q1", cfg)
         if symmetric:
             mp3 = _negated(mp1, prob)
         else:
-            mp3 = mountain_pass(
-                prob, (zero, zero), ((-t_star) * h1, (-t_star) * h2), "Q3", cfg
-            )
+            mp3 = mountain_pass(prob, ((-t_star) * h1, (-t_star) * h2), "Q3", cfg)
         for mp in (mp1, mp3):
             runs.append(mp)
             if mp.converged and mp.residual <= cfg.gradient_stop:
@@ -833,7 +808,6 @@ def symmetric_pairs(
     centers, eps = _pair_sites(prob.grid, k)
     tents = [tent_function(c, eps, prob.grid) for c in centers]
 
-    zero = prob.grid.zeros()
     runs: list[CriticalPoint] = []
     points: list[CriticalPoint] = []
     energies: list[float] = []
@@ -846,9 +820,7 @@ def symmetric_pairs(
         if t is None:
             flags.append(f"no_negative_energy_endpoint_n{n}")
             continue
-        mp = mountain_pass(
-            prob, (zero, zero), (t * bump_sum, t * bump_sum), None, cfg
-        )
+        mp = mountain_pass(prob, (t * bump_sum, t * bump_sum), None, cfg)
         runs.append(mp)
         energies.append(mp.energy)
         if mp.converged and mp.residual <= cfg.gradient_stop:

@@ -199,7 +199,7 @@ def test_criterion_4_rayleigh_eigenvalue_sanity():
     t0 = time.perf_counter()
 
     g = make_grid((0.0, 1.0), 257)
-    res = minimize_rayleigh(constant_exponent(g, 2.0), g, restarts=3, seed=0)
+    res = minimize_rayleigh(constant_exponent(g, 2.0), restarts=3, seed=0)
     assert abs(res.value - math.pi**2) <= 0.01 * math.pi**2
 
     # oracle: smallest eigenvalue of the (n-2)x(n-2) Dirichlet Laplacian
@@ -220,7 +220,7 @@ def test_criterion_4_rayleigh_eigenvalue_sanity():
     for n in (65, 129, 257):
         gn = make_grid((0.0, 1.0), n)
         pn = exponent_from_expression(gn, "3 + x/2")
-        estimates.append(minimize_rayleigh(pn, gn, restarts=3, seed=0).value)
+        estimates.append(minimize_rayleigh(pn, restarts=3, seed=0).value)
     assert all(e > 0.1 for e in estimates)
     ref = estimates[-1]
     assert all(abs(e - ref) <= 0.2 * ref for e in estimates), estimates

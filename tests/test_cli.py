@@ -135,6 +135,7 @@ def test_exponent_expression_is_accepted():
     "section, fields, path",
     [
         ("exponents", {"p": "3 +* x", "q": 3.0}, "exponents.p"),
+        ("exponents", {"p": "3 + x/1e999", "q": 3.0}, "exponents.p"),
         ("coupling", {"alpha": "3 +* x", "beta": 1.2}, "coupling.alpha"),
         ("nonlinearity", {"kind": "log_power", "a": "3 +* x"}, "nonlinearity[log_power]"),
         ("nonlinearity", {"kind": "custom", "expression": "u^4 +* v"},
@@ -367,7 +368,7 @@ def test_eigen_exits_2_when_least_restart_is_capped(tmp_path, monkeypatch,
                                                     stop_reasons, expected_code):
     """An estimate whose least restart stopped at the iteration cap is a
     partial result: the command exits 2.  The second restart is the least."""
-    def stub(field, grid, **kwargs):
+    def stub(field, **kwargs):
         return RayleighResult(value=1.0, minimizer=None, restart_values=[2.0, 1.0],
                               iterations=[1, 1], stop_reasons=list(stop_reasons))
 
@@ -412,7 +413,7 @@ def test_eigen_minimizes_once_when_p_equals_q(tmp_path, monkeypatch, overrides,
     under both labels."""
     fields = []
 
-    def counting(field, grid, **kwargs):
+    def counting(field, **kwargs):
         fields.append(field)
         return RayleighResult(value=field.min, minimizer=None,
                               restart_values=[field.min], iterations=[1],

@@ -41,7 +41,8 @@ def test_evaluate_broadcasts_over_arrays():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "   ", "x +", "(x", "x)", "foo(x)", "x & y", "1..2", "sin()", "sin(x, y)"],
+    ["", "   ", "x +", "(x", "x)", "foo(x)", "x & y", "1..2", "sin()", "sin(x, y)",
+     "1e999", "1e300*1e300"],
 )
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ExpressionError):

@@ -90,6 +90,22 @@ def test_csv_row_count_checked(tmp_path):
         read_solution_csv(path, G)
 
 
+@pytest.mark.parametrize(
+    "index, message",
+    [("-1", "outside"), ("5", "outside"), ("1", "repeated")],
+    ids=["negative", "n", "repeated"],
+)
+def test_csv_node_index_checked(tmp_path, index, message):
+    """An index outside [0, n) or one already read is refused with its line,
+    not wrapped onto another node or allowed to overwrite an earlier row."""
+    g5 = make_grid((0.0, 1.0), 5)
+    path = tmp_path / "bad_index.csv"
+    rows = ["index,x,u,v"] + [f"{i},{0.25 * i!r},0.0,0.0" for i in range(4)]
+    path.write_text("\n".join(rows + [f"{index},1.0,0.0,0.0"]) + "\n")
+    with pytest.raises(DataError, match=rf"bad_index\.csv:6: node index {index} {message}"):
+        read_solution_csv(path, g5)
+
+
 def test_csv_2d_layout(tmp_path):
     g2 = make_grid([(0.0, 1.0), (0.0, 1.0)], [9, 9])
     t = tent_function((0.5, 0.5), 0.3, g2)

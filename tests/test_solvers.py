@@ -275,24 +275,23 @@ def negative_endpoint(prob, eps=0.15):
 
 def test_mountain_pass_small_problem():
     far = negative_endpoint(PROB)
-    zero = (PROB.grid.zeros(), PROB.grid.zeros())
-    pt = mountain_pass(PROB, zero, far, cfg=FAST)
+    zero = PROB.grid.zeros()
+    pt = mountain_pass(PROB, far, cfg=FAST)
     assert pt.converged
     assert pt.method == "mountain_pass"
     assert pt.residual <= FAST.gradient_stop
     assert pt.energy > 0.0
     assert pt.energy > max(
-        phi_energy(zero[0], zero[1], PROB), phi_energy(far[0], far[1], PROB)
+        phi_energy(zero, zero, PROB), phi_energy(far[0], far[1], PROB)
     )
 
 
 def test_mountain_pass_rejects_positive_energy_endpoint():
     g = PROB.grid
     small = tent_function(0.5, 0.2, g)  # small tent: energy > 0
-    zero = (g.zeros(), g.zeros())
     assert phi_energy(small, small, PROB) > 0.0
     with pytest.raises(ConfigError, match="energy"):
-        mountain_pass(PROB, zero, (small, small), cfg=FAST)
+        mountain_pass(PROB, (small, small), cfg=FAST)
 
 
 def test_mountain_pass_rejects_nonzero_boundary_endpoint(monkeypatch):
@@ -304,24 +303,22 @@ def test_mountain_pass_rejects_nonzero_boundary_endpoint(monkeypatch):
     g = PROB.grid
     far = negative_endpoint(PROB)
     lifted = g.function(far[0].values + np.where(g.interior, 0.0, 1.0))
-    zero = (g.zeros(), g.zeros())
     with pytest.raises(DataError, match="boundary"):
-        mountain_pass(PROB, zero, (lifted, far[1]), cfg=FAST)
+        mountain_pass(PROB, (lifted, far[1]), cfg=FAST)
 
 
-def test_mountain_pass_rejects_identical_endpoints():
+def test_mountain_pass_rejects_zero_endpoint():
     zero = (PROB.grid.zeros(), PROB.grid.zeros())
-    with pytest.raises(ConfigError, match="distinct"):
-        mountain_pass(PROB, zero, zero, cfg=FAST)
+    with pytest.raises(ConfigError, match="nonzero"):
+        mountain_pass(PROB, zero, cfg=FAST)
 
 
 def test_mountain_pass_negation_equivariance():
     far = negative_endpoint(PROB)
     g = PROB.grid
-    zero = (g.zeros(), g.zeros())
     neg = (g.function(-far[0].values), g.function(-far[1].values))
-    p1 = mountain_pass(PROB, zero, far, cfg=FAST)
-    p2 = mountain_pass(PROB, zero, neg, cfg=FAST)
+    p1 = mountain_pass(PROB, far, cfg=FAST)
+    p2 = mountain_pass(PROB, neg, cfg=FAST)
     np.testing.assert_array_equal(p2.u.values, -p1.u.values)
     np.testing.assert_array_equal(p2.v.values, -p1.v.values)
     assert p2.residual == p1.residual
@@ -352,9 +349,8 @@ def test_mountain_pass_evaluates_its_path_in_one_call_per_respacing(monkeypatch)
     monkeypatch.setattr(solve, "_functional", counted_functional)
     monkeypatch.setattr(solve, "_respace", counted_respace)
     far = negative_endpoint(PROB)
-    zero = (PROB.grid.zeros(), PROB.grid.zeros())
     cfg = SolverConfig(path_points=11, max_iterations=60)
-    mountain_pass(PROB, zero, far, "Q1", cfg)
+    mountain_pass(PROB, far, "Q1", cfg)
     assert respacings[0] >= 3
     assert stacks == [cfg.path_points] * (1 + respacings[0])
 
@@ -414,8 +410,8 @@ def test_coloured_jacobian_equals_dense_column_loop(prob, quadrant, amplitude):
     w = random_state(prob, np.random.default_rng(31), amplitude)
     idx = free_dofs(prob.grid)
     h = polish_step(w)
-    colours = solve._jacobian_colours(prob.grid, idx)
-    coloured = solve._fd_jacobian(gfun, w, idx, h, colours)
+    pattern = solve._jacobian_pattern(prob.grid, idx)
+    coloured = solve._fd_jacobian(gfun, w, idx, h, pattern)
     assert np.array_equal(coloured, dense_fd_jacobian(gfun, w, idx, h))
 
 
@@ -452,8 +448,7 @@ def test_newton_polish_never_evaluates_a_state_twice():
     is kept, not recomputed: every single-state call sees a new state, one
     for the start and one per line-search trial."""
     far = negative_endpoint(PROB)
-    zero = (PROB.grid.zeros(), PROB.grid.zeros())
-    pt = mountain_pass(PROB, zero, far, cfg=FAST)
+    pt = mountain_pass(PROB, far, cfg=FAST)
     w = solve._pack(pt.u, pt.v) + 1e-4 * random_state(PROB, np.random.default_rng(5), 1.0)
     gfun = solve._functional(PROB, None)[1]
     seen = []
@@ -476,7 +471,8 @@ def test_polish_jacobian_pattern_is_the_stencil_reach():
     """The colouring is exact only while no row of the nodal gradient reads
     a node more than ``_STENCIL_REACH`` steps away on an axis.  A wider
     stencil must fail here: the dense Jacobian has to vanish outside that
-    box, and the colours must fill every entry inside it exactly once."""
+    box, the pattern must list every entry inside it exactly once, and no
+    row may see two columns of one colour."""
     grid = PROB_2D.grid
     idx = free_dofs(grid)
     nodes = np.array(np.unravel_index(idx % grid.n_nodes, grid.shape))
@@ -487,10 +483,13 @@ def test_polish_jacobian_pattern_is_the_stencil_reach():
     dense = dense_fd_jacobian(gfun, w, idx, polish_step(w))
     assert np.count_nonzero(dense[box]) > 0
     assert np.count_nonzero(dense[~box]) == 0
+    colour, rows, cols = solve._jacobian_pattern(grid, idx)
     filled = np.zeros(box.shape, dtype=int)
-    for _, rows, cols in solve._jacobian_colours(grid, idx):
-        np.add.at(filled, (rows, cols), 1)
+    np.add.at(filled, (rows, cols), 1)
     np.testing.assert_array_equal(filled, box)
+    seen = np.zeros((idx.size, colour.max() + 1), dtype=int)
+    np.add.at(seen, (rows, colour[cols]), 1)
+    assert seen.max() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +683,7 @@ def test_each_driver_runs_one_hypothesis_pass(driver, monkeypatch):
 
     monkeypatch.setattr(solve, "check_hypotheses", counted)
     monkeypatch.setattr(solve, "descend", lambda prob, start, quadrant, cfg: point(quadrant))
-    monkeypatch.setattr(solve, "mountain_pass", lambda prob, a, b, quadrant, cfg: point(quadrant))
+    monkeypatch.setattr(solve, "mountain_pass", lambda prob, endpoint, quadrant, cfg: point(quadrant))
     driver()
     assert len(calls) == 1, calls
 

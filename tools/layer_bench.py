@@ -146,14 +146,14 @@ def polish():
         "dense_jacobian_gradient_calls": 2 * int(idx.size),
         "newton_solve_us": per_call_us(lambda: np.linalg.solve(jac, rhs)),
     }
-    colours = solve._jacobian_colours(grid, idx)
-    out["colour_pattern_us"] = per_call_us(lambda: solve._jacobian_colours(grid, idx))
+    pattern = solve._jacobian_pattern(grid, idx)
+    out["colour_pattern_us"] = per_call_us(lambda: solve._jacobian_pattern(grid, idx))
     out["coloured_jacobian_us"] = per_call_us(
-        lambda: solve._fd_jacobian(gfun, w, idx, h, colours)
+        lambda: solve._fd_jacobian(gfun, w, idx, h, pattern)
     )
-    out["coloured_jacobian_gradient_calls"] = 2 * len(colours)
+    out["coloured_jacobian_gradient_calls"] = 2 * int(pattern[0].max() + 1)
     out["coloured_equals_dense"] = bool(
-        np.array_equal(solve._fd_jacobian(gfun, w, idx, h, colours), jac)
+        np.array_equal(solve._fd_jacobian(gfun, w, idx, h, pattern), jac)
     )
     return out
 
@@ -165,12 +165,11 @@ def batched_us():
     w = t * solve._pack(h1, h2)
     path = np.linspace(0.0, 1.0, cfg.path_points)[:, None] * w
     idx = np.nonzero(np.concatenate([grid.interior.ravel()] * 2))[0]
-    colours = solve._jacobian_colours(grid, idx)
+    colour = solve._jacobian_pattern(grid, idx)[0]
     h = 1e-6 * max(1.0, float(np.max(np.abs(w))))
-    perturbed = np.tile(w, (2 * len(colours), 1))
-    for k, (cols, _, _) in enumerate(colours):
-        perturbed[2 * k, cols] += h
-        perturbed[2 * k + 1, cols] -= h
+    perturbed = np.tile(w, (2 * (colour.max() + 1), 1))
+    perturbed[2 * colour, idx] += h
+    perturbed[2 * colour + 1, idx] -= h
     return {
         "path_states": len(path),
         "path_energy_stacked": per_call_us(lambda: _energy(path, prob, None)),
@@ -308,7 +307,7 @@ def rayleigh_us():
 
     energy._rayleigh_terms = counted_terms
     try:
-        res = energy.minimize_rayleigh(p, grid, restarts=1, max_iterations=500)
+        res = energy.minimize_rayleigh(p, restarts=1, max_iterations=500)
     finally:
         energy._rayleigh_terms = real_terms
     out["iterations"] = res.iterations[0]
