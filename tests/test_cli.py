@@ -135,13 +135,13 @@ def test_exponent_expression_is_accepted():
     "section, fields, path",
     [
         ("exponents", {"p": "3 +* x", "q": 3.0}, "exponents.p"),
-        ("exponents", {"p": "3 + x/1e999", "q": 3.0}, "exponents.p"),
         ("coupling", {"alpha": "3 +* x", "beta": 1.2}, "coupling.alpha"),
         ("nonlinearity", {"kind": "log_power", "a": "3 +* x"}, "nonlinearity[log_power]"),
         ("nonlinearity", {"kind": "custom", "expression": "u^4 +* v"},
          "nonlinearity[custom]"),
         ("hypothesis_constants", {"gamma": "3 +* x", "delta": 3.5, "C": 400.0},
          "hypothesis_constants.gamma"),
+        ("exponents", {"p": "3 + x/1e999", "q": 3.0}, "exponents.p"),
     ],
 )
 def test_malformed_expression_is_a_config_error(tmp_path, capsys, section, fields, path):

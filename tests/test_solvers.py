@@ -307,7 +307,8 @@ def test_mountain_pass_rejects_nonzero_boundary_endpoint(monkeypatch):
         mountain_pass(PROB, (lifted, far[1]), cfg=FAST)
 
 
-def test_mountain_pass_rejects_zero_endpoint():
+def test_mountain_pass_rejects_identical_endpoints():
+    # The path starts at the origin, so a zero endpoint is the start itself.
     zero = (PROB.grid.zeros(), PROB.grid.zeros())
     with pytest.raises(ConfigError, match="nonzero"):
         mountain_pass(PROB, zero, cfg=FAST)
