@@ -20,11 +20,11 @@ s*max(0, s*t) inside Psi while Phi keeps the raw gradients; this is the
 device that pins minimizers to a sign pattern.  phi itself is the truncation
 with no clamp, so one private kernel, ``_energy``/``_gradient`` on the
 packed state w = [u.ravel(), v.ravel()] with an optional sign pattern,
-assembles phi and all four truncations.  It views w as one array of shape
-(2, *grid.shape), so u and v pass through the stencils, the gradient modular
-and the flux adjoint together against p and q stacked, with the arrays that
-depend on the exponents alone built once per problem; the Rayleigh quotient
-shares the modular and the flux adjoint.  The kernel also takes a stack of
+assembles phi and all four truncations.  It views w as one pair array of
+shape (2, *grid.shape), so u and v go together through the stencils, the
+modular, the flux adjoint, the coupling and F, each against its exponents
+stacked and built once per problem.  The Rayleigh quotient stacks |grad x|^2
+over |x| and shares the flux adjoint.  The kernel also takes a stack of
 packed states, shape (..., 2n), and returns one energy (or gradient) per
 state, bit for bit what it returns for that state alone, so the solvers
 evaluate independent states (a mountain-pass path, a ray scan, the perturbed
@@ -49,7 +49,7 @@ from .errors import ConfigError, DataError
 from .exponents import ExponentField
 from .grid import (Grid, GridFunction, VectorField, _adjoint_sum,
                    _difference_components, _integral)
-from .nonlinearity import LogPowerCoupling, Nonlinearity
+from .nonlinearity import LogPowerCoupling, Nonlinearity, _uv
 from .optimize import bb_minimize
 from .spaces import INEQUALITY_SLACK
 
@@ -148,6 +148,14 @@ class ProblemSpec:
         """The exponent-only arrays of p stacked over those of q."""
         return _exponent_plan(np.stack([self.p.values, self.q.values]))
 
+    @functools.cached_property
+    def _coupling(self) -> tuple[np.ndarray, ...]:
+        """Stacked like a pair array: (alpha, beta), lam*(alpha, beta) and the
+        exponents (alpha - 1, alpha) of |u| and (beta, beta - 1) of |v|."""
+        al, be = self.alpha.values, self.beta.values
+        pairs = ((al, be), (self.lam * al, self.lam * be), (al - 1.0, al), (be, be - 1.0))
+        return tuple(np.stack(x) for x in pairs)
+
     def coupling_margin(self) -> float:
         """max over nodes of alpha/p + beta/q (subcritical iff < 1)."""
         vals = self.alpha.values / self.p.values + self.beta.values / self.q.values
@@ -169,10 +177,24 @@ class ProblemSpec:
 
 
 def _exponent_plan(pv: np.ndarray) -> SimpleNamespace:
-    """Arrays that depend on an exponent field alone: p, p/2, the flux
-    regularization (``_FLUX_EPS`` where p < 2, else 0), (p - 2)/2 and p - 1."""
-    reg = np.where(pv < 2.0, _FLUX_EPS, 0.0)
-    return SimpleNamespace(p=pv, half=pv / 2.0, reg=reg, flux=(pv - 2.0) / 2.0, less_one=pv - 1.0)
+    """Arrays that depend on an exponent field alone: p, p/2, (p - 2)/2 and
+    the flux regularization reg, ``_FLUX_EPS`` where p < 2 and 0 elsewhere,
+    or None when no node has p < 2.
+
+    Where p >= 2 the flux |grad u|^{p-2} grad u is the exact derivative of
+    the unregularized integrand and stays finite at grad u = 0.  An eps there
+    would swamp the flux of small-amplitude states (|grad u|^2 ~ 1e-15
+    against eps = 1e-10) and break agreement with the energy.
+    """
+    reg = np.where(pv < 2.0, _FLUX_EPS, 0.0) if np.any(pv < 2.0) else None
+    return SimpleNamespace(p=pv, half=pv / 2.0, reg=reg, flux=(pv - 2.0) / 2.0)
+
+
+def _rayleigh_plan(pv: np.ndarray) -> SimpleNamespace:
+    """``_exponent_plan`` plus the Rayleigh pairs (p/2, p) and ((p - 2)/2, p - 1)."""
+    plan = _exponent_plan(pv)
+    plan.terms, plan.grad = np.stack([plan.half, pv]), np.stack([plan.flux, pv - 1.0])
+    return plan
 
 
 def _quadrant_signs(quadrant: str) -> tuple[int, int]:
@@ -193,14 +215,16 @@ def _clamp(W: np.ndarray, signs: tuple[int, int] | None, grid: Grid) -> np.ndarr
     ``signs``; W itself for None."""
     if signs is None:
         return W
-    s = np.reshape(np.array(signs, dtype=float), (2,) + (1,) * grid.ndim)
+    s = _sign_column(signs, grid.ndim)
     return s * np.maximum(0.0, s * W)
 
 
-def _uv(W: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """The u and v views of a pair array of shape (..., 2, *grid.shape)."""
-    rest = (slice(None),) * grid.ndim
-    return W[(Ellipsis, 0) + rest], W[(Ellipsis, 1) + rest]
+@functools.lru_cache(maxsize=None)
+def _sign_column(signs: tuple[int, int], ndim: int) -> np.ndarray:
+    """``signs`` shaped to broadcast against pair arrays, read-only (shared)."""
+    s = np.reshape(np.array(signs, dtype=float), (2,) + (1,) * ndim)
+    s.setflags(write=False)
+    return s
 
 
 def _check_pair(u: GridFunction, v: GridFunction, prob: ProblemSpec) -> None:
@@ -219,49 +243,31 @@ def _unpack(w: np.ndarray, grid: Grid) -> tuple[GridFunction, GridFunction]:
     return GridFunction(grid, W[0]), GridFunction(grid, W[1])
 
 
-def _difference(x: np.ndarray, grid: Grid) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Difference gradient components of a grid-shaped array and |grad x|^2."""
+def _difference(x: np.ndarray, grid: Grid, out=None) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Difference gradient components of a grid-shaped array and |grad x|^2 (into ``out``)."""
     field = VectorField(grid, _difference_components(x, grid))
-    return field.components, field.magnitude_squared()
+    return field.components, field.magnitude_squared(out)
 
 
-def _modular(mag2: np.ndarray, plan: SimpleNamespace, grid: Grid) -> float | np.ndarray:
-    """Gradient modular: the weighted integral of (1/p)|grad x|^p."""
-    return _integral(mag2**plan.half / plan.p, grid)
-
-
-def _flux_adjoint(
-    comps: tuple[np.ndarray, ...], mag2: np.ndarray, plan: SimpleNamespace, grid: Grid
-) -> np.ndarray:
-    """Nodal gradient of the gradient modular, from the difference gradient.
-
-    Where p >= 2 the flux |grad u|^{p-2} grad u is the exact derivative of
-    the unregularized integrand and stays finite at grad u = 0, so ``eps``
-    is added only where p < 2.  A regularization at p >= 2 would swamp the
-    flux of small-amplitude states (|grad u|^2 ~ 1e-15 against eps = 1e-10)
-    and break agreement with the energy there.
-    """
-    coef = grid.weights * (mag2 + plan.reg) ** plan.flux
+def _flux_adjoint(comps: tuple[np.ndarray, ...], flux: np.ndarray, grid: Grid) -> np.ndarray:
+    """Nodal gradient of the gradient modular, from the difference gradient
+    and the flux factor (|grad x|^2 + reg)^{(p-2)/2} (see ``_exponent_plan``)."""
+    coef = grid.weights * flux
     return _adjoint_sum([coef * c for c in comps], grid)
 
 
-def _psi_integrand(uv: np.ndarray, vv: np.ndarray, prob: ProblemSpec) -> np.ndarray:
-    coupling = (
-        prob.lam
-        * np.abs(uv) ** prob.alpha.values
-        * np.abs(vv) ** prob.beta.values
-    )
-    return coupling + prob.nonlinearity.value(uv, vv)
+def _psi_integrand(T: np.ndarray, prob: ProblemSpec) -> np.ndarray:
+    """lam*|u|^alpha*|v|^beta + F at the pair array T, over the grid axes."""
+    pu, pv = _uv(np.abs(T) ** prob._coupling[0], prob.grid.ndim)
+    return prob.lam * pu * pv + prob.nonlinearity.value(T)
 
 
-def _coupling_partials(
-    uv: np.ndarray, vv: np.ndarray, prob: ProblemSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    av, bv = prob.alpha.values, prob.beta.values
-    au, avv = np.abs(uv), np.abs(vv)
-    du = prob.lam * av * np.sign(uv) * au ** (av - 1.0) * avv**bv
-    dv = prob.lam * bv * np.sign(vv) * au**av * avv ** (bv - 1.0)
-    return du, dv
+def _coupling_partials(T: np.ndarray, prob: ProblemSpec) -> np.ndarray:
+    """lam*alpha*sign(u)*|u|^(alpha-1)*|v|^beta over lam*beta*sign(v)*
+    |u|^alpha*|v|^(beta-1), the coupling's partials at the pair array T."""
+    _, lam, u_exps, v_exps = prob._coupling
+    au, av = _uv(np.abs(T), prob.grid.ndim, keepdims=True)
+    return lam * np.sign(T) * au**u_exps * av**v_exps
 
 
 def _energy(
@@ -272,8 +278,8 @@ def _energy(
     energy per row for a stack of shape (..., 2n)."""
     grid = prob.grid
     W = _pairs(w, grid)
-    m = _modular(_difference(W, grid)[1], prob._plan, grid)
-    psi = _integral(_psi_integrand(*_uv(_clamp(W, signs, grid), grid), prob), grid)
+    m = _integral(_difference(W, grid)[1] ** prob._plan.half / prob._plan.p, grid)
+    psi = _integral(_psi_integrand(_clamp(W, signs, grid), prob), grid)
     e = m[..., 0] + m[..., 1] - psi
     return float(e) if w.ndim == 1 else e
 
@@ -291,13 +297,13 @@ def _gradient(
     grid = prob.grid
     W = _pairs(w, grid)
     T = _clamp(W, signs, grid)
-    tu, tv = _uv(T, grid)
-    cu, cv = _coupling_partials(tu, tv, prob)
-    fu, fv = prob.nonlinearity.partials(tu, tv)
-    src = grid.weights * np.stack([cu + fu, cv + fv], axis=-grid.ndim - 1)
+    src = grid.weights * (_coupling_partials(T, prob) + prob.nonlinearity.partials(T))
     if signs is not None:
         src = src * (T != 0.0).astype(float)
-    g = _flux_adjoint(*_difference(W, grid), prob._plan, grid) - src
+    comps, mag2 = _difference(W, grid)
+    plan = prob._plan
+    flux = (mag2 if plan.reg is None else mag2 + plan.reg) ** plan.flux
+    g = _flux_adjoint(comps, flux, grid) - src
     np.copyto(g, 0.0, where=~grid.interior)
     return g.reshape(w.shape)
 
@@ -429,7 +435,7 @@ def check_hypotheses(
         idx = rng.integers(0, n_nodes, size=m)
         u = _sample_uv(rng, m)
         v = _sample_uv(rng, m)
-        fu, fv = nl.partials(u, v, at=idx)
+        fu, fv = nl.partials(np.stack([u, v]), at=idx)
         lhs = np.abs(fu * u) + np.abs(fv * v)
         gam = consts.gamma.values.reshape(-1)[idx]
         dlt = consts.delta.values.reshape(-1)[idx]
@@ -460,8 +466,8 @@ def check_hypotheses(
             bv = qv + 1.0
         lam_u = np.log(np.e + np.abs(u))
         lam_v = np.log(np.e + np.abs(v))
-        fu, fv = nl.partials(u, v, at=idx)
-        f = nl.value(u, v, at=idx)
+        fu, fv = nl.partials(np.stack([u, v]), at=idx)
+        f = nl.value(np.stack([u, v]), at=idx)
         left = consts.C1 * (
             np.abs(u) ** pv * lam_u ** (av - 1.0)
             + np.abs(v) ** qv * lam_v ** (bv - 1.0)
@@ -489,7 +495,7 @@ def check_hypotheses(
         scales = 2.0 ** -np.arange(0, 26, dtype=float)
         ratios = []
         for s in scales:
-            f = nl.value(s * u0, s * v0, at=idx)
+            f = nl.value(np.stack([s * u0, s * v0]), at=idx)
             denom = np.abs(s * u0) ** pv + np.abs(s * v0) ** qv
             ratios.append(float(np.max(f / denom)))
         ratios_arr = np.array(ratios)
@@ -516,8 +522,8 @@ def check_hypotheses(
         idx = rng.integers(0, n_nodes, size=m)
         other = _sample_uv(rng, m)
         zeros = np.zeros(m)
-        fu_axis, _ = nl.partials(zeros, other, at=idx)
-        _, fv_axis = nl.partials(other, zeros, at=idx)
+        fu_axis, _ = nl.partials(np.stack([zeros, other]), at=idx)
+        _, fv_axis = nl.partials(np.stack([other, zeros]), at=idx)
         worst = float(max(np.max(np.abs(fu_axis)), np.max(np.abs(fv_axis))))
         out["axis_derivatives_vanish"] = HypothesisVerdict(
             name="axis_derivatives_vanish",
@@ -531,8 +537,8 @@ def check_hypotheses(
         idx = rng.integers(0, n_nodes, size=m)
         u = _sample_uv(rng, m)
         v = _sample_uv(rng, m)
-        f = nl.value(u, v, at=idx)
-        f_neg = nl.value(-u, -v, at=idx)
+        f = nl.value(np.stack([u, v]), at=idx)
+        f_neg = nl.value(np.stack([-u, -v]), at=idx)
         gap = np.abs(f - f_neg)
         scale = 1.0 + np.abs(f)
         worst = float(np.max(gap / scale))
@@ -571,28 +577,24 @@ def check_hypotheses(
 
 
 def _rayleigh_terms(x: np.ndarray, plan: SimpleNamespace, grid: Grid):
-    """Difference gradient, |grad x|^2, |x|, numerator and denominator of
-    the Rayleigh quotient of a grid-shaped array."""
-    comps, mag2 = _difference(x, grid)
-    ax = np.abs(x)
-    num = _modular(mag2, plan, grid)
-    den = _integral(ax**plan.p / plan.p, grid)
+    """Difference gradient, (|grad x|^2, |x|) stacked, numerator and
+    denominator of the Rayleigh quotient of a grid-shaped array."""
+    M = np.empty((2,) + x.shape)  # (|grad x|^2, |x|)
+    comps = _difference(x, grid, out=M[0])[0]
+    np.abs(x, out=M[1])
+    num, den = _integral(M**plan.terms / plan.p, grid).tolist()
     if den == 0.0:
         raise DataError("Rayleigh quotient of the zero function")
-    return comps, mag2, ax, num, den
-
-
-def _rayleigh(x: np.ndarray, plan: SimpleNamespace, grid: Grid) -> float:
-    *_, num, den = _rayleigh_terms(x, plan, grid)
-    return num / den
+    return comps, M, num, den
 
 
 def _rayleigh_gradient(
     x: np.ndarray, terms: tuple, plan: SimpleNamespace, grid: Grid
 ) -> np.ndarray:
-    comps, mag2, ax, num, den = terms
-    dden = grid.weights * np.sign(x) * ax**plan.less_one
-    g = (_flux_adjoint(comps, mag2, plan, grid) - (num / den) * dden) / den
+    comps, M, num, den = terms
+    flux, dpow = (M if plan.reg is None else np.stack([M[0] + plan.reg, M[1]])) ** plan.grad
+    dden = grid.weights * np.sign(x) * dpow
+    g = (_flux_adjoint(comps, flux, grid) - (num / den) * dden) / den
     np.copyto(g, 0.0, where=~grid.interior)
     return g
 
@@ -606,13 +608,14 @@ def _check_rayleigh_argument(u: GridFunction, p: ExponentField) -> None:
 def rayleigh_quotient(u: GridFunction, p: ExponentField) -> float:
     """Weighted gradient modular over weighted modular, on zero-trace data."""
     _check_rayleigh_argument(u, p)
-    return _rayleigh(u.values, _exponent_plan(p.values), u.grid)
+    *_, num, den = _rayleigh_terms(u.values, _rayleigh_plan(p.values), u.grid)
+    return num / den
 
 
 def rayleigh_gradient(u: GridFunction, p: ExponentField) -> GridFunction:
     """Nodal gradient of the Rayleigh quotient (boundary entries zero)."""
     _check_rayleigh_argument(u, p)
-    plan = _exponent_plan(p.values)
+    plan = _rayleigh_plan(p.values)
     terms = _rayleigh_terms(u.values, plan, u.grid)
     return GridFunction(u.grid, _rayleigh_gradient(u.values, terms, plan, u.grid))
 
@@ -669,12 +672,12 @@ def minimize_rayleigh(
     """
     grid = p.grid
     rng = np.random.default_rng(seed)
-    shape, plan = grid.shape, _exponent_plan(p.values)
-    last: list = [None, None]  # the last evaluated state (a copy) and its terms
+    shape, plan = grid.shape, _rayleigh_plan(p.values)
+    last: list = [None, None]  # the last state evaluated (never written to) and its terms
 
     def terms(x: np.ndarray) -> tuple:
-        if last[0] is None or not np.array_equal(last[0], x):
-            last[:] = [x.copy(), _rayleigh_terms(x.reshape(shape), plan, grid)]
+        if last[0] is not x:
+            last[:] = [x, _rayleigh_terms(x.reshape(shape), plan, grid)]
         return last[1]
 
     def f(x: np.ndarray) -> float:

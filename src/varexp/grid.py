@@ -198,10 +198,10 @@ class VectorField:
     grid: Grid
     components: tuple[np.ndarray, ...]
 
-    def magnitude_squared(self) -> np.ndarray:
-        out = self.components[0] ** 2
+    def magnitude_squared(self, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.square(self.components[0], out=out)
         for c in self.components[1:]:
-            out = out + c**2
+            out += c**2
         return out
 
     def magnitude(self) -> np.ndarray:

@@ -22,12 +22,16 @@ Four kinds are provided:
     Any expression string over x (and y in 2D), u, v; partials come from
     symbolic differentiation, so hypothesis checks get exact values.
 
-All evaluators are vectorized and accept an optional flat index vector
-``at`` restricting the spatial fields to a subset of nodes (used by the
-sampled hypothesis checks).
+All evaluators take one pair array ``uv`` of shape (..., 2, *grid.shape),
+u over v; ``value`` returns F over the grid axes and ``partials`` (F_u, F_v)
+stacked like ``uv``.  An optional flat index vector ``at`` restricts the
+spatial fields to a subset of nodes, and ``uv`` to shape (..., 2, len(at))
+(used by the sampled hypothesis checks).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -45,10 +49,18 @@ __all__ = [
 ]
 
 
-def _take(field: np.ndarray, at) -> np.ndarray:
+def _take(field: np.ndarray, at, grid: Grid) -> np.ndarray:
+    """``field`` (or a stack of fields) at the flat node indices ``at``."""
     if at is None:
         return field
-    return field.reshape(-1)[at]
+    return field.reshape(field.shape[: field.ndim - grid.ndim] + (-1,))[..., at]
+
+
+def _uv(uv: np.ndarray, spatial: int, keepdims: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """u and v views of a pair array with ``spatial`` trailing axes."""
+    rest = (slice(None),) * spatial
+    u, v = (slice(0, 1), slice(1, 2)) if keepdims else (0, 1)
+    return uv[(Ellipsis, u) + rest], uv[(Ellipsis, v) + rest]
 
 
 class Nonlinearity:
@@ -56,10 +68,14 @@ class Nonlinearity:
 
     kind: str = "abstract"
 
-    def value(self, u, v, at=None) -> np.ndarray:
+    def _spatial(self, at) -> int:
+        """Spatial axes of the pair arrays this nonlinearity is given."""
+        return self.grid.ndim if at is None else 1
+
+    def value(self, uv, at=None) -> np.ndarray:
         raise NotImplementedError
 
-    def partials(self, u, v, at=None) -> tuple[np.ndarray, np.ndarray]:
+    def partials(self, uv, at=None) -> np.ndarray:
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -87,7 +103,6 @@ class LogPowerCoupling(Nonlinearity):
         self.theta1 = theta1
         self.theta2 = theta2
         self._validate()
-        self._less_one = tuple(f.values - 1.0 for f in (p, q, a, b, theta1, theta2))
 
     def _validate(self) -> None:
         p, q = self.p.values, self.q.values
@@ -108,41 +123,34 @@ class LogPowerCoupling(Nonlinearity):
                 f"(worst deviation {gap:.3g})"
             )
 
+    @functools.cached_property
+    def _stacks(self) -> tuple[np.ndarray, ...]:
+        """The stacked (p, q), (a, b), (theta1, theta2), then each less one; built on first use."""
+        pairs = ((self.p, self.q), (self.a, self.b), (self.theta1, self.theta2))
+        exps = tuple(np.stack([f.values, g.values]) for f, g in pairs)
+        return exps + tuple(e - 1.0 for e in exps)
+
     def _fields(self, at):
-        return (
-            _take(self.p.values, at),
-            _take(self.q.values, at),
-            _take(self.a.values, at),
-            _take(self.b.values, at),
-            _take(self.theta1.values, at),
-            _take(self.theta2.values, at),
-        )
+        return self._stacks if at is None else [_take(f, at, self.grid) for f in self._stacks]
 
-    def value(self, u, v, at=None):
-        p, q, a, b, t1, t2 = self._fields(at)
-        au, av = np.abs(u), np.abs(v)
-        lu, lv = np.log1p(au), np.log1p(av)
-        return au**p * lu**a + av**q * lv**b + au**t1 * av**t2 * lu * lv
+    def value(self, uv, at=None):
+        e, l, t = self._fields(at)[:3]
+        A, s = np.abs(uv), self._spatial(at)
+        L = np.log1p(A)
+        (pu, pv), (tu, tv), (lu, lv) = _uv(A**e * L**l, s), _uv(A**t, s), _uv(L, s)
+        return pu + pv + tu * tv * lu * lv
 
-    def partials(self, u, v, at=None):
-        p, q, a, b, t1, t2 = self._fields(at)
-        pm, qm, am, bm, t1m, t2m = (_take(f, at) for f in self._less_one)
-        au, av = np.abs(u), np.abs(v)
-        lu, lv = np.log1p(au), np.log1p(av)
-        ou, ov = 1.0 + au, 1.0 + av
-        ut1, vt2 = au**t1, av**t2
-        su, sv = np.sign(u), np.sign(v)
-        fu = su * (
-            p * au**pm * lu**a
-            + a * au**p * lu**am / ou
-            + vt2 * lv * (t1 * au**t1m * lu + ut1 / ou)
+    def partials(self, uv, at=None):
+        e, l, t, em, lm, tm = self._fields(at)
+        A = np.abs(uv)
+        L, O = np.log1p(A), 1.0 + A
+        T = A**t
+        # The cross term of F_u carries |v|^t2 ln(1+|v|), that of F_v
+        # |u|^t1 ln(1+|u|): T * L with its components swapped.
+        cross = (T * L)[(Ellipsis, slice(None, None, -1)) + (slice(None),) * self._spatial(at)]
+        return np.sign(uv) * (
+            e * A**em * L**l + l * A**e * L**lm / O + cross * (t * A**tm * L + T / O)
         )
-        fv = sv * (
-            q * av**qm * lv**b
-            + b * av**q * lv**bm / ov
-            + ut1 * lu * (t2 * av**t2m * lv + vt2 / ov)
-        )
-        return fu, fv
 
     def describe(self) -> dict:
         return {
@@ -164,13 +172,16 @@ class SeparablePower(Nonlinearity):
         self.c1, self.g1 = float(c1), float(gamma1)
         self.c2, self.g2 = float(c2), float(gamma2)
 
-    def value(self, u, v, at=None):
+    def value(self, uv, at=None):
+        u, v = _uv(uv, self._spatial(at))
         return self.c1 * np.abs(u) ** self.g1 + self.c2 * np.abs(v) ** self.g2
 
-    def partials(self, u, v, at=None):
+    def partials(self, uv, at=None):
+        spatial = self._spatial(at)
+        u, v = _uv(uv, spatial)
         fu = self.c1 * self.g1 * np.sign(u) * np.abs(u) ** (self.g1 - 1.0)
         fv = self.c2 * self.g2 * np.sign(v) * np.abs(v) ** (self.g2 - 1.0)
-        return fu, fv
+        return np.stack([fu, fv], axis=-spatial - 1)
 
     def describe(self) -> dict:
         return {
@@ -187,22 +198,21 @@ class LinearSource(Nonlinearity):
 
     def __init__(self, grid: Grid, g, h):
         self.grid = grid
-        self.g = np.broadcast_to(np.asarray(g, dtype=float), grid.shape).copy()
-        self.h = np.broadcast_to(np.asarray(h, dtype=float), grid.shape).copy()
+        self.gh = np.empty((2,) + grid.shape)  # (g, h), stacked like a pair array
+        self.gh[0], self.gh[1] = g, h
 
-    def value(self, u, v, at=None):
-        return _take(self.g, at) * u + _take(self.h, at) * v
+    def value(self, uv, at=None):
+        gu, hv = _uv(_take(self.gh, at, self.grid) * uv, self._spatial(at))
+        return gu + hv
 
-    def partials(self, u, v, at=None):
-        g = np.broadcast_to(_take(self.g, at), np.shape(u)).copy()
-        h = np.broadcast_to(_take(self.h, at), np.shape(v)).copy()
-        return g, h
+    def partials(self, uv, at=None):
+        return np.broadcast_to(_take(self.gh, at, self.grid), np.shape(uv)).copy()
 
     def describe(self) -> dict:
         return {
             "kind": self.kind,
-            "g_sup": float(np.max(np.abs(self.g))),
-            "h_sup": float(np.max(np.abs(self.h))),
+            "g_sup": float(np.max(np.abs(self.gh[0]))),
+            "h_sup": float(np.max(np.abs(self.gh[1]))),
         }
 
 
@@ -222,21 +232,22 @@ class CustomExpression(Nonlinearity):
         if not np.all(np.abs(probe) <= 1e-12):
             raise ConfigError("custom nonlinearity must satisfy F(x, 0, 0) = 0")
 
-    def _env(self, u, v, at):
-        env = {name: _take(arr, at) for name, arr in self._coords.items()}
-        env["u"] = u
-        env["v"] = v
+    def _env(self, uv, at):
+        env = {name: _take(arr, at, self.grid) for name, arr in self._coords.items()}
+        env["u"], env["v"] = _uv(uv, self._spatial(at))
         return env
 
-    def value(self, u, v, at=None):
-        out = self.expr.evaluate(self._env(u, v, at))
-        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(u)).copy()
+    @staticmethod
+    def _evaluate(expr: Expression, env: dict) -> np.ndarray:
+        return np.broadcast_to(np.asarray(expr.evaluate(env), dtype=float), np.shape(env["u"]))
 
-    def partials(self, u, v, at=None):
-        env = self._env(u, v, at)
-        fu = np.broadcast_to(np.asarray(self.expr_u.evaluate(env), dtype=float), np.shape(u)).copy()
-        fv = np.broadcast_to(np.asarray(self.expr_v.evaluate(env), dtype=float), np.shape(v)).copy()
-        return fu, fv
+    def value(self, uv, at=None):
+        return self._evaluate(self.expr, self._env(uv, at)).copy()
+
+    def partials(self, uv, at=None):
+        env = self._env(uv, at)
+        fu, fv = (self._evaluate(e, env) for e in (self.expr_u, self.expr_v))
+        return np.stack([fu, fv], axis=-self._spatial(at) - 1)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "expression": self.text}

@@ -14,6 +14,7 @@ projection), which is also what the solvers report as the residual scale.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable
 
 import numpy as np
@@ -44,9 +45,9 @@ class OptimizeResult:
 def _stationarity(
     x: np.ndarray, g: np.ndarray, project: Callable[[np.ndarray], np.ndarray] | None
 ) -> float:
-    if project is None:
-        return float(np.linalg.norm(g))
-    return float(np.linalg.norm(x - project(x - g)))
+    # sqrt(r @ r) is what np.linalg.norm computes for a 1D array, bit for bit.
+    r = g if project is None else x - project(x - g)
+    return math.sqrt(float(r @ r))
 
 
 def backtracking_step(
@@ -105,7 +106,7 @@ def bb_minimize(
         stat = _stationarity(x, g, project)
         if stat <= gradient_stop:
             return OptimizeResult(x, fx, stat, it - 1, True, "tolerance")
-        t0 = float(np.clip(t_bb, *_BB_CLIP))
+        t0 = min(max(t_bb, _BB_CLIP[0]), _BB_CLIP[1])
         xn, fn, t_used, moved = backtracking_step(
             f, x, fx, g, step_init=t0, project=project, step_cap_sup=step_cap_sup
         )

@@ -158,6 +158,8 @@ def read_solution_csv(path, grid: Grid) -> tuple[GridFunction, GridFunction]:
                 values = float(parts[-2]), float(parts[-1])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
+            if not np.all(np.isfinite(values)):
+                raise DataError(f"{path}:{lineno}: non-finite u or v value")
             if not 0 <= i < grid.n_nodes:
                 raise DataError(f"{path}:{lineno}: node index {i} outside [0, {grid.n_nodes})")
             if seen[i]:

@@ -1,5 +1,7 @@
 """Energy functional, truncations, hypothesis checker and Rayleigh quotients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,12 @@ from varexp.energy import (
     weak_residual,
 )
 from varexp.errors import ConfigError, DataError
-from varexp.exponents import constant_exponent, exponent_from_expression
-from varexp.grid import make_grid, tent_function
+from varexp.exponents import (
+    constant_exponent,
+    exponent_from_expression,
+    exponent_from_values,
+)
+from varexp.grid import _adjoint_sum, make_grid, tent_function
 from varexp.nonlinearity import (
     CustomExpression,
     LinearSource,
@@ -264,46 +270,129 @@ def test_stacked_states_match_the_row_loop_bitwise(prob, quadrant, amplitude):
     )
 
 
+def _reference_source(nl, u, v):
+    """F and (F_u, F_v) of every kind evaluated one component at a time, as
+    the nonlinearities did before they took pair arrays."""
+    if isinstance(nl, LogPowerCoupling):
+        p, q, a, b, t1, t2 = (
+            f.values for f in (nl.p, nl.q, nl.a, nl.b, nl.theta1, nl.theta2)
+        )
+        au, av = np.abs(u), np.abs(v)
+        lu, lv = np.log1p(au), np.log1p(av)
+        ou, ov = 1.0 + au, 1.0 + av
+        ut1, vt2 = au**t1, av**t2
+        value = au**p * lu**a + av**q * lv**b + au**t1 * av**t2 * lu * lv
+        fu = np.sign(u) * (
+            p * au ** (p - 1.0) * lu**a
+            + a * au**p * lu ** (a - 1.0) / ou
+            + vt2 * lv * (t1 * au ** (t1 - 1.0) * lu + ut1 / ou)
+        )
+        fv = np.sign(v) * (
+            q * av ** (q - 1.0) * lv**b
+            + b * av**q * lv ** (b - 1.0) / ov
+            + ut1 * lu * (t2 * av ** (t2 - 1.0) * lv + vt2 / ov)
+        )
+        return value, (fu, fv)
+    if isinstance(nl, SeparablePower):
+        value = nl.c1 * np.abs(u) ** nl.g1 + nl.c2 * np.abs(v) ** nl.g2
+        fu = nl.c1 * nl.g1 * np.sign(u) * np.abs(u) ** (nl.g1 - 1.0)
+        fv = nl.c2 * nl.g2 * np.sign(v) * np.abs(v) ** (nl.g2 - 1.0)
+        return value, (fu, fv)
+    if isinstance(nl, LinearSource):
+        g, h = nl.gh
+        return g * u + h * v, (np.broadcast_to(g, u.shape), np.broadcast_to(h, v.shape))
+    env = {**nl._coords, "u": u, "v": v}
+    value, fu, fv = (
+        np.broadcast_to(np.asarray(e.evaluate(env), dtype=float), u.shape)
+        for e in (nl.expr, nl.expr_u, nl.expr_v)
+    )
+    return value, (fu, fv)
+
+
 def _per_component_reference(w, prob, signs):
     """The assembly the pair pass replaced: u with p and v with q, each
-    through its own stencils, modular and flux adjoint, joined by a
+    through its own stencils, modular, flux adjoint and source, joined by a
     concatenate.  Returns the energy and the packed gradient."""
     grid, n = prob.grid, prob.grid.n_nodes
     u, v = w[:n].reshape(grid.shape), w[n:].reshape(grid.shape)
     tu, tv = u, v
     if signs is not None:
         tu, tv = (s * np.maximum(0.0, s * x) for s, x in zip(signs, (u, v)))
-    plans = [energy._exponent_plan(f.values) for f in (prob.p, prob.q)]
-    diffs = [energy._difference(x, grid) for x in (u, v)]
-    phi = energy._modular(diffs[0][1], plans[0], grid) + energy._modular(
-        diffs[1][1], plans[1], grid
-    )
-    e = phi - energy._integral(energy._psi_integrand(tu, tv, prob), grid)
-    sources = [
-        grid.weights * (c + f)
-        for c, f in zip(energy._coupling_partials(tu, tv, prob), prob.nonlinearity.partials(tu, tv))
-    ]
-    grads = []
-    for (comps, mag2), plan, src, t in zip(diffs, plans, sources, (tu, tv)):
+    av, bv = prob.alpha.values, prob.beta.values
+    au, abv = np.abs(tu), np.abs(tv)
+    coupling = prob.lam * au**av * abv**bv
+    cu = prob.lam * av * np.sign(tu) * au ** (av - 1.0) * abv**bv
+    cv = prob.lam * bv * np.sign(tv) * au**av * abv ** (bv - 1.0)
+    f, (fu, fv) = _reference_source(prob.nonlinearity, tu, tv)
+    phi, grads = 0.0, []
+    exponents = (prob.p.values, prob.q.values)
+    for x, pv, c, fx, t in zip((u, v), exponents, (cu, cv), (fu, fv), (tu, tv)):
+        comps, mag2 = energy._difference(x, grid)
+        phi = phi + energy._integral(mag2 ** (pv / 2.0) / pv, grid)
+        reg = np.where(pv < 2.0, energy._FLUX_EPS, 0.0)
+        coef = grid.weights * (mag2 + reg) ** ((pv - 2.0) / 2.0)
+        src = grid.weights * (c + fx)
         if signs is not None:
             src = src * (t != 0.0).astype(float)
-        g = energy._flux_adjoint(comps, mag2, plan, grid) - src
+        g = _adjoint_sum([coef * d for d in comps], grid) - src
         np.copyto(g, 0.0, where=~grid.interior)
         grads.append(g.ravel())
-    return e, np.concatenate(grads)
+    return phi - energy._integral(coupling + f, grid), np.concatenate(grads)
 
 
 @pytest.mark.parametrize("amplitude", [1.0, 1e-7])
 @pytest.mark.parametrize("quadrant", [None, *QUADRANTS])
 @pytest.mark.parametrize("prob", [PROB_PQ_1D, PROB_PQ_2D], ids=["1d", "2d"])
 def test_pair_pass_matches_the_per_component_assembly_bitwise(prob, quadrant, amplitude):
-    """Both components through one stencil, modular and flux pass give the
-    bits of one pass per component, on the p != q problems."""
+    """Both components through one stencil, modular, flux and source pass
+    give the bits of one pass per component, on the p != q problems."""
     signs = None if quadrant is None else energy.QUADRANT_SIGNS[quadrant]
     for w in _packed_states(prob, np.random.default_rng(47), amplitude, count=3):
         e, g = _per_component_reference(w, prob, signs)
         assert np.array_equal(energy._energy(w, prob, signs), e)
         assert np.array_equal(energy._gradient(w, prob, signs), g)
+
+
+def build_kind_problem(kind, ndim):
+    """The p != q problem of ``build_problem_pq`` with a source of the given
+    kind.  The 2D log_power has p straddling 2, so theta1 = 1.05 and theta2
+    balances it pointwise."""
+    base = PROB_PQ_1D if ndim == 1 else PROB_PQ_2D
+    g, p, q = base.grid, base.p, base.q
+    x = g.coordinate_arrays()[0]
+    if kind == "log_power" and ndim == 1:
+        nl = base.nonlinearity
+    elif kind == "log_power":
+        t1 = constant_exponent(g, 1.05)
+        t2 = exponent_from_values(g, q.values * (1.0 - 1.05 / p.values))
+        a, b = (exponent_from_values(g, f.values + 1.0) for f in (p, q))
+        nl = LogPowerCoupling(g, p, q, a, b, t1, t2)
+    elif kind == "separable_power":
+        nl = SeparablePower(g, 1.0, 3.0, 2.0, 2.5)
+    elif kind == "linear_source":
+        nl = LinearSource(g, np.sin(np.pi * x), 0.5)
+    else:
+        nl = CustomExpression(g, "(1 + x) * u^2 * v^2 + u^4")
+    return dataclasses.replace(base, nonlinearity=nl)
+
+
+@pytest.mark.parametrize("quadrant", [None, *QUADRANTS])
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("kind", ["log_power", "separable_power", "linear_source", "custom"])
+def test_every_kind_matches_the_per_component_assembly_bitwise(kind, ndim, quadrant):
+    """Every kind of source, single states and a stack, at unit amplitude
+    and at the scale of the quadrant minimizers: the pair pass gives the
+    bits of the per-component assembly."""
+    prob = build_kind_problem(kind, ndim)
+    signs = None if quadrant is None else energy.QUADRANT_SIGNS[quadrant]
+    for amplitude in (1.0, 1e-7):
+        states = _packed_states(prob, np.random.default_rng(53), amplitude, count=3)
+        refs = [_per_component_reference(w, prob, signs) for w in states]
+        for w, (e, g) in zip(states, refs):
+            assert np.array_equal(energy._energy(w, prob, signs), e)
+            assert np.array_equal(energy._gradient(w, prob, signs), g)
+        assert np.array_equal(energy._energy(states, prob, signs), [e for e, _ in refs])
+        assert np.array_equal(energy._gradient(states, prob, signs), [g for _, g in refs])
 
 
 @pytest.mark.parametrize(
@@ -511,8 +600,6 @@ def test_monotone_exponent_direction_verdict():
     a = constant_exponent(g, 4.5)
     th = constant_exponent(g, 1.6)
     # rebalance theta2 pointwise
-    from varexp.exponents import exponent_from_values
-
     t2 = exponent_from_values(g, (1.0 - th.values / p.values) * p.values)
     nl = LogPowerCoupling(g, p, p, a, a, th, t2)
     prob = ProblemSpec(
@@ -574,6 +661,43 @@ def test_minimize_rayleigh_restarts_agree():
     res = minimize_rayleigh(constant_exponent(g, 2.0), restarts=3, seed=1)
     spread = max(res.restart_values) - min(res.restart_values)
     assert spread < 1e-4 * res.value
+
+
+def _reference_rayleigh(x, pv, grid):
+    """The Rayleigh quotient and its gradient as they were assembled before
+    |grad x|^2 and |x| shared one array: one power, one integral each."""
+    comps, mag2 = energy._difference(x, grid)
+    ax = np.abs(x)
+    num = energy._integral(mag2 ** (pv / 2.0) / pv, grid)
+    den = energy._integral(ax**pv / pv, grid)
+    reg = np.where(pv < 2.0, energy._FLUX_EPS, 0.0)
+    coef = grid.weights * (mag2 + reg) ** ((pv - 2.0) / 2.0)
+    dden = grid.weights * np.sign(x) * ax ** (pv - 1.0)
+    g = (_adjoint_sum([coef * c for c in comps], grid) - (num / den) * dden) / den
+    np.copyto(g, 0.0, where=~grid.interior)
+    return num / den, g
+
+
+@pytest.mark.parametrize(
+    "extents, nodes, p_text",
+    [
+        ((0.0, 1.0), 33, "1.5 + x"),
+        ([(0.0, 1.0), (0.0, 1.0)], [17, 17], "1.6 + 0.8*x + 0.4*y"),
+        ([(0.0, 1.0), (0.0, 1.0)], [17, 17], "3.5 + x/2 + y/4"),
+    ],
+    ids=["1d_p_below_2", "2d_p_straddles_2", "2d_p_above_2"],
+)
+def test_rayleigh_matches_the_separate_terms_bitwise(extents, nodes, p_text):
+    """The stacked terms and the one-power gradient change no bit, with the
+    regularized flux where p < 2 and without it where no node has p < 2."""
+    g = make_grid(extents, nodes)
+    p = exponent_from_expression(g, p_text)
+    rng = np.random.default_rng(59)
+    for amplitude in (1.0, 1e-7):
+        u = g.function(amplitude * random_zero_boundary(g, rng).values)
+        value, grad = _reference_rayleigh(u.values, p.values, g)
+        assert rayleigh_quotient(u, p) == value
+        assert np.array_equal(rayleigh_gradient(u, p).values, grad)
 
 
 def _square_rayleigh_setup():

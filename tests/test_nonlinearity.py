@@ -29,9 +29,14 @@ def default_log_power(grid=G, p_val=3.0, a_val=4.0, theta=1.5):
     return LogPowerCoupling(grid, p, p, a, a, th, th)
 
 
+def pair(u, v):
+    """The pair array the nonlinearities take: u over v."""
+    return np.stack([u, v])
+
+
 def central_partials(nl, u, v, h=1e-6):
-    fu = (nl.value(u + h, v) - nl.value(u - h, v)) / (2 * h)
-    fv = (nl.value(u, v + h) - nl.value(u, v - h)) / (2 * h)
+    fu = (nl.value(pair(u + h, v)) - nl.value(pair(u - h, v))) / (2 * h)
+    fv = (nl.value(pair(u, v + h)) - nl.value(pair(u, v - h))) / (2 * h)
     return fu, fv
 
 
@@ -42,8 +47,8 @@ def central_partials(nl, u, v, h=1e-6):
 def test_log_power_zero_at_origin():
     nl = default_log_power()
     zero = np.zeros(G.shape)
-    np.testing.assert_array_equal(nl.value(zero, zero), 0.0)
-    fu, fv = nl.partials(zero, zero)
+    np.testing.assert_array_equal(nl.value(pair(zero, zero)), 0.0)
+    fu, fv = nl.partials(pair(zero, zero))
     np.testing.assert_array_equal(fu, 0.0)
     np.testing.assert_array_equal(fv, 0.0)
 
@@ -51,7 +56,7 @@ def test_log_power_zero_at_origin():
 def test_log_power_value_at_one_one():
     nl = default_log_power()
     ones = np.ones(G.shape)
-    got = nl.value(ones, ones)
+    got = nl.value(pair(ones, ones))
     np.testing.assert_allclose(got, F_AT_ONE_ONE, rtol=1e-15)
     # sanity against a from-scratch evaluation of the three terms
     by_hand = 2 * math.log(2) ** 4 + math.log(2) ** 2
@@ -63,7 +68,7 @@ def test_log_power_nonnegative():
     nl = default_log_power()
     u = rng.uniform(-10, 10, G.shape)
     v = rng.uniform(-10, 10, G.shape)
-    assert np.all(nl.value(u, v) >= 0.0)
+    assert np.all(nl.value(pair(u, v)) >= 0.0)
 
 
 def test_log_power_even_in_joint_sign_flip():
@@ -72,7 +77,7 @@ def test_log_power_even_in_joint_sign_flip():
     for _ in range(10):
         u = rng.uniform(-5, 5, G.shape)
         v = rng.uniform(-5, 5, G.shape)
-        np.testing.assert_array_equal(nl.value(-u, -v), nl.value(u, v))
+        np.testing.assert_array_equal(nl.value(pair(-u, -v)), nl.value(pair(u, v)))
 
 
 def test_log_power_partials_match_finite_differences():
@@ -80,7 +85,7 @@ def test_log_power_partials_match_finite_differences():
     nl = default_log_power()
     u = rng.uniform(-3, 3, G.shape)
     v = rng.uniform(-3, 3, G.shape)
-    fu, fv = nl.partials(u, v)
+    fu, fv = nl.partials(pair(u, v))
     fu_fd, fv_fd = central_partials(nl, u, v)
     np.testing.assert_allclose(fu, fu_fd, rtol=1e-5, atol=1e-7)
     np.testing.assert_allclose(fv, fv_fd, rtol=1e-5, atol=1e-7)
@@ -101,7 +106,7 @@ def test_log_power_partials_variable_exponents():
     rng = np.random.default_rng(3)
     u = rng.uniform(0.1, 3, G.shape)
     v = rng.uniform(0.1, 3, G.shape)
-    fu, fv = nl.partials(u, v)
+    fu, fv = nl.partials(pair(u, v))
     fu_fd, fv_fd = central_partials(nl, u, v)
     np.testing.assert_allclose(fu, fu_fd, rtol=1e-5)
     np.testing.assert_allclose(fv, fv_fd, rtol=1e-5)
@@ -112,10 +117,10 @@ def test_log_power_axis_partials_vanish():
     rng = np.random.default_rng(4)
     nl = default_log_power()
     v = rng.uniform(-4, 4, G.shape)
-    fu, _ = nl.partials(np.zeros(G.shape), v)
+    fu, _ = nl.partials(pair(np.zeros(G.shape), v))
     np.testing.assert_array_equal(fu, 0.0)
     u = rng.uniform(-4, 4, G.shape)
-    _, fv = nl.partials(u, np.zeros(G.shape))
+    _, fv = nl.partials(pair(u, np.zeros(G.shape)))
     np.testing.assert_array_equal(fv, 0.0)
 
 
@@ -160,8 +165,8 @@ def test_separable_power_value_and_partials():
     nl = SeparablePower(G, 0.5, 2.5, 2.0, 3.0)
     u = np.full(G.shape, 2.0)
     v = np.full(G.shape, -1.0)
-    np.testing.assert_allclose(nl.value(u, v), 0.5 * 2**2.5 + 2.0)
-    fu, fv = nl.partials(u, v)
+    np.testing.assert_allclose(nl.value(pair(u, v)), 0.5 * 2**2.5 + 2.0)
+    fu, fv = nl.partials(pair(u, v))
     fu_fd, fv_fd = central_partials(nl, u, v)
     np.testing.assert_allclose(fu, fu_fd, rtol=1e-6)
     np.testing.assert_allclose(fv, fv_fd, rtol=1e-6)
@@ -181,8 +186,8 @@ def test_linear_source_basics():
     nl = LinearSource(G, np.sin(np.pi * x), 0.0)
     u = np.full(G.shape, 3.0)
     v = np.full(G.shape, 5.0)
-    np.testing.assert_allclose(nl.value(u, v), 3.0 * np.sin(np.pi * x))
-    fu, fv = nl.partials(u, v)
+    np.testing.assert_allclose(nl.value(pair(u, v)), 3.0 * np.sin(np.pi * x))
+    fu, fv = nl.partials(pair(u, v))
     np.testing.assert_allclose(fu, np.sin(np.pi * x))
     np.testing.assert_allclose(fv, 0.0)
 
@@ -191,7 +196,7 @@ def test_linear_source_scalar_coefficients_broadcast():
     nl = LinearSource(G, 2.0, -1.0)
     u = np.ones(G.shape)
     v = np.ones(G.shape)
-    np.testing.assert_allclose(nl.value(u, v), 1.0)
+    np.testing.assert_allclose(nl.value(pair(u, v)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +208,7 @@ def test_custom_expression_partials_are_symbolic():
     rng = np.random.default_rng(5)
     u = rng.uniform(-2, 2, G.shape)
     v = rng.uniform(-2, 2, G.shape)
-    fu, fv = nl.partials(u, v)
+    fu, fv = nl.partials(pair(u, v))
     x = G.axes[0]
     np.testing.assert_allclose(fu, 2 * u * v**2 / (1 + x), atol=1e-12)
     np.testing.assert_allclose(fv, 2 * v * u**2 / (1 + x), atol=1e-12)
@@ -225,7 +230,7 @@ def test_custom_expression_allows_y_in_2d():
     g2 = make_grid([(0.0, 1.0), (0.0, 1.0)], [9, 9])
     nl = CustomExpression(g2, "y * u^2")
     u = np.ones(g2.shape)
-    vals = nl.value(u, np.zeros(g2.shape))
+    vals = nl.value(pair(u, np.zeros(g2.shape)))
     _, yy = g2.coordinate_arrays()
     np.testing.assert_allclose(vals, yy)
 
@@ -235,3 +240,36 @@ def test_kind_tags():
     assert SeparablePower(G, 1, 2, 1, 2).kind == "separable_power"
     assert LinearSource(G, 1.0, 1.0).kind == "linear_source"
     assert CustomExpression(G, "u*v").kind == "custom"
+
+
+# ---------------------------------------------------------------------------
+# the pair-array signature
+
+
+def every_kind(grid):
+    return [
+        default_log_power(grid),
+        SeparablePower(grid, 0.5, 2.5, 2.0, 3.0),
+        LinearSource(grid, np.sin(np.pi * grid.coordinate_arrays()[0]), 0.5),
+        CustomExpression(grid, "(1 + x) * u^2 * v^2 + u^4"),
+    ]
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_sampled_nodes_and_stacks_match_the_full_grid_bitwise(ndim):
+    """For every kind, ``at`` gives the full-grid values at those nodes, a
+    stack of pair arrays gives each pair's values, and the partials come
+    stacked like their pair array, bit for bit."""
+    grid = G if ndim == 1 else make_grid([(0.0, 1.0), (0.0, 1.0)], [9, 9])
+    rng = np.random.default_rng(6)
+    uv = rng.uniform(-3, 3, (2,) + grid.shape)
+    stack = rng.uniform(-3, 3, (3, 2) + grid.shape)
+    idx = rng.integers(0, grid.n_nodes, 20)
+    sampled = uv.reshape(2, -1)[:, idx]
+    for nl in every_kind(grid):
+        value, partials = nl.value(uv), nl.partials(uv)
+        assert value.shape == grid.shape and partials.shape == uv.shape
+        assert np.array_equal(nl.value(sampled, at=idx), value.reshape(-1)[idx])
+        assert np.array_equal(nl.partials(sampled, at=idx), partials.reshape(2, -1)[:, idx])
+        assert np.array_equal(nl.value(stack), [nl.value(x) for x in stack])
+        assert np.array_equal(nl.partials(stack), [nl.partials(x) for x in stack])

@@ -106,6 +106,20 @@ def test_csv_node_index_checked(tmp_path, index, message):
         read_solution_csv(path, g5)
 
 
+@pytest.mark.parametrize(
+    "cells", ["nan,0.0", "0.0,inf", "-inf,0.0"], ids=["nan_u", "inf_v", "minus_inf_u"]
+)
+def test_csv_non_finite_value_refused_with_its_line(tmp_path, cells):
+    """A nan or infinite u or v cell is refused where it is read, with its
+    file and line, not later by the grid function without a location."""
+    g5 = make_grid((0.0, 1.0), 5)
+    path = tmp_path / "non_finite.csv"
+    rows = ["index,x,u,v"] + [f"{i},{0.25 * i!r},0.0,0.0" for i in range(4)]
+    path.write_text("\n".join(rows[:3] + [f"2,0.5,{cells}"] + rows[4:] + ["4,1.0,0.0,0.0"]) + "\n")
+    with pytest.raises(DataError, match=r"non_finite\.csv:4: non-finite u or v value"):
+        read_solution_csv(path, g5)
+
+
 def test_csv_2d_layout(tmp_path):
     g2 = make_grid([(0.0, 1.0), (0.0, 1.0)], [9, 9])
     t = tent_function((0.5, 0.5), 0.3, g2)

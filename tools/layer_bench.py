@@ -10,6 +10,9 @@ It prints one JSON object with:
   and the two back to back, on ``configs/default.json`` at 129 and 1025
   nodes and on the unit square at 65x65 with the same constants, and at
   129 nodes of ``LogPowerCoupling.partials`` alone;
+* ``source_us``: at 129 nodes, the source part of one kernel call on the
+  (u, v) pair: the coupling plus F (``value``), and the coupling's partials
+  plus F's (``partials``);
 * ``polish``: one Newton-polish Jacobian at 129 nodes, built column by
   column (the reference loop below) and coloured (``solve._fd_jacobian``);
   one dense Newton solve on it;
@@ -109,11 +112,22 @@ def kernel_us():
             "energy_and_gradient": per_call_us(lambda: (f(), g())),
         }
         if nodes == [129]:
-            u, v = w.reshape(2, -1)
+            pair = energy._pairs(w, prob.grid)
             out[label]["log_power_partials"] = per_call_us(
-                lambda: prob.nonlinearity.partials(u, v)
+                lambda: prob.nonlinearity.partials(pair)
             )
     return out
+
+
+def source_us():
+    prob, _ = problem([[0.0, 1.0]], [129])
+    pair = energy._pairs(smooth_state(prob), prob.grid)
+    return {
+        "value": per_call_us(lambda: energy._psi_integrand(pair, prob)),
+        "partials": per_call_us(
+            lambda: energy._coupling_partials(pair, prob) + prob.nonlinearity.partials(pair)
+        ),
+    }
 
 
 def dense_jacobian(gfun, w, idx, h):
@@ -283,11 +297,16 @@ def evaluation_counts():
 def rayleigh_us():
     grid = make_grid([[0.0, 1.0], [0.0, 1.0]], [49, 49])
     p = exponent_from_expression(grid, "3.5 + x/2 + y/4")
-    plan = energy._exponent_plan(p.values)
+    plan = energy._rayleigh_plan(p.values)
     x = energy.random_zero_boundary(grid, np.random.default_rng(0)).values
     terms = energy._rayleigh_terms(x, plan, grid)
+
+    def quotient():
+        *_, num, den = energy._rayleigh_terms(x, plan, grid)
+        return num / den
+
     out = {
-        "quotient": per_call_us(lambda: energy._rayleigh(x, plan, grid)),
+        "quotient": per_call_us(quotient),
         "gradient": per_call_us(
             lambda: energy._rayleigh_gradient(
                 x, energy._rayleigh_terms(x, plan, grid), plan, grid
@@ -332,6 +351,7 @@ def main() -> int:
     result = {
         "host": host(),
         "kernel_us": kernel_us(),
+        "source_us": source_us(),
         "polish": polish(),
         "batched_us": batched_us(),
         "rayleigh_us": rayleigh_us(),
