@@ -16,8 +16,6 @@ from .energy import (
     phi_energy,
     phi_gradient,
     rayleigh_quotient,
-    truncated_energy,
-    truncated_gradient,
     weak_residual,
 )
 from .errors import ConfigError, DataError, GeometryError
@@ -113,8 +111,6 @@ __all__ = [
     "sobolev_norm",
     "symmetric_pairs",
     "tent_function",
-    "truncated_energy",
-    "truncated_gradient",
     "weak_residual",
     "__version__",
 ]

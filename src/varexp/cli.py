@@ -34,11 +34,9 @@ from .errors import ConfigError, DataError, GeometryError
 from .grid import tent_function
 from .report import (
     RunReport,
-    inventory_to_dict,
     scan_to_dict,
-    solution_tag,
+    write_inventory,
     write_report,
-    write_solution_csv,
 )
 from .solve import (
     QUADRANTS,
@@ -171,15 +169,6 @@ def _eigen_block(prob: ProblemSpec, cfg: SolverConfig) -> dict:
     return {"p": p_est, "q": estimate(prob.q)}
 
 
-def _write_inventory(inv, outdir: Path) -> dict:
-    names = []
-    for i, pt in enumerate(inv.points):
-        name = f"solution_{solution_tag(i, pt)}.csv"
-        write_solution_csv(outdir / name, pt)
-        names.append(name)
-    return inventory_to_dict(inv, csv_names=names)
-
-
 def _parse_t_list(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -236,7 +225,7 @@ def _run(args) -> int:
             inv = find_constant_sign_solutions(prob, cfg, quadrants)
         else:
             inv = find_six_solutions(prob, cfg, quadrants)
-        report.inventory = _write_inventory(inv, outdir)
+        report.inventory = write_inventory(inv, outdir)
         timings["solve"] = time.perf_counter() - t0
         if not all(run.converged for run in inv.runs):
             status = 2
@@ -248,7 +237,7 @@ def _run(args) -> int:
         timings["scan"] = time.perf_counter() - t0
     elif args.subcommand == "pairs":
         inv = symmetric_pairs(prob, _PAIR_SITES, cfg)
-        report.inventory = _write_inventory(inv, outdir)
+        report.inventory = write_inventory(inv, outdir)
         timings["pairs"] = time.perf_counter() - t0
         if (
             not all(run.converged for run in inv.runs)

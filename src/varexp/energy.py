@@ -20,7 +20,9 @@ s*max(0, s*t) inside Psi while Phi keeps the raw gradients; this is the
 device that pins minimizers to a sign pattern.  phi itself is the truncation
 with no clamp, so one private kernel, ``_energy``/``_gradient`` on the
 packed state w = [u.ravel(), v.ravel()] with an optional sign pattern,
-assembles phi and all four truncations.  It views w as one pair array of
+assembles phi and all four truncations; the public ``phi_energy`` and
+``phi_gradient`` take the same switch as a quadrant tag, None for phi
+itself.  The kernel views w as one pair array of
 shape (2, *grid.shape), so u and v go together through the stencils, the
 modular, the flux adjoint, the coupling and F, each against its exponents
 stacked and built once per problem.  The Rayleigh quotient stacks |grad x|^2
@@ -60,10 +62,7 @@ __all__ = [
     "QUADRANTS",
     "phi_energy",
     "phi_gradient",
-    "truncated_energy",
-    "truncated_gradient",
     "weak_residual",
-    "gradient_norm",
     "check_hypotheses",
     "rayleigh_quotient",
     "rayleigh_gradient",
@@ -197,8 +196,11 @@ def _rayleigh_plan(pv: np.ndarray) -> SimpleNamespace:
     return plan
 
 
-def _quadrant_signs(quadrant: str) -> tuple[int, int]:
-    """Sign pattern (s_u, s_v) of a quadrant tag; rejects unknown tags."""
+def _quadrant_signs(quadrant: str | None) -> tuple[int, int] | None:
+    """Sign pattern (s_u, s_v) of a quadrant tag, None for the plain
+    functional; rejects unknown tags."""
+    if quadrant is None:
+        return None
     if quadrant not in QUADRANT_SIGNS:
         raise ConfigError(f"invalid quadrant tag {quadrant!r}")
     return QUADRANT_SIGNS[quadrant]
@@ -311,50 +313,42 @@ def _gradient(
 # --- energies -----------------------------------------------------------------
 
 
-def phi_energy(u: GridFunction, v: GridFunction, prob: ProblemSpec) -> float:
-    """phi(u, v) = Phi - Psi by trapezoidal quadrature."""
-    _check_pair(u, v, prob)
-    return _energy(_pack(u, v), prob)
-
-
-def phi_gradient(
-    u: GridFunction, v: GridFunction, prob: ProblemSpec
-) -> tuple[GridFunction, GridFunction]:
-    """Nodal gradient of phi w.r.t. interior values; boundary entries zero."""
-    _check_pair(u, v, prob)
-    return _unpack(_gradient(_pack(u, v), prob), prob.grid)
-
-
-def truncated_energy(
-    u: GridFunction, v: GridFunction, prob: ProblemSpec, quadrant: str
+def phi_energy(
+    u: GridFunction, v: GridFunction, prob: ProblemSpec, quadrant: str | None = None
 ) -> float:
-    """phi with (u, v) replaced by their quadrant clamps inside Psi only."""
+    """phi(u, v) = Phi - Psi by trapezoidal quadrature, or its truncation to
+    a quadrant: (u, v) replaced by their quadrant clamps inside Psi only."""
     signs = _quadrant_signs(quadrant)
     _check_pair(u, v, prob)
     return _energy(_pack(u, v), prob, signs)
 
 
-def truncated_gradient(
-    u: GridFunction, v: GridFunction, prob: ProblemSpec, quadrant: str
+def phi_gradient(
+    u: GridFunction, v: GridFunction, prob: ProblemSpec, quadrant: str | None = None
 ) -> tuple[GridFunction, GridFunction]:
-    """Gradient of the truncated energy (see ``_gradient``)."""
+    """Nodal gradient of ``phi_energy`` w.r.t. interior values (see
+    ``_gradient``); boundary entries zero."""
     signs = _quadrant_signs(quadrant)
     _check_pair(u, v, prob)
     return _unpack(_gradient(_pack(u, v), prob, signs), prob.grid)
 
 
-def gradient_norm(gu: GridFunction, gv: GridFunction) -> float:
-    return float(np.sqrt(np.sum(gu.values**2) + np.sum(gv.values**2)))
+def _residual(g: np.ndarray, grid: Grid) -> float:
+    """Euclidean norm of a packed gradient, u's squares summed before v's."""
+    G = _pairs(g, grid)
+    return float(np.sqrt(np.sum(G[0] ** 2) + np.sum(G[1] ** 2)))
 
 
 def weak_residual(u: GridFunction, v: GridFunction, prob: ProblemSpec) -> float:
     """Euclidean norm of the nodal gradient of phi — the weak-form defect.
 
-    The entries already carry the quadrature weights, and vanish boundary-
-    wise, so this is exactly the stopping quantity of the descent solvers.
+    The entries already carry the quadrature weights and vanish at the
+    boundary.  The descents stop on projected stationarity instead, which a
+    quadrant run measures in its rescaled units, so this is the quantity
+    reported for a critical point, not the one a descent stops on.
     """
-    gu, gv = phi_gradient(u, v, prob)
-    return gradient_norm(gu, gv)
+    _check_pair(u, v, prob)
+    return _residual(_gradient(_pack(u, v), prob), prob.grid)
 
 
 # --- hypothesis checks ----------------------------------------------------------

@@ -58,8 +58,8 @@ def backtracking_step(
     step_init: float = _STEP_INIT,
     project: Callable[[np.ndarray], np.ndarray] | None = None,
     step_cap_sup: float | None = None,
-) -> tuple[np.ndarray, float, float, bool]:
-    """One descent relocation along -g.  Returns (x_new, f_new, step, moved)."""
+) -> tuple[np.ndarray, float, bool]:
+    """One descent relocation along -g.  Returns (x_new, f_new, moved)."""
     t = step_init
     if step_cap_sup is not None:
         gs = float(np.max(np.abs(g)))
@@ -72,12 +72,12 @@ def backtracking_step(
         dx = xn - x
         nd2 = float(np.dot(dx, dx))
         if nd2 == 0.0:
-            return x, fx, t, False
+            return x, fx, False
         fn = f(xn)
         if fn <= fx - _ARMIJO * nd2 / max(t, _TINY):
-            return xn, fn, t, True
+            return xn, fn, True
         t *= _SHRINK
-    return x, fx, t, False
+    return x, fx, False
 
 
 def bb_minimize(
@@ -107,7 +107,7 @@ def bb_minimize(
         if stat <= gradient_stop:
             return OptimizeResult(x, fx, stat, it - 1, True, "tolerance")
         t0 = min(max(t_bb, _BB_CLIP[0]), _BB_CLIP[1])
-        xn, fn, t_used, moved = backtracking_step(
+        xn, fn, moved = backtracking_step(
             f, x, fx, g, step_init=t0, project=project, step_cap_sup=step_cap_sup
         )
         if not moved:

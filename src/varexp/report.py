@@ -26,7 +26,7 @@ __all__ = [
     "report_to_json",
     "write_report",
     "load_report",
-    "inventory_to_dict",
+    "write_inventory",
     "scan_to_dict",
     "write_solution_csv",
     "read_solution_csv",
@@ -92,13 +92,14 @@ def _point_summary(point: CriticalPoint) -> dict:
     }
 
 
-def inventory_to_dict(inv: SolutionInventory, csv_names=None) -> dict:
+def write_inventory(inv: SolutionInventory, outdir) -> dict:
+    """Dumps each stored solution to ``solution_<tag>.csv`` in ``outdir``;
+    returns the inventory summary for results.json, naming those files."""
     points = []
     for i, pt in enumerate(inv.points):
-        entry = _point_summary(pt)
-        if csv_names is not None:
-            entry["csv"] = csv_names[i]
-        points.append(entry)
+        name = f"solution_{solution_tag(i, pt)}.csv"
+        write_solution_csv(Path(outdir) / name, pt)
+        points.append({**_point_summary(pt), "csv": name})
     out = {
         "theorem_target": inv.theorem_target,
         "distinct_count": inv.distinct_count,

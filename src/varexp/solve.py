@@ -30,11 +30,12 @@ whole mountain-pass path after every re-spacing, the amplitudes of the ray
 scan, and the perturbed states of a Newton Jacobian (one stacked gradient
 call per step).
 
-One ray scan fixes the amplitude of a quadrant run: ``_ray_minimum`` finds
+A ray scan fixes the amplitude of a quadrant run: ``_ray_minimum`` finds
 the near-origin minimum s of the energy along the broad profile
-e = prod sin(pi x) signed into the cone.  The quadrant driver seeds its
-descent there, and ``descend`` continues any run that ends at or below
-``_DEFLATION_DISTANCE`` in the units that scan gives.  The far path endpoint
+e = prod sin(pi x) signed into the cone.  The quadrant driver scans to seed
+its descent there, and ``descend`` scans again to continue any run that
+ends at or below ``_DEFLATION_DISTANCE`` in the units that scan gives, so a
+quadrant run seeded by the driver scans twice.  The far path endpoint
 is the least dyadic multiple of a bump state with negative energy
 (``_first_negative_multiple``).
 
@@ -67,10 +68,10 @@ from .energy import (
     _pack,
     _pairs,
     _quadrant_signs,
+    _residual,
     _unpack,
     check_hypotheses,
     phi_energy,
-    weak_residual,
 )
 from .grid import Grid, GridFunction, tent_function
 from .optimize import _SHRINK, backtracking_step, bb_minimize
@@ -185,16 +186,18 @@ def smooth_bump(grid: Grid) -> GridFunction:
 # --- the functional on packed states ----------------------------------------------
 
 
-def _signs(quadrant: str | None) -> tuple[int, int] | None:
-    """Sign pattern of a quadrant run, None for the plain functional."""
-    return None if quadrant is None else _quadrant_signs(quadrant)
-
-
 def _cone_projector(grid: Grid, signs: tuple[int, int]):
     def proj(w: np.ndarray) -> np.ndarray:
         return _clamp(_pairs(w, grid), signs, grid).reshape(w.shape)
 
     return proj
+
+
+def _require_in_cone(proj, w: np.ndarray, message: str) -> None:
+    """Refuses a packed state that the cone projector ``proj`` would move,
+    by however little; any state passes without a truncation."""
+    if proj is not None and not np.array_equal(proj(w), w):
+        raise ConfigError(message)
 
 
 def _functional(prob: ProblemSpec, signs: tuple[int, int] | None):
@@ -220,8 +223,8 @@ def _make_point(
     return CriticalPoint(
         u=u,
         v=v,
-        energy=phi_energy(u, v, prob),
-        residual=weak_residual(u, v, prob),
+        energy=_energy(w, prob),
+        residual=_residual(_gradient(w, prob), prob.grid),
         quadrant=classify_quadrant(u, v),
         method=method,
         iterations=iterations,
@@ -285,21 +288,18 @@ def descend(
     is finished by the damped Newton iteration of the mountain-pass polish,
     in the units of its last phase.
     """
-    u0, v0 = start
-    _check_pair(u0, v0, prob)
-    signs = _signs(quadrant)
-    if signs is not None:
-        su, sv = signs
-        if np.min(su * u0.values) < 0.0 or np.min(sv * v0.values) < 0.0:
-            raise ConfigError(f"start pair is not inside the {quadrant} cone")
+    _check_pair(*start, prob)
+    signs = _quadrant_signs(quadrant)
     f_raw, g_raw, proj = _functional(prob, signs)
+    w0 = _pack(*start)
+    _require_in_cone(proj, w0, f"start pair is not inside the {quadrant} cone")
     run = partial(
         bb_minimize,
         gradient_stop=cfg.gradient_stop,
         project=proj,
         step_cap_sup=_MAX_STEP_SUP,
     )
-    res = run(f_raw, g_raw, _pack(u0, v0), max_iterations=cfg.max_iterations)
+    res = run(f_raw, g_raw, w0, max_iterations=cfg.max_iterations)
     iterations, s, g = res.iterations, 1.0, g_raw
     ray = None
     if float(np.max(np.abs(res.x))) <= _DEFLATION_DISTANCE:
@@ -476,10 +476,9 @@ def mountain_pass(
     and the energy to exceed both endpoint energies.
     """
     _check_pair(*endpoint, prob)
-    f, g, proj = _functional(prob, _signs(quadrant))
+    f, g, proj = _functional(prob, _quadrant_signs(quadrant))
     wb = _pack(*endpoint)
-    if proj is not None and not np.allclose(proj(wb), wb):
-        raise ConfigError("mountain-pass endpoint must lie inside the cone")
+    _require_in_cone(proj, wb, "mountain-pass endpoint must lie inside the cone")
     # Evaluated, not taken as 0: a custom F may miss 0 at the origin by 1e-12.
     wa = np.zeros_like(wb)
     fa, fb = f(wa), f(wb)
@@ -509,7 +508,7 @@ def mountain_pass(
             gz = g(path[j])
             scale = max(1.0, float(np.max(np.abs(path[j]))))
             cap = max(_MAX_STEP_SUP, 0.02 * scale)
-            zn, fn, _, moved = backtracking_step(
+            zn, fn, moved = backtracking_step(
                 f, path[j], fvals[j], gz, project=proj, step_cap_sup=cap
             )
             if not moved or float(np.max(np.abs(zn - path[j]))) <= 1e-12 * scale:
@@ -716,7 +715,7 @@ def _first_negative_multiple(prob: ProblemSpec, w: np.ndarray) -> float | None:
     """Least t = 2^k, k = 0..60, with phi(t*w) < 0 on the packed state w, or
     None when there is none."""
     for t in 2.0 ** np.arange(61):
-        if _energy(t * w, prob, None) < 0.0:
+        if _energy(t * w, prob) < 0.0:
             return float(t)
     return None
 

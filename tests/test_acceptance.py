@@ -25,8 +25,6 @@ from varexp.energy import (
     random_zero_boundary,
     rayleigh_gradient,
     rayleigh_quotient,
-    truncated_energy,
-    truncated_gradient,
 )
 from varexp.exponents import (
     constant_exponent,
@@ -166,11 +164,10 @@ def test_criterion_3_gradients_match_finite_differences():
             denom = max(abs(fd), abs(analytic), 1e-12)
             assert abs(analytic - fd) / denom < 1e-5
 
-    check(lambda u, v: phi_energy(u, v, prob), lambda u, v: phi_gradient(u, v, prob))
-    for quad in QUADRANTS:
+    for quad in (None, *QUADRANTS):
         check(
-            lambda u, v, q=quad: truncated_energy(u, v, prob, q),
-            lambda u, v, q=quad: truncated_gradient(u, v, prob, q),
+            lambda u, v, q=quad: phi_energy(u, v, prob, q),
+            lambda u, v, q=quad: phi_gradient(u, v, prob, q),
         )
 
     # Rayleigh quotient (single-component functional), also on a 2D square

@@ -11,15 +11,12 @@ from varexp.energy import (
     QUADRANTS,
     ProblemSpec,
     check_hypotheses,
-    gradient_norm,
     minimize_rayleigh,
     phi_energy,
     phi_gradient,
     random_zero_boundary,
     rayleigh_gradient,
     rayleigh_quotient,
-    truncated_energy,
-    truncated_gradient,
     weak_residual,
 )
 from varexp.errors import ConfigError, DataError
@@ -178,12 +175,8 @@ def test_gradients_match_directional_derivatives(quadrant):
     on both p != q problems."""
     rng = np.random.default_rng(13)
     for prob in (PROB, PROB_2D, PROB_PQ_1D, PROB_PQ_2D):
-        if quadrant is None:
-            fun = lambda u, v: phi_energy(u, v, prob)
-            grad = lambda u, v: phi_gradient(u, v, prob)
-        else:
-            fun = lambda u, v: truncated_energy(u, v, prob, quadrant)
-            grad = lambda u, v: truncated_gradient(u, v, prob, quadrant)
+        fun = lambda u, v: phi_energy(u, v, prob, quadrant)
+        grad = lambda u, v: phi_gradient(u, v, prob, quadrant)
         interior = prob.grid.interior
         for _ in range(12):
             u, v = random_pair(prob, rng, scale=2.0)
@@ -205,12 +198,8 @@ def test_gradients_match_directional_derivatives_at_small_amplitude(quadrant):
     rng = np.random.default_rng(29)
     amplitude = 1e-7
     for prob in (PROB, PROB_PQ_1D):
-        if quadrant is None:
-            fun = lambda u, v: phi_energy(u, v, prob)
-            grad = lambda u, v: phi_gradient(u, v, prob)
-        else:
-            fun = lambda u, v: truncated_energy(u, v, prob, quadrant)
-            grad = lambda u, v: truncated_gradient(u, v, prob, quadrant)
+        fun = lambda u, v: phi_energy(u, v, prob, quadrant)
+        grad = lambda u, v: phi_gradient(u, v, prob, quadrant)
         interior = prob.grid.interior
         for _ in range(12):
             u, v = random_pair(prob, rng, scale=amplitude)
@@ -451,7 +440,7 @@ def test_q1_truncation_is_identity_on_nonnegative_pairs():
     g = PROB.grid
     u = tent_function(0.4, 0.1, g)
     v = tent_function(0.6, 0.1, g)
-    assert truncated_energy(u, v, PROB, "Q1") == pytest.approx(
+    assert phi_energy(u, v, PROB, "Q1") == pytest.approx(
         phi_energy(u, v, PROB), rel=1e-14
     )
 
@@ -464,7 +453,7 @@ def test_q1_truncation_kills_attraction_on_negative_pairs():
     neg_v = g.function(-v.values)
     # Psi vanishes on the opposite cone, leaving only the even Phi part
     zero_nl = phi_energy(u, v, PROB) + _psi_only(u, v, PROB)
-    assert truncated_energy(neg_u, neg_v, PROB, "Q1") == pytest.approx(
+    assert phi_energy(neg_u, neg_v, PROB, "Q1") == pytest.approx(
         zero_nl, rel=1e-12
     )
 
@@ -481,16 +470,17 @@ def _psi_only(u, v, prob):
 def test_truncation_rejects_bad_tag():
     z = PROB.grid.zeros()
     with pytest.raises(ConfigError, match="quadrant"):
-        truncated_energy(z, z, PROB, "Q5")
+        phi_energy(z, z, PROB, "Q5")
     with pytest.raises(ConfigError):
-        truncated_gradient(z, z, PROB, "north")
+        phi_gradient(z, z, PROB, "north")
 
 
 def test_residual_is_gradient_norm():
     rng = np.random.default_rng(23)
     u, v = random_pair(PROB, rng)
     gu, gv = phi_gradient(u, v, PROB)
-    assert weak_residual(u, v, PROB) == pytest.approx(gradient_norm(gu, gv))
+    expected = np.sqrt(np.sum(gu.values**2) + np.sum(gv.values**2))
+    assert weak_residual(u, v, PROB) == pytest.approx(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ from varexp.energy import (
     ProblemSpec,
     phi_energy,
     random_zero_boundary,
-    truncated_energy,
+    weak_residual,
 )
-from varexp import solve
+from varexp import energy, solve
 from varexp.errors import ConfigError, DataError, GeometryError
 from varexp.exponents import constant_exponent, exponent_from_expression
 from varexp.grid import make_grid, tent_function
@@ -189,7 +189,7 @@ def test_descend_decreases_energy_and_retains_quadrant():
     g = PROB.grid
     b = smooth_bump(g)
     start = (g.function(0.05 * b.values), g.function(0.05 * b.values))
-    e0 = truncated_energy(start[0], start[1], PROB, "Q1")
+    e0 = phi_energy(start[0], start[1], PROB, "Q1")
     pt = descend(PROB, start, quadrant="Q1", cfg=FAST)
     assert pt.converged
     assert pt.energy <= e0
@@ -226,7 +226,7 @@ def test_descend_leaves_the_quadrant_seed():
     g = PROB.grid
     n = g.n_nodes
     start = (g.function(s * d[:n]), g.function(s * d[n:]))
-    e0 = truncated_energy(start[0], start[1], PROB, "Q1")
+    e0 = phi_energy(start[0], start[1], PROB, "Q1")
     pt = descend(PROB, start, quadrant="Q1", cfg=FAST)
     assert pt.iterations > 0
     assert pt.energy < e0
@@ -312,6 +312,17 @@ def test_mountain_pass_rejects_identical_endpoints():
     zero = (PROB.grid.zeros(), PROB.grid.zeros())
     with pytest.raises(ConfigError, match="nonzero"):
         mountain_pass(PROB, zero, cfg=FAST)
+
+
+def test_mountain_pass_rejects_endpoint_just_outside_cone():
+    """u = -1e-9 at one node puts a Q1 endpoint outside the cone; the
+    projector would move it, so the pass refuses it as descend would."""
+    far = negative_endpoint(PROB)
+    g = PROB.grid
+    u = far[0].values.copy()
+    u[1] = -1e-9
+    with pytest.raises(ConfigError, match="cone"):
+        mountain_pass(PROB, (g.function(u), far[1]), "Q1", cfg=FAST)
 
 
 def test_mountain_pass_negation_equivariance():
@@ -407,7 +418,7 @@ def dense_fd_jacobian(gfun, w, idx, h):
 def test_coloured_jacobian_equals_dense_column_loop(prob, quadrant, amplitude):
     """Bit for bit, for phi and every truncation, at unit amplitude and at
     the scale of the quadrant minimizers."""
-    gfun = solve._functional(prob, solve._signs(quadrant))[1]
+    gfun = solve._functional(prob, energy._quadrant_signs(quadrant))[1]
     w = random_state(prob, np.random.default_rng(31), amplitude)
     idx = free_dofs(prob.grid)
     h = polish_step(w)
@@ -658,7 +669,7 @@ def test_symmetric_pairs_flags_collapsed_levels():
     assert "pair_runs_collapsed" in inv.flags
 
 
-@pytest.mark.parametrize(
+DRIVERS = pytest.mark.parametrize(
     "driver",
     [
         lambda: find_constant_sign_solutions(PROB, FAST),
@@ -667,6 +678,21 @@ def test_symmetric_pairs_flags_collapsed_levels():
     ],
     ids=["theorem1", "theorem2", "pairs"],
 )
+
+
+@DRIVERS
+def test_reported_energy_and_residual_are_exactly_the_public_ones(driver):
+    """Every run and stored point, negation_pair ones included, carries
+    bit for bit the phi_energy and weak_residual of its own pair."""
+    inv = driver()
+    points = inv.runs + inv.points
+    assert any("negation_pair" in pt.flags for pt in points)
+    for pt in points:
+        assert pt.energy == phi_energy(pt.u, pt.v, PROB)
+        assert pt.residual == weak_residual(pt.u, pt.v, PROB)
+
+
+@DRIVERS
 def test_each_driver_runs_one_hypothesis_pass(driver, monkeypatch):
     """The preconditions and the even_symmetry verdict come from one
     sampled pass per driver; the descents and passes are stubbed out."""

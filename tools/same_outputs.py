@@ -1,0 +1,133 @@
+"""Byte-identity check of the ``varexp`` command between two source trees.
+
+    python3 tools/same_outputs.py PARENT CHANGE
+
+PARENT and CHANGE are the roots of two source checkouts.  Each of the 32
+runs below is made once per tree, as ``python -m varexp.cli SUBCOMMAND ...
+--deterministic --out out`` with ``PYTHONPATH=<tree>/src`` and
+``OPENBLAS_NUM_THREADS=1``, from a fresh working directory.  Both trees read
+the same config files, written once to a shared directory, so that paths in
+messages agree.  Every output file, standard output, standard error and the
+exit status are compared.  One line is printed per run; the exit status is
+1 on any difference and 0 when every run agrees.
+
+The runs: ``check``, ``norm``, ``scan``, ``eigen``, ``pairs`` and ``solve
+--theorem 1``/``2`` on the default config; ``eigen`` on the 2D config of the
+benchmark (read from PARENT); and ``check``, ``eigen``, ``pairs``, ``scan``
+and ``solve --theorem 1``/``2`` on each of the four configs below, which
+cover a variable p, a custom F, and p < 2 in 1D and 2D.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+def _config(extents, nodes, p, q, alpha, nonlinearity, gamma, delta, C):
+    # M, C1 and C2 are chosen so that every hypothesis holds and both
+    # theorem drivers run.
+    constants = {"gamma": gamma, "delta": delta, "C": C, "M": 1.0, "C1": 1e-4, "C2": 0.01}
+    return {
+        "schema": "varexp-config/1",
+        "domain": {"extents": extents, "nodes": nodes},
+        "exponents": {"p": p, "q": q},
+        "coupling": {"alpha": alpha, "beta": alpha, "lambda": 0.001},
+        "nonlinearity": nonlinearity,
+        "hypothesis_constants": constants,
+        "solver": {"seed": 0},
+    }
+
+
+def _separable(gamma1, gamma2):
+    return {"kind": "separable_power", "c1": 1.0, "gamma1": gamma1,
+            "c2": 1.0, "gamma2": gamma2}
+
+
+# Where p < 2, alpha = beta = 1.1 and q = 4 keep max(alpha/p + beta/q) < 1.
+CONFIGS = {
+    "separable_p_3+x/2": _config(
+        [[0.0, 1.0]], [129], "3 + x/2", 3.0, 1.2, _separable(4.5, 4.5),
+        4.5, 4.5, 10.0),
+    "custom_q_3+x/4": _config(
+        [[0.0, 1.0]], [129], 3.0, "3 + x/4", 1.2,
+        {"kind": "custom", "expression": "(1 + x)*u^2*v^2 + u^4 + v^4"},
+        4.0, 4.0, 20.0),
+    "separable_p_1.6+x_n65": _config(
+        [[0.0, 1.0]], [65], "1.6 + x", 4.0, 1.1, _separable(3.0, 5.0),
+        3.0, 5.0, 10.0),
+    "separable_2d_p<2_17x17": _config(
+        [[0.0, 1.0], [0.0, 1.0]], [17, 17], "1.6 + 0.8*x + 0.4*y", 4.0, 1.1,
+        _separable(4.0, 5.0), 4.0, 5.0, 10.0),
+}
+
+DEFAULT_RUNS = (("check",), ("norm",), ("scan",), ("eigen",), ("pairs",),
+                ("solve", "--theorem", "1"), ("solve", "--theorem", "2"))
+CONFIG_RUNS = (("check",), ("eigen",), ("pairs",), ("scan",),
+               ("solve", "--theorem", "1"), ("solve", "--theorem", "2"))
+
+
+def runs(parent: Path, configs: Path) -> list[tuple[str, tuple[str, ...]]]:
+    """(label, arguments) of every run; the config files go into ``configs``."""
+    out = [(f"default {' '.join(args)}", args) for args in DEFAULT_RUNS]
+    eigen_2d = configs / "eigen_2d_varp.json"
+    eigen_2d.write_bytes((parent / "bench" / "eigen_2d_varp.json").read_bytes())
+    out.append(("eigen_2d_varp eigen", ("eigen", "--config", str(eigen_2d))))
+    for i, (name, data) in enumerate(CONFIGS.items()):
+        path = configs / f"config_{i}.json"
+        path.write_text(json.dumps(data, indent=2), encoding="utf-8")
+        out += [(f"{name} {' '.join(args)}", (*args, "--config", str(path)))
+                for args in CONFIG_RUNS]
+    return out
+
+
+def run(tree: Path, args: tuple[str, ...], workdir: Path) -> dict:
+    """Exit status, stdout, stderr and every output file of one run."""
+    workdir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "varexp.cli", *args, "--deterministic", "--out", "out"],
+        cwd=workdir, env=env, capture_output=True, timeout=900,
+    )
+    outdir = workdir / "out"
+    files = {str(p.relative_to(outdir)): p.read_bytes()
+             for p in sorted(outdir.rglob("*")) if p.is_file()}
+    return {"exit status": proc.returncode, "stdout": proc.stdout,
+            "stderr": proc.stderr, "files": files}
+
+
+def differences(a: dict, b: dict) -> list[str]:
+    out = [key for key in ("exit status", "stdout", "stderr") if a[key] != b[key]]
+    names = sorted(set(a["files"]) | set(b["files"]))
+    out += [name for name in names if a["files"].get(name) != b["files"].get(name)]
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/same_outputs.py PARENT CHANGE", file=sys.stderr)
+        return 2
+    parent, change = (Path(t).resolve() for t in argv)
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        tmp = Path(tmp)
+        (tmp / "configs").mkdir()
+        matrix = runs(parent, tmp / "configs")
+        for k, (label, args) in enumerate(matrix):
+            a = run(parent, args, tmp / f"{k}_parent")
+            b = run(change, args, tmp / f"{k}_change")
+            diff = differences(a, b)
+            failed += bool(diff)
+            status = f"DIFF {', '.join(diff)}" if diff else "same"
+            print(f"{label}: exit {a['exit status']}, {len(a['files'])} files: {status}",
+                  flush=True)
+    print(f"{len(matrix) - failed} of {len(matrix)} runs identical")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
