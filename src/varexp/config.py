@@ -182,10 +182,6 @@ def _build_nonlinearity(grid, p, q, data, text) -> Nonlinearity:
     except ExpressionError as exc:
         raise _fail(text, f"{path}.expression", str(exc)) from exc
     except ConfigError as exc:
-        if "theta1/p + theta2/q" in str(exc):
-            raise _fail(text, path,
-                        "log-power balance violated (the product term must "
-                        f"scale exactly like the leading powers): {exc}") from exc
         raise _fail(text, path, str(exc)) from exc
 
 

@@ -1,27 +1,33 @@
 """Arithmetic expression trees with exact symbolic partial derivatives.
 
-Small recursive-descent parser for the expression strings accepted in config
-files (custom nonlinearities over ``x``/``y``/``u``/``v``, exponent profiles
-over ``x``/``y``).  Evaluation is numpy-vectorized; derivatives are built
-symbolically so downstream checks get exact partials rather than finite
-differences.
+Parses the expression strings accepted in config files (custom
+nonlinearities over ``x``/``y``/``u``/``v``, exponent profiles over
+``x``/``y``) with Python's ``ast`` module and builds the tree from a
+whitelist of its nodes.  Evaluation is numpy-vectorized; derivatives are
+built symbolically so downstream checks get exact partials rather than
+finite differences.
 
-Supported syntax::
+Accepted syntax, a subset of Python's expression grammar::
 
-    expr   := term (('+'|'-') term)*
-    term   := unary (('*'|'/') unary)*
-    unary  := ('+'|'-') unary | power
-    power  := atom (('^'|'**') unary)?        (right associative)
-    atom   := NUMBER | NAME | NAME '(' expr (',' expr)* ')' | '(' expr ')'
+    numbers    decimal literals: 2, 2.5, .5, 5., 1.5e-3
+    names      variables (restricted by ``allowed``) and the constants pi, e
+    operators  + - * / and ^ or ** for powers, with parentheses; powers are
+               right associative and bind tighter than unary minus, so
+               -x^2 = -(x^2) and 2^-3^2 = 2^(-9)
+    calls      ln (alias log), exp, abs, sqrt, sin, cos of one argument,
+               and pow(a, b)
 
-Functions: ln (alias log), exp, abs, sqrt, sin, cos, pow.  Constants: pi, e.
+Nothing else is accepted: no comments, hexadecimal, underscored or complex
+literals, comparisons, attributes, keyword arguments or trailing commas.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import re
-from typing import Iterator, Mapping
+import warnings
+from typing import Mapping
 
 import numpy as np
 
@@ -48,30 +54,12 @@ _FUNCTIONS = {
 
 _CONSTANTS = {"pi": np.pi, "e": np.e}
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/^(),]))"
-)
-
-
-def _tokenize(text: str) -> Iterator[tuple[str, str]]:
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            # Skip over trailing whitespace; anything else is a syntax error.
-            if text[pos:].strip() == "":
-                return
-            raise ExpressionError(f"unexpected character {text[pos]!r} at position {pos}")
-        pos = m.end()
-        if m.group("num") is not None:
-            yield ("num", m.group("num"))
-        elif m.group("name") is not None:
-            yield ("name", m.group("name"))
-        else:
-            yield ("op", m.group("op"))
-    return
+# Python's parser accepts more than the language does: characters such as
+# ``#`` and ``%``, a comma before ``)`` as in ``f(x,)``, and literals such as
+# ``0x10``, ``1_000``, ``1j`` and ``True``.  These are checked against the
+# language's own forms.
+_BAD_CHAR_RE = re.compile(r"[^A-Za-z0-9_.+\-*/^(),\s]|,(?=\s*\))")
+_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 
 class Expression:
@@ -171,8 +159,7 @@ class Binary(Expression):
         return _mul(_pow(fa, fb), inner)
 
     def text(self):
-        op = "^" if self.op == "^" else self.op
-        return f"({self.left.text()} {op} {self.right.text()})"
+        return f"({self.left.text()} {self.op} {self.right.text()})"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -287,11 +274,13 @@ def _mul(a: Expression, b: Expression) -> Expression:
 
 
 def _div(a: Expression, b: Expression) -> Expression:
+    if _is_const(b, 0.0):
+        raise ExpressionError(f"division of {a.text()} by zero")
     if _is_const(a, 0.0):
         return Const(0.0)
     if _is_const(b, 1.0):
         return a
-    if _is_const(a) and _is_const(b) and b.value != 0.0:
+    if _is_const(a) and _is_const(b):
         return Const(a.value / b.value)
     return Binary("/", a, b)
 
@@ -302,7 +291,10 @@ def _pow(a: Expression, b: Expression) -> Expression:
     if _is_const(b, 0.0):
         return Const(1.0)
     if _is_const(a) and _is_const(b):
-        return Const(float(np.power(a.value, b.value)))
+        # 0^-1 and (-8)^(1/3) fold to non-finite constants, which Const
+        # rejects; numpy need not warn about them first.
+        with np.errstate(all="ignore"):
+            return Const(float(np.power(a.value, b.value)))
     return Binary("^", a, b)
 
 
@@ -316,102 +308,42 @@ def _neg(a: Expression) -> Expression:
 
 # --- parser -------------------------------------------------------------------
 
-class _Parser:
-    def __init__(self, text: str, allowed: set[str] | None):
-        self.tokens = list(_tokenize(text))
-        self.pos = 0
-        self.allowed = allowed
-        self.source = text
+_BINARY = {ast.Add: _add, ast.Sub: _sub, ast.Mult: _mul, ast.Div: _div, ast.Pow: _pow}
+_UNARY = {ast.UAdd: lambda a: a, ast.USub: _neg}
 
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionError(f"unexpected end of expression in {self.source!r}")
-        self.pos += 1
-        return tok
-
-    def expect(self, op: str) -> None:
-        tok = self.take()
-        if tok != ("op", op):
-            raise ExpressionError(f"expected {op!r}, found {tok[1]!r} in {self.source!r}")
-
-    def parse(self) -> Expression:
-        e = self.expr()
-        if self.peek() is not None:
-            raise ExpressionError(
-                f"trailing input {self.peek()[1]!r} in {self.source!r}"
-            )
-        return e
-
-    def expr(self) -> Expression:
-        e = self.term()
-        while self.peek() in (("op", "+"), ("op", "-")):
-            op = self.take()[1]
-            rhs = self.term()
-            e = _add(e, rhs) if op == "+" else _sub(e, rhs)
-        return e
-
-    def term(self) -> Expression:
-        e = self.unary()
-        while self.peek() in (("op", "*"), ("op", "/")):
-            op = self.take()[1]
-            rhs = self.unary()
-            e = _mul(e, rhs) if op == "*" else _div(e, rhs)
-        return e
-
-    def unary(self) -> Expression:
-        tok = self.peek()
-        if tok == ("op", "-"):
-            self.take()
-            return _neg(self.unary())
-        if tok == ("op", "+"):
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self) -> Expression:
-        base = self.atom()
-        if self.peek() in (("op", "^"), ("op", "**")):
-            self.take()
-            return _pow(base, self.unary())
-        return base
-
-    def atom(self) -> Expression:
-        kind, value = self.take()
-        if kind == "num":
-            return Const(float(value))
-        if kind == "name":
-            if self.peek() == ("op", "("):
-                self.take()
-                args = [self.expr()]
-                while self.peek() == ("op", ","):
-                    self.take()
-                    args.append(self.expr())
-                self.expect(")")
-                if value == "pow":
-                    if len(args) != 2:
-                        raise ExpressionError("pow() takes exactly two arguments")
-                elif value in _FUNCTIONS:
-                    if len(args) != 1:
-                        raise ExpressionError(f"{value}() takes exactly one argument")
-                else:
-                    raise ExpressionError(f"unknown function {value!r}")
-                return Call(value, tuple(args))
-            if value in _CONSTANTS:
-                return Const(float(_CONSTANTS[value]))
-            if self.allowed is not None and value not in self.allowed:
-                raise ExpressionError(
-                    f"unknown name {value!r}; allowed: {sorted(self.allowed)}"
-                )
-            return Var(value)
-        if value == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
-        raise ExpressionError(f"unexpected token {value!r} in {self.source!r}")
+def _build(node: ast.expr, source: str, allowed: set[str] | None) -> Expression:
+    """The tree of one whitelisted ``ast`` node, built left operand first
+    through the folding constructors."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](
+            _build(node.left, source, allowed), _build(node.right, source, allowed)
+        )
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_build(node.operand, source, allowed))
+    if isinstance(node, ast.Constant):
+        literal = ast.get_source_segment(source, node)
+        if _NUMBER_RE.fullmatch(literal):
+            return Const(float(literal))
+    elif isinstance(node, ast.Name):
+        if node.id in _CONSTANTS:
+            return Const(float(_CONSTANTS[node.id]))
+        if allowed is not None and node.id not in allowed:
+            raise ExpressionError(f"unknown name {node.id!r}; allowed: {sorted(allowed)}")
+        return Var(node.id)
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
+        name = node.func.id
+        args = tuple(_build(arg, source, allowed) for arg in node.args)
+        if name == "pow":
+            if len(args) != 2:
+                raise ExpressionError("pow() takes exactly two arguments")
+        elif name in _FUNCTIONS:
+            if len(args) != 1:
+                raise ExpressionError(f"{name}() takes exactly one argument")
+        else:
+            raise ExpressionError(f"unknown function {name!r}")
+        return Call(name, args)
+    raise ExpressionError(f"unsupported syntax {ast.get_source_segment(source, node)!r}")
 
 
 def parse_expression(text: str, allowed: set[str] | None = None) -> Expression:
@@ -421,4 +353,16 @@ def parse_expression(text: str, allowed: set[str] | None = None) -> Expression:
     """
     if not isinstance(text, str) or text.strip() == "":
         raise ExpressionError("empty expression")
-    return _Parser(text, allowed).parse()
+    bad = _BAD_CHAR_RE.search(text)
+    if bad is not None:
+        raise ExpressionError(f"unexpected character {bad.group()!r} at position {bad.start()}")
+    source = text.strip().replace("^", "**")
+    try:
+        # Warnings such as "invalid decimal literal" (for 1or x) become
+        # errors instead of lines on stderr.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = ast.parse(source, mode="eval")
+    except (SyntaxError, ValueError):
+        raise ExpressionError(f"malformed expression {text!r}") from None
+    return _build(tree.body, source, allowed)

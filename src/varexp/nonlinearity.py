@@ -119,8 +119,9 @@ class LogPowerCoupling(Nonlinearity):
         gap = np.max(np.abs(t1 / p + t2 / q - 1.0))
         if gap > 1e-9:
             raise ConfigError(
-                "log_power requires theta1/p + theta2/q = 1 pointwise "
-                f"(worst deviation {gap:.3g})"
+                "log-power balance violated (the product term must scale exactly "
+                "like the leading powers): log_power requires theta1/p + theta2/q "
+                f"= 1 pointwise (worst deviation {gap:.3g})"
             )
 
     @functools.cached_property

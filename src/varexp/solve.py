@@ -145,10 +145,13 @@ class CriticalPoint:
 class SolutionInventory:
     points: list[CriticalPoint]
     runs: list[CriticalPoint]
-    distinct_count: int
     theorem_target: str
     flags: list[str] = dataclasses.field(default_factory=list)
     energy_sequence: list[float] | None = None
+
+    @property
+    def distinct_count(self) -> int:
+        return len(self.points)
 
 
 @dataclasses.dataclass
@@ -694,8 +697,8 @@ def _quadrant_inventory(
         if pt.converged and pt.residual <= cfg.gradient_stop and pt.energy < 0.0
     ]
     points = merge_points(eligible, _DEFLATION_DISTANCE)
-    inventory = SolutionInventory(points=points, runs=runs, distinct_count=len(points),
-                                  theorem_target="four", flags=flags)
+    inventory = SolutionInventory(points=points, runs=runs, theorem_target="four",
+                                  flags=flags)
     return inventory, symmetric
 
 
@@ -757,7 +760,7 @@ def find_six_solutions(
             mp3 = mountain_pass(prob, ((-t_star) * h1, (-t_star) * h2), "Q3", cfg)
         for mp in (mp1, mp3):
             runs.append(mp)
-            if mp.converged and mp.residual <= cfg.gradient_stop:
+            if mp.converged:
                 pool.append(mp)
             else:
                 flags.append(f"mountain_pass_{mp.quadrant}_not_converged")
@@ -765,7 +768,6 @@ def find_six_solutions(
     return SolutionInventory(
         points=points,
         runs=runs,
-        distinct_count=len(points),
         theorem_target="six",
         flags=flags,
     )
@@ -822,7 +824,7 @@ def symmetric_pairs(
         mp = mountain_pass(prob, (t * bump_sum, t * bump_sum), None, cfg)
         runs.append(mp)
         energies.append(mp.energy)
-        if mp.converged and mp.residual <= cfg.gradient_stop:
+        if mp.converged:
             points.append(mp)
             points.append(_negated(mp, prob))
         else:
@@ -835,7 +837,6 @@ def symmetric_pairs(
     return SolutionInventory(
         points=merged,
         runs=runs,
-        distinct_count=len(merged),
         theorem_target="pairs",
         flags=flags,
         energy_sequence=energies,

@@ -142,6 +142,9 @@ def test_exponent_expression_is_accepted():
         ("hypothesis_constants", {"gamma": "3 +* x", "delta": 3.5, "C": 400.0},
          "hypothesis_constants.gamma"),
         ("exponents", {"p": "3 + x/1e999", "q": 3.0}, "exponents.p"),
+        ("exponents", {"p": "3 + 1/0", "q": 3.0}, "exponents.p"),
+        ("nonlinearity", {"kind": "custom", "expression": "u^4 + v^4 + 1/0*u^2*v^2"},
+         "nonlinearity[custom].expression"),
     ],
 )
 def test_malformed_expression_is_a_config_error(tmp_path, capsys, section, fields, path):
@@ -392,7 +395,7 @@ def test_pairs_exits_2_when_levels_collapse(tmp_path, monkeypatch, flags,
         z = prob.grid.zeros()
         run = CriticalPoint(u=z, v=z, energy=1.0, residual=0.0, quadrant="Q1",
                             method="mountain_pass", iterations=1, converged=True)
-        return SolutionInventory(points=[run], runs=[run] * k, distinct_count=1,
+        return SolutionInventory(points=[run], runs=[run] * k,
                                  theorem_target="pairs", flags=list(flags),
                                  energy_sequence=[1.0] * k)
 

@@ -2,7 +2,7 @@
 
     python3 tools/same_outputs.py PARENT CHANGE
 
-PARENT and CHANGE are the roots of two source checkouts.  Each of the 32
+PARENT and CHANGE are the roots of two source checkouts.  Each of the 38
 runs below is made once per tree, as ``python -m varexp.cli SUBCOMMAND ...
 --deterministic --out out`` with ``PYTHONPATH=<tree>/src`` and
 ``OPENBLAS_NUM_THREADS=1``, from a fresh working directory.  Both trees read
@@ -14,8 +14,9 @@ exit status are compared.  One line is printed per run; the exit status is
 The runs: ``check``, ``norm``, ``scan``, ``eigen``, ``pairs`` and ``solve
 --theorem 1``/``2`` on the default config; ``eigen`` on the 2D config of the
 benchmark (read from PARENT); and ``check``, ``eigen``, ``pairs``, ``scan``
-and ``solve --theorem 1``/``2`` on each of the four configs below, which
-cover a variable p, a custom F, and p < 2 in 1D and 2D.
+and ``solve --theorem 1``/``2`` on each of the five configs below, which
+cover a variable p, a custom F, p < 2 in 1D and 2D, and every function,
+constant and operator of the expression language.
 """
 
 from __future__ import annotations
@@ -63,6 +64,13 @@ CONFIGS = {
     "separable_2d_p<2_17x17": _config(
         [[0.0, 1.0], [0.0, 1.0]], [17, 17], "1.6 + 0.8*x + 0.4*y", 4.0, 1.1,
         _separable(4.0, 5.0), 4.0, 5.0, 10.0),
+    "custom_p_every_function": _config(
+        [[0.0, 1.0]], [129],
+        "3 + 1.5e-1*sin(pi*x/2)^2 - 0.1*cos(pi*x/2) - 0.05*exp(-x) + 0.05*ln(1 + x)"
+        " + 0.05*log(e + x) + 0.1*sqrt(1 + x**2) + 0.1*abs(x + 0.5) + pow(x, 2)/10",
+        3.0, 1.2,
+        {"kind": "custom", "expression": "(2 + sin(pi*x))*u^2*v^2 + u^4 + v**4"},
+        4.0, 4.0, 20.0),
 }
 
 DEFAULT_RUNS = (("check",), ("norm",), ("scan",), ("eigen",), ("pairs",),
