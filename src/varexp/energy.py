@@ -29,8 +29,8 @@ stacked and built once per problem.  The Rayleigh quotient stacks |grad x|^2
 over |x| and shares the flux adjoint.  The kernel also takes a stack of
 packed states, shape (..., 2n), and returns one energy (or gradient) per
 state, bit for bit what it returns for that state alone, so the solvers
-evaluate independent states (a mountain-pass path, a ray scan, the perturbed
-states of a Newton Jacobian) in one numpy call.  The kernel trusts its
+evaluate independent states (a mountain-pass path, a chunk of the fibering
+scan, the perturbed states of a Newton step) in one numpy call.  The kernel trusts its
 input.  Validation (grid identity, zero boundary values, quadrant tags)
 happens once, in the public functions that take ``GridFunction`` pairs, and
 at the entry of the solvers; those stay single-state.
@@ -343,9 +343,9 @@ def weak_residual(u: GridFunction, v: GridFunction, prob: ProblemSpec) -> float:
     """Euclidean norm of the nodal gradient of phi — the weak-form defect.
 
     The entries already carry the quadrature weights and vanish at the
-    boundary.  The descents stop on projected stationarity instead, which a
-    quadrant run measures in its rescaled units, so this is the quantity
-    reported for a critical point, not the one a descent stops on.
+    boundary.  A descent stops on the gradient norm in its own units (a
+    quadrant run's fibering units), so this is the quantity reported for a
+    critical point, not the one a descent stops on.
     """
     _check_pair(u, v, prob)
     return _residual(_gradient(_pack(u, v), prob), prob.grid)
@@ -688,7 +688,6 @@ def minimize_rayleigh(
             random_zero_boundary(grid, rng).values.ravel().copy(),
             max_iterations=max_iterations,
             gradient_stop=gradient_stop,
-            rescale_window=(1e-6, 1e6),
         )
         for _ in range(max(1, restarts))
     ]

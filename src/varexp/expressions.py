@@ -363,6 +363,10 @@ def parse_expression(text: str, allowed: set[str] | None = None) -> Expression:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tree = ast.parse(source, mode="eval")
+        return _build(tree.body, source, allowed)
+    except ExpressionError:
+        raise
     except (SyntaxError, ValueError):
         raise ExpressionError(f"malformed expression {text!r}") from None
-    return _build(tree.body, source, allowed)
+    except (RecursionError, MemoryError):
+        raise ExpressionError(f"expression nested too deeply: {text[:40]!r}...") from None

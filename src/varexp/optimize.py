@@ -1,14 +1,13 @@
 """Shared first-order minimization machinery.
 
-A Barzilai-Borwein-stepped projected descent with Armijo backtracking.  The
+A Barzilai-Borwein-stepped descent with Armijo backtracking.  The
 sufficient-decrease test is written in the projected form
 
     f(x+) <= f(x) - (c / t) * ||x+ - x||^2,
 
 which reduces to the classical Armijo condition when there is no projection
-and stays meaningful on a clamped cone.  Stationarity is measured by the
-unit-step projected gradient ||x - P(x - g)|| (plain ||g|| without a
-projection), which is also what the solvers report as the residual scale.
+and stays meaningful on a clamped cone (the mountain-pass relocations).
+Stationarity of a descent is measured by ||g||.
 """
 
 from __future__ import annotations
@@ -29,6 +28,9 @@ _TINY = 1e-300
 _STEP_INIT = 1.0
 _SHRINK = 0.5
 _ARMIJO = 1e-4
+# Sup-norm window of a descent's iterate; outside it the iterate is divided
+# by its sup norm and the BB step restarts.
+_RESCALE_WINDOW = (1e-6, 1e6)
 
 
 @dataclasses.dataclass
@@ -40,14 +42,6 @@ class OptimizeResult:
     converged: bool
     # "tolerance", "line_search_floor" or "iteration_cap"
     stop_reason: str
-
-
-def _stationarity(
-    x: np.ndarray, g: np.ndarray, project: Callable[[np.ndarray], np.ndarray] | None
-) -> float:
-    # sqrt(r @ r) is what np.linalg.norm computes for a 1D array, bit for bit.
-    r = g if project is None else x - project(x - g)
-    return math.sqrt(float(r @ r))
 
 
 def backtracking_step(
@@ -86,30 +80,26 @@ def bb_minimize(
     x0: np.ndarray,
     max_iterations: int = 20000,
     gradient_stop: float = 1e-8,
-    project: Callable[[np.ndarray], np.ndarray] | None = None,
-    step_cap_sup: float | None = None,
-    rescale_window: tuple[float, float] | None = None,
 ) -> OptimizeResult:
-    """Projected descent with BB steps and backtracking.
+    """Descent with BB steps and backtracking.
 
-    Terminates when the unit-step projected gradient norm drops to
-    ``gradient_stop``, when the line search hits its shrink budget (numerical
-    floor), or at the iteration cap.  The accepted energy sequence is
-    strictly decreasing.
+    Terminates when the gradient norm drops to ``gradient_stop``, when the
+    line search hits its shrink budget (numerical floor), or at the
+    iteration cap.  An iterate whose sup norm leaves ``_RESCALE_WINDOW`` is
+    divided by it, a safeguard against amplitude drift; between such
+    rescales the accepted energy sequence is strictly decreasing.
     """
-    x = project(x0) if project is not None else np.array(x0, dtype=float)
+    x = np.array(x0, dtype=float)
     fx = f(x)
     g = grad(x)
     t_bb = _STEP_INIT
     it = 0
     for it in range(1, max_iterations + 1):
-        stat = _stationarity(x, g, project)
+        stat = math.sqrt(float(g @ g))
         if stat <= gradient_stop:
             return OptimizeResult(x, fx, stat, it - 1, True, "tolerance")
         t0 = min(max(t_bb, _BB_CLIP[0]), _BB_CLIP[1])
-        xn, fn, moved = backtracking_step(
-            f, x, fx, g, step_init=t0, project=project, step_cap_sup=step_cap_sup
-        )
+        xn, fn, moved = backtracking_step(f, x, fx, g, step_init=t0)
         if not moved:
             # Line-search floor: no acceptable decrease at any scale.
             return OptimizeResult(
@@ -121,14 +111,13 @@ def bb_minimize(
         denom = float(np.dot(dx, dg))
         t_bb = float(np.dot(dx, dx)) / denom if denom > 0.0 else _STEP_INIT
         x, fx, g = xn, fn, gn
-        if rescale_window is not None:
-            sup = float(np.max(np.abs(x)))
-            if sup > 0.0 and not (rescale_window[0] <= sup <= rescale_window[1]):
-                x = x / sup
-                fx = f(x)
-                g = grad(x)
-                t_bb = _STEP_INIT
-    stat = _stationarity(x, g, project)
+        sup = float(np.max(np.abs(x)))
+        if sup > 0.0 and not (_RESCALE_WINDOW[0] <= sup <= _RESCALE_WINDOW[1]):
+            x = x / sup
+            fx = f(x)
+            g = grad(x)
+            t_bb = _STEP_INIT
+    stat = math.sqrt(float(g @ g))
     converged = stat <= gradient_stop
     reason = "tolerance" if converged else "iteration_cap"
     return OptimizeResult(x, fx, stat, it, converged, reason)

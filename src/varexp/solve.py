@@ -2,47 +2,36 @@
 
 Three experiment drivers sit on top of two engines:
 
-* ``descend`` — projected BB descent on the (optionally quadrant-truncated)
-  energy.  Minimizers of the truncated functional with a clamped sign
-  pattern are the constant-sign solutions.
+* ``descend`` — line-search Newton-CG on the (optionally quadrant-truncated)
+  energy, in the units of the fibering scan of its cone
+  (``_fibering_minimum``), which also seeds each quadrant run.  Minimizers
+  of the truncated functional with a clamped sign pattern are the
+  constant-sign solutions.
 * ``mountain_pass`` — the classical numerical mountain-pass scheme: a
   piecewise-linear path from zero to a low-energy state whose maximal-energy
   interior point is repeatedly relocated downhill and re-spaced by
   arclength.  Relocation alone creeps near the saddle (the p-Laplacian
   Hessian degenerates where the gradient of the state vanishes), so the
-  near-saddle state is finished by a damped finite-difference Newton
-  iteration on the nodal gradient system; a candidate is accepted only if
-  its residual meets the stopping tolerance and its energy exceeds both
-  endpoints, otherwise relocation resumes.  The nodal gradient is a local
-  stencil, so the Newton Jacobian is built by Curtis-Powell-Reid column
-  colouring: one pair of perturbed states per colour (10 in 1D, 50 in 2D),
-  not per free degree of freedom, with the same bits as the column-by-column
-  difference.  It is still stored and solved dense.
+  near-saddle state is finished by damped Newton on the nodal gradient
+  system with a column-coloured, dense finite-difference Jacobian
+  (``_newton_polish``); relocation resumes unless the candidate's residual
+  meets the stopping tolerance and its energy exceeds both endpoints.
 
 Both engines work on packed states w = [u.ravel(), v.ravel()] and call the
 energy kernel of ``varexp.energy`` directly, bound to the run's sign pattern
 (none for the plain functional).  Start pairs and the far path endpoint are
 validated once, on entry (grid, zero boundary values, quadrant tag, cone);
-line searches, BB steps and the Newton polish build no ``GridFunction``.
+line searches, Newton steps and the polish build no ``GridFunction``.
 The kernel and the cone projector take stacks of packed states, so states
 that do not depend on one another go through in one numpy call each: the
-whole mountain-pass path after every re-spacing, the amplitudes of the ray
-scan, and the perturbed states of a Newton Jacobian (one stacked gradient
-call per step).
+whole mountain-pass path after every re-spacing, a chunk of the fibering
+scan, the two states of a Hessian-vector difference and the perturbed
+states of a Newton Jacobian.
 
-A ray scan fixes the amplitude of a quadrant run: ``_ray_minimum`` finds
-the near-origin minimum s of the energy along the broad profile
-e = prod sin(pi x) signed into the cone.  The quadrant driver scans to seed
-its descent there, and ``descend`` scans again to continue any run that
-ends at or below ``_DEFLATION_DISTANCE`` in the units that scan gives, so a
-quadrant run seeded by the driver scans twice.  The far path endpoint
-is the least dyadic multiple of a bump state with negative energy
-(``_first_negative_multiple``).
+The far path endpoint is the least dyadic multiple of a bump state with
+negative energy (``_first_negative_multiple``).
 
-Deflation is a sup-norm merge relative to amplitude: points closer than
-``_DEFLATION_DISTANCE`` times the larger of their sup norms (capped at 1)
-count as one, keeping the lower residual.  For states of unit amplitude and
-above this is the plain absolute distance.
+Deflation is a sup-norm merge relative to amplitude (``merge_points``).
 
 Under a passing ``even_symmetry`` verdict the energy is even, so the Q3/Q4
 descents and the Q3 mountain pass are taken as exact negations of the
@@ -74,7 +63,7 @@ from .energy import (
     phi_energy,
 )
 from .grid import Grid, GridFunction, tent_function
-from .optimize import _SHRINK, backtracking_step, bb_minimize
+from .optimize import _ARMIJO, _MAX_SHRINKS, _SHRINK, backtracking_step
 
 __all__ = [
     "SolverConfig",
@@ -94,12 +83,18 @@ __all__ = [
 ]
 
 
-# Per-step sup-norm cap; keeps descent from hopping across the positive
-# energy ridge that separates the near-origin dip from the far field.
+# Per-step sup-norm cap of a mountain-pass relocation; keeps it from hopping
+# across the positive energy ridge between the near-origin dip and far field.
 _MAX_STEP_SUP = 1.0
 
-# Newton steps per polish call.
+# Newton steps per polish or descent call.
 _REFINE_ITERATIONS = 40
+
+# States per stacked energy call of the fibering scan.
+_FIBERING_CHUNK = 111
+
+# Relative energy change that a descent's line search reads as round-off.
+_ROUNDOFF = 1e-12
 
 # Nontriviality threshold of a descent and distance of the deflation merge,
 # both in sup norm.
@@ -214,45 +209,28 @@ def _functional(prob: ProblemSpec, signs: tuple[int, int] | None):
     )
 
 
-def _make_point(
-    prob: ProblemSpec,
-    w: np.ndarray,
-    method: str,
-    iterations: int,
-    converged: bool,
-    flags: list[str],
-) -> CriticalPoint:
+def _make_point(prob: ProblemSpec, w: np.ndarray, method: str, iterations: int,
+                converged: bool, flags: list[str]) -> CriticalPoint:
     u, v = _unpack(w, prob.grid)
     return CriticalPoint(
-        u=u,
-        v=v,
-        energy=_energy(w, prob),
-        residual=_residual(_gradient(w, prob), prob.grid),
-        quadrant=classify_quadrant(u, v),
-        method=method,
-        iterations=iterations,
-        converged=converged,
-        flags=flags,
+        u=u, v=v, energy=_energy(w, prob), residual=_residual(_gradient(w, prob), prob.grid),
+        quadrant=classify_quadrant(u, v), method=method, iterations=iterations,
+        converged=converged, flags=flags,
     )
 
 
 # --- descent ---------------------------------------------------------------------
 
 
-def _ray_minimum(
+def _fibering_minimum(
     prob: ProblemSpec, signs: tuple[int, int] | None
-) -> tuple[float, np.ndarray, float] | None:
-    """Near-origin ray minimum of the broad profile in a cone.
-
-    The profile is the lowest Dirichlet mode of the box,
-    e = prod sin(pi (x - lo)/(hi - lo)), signed into the cone of ``signs``
-    (Q1's for the plain functional) as the packed direction
-    d = (s_u e, s_v e).  Returns (s, d, f(s*d)) for the first local minimum
-    with negative energy of s -> f(s*d) over the dyadic amplitudes
-    s = 2^-100 .. 2^10, f the energy truncated to the cone.  That is the
-    near-origin dip; the far-field descent of a superlinear coupling never
-    turns up inside the scan.  None when there is no such dip.
-    """
+) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """Lowest point (S, d, c) of the fibering scan in a cone, or None when
+    no scanned energy is negative.  d = (s_u e, s_v e) is the broad profile
+    e = prod sin(pi (x - lo)/(hi - lo)) signed into the cone (Q1's for the
+    plain functional); S = t^(1/p-) on u's entries and t^(1/q-) on v's, for
+    t = 2^-k, k = 0, 0.5, ..., 1000; c = -f(S d).  Chunks go through in
+    ascending k until one after a negative minimum holds no lower value."""
     grid = prob.grid
     vals = np.ones(grid.shape)
     for x, lo, hi in zip(grid.coordinate_arrays(), grid.lo, grid.hi):
@@ -260,12 +238,61 @@ def _ray_minimum(
     vals[~grid.interior] = 0.0
     su, sv = signs or (1, 1)
     d = np.concatenate([su * vals.ravel(), sv * vals.ravel()])
-    amps = 2.0 ** np.arange(-100, 11)
-    energies = _energy(amps[:, None] * d, prob, signs)
-    for k in range(1, len(amps) - 1):
-        e = energies[k]
-        if e < 0.0 and e <= energies[k - 1] and e < energies[k + 1]:
-            return float(amps[k]), d, float(e)
+    powers = np.repeat([1.0 / prob.p.values.min(), 1.0 / prob.q.values.min()],
+                       grid.n_nodes)
+    t = 2.0 ** -np.arange(0.0, 1000.5, 0.5)
+    best, scales = 0.0, None
+    for k in range(0, t.size, _FIBERING_CHUNK):
+        chunk = t[k:k + _FIBERING_CHUNK, None] ** powers
+        energies = _energy(chunk * d, prob, signs)
+        j = int(np.argmin(energies))
+        if energies[j] < best:
+            best, scales = float(energies[j]), chunk[j]
+        elif scales is not None:
+            break
+    return None if scales is None else (scales, d, -best)
+
+
+def _newton_direction(g, W: np.ndarray, gW: np.ndarray, tol: float) -> np.ndarray:
+    """Truncated CG on H d = -g(W) to residual ``tol``, stopped at the first
+    direction p of non-positive curvature (-g(W) if it is the first); H p is
+    a central difference of ``g`` along p, one call on W +- h p."""
+    h = 1e-6 * max(1.0, float(np.max(np.abs(W))))
+    z, r, p, rr = np.zeros_like(gW), gW, -gW, float(gW @ gW)
+    for j in range(W.size):
+        e = h / float(np.max(np.abs(p)))
+        gp, gm = g(np.stack([W + e * p, W - e * p]))
+        hp = (gp - gm) / (2.0 * e)
+        curvature = float(p @ hp)
+        if curvature <= 0.0:
+            return -gW if j == 0 else z
+        a = rr / curvature
+        z, r = z + a * p, r + a * hp
+        rr, rr_old = float(r @ r), rr
+        if rr <= tol * tol:
+            break
+        p = -r + (rr / rr_old) * p
+    return z
+
+
+def _line_search(f, g, proj, W, fW, gW, d):
+    """(W, f, g) at the first cone-projected trial along d, then along
+    -g(W), that passes Armijo; a trial along d also passes when it lowers
+    |g| by (1 - 1e-4 t) within energy round-off, which near convergence no
+    longer resolves the decrease.  None when no trial passes."""
+    gn = float(np.linalg.norm(gW))
+    for d, newton in ((d, True), (-gW, False)):
+        slope, t = float(gW @ d), 1.0
+        for _ in range(_MAX_SHRINKS):
+            Wt = W + t * d if proj is None else proj(W + t * d)
+            ft = f(Wt)
+            if ft <= fW + _ARMIJO * t * slope:
+                return Wt, ft, g(Wt)
+            if newton and ft - fW <= _ROUNDOFF * abs(fW):
+                gt = g(Wt)
+                if float(np.linalg.norm(gt)) < (1.0 - _ARMIJO * t) * gn:
+                    return Wt, ft, gt
+            t *= _SHRINK
     return None
 
 
@@ -275,60 +302,46 @@ def descend(
     quadrant: str | None = None,
     cfg: SolverConfig = SolverConfig(),
 ) -> CriticalPoint:
-    """Projected gradient descent with backtracking on phi (or its quadrant
-    truncation).  Non-convergence is reported by flag, not by exception.
+    """Line-search Newton-CG on phi (or its quadrant truncation).
 
-    The descent runs in the raw variables first.  If it ends at or below
-    the nontriviality threshold ``_DEFLATION_DISTANCE`` -- a small seed, or a
-    run drawn into the near-origin dip -- an absolute stopping rule means
-    nothing there, so it continues at the problem's own scale: in the
-    variables W = w/s with energy unit c, where s is the amplitude that
-    ``_ray_minimum`` finds in the run's cone and -c the energy there.  f(sW)/c and
-    W are both of unit order, and the absolute stopping rule in W is a
-    relative one in w.  Both phases share the ``max_iterations`` budget.  A
-    descent that stalls at the line-search floor above the tolerance --
-    energy round-off hides a decrease long before the gradient is small --
-    is finished by the damped Newton iteration of the mountain-pass polish,
-    in the units of its last phase.
+    It runs on W = w/S with energy f(S W)/c, (S, _, c) the fibering scan of
+    its cone (raw units when no scanned energy is negative), so both are of
+    unit order at the near-origin dip and ``gradient_stop`` on the gradient
+    in W is relative in w.  A step follows the truncated-CG direction
+    (forcing term min(0.5, |g|) |g|), or -g when no trial along it passes.
+    A run not converged after min(``max_iterations``, ``_REFINE_ITERATIONS``)
+    steps is flagged ``descent_not_converged`` and ``newton_step_cap`` (or
+    ``line_search_floor`` where no trial passes), not raised.
     """
     _check_pair(*start, prob)
     signs = _quadrant_signs(quadrant)
     f_raw, g_raw, proj = _functional(prob, signs)
     w0 = _pack(*start)
     _require_in_cone(proj, w0, f"start pair is not inside the {quadrant} cone")
-    run = partial(
-        bb_minimize,
-        gradient_stop=cfg.gradient_stop,
-        project=proj,
-        step_cap_sup=_MAX_STEP_SUP,
-    )
-    res = run(f_raw, g_raw, w0, max_iterations=cfg.max_iterations)
-    iterations, s, g = res.iterations, 1.0, g_raw
-    ray = None
-    if float(np.max(np.abs(res.x))) <= _DEFLATION_DISTANCE:
-        ray = _ray_minimum(prob, signs)
-    if ray is not None:
-        s, c = ray[0], -ray[2]
+    fib = _fibering_minimum(prob, signs)
+    S, c = (1.0, 1.0) if fib is None else (fib[0], fib[2])
 
-        def f(w):
-            return f_raw(s * w) / c
+    def f(W):
+        return f_raw(S * W) / c
 
-        def g(w):
-            return (s / c) * g_raw(s * w)
+    def g(W):
+        return (S / c) * g_raw(S * W)
 
-        res = run(f, g, res.x / s, max_iterations=cfg.max_iterations - iterations)
-        iterations += res.iterations
-    w, converged = res.x, res.converged
-    skip_flag = None
-    if res.stop_reason == "line_search_floor" and not converged:
-        w, polish_iters, converged, skip_flag = _newton_polish(
-            g, proj, prob.grid, w, cfg
-        )
-        iterations += polish_iters
-    flags = [] if converged else ["descent_not_converged"]
-    if skip_flag is not None:
-        flags.append(skip_flag)
-    return _make_point(prob, s * w, "descent", iterations, converged, flags)
+    W = w0 / S
+    fW, gW = f(W), g(W)
+    steps, stop = 0, "newton_step_cap"
+    cap = min(cfg.max_iterations, _REFINE_ITERATIONS)
+    while (gn := float(np.linalg.norm(gW))) > cfg.gradient_stop and steps < cap:
+        trial = _line_search(f, g, proj, W, fW, gW,
+                             _newton_direction(g, W, gW, min(0.5, gn) * gn))
+        if trial is None:
+            stop = "line_search_floor"
+            break
+        W, fW, gW = trial
+        steps += 1
+    converged = gn <= cfg.gradient_stop
+    flags = [] if converged else ["descent_not_converged", stop]
+    return _make_point(prob, S * W, "descent", steps, converged, flags)
 
 
 # --- mountain pass ---------------------------------------------------------------
@@ -420,7 +433,7 @@ def _newton_polish(gfun, proj, grid: Grid, w, cfg):
     degrees of freedom (``_fd_jacobian``: one stacked gradient call of
     2 * 10 states per step in 1D, 2 * 50 in 2D, whatever the grid size),
     stored dense, direct solve with a least-squares fallback, step halving
-    until the gradient norm decreases, cone projection for quadrant runs.
+    until the gradient norm decreases, cone projection in a truncated pass.
     The gradient at an accepted trial is kept for the next step.  Returns
     (w, iterations, converged, skip_flag).  First-order alternatives (BB
     descent on 0.5*|G|^2 driven by Hessian-vector differences) were measured
@@ -542,14 +555,7 @@ def mountain_pass(
             flags.append("relocation_budget_exhausted")
             break
 
-    point = _make_point(
-        prob,
-        w,
-        "mountain_pass",
-        relocations + total_iters,
-        True,
-        flags,
-    )
+    point = _make_point(prob, w, "mountain_pass", relocations + total_iters, True, flags)
     if point.energy <= max(fa, fb):
         point.converged = False
         point.flags.append("energy_not_above_endpoints")
@@ -678,10 +684,10 @@ def _quadrant_inventory(
         if mirror is not None:
             pt = _negated(mirror, prob)
         else:
-            ray = _ray_minimum(prob, QUADRANT_SIGNS[quadrant])
-            start = (zero, zero) if ray is None else _unpack(ray[0] * ray[1], prob.grid)
+            fib = _fibering_minimum(prob, QUADRANT_SIGNS[quadrant])
+            start = (zero, zero) if fib is None else _unpack(fib[0] * fib[1], prob.grid)
             pt = descend(prob, start, quadrant, cfg)
-            if ray is None:
+            if fib is None:
                 pt.flags.append("no_negative_energy_start")
             # Absolute on purpose: a component whose sup is at or below
             # _DEFLATION_DISTANCE is flagged as below the nontriviality
@@ -707,10 +713,10 @@ def find_constant_sign_solutions(
     cfg: SolverConfig = SolverConfig(),
     quadrants=QUADRANTS,
 ) -> SolutionInventory:
-    """One descent run per quadrant, seeded at the near-origin ray minimum
-    of the broad profile in its cone (``_ray_minimum``), or at the zero pair
-    when that ray has no negative dip; constant-sign minimizers collected
-    with deflation."""
+    """One descent run per quadrant, seeded at the lowest point of the
+    fibering scan in its cone (``_fibering_minimum``), or at the zero pair
+    when that scan has no negative energy; constant-sign minimizers
+    collected with deflation."""
     return _quadrant_inventory(prob, cfg, quadrants, _FOUR_SOLUTION_HYPOTHESES)[0]
 
 

@@ -745,7 +745,6 @@ def test_minimize_rayleigh_matches_uncached_descent_bitwise():
             random_zero_boundary(g, rng).values.ravel().copy(),
             max_iterations=50,
             gradient_stop=1e-8,
-            rescale_window=(1e-6, 1e6),
         )
         for _ in range(2)
     ]

@@ -51,6 +51,16 @@ def test_parse_rejects_malformed(bad):
         parse_expression(bad)
 
 
+def test_deeply_nested_expression_is_an_expression_error():
+    """The parser and the tree walk recurse once per operator; past the
+    recursion limit the text is refused like any malformed one."""
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        parse_expression("3" + "+x/1000" * 1000)
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        parse_expression("3" + "+x/1000" * 100000)
+    assert parse_expression("3" + "+x/1000" * 900).evaluate({"x": 1.0}) == pytest.approx(3.9)
+
+
 def test_allowed_names_enforced():
     parse_expression("x + 1", allowed={"x"})
     with pytest.raises(ExpressionError, match="unknown name 'y'"):

@@ -1,5 +1,7 @@
 """Descent, mountain pass, divergence scans and the solution inventories."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from varexp.energy import (
     weak_residual,
 )
 from varexp import energy, solve
+from varexp.config import default_config_dict, parse_config_text
 from varexp.errors import ConfigError, DataError, GeometryError
 from varexp.exponents import constant_exponent, exponent_from_expression
 from varexp.grid import make_grid, tent_function
@@ -34,9 +37,9 @@ from varexp.solve import (
     pair_distance,
     smooth_bump,
     symmetric_pairs,
+    _fibering_minimum,
     _first_negative_multiple,
     _pair_sites,
-    _ray_minimum,
 )
 
 
@@ -219,14 +222,13 @@ def test_descend_negation_equivariance_is_exact():
 
 
 def test_descend_leaves_the_quadrant_seed():
-    """The seed of find_constant_sign_solutions is the near-origin ray
-    minimum of the broad profile, sup ~5e-8, far below unit order; an
-    absolute stopping rule would accept it at iteration 0."""
-    s, d, _ = _ray_minimum(PROB, (1, 1))
-    g = PROB.grid
-    n = g.n_nodes
-    start = (g.function(s * d[:n]), g.function(s * d[n:]))
+    """The seed of find_constant_sign_solutions is the lowest point of the
+    fibering scan, sup ~5e-8, far below unit order; an absolute stopping
+    rule would accept it at iteration 0."""
+    scales, d, c = _fibering_minimum(PROB, (1, 1))
+    start = solve._unpack(scales * d, PROB.grid)
     e0 = phi_energy(start[0], start[1], PROB, "Q1")
+    assert e0 == -c
     pt = descend(PROB, start, quadrant="Q1", cfg=FAST)
     assert pt.iterations > 0
     assert pt.energy < e0
@@ -235,18 +237,18 @@ def test_descend_leaves_the_quadrant_seed():
 
 
 def test_descend_from_unit_order_seed_continues_at_problem_scale():
-    """A raw descent from 0.05*bump stops near the origin (sup ~5e-5, energy
-    > 0) on the absolute stopping rule; below deflation_distance it must go
-    on in the ray's units and end below the ray seed's energy."""
+    """From 0.05*bump, six orders of magnitude above the minimizer, the
+    descent runs in the units of the fibering scan and ends below the
+    energy of its lowest point."""
     g = PROB.grid
     b = smooth_bump(g)
     start = (g.function(0.05 * b.values), g.function(0.05 * b.values))
-    _, _, e_ray = _ray_minimum(PROB, (1, 1))
-    assert e_ray < 0.0
+    _, _, c = _fibering_minimum(PROB, (1, 1))
+    assert c > 0.0
     pt = descend(PROB, start, quadrant="Q1", cfg=FAST)
     assert pt.converged
     assert pt.residual <= FAST.gradient_stop
-    assert pt.energy < e_ray, (pt.energy, e_ray, pt.u.sup_norm())
+    assert pt.energy < -c, (pt.energy, -c, pt.u.sup_norm())
 
 
 def test_descend_iteration_cap_flags_not_converged():
@@ -257,6 +259,49 @@ def test_descend_iteration_cap_flags_not_converged():
     pt = descend(PROB, start, quadrant="Q1", cfg=cfg)
     assert not pt.converged
     assert "descent_not_converged" in pt.flags
+    assert "newton_step_cap" in pt.flags
+
+
+def test_descend_flags_the_line_search_floor(monkeypatch):
+    monkeypatch.setattr(solve, "_line_search", lambda *args: None)
+    scales, d, _ = _fibering_minimum(PROB, (1, 1))
+    pt = descend(PROB, solve._unpack(scales * d, PROB.grid), quadrant="Q1", cfg=FAST)
+    assert not pt.converged
+    assert pt.iterations == 0
+    assert pt.flags == ["descent_not_converged", "line_search_floor"]
+
+
+def test_descend_reaches_an_anisotropic_minimizer_within_the_step_budget():
+    """With p = 3 + x/2, q = 3 and a separable F the Q1 minimizer lies far
+    off the diagonal, sup u/sup v ~ 3.4; the descent from the fibering seed
+    reaches it within the Newton step budget, below the seed's energy."""
+    data = {
+        **default_config_dict(),
+        "exponents": {"p": "3 + x/2", "q": 3.0},
+        "nonlinearity": {"kind": "separable_power", "c1": 1.0, "gamma1": 4.5,
+                         "c2": 1.0, "gamma2": 4.5},
+    }
+    prob, cfg = parse_config_text(json.dumps(data))
+    scales, d, c = _fibering_minimum(prob, (1, 1))
+    pt = descend(prob, solve._unpack(scales * d, prob.grid), quadrant="Q1", cfg=cfg)
+    assert pt.converged, pt.flags
+    assert pt.iterations <= solve._REFINE_ITERATIONS
+    assert pt.residual <= cfg.gradient_stop
+    assert pt.energy <= -c
+    assert 3.3 < pt.u.sup_norm() / pt.v.sup_norm() < 3.5
+
+
+def test_constant_sign_solutions_on_a_65x65_square():
+    """The descent stores no Jacobian, so it has no size cap: on a 65x65
+    square (7938 free unknowns) the default problem gives four converged
+    constant-sign points."""
+    data = {**default_config_dict(),
+            "domain": {"extents": [[0.0, 1.0], [0.0, 1.0]], "nodes": [65, 65]}}
+    prob, cfg = parse_config_text(json.dumps(data))
+    inv = find_constant_sign_solutions(prob, cfg)
+    assert inv.distinct_count == 4
+    assert all(pt.converged for pt in inv.points)
+    assert sorted(pt.quadrant for pt in inv.points) == list(QUADRANTS)
 
 
 # ---------------------------------------------------------------------------

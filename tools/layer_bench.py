@@ -26,9 +26,10 @@ It prints one JSON object with:
   call, with the number of gradient-kernel calls and of Newton Jacobians
   built;
 * ``energy_evaluations``: for the same two runs, energy evaluations made by
-  the solvers per stage, the share of them that are line-search trials, and
-  the line-search steps (descent iterations, mountain-pass relocations)
-  they were spent in.  These counts repeat exactly from run to run;
+  the solvers per stage, the share of them that are trials of
+  ``backtracking_step``, and its steps (mountain-pass relocations; the
+  descent's Newton line search is not counted there).  These counts repeat
+  exactly from run to run;
 * ``rayleigh_us``: on the 49x49 square of ``bench/eigen_2d_varp.json``
   with p = 3.5 + x/2 + y/4, microseconds per Rayleigh quotient and per
   Rayleigh gradient computed from scratch and from terms already computed,
@@ -204,8 +205,7 @@ def evaluation_counts():
     """Gradient and energy evaluations (one per state of a stacked call) per
     innermost stage, counted by wrapping the solver's module globals; the
     line-search steps and their energy trials are counted through
-    ``backtracking_step``, which ``bb_minimize`` and ``mountain_pass`` both
-    call."""
+    ``backtracking_step``, which ``bb_minimize`` and ``mountain_pass`` call."""
     stack = ["other"]
     counts: dict[str, int] = {}
     energies: dict[str, dict[str, int]] = {}

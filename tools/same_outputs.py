@@ -11,6 +11,11 @@ messages agree.  Every output file, standard output, standard error and the
 exit status are compared.  One line is printed per run; the exit status is
 1 on any difference and 0 when every run agrees.
 
+A run whose bytes differ is followed by what each tree's ``results.json``
+says of it: the exit status, ``distinct_count``, the inventory flags, each
+point's energy and residual, and each run that did not converge with its
+flags.  Outputs that are meant to change can be judged on those.
+
 The runs: ``check``, ``norm``, ``scan``, ``eigen``, ``pairs`` and ``solve
 --theorem 1``/``2`` on the default config; ``eigen`` on the 2D config of the
 benchmark (read from PARENT); and ``check``, ``eigen``, ``pairs``, ``scan``
@@ -115,6 +120,21 @@ def differences(a: dict, b: dict) -> list[str]:
     return out
 
 
+def summary(result: dict) -> list[str]:
+    """Exit status and inventory of one run, from its ``results.json``."""
+    head = f"exit {result['exit status']}"
+    raw = result["files"].get("results.json")
+    inv = json.loads(raw).get("inventory") if raw is not None else None
+    if not inv:
+        return [head]
+    lines = [f"{head}, distinct_count {inv['distinct_count']}, flags {inv['flags']}"]
+    lines += [f"{p['quadrant']} {p['method']}: energy {p['energy']!r}, "
+              f"residual {p['residual']!r}" for p in inv["points"]]
+    lines += [f"not converged: {r['quadrant']} {r['method']} {r['flags']}"
+              for r in inv["runs"] if not r["converged"]]
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/same_outputs.py PARENT CHANGE", file=sys.stderr)
@@ -133,6 +153,9 @@ def main(argv: list[str]) -> int:
             status = f"DIFF {', '.join(diff)}" if diff else "same"
             print(f"{label}: exit {a['exit status']}, {len(a['files'])} files: {status}",
                   flush=True)
+            if diff:
+                for tree, result in (("parent", a), ("change", b)):
+                    print(f"  {tree}: " + "\n    ".join(summary(result)), flush=True)
     print(f"{len(matrix) - failed} of {len(matrix)} runs identical")
     return 1 if failed else 0
 
