@@ -41,7 +41,7 @@ Q1/Q2 descents and the Q1 pass instead of being recomputed.
 from __future__ import annotations
 
 import dataclasses
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -83,8 +83,8 @@ __all__ = [
 ]
 
 
-# Per-step sup-norm cap of a mountain-pass relocation; keeps it from hopping
-# across the positive energy ridge between the near-origin dip and far field.
+# Per-step sup-norm cap; keeps descent from hopping across the positive
+# energy ridge that separates the near-origin dip from the far field.
 _MAX_STEP_SUP = 1.0
 
 # Newton steps per polish or descent call.
@@ -209,28 +209,45 @@ def _functional(prob: ProblemSpec, signs: tuple[int, int] | None):
     )
 
 
-def _make_point(prob: ProblemSpec, w: np.ndarray, method: str, iterations: int,
-                converged: bool, flags: list[str]) -> CriticalPoint:
+def _make_point(
+    prob: ProblemSpec,
+    w: np.ndarray,
+    method: str,
+    iterations: int,
+    converged: bool,
+    flags: list[str],
+) -> CriticalPoint:
     u, v = _unpack(w, prob.grid)
     return CriticalPoint(
-        u=u, v=v, energy=_energy(w, prob), residual=_residual(_gradient(w, prob), prob.grid),
-        quadrant=classify_quadrant(u, v), method=method, iterations=iterations,
-        converged=converged, flags=flags,
+        u=u,
+        v=v,
+        energy=_energy(w, prob),
+        residual=_residual(_gradient(w, prob), prob.grid),
+        quadrant=classify_quadrant(u, v),
+        method=method,
+        iterations=iterations,
+        converged=converged,
+        flags=flags,
     )
 
 
 # --- descent ---------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def _fibering_minimum(
     prob: ProblemSpec, signs: tuple[int, int] | None
 ) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """Lowest point (S, d, c) of the fibering scan in a cone, or None when
-    no scanned energy is negative.  d = (s_u e, s_v e) is the broad profile
+    """Lowest negative local minimum (S, d, c) of the fibering scan in a
+    cone, or None when it has none.  d = (s_u e, s_v e) is the broad profile
     e = prod sin(pi (x - lo)/(hi - lo)) signed into the cone (Q1's for the
     plain functional); S = t^(1/p-) on u's entries and t^(1/q-) on v's, for
-    t = 2^-k, k = 0, 0.5, ..., 1000; c = -f(S d).  Chunks go through in
-    ascending k until one after a negative minimum holds no lower value."""
+    t = 2^-k, k = 0, 0.5, ... while every scale is at least 2^-100;
+    c = -f(S d).  A minimum must lie below its neighbour at larger t, so the
+    far-field descent of a superlinear coupling, falling towards t = 1, is
+    never one.  Chunks go through in ascending k until one adds no lower
+    minimum.  Cached for one cone: the quadrant driver seeds at S d, and
+    ``descend`` runs in the same scan's units."""
     grid = prob.grid
     vals = np.ones(grid.shape)
     for x, lo, hi in zip(grid.coordinate_arrays(), grid.lo, grid.hi):
@@ -238,19 +255,21 @@ def _fibering_minimum(
     vals[~grid.interior] = 0.0
     su, sv = signs or (1, 1)
     d = np.concatenate([su * vals.ravel(), sv * vals.ravel()])
-    powers = np.repeat([1.0 / prob.p.values.min(), 1.0 / prob.q.values.min()],
-                       grid.n_nodes)
-    t = 2.0 ** -np.arange(0.0, 1000.5, 0.5)
-    best, scales = 0.0, None
+    pmin, qmin = prob.p.values.min(), prob.q.values.min()
+    powers = np.repeat([1.0 / pmin, 1.0 / qmin], grid.n_nodes)
+    t = 2.0 ** -np.arange(0.0, 100.0 * min(pmin, qmin) + 0.5, 0.5)
+    e, best = np.empty(0), None
     for k in range(0, t.size, _FIBERING_CHUNK):
         chunk = t[k:k + _FIBERING_CHUNK, None] ** powers
-        energies = _energy(chunk * d, prob, signs)
-        j = int(np.argmin(energies))
-        if energies[j] < best:
-            best, scales = float(energies[j]), chunk[j]
-        elif scales is not None:
-            break
-    return None if scales is None else (scales, d, -best)
+        e = np.concatenate([e, _energy(chunk * d, prob, signs)])
+        mid = e[1:-1]
+        dips = 1 + np.flatnonzero((mid < 0.0) & (mid < e[:-2]) & (mid <= e[2:]))
+        if dips.size:
+            j = int(dips[np.argmin(e[dips])])
+            if j == best:
+                break
+            best = j
+    return None if best is None else (t[best] ** powers, d, -float(e[best]))
 
 
 def _newton_direction(g, W: np.ndarray, gW: np.ndarray, tol: float) -> np.ndarray:
@@ -275,14 +294,16 @@ def _newton_direction(g, W: np.ndarray, gW: np.ndarray, tol: float) -> np.ndarra
     return z
 
 
-def _line_search(f, g, proj, W, fW, gW, d):
+def _line_search(f, g, proj, W, fW, gW, d, S):
     """(W, f, g) at the first cone-projected trial along d, then along
     -g(W), that passes Armijo; a trial along d also passes when it lowers
     |g| by (1 - 1e-4 t) within energy round-off, which near convergence no
-    longer resolves the decrease.  None when no trial passes."""
+    longer resolves the decrease.  The first trial moves w = S W by at most
+    ``_MAX_STEP_SUP`` in sup norm.  None when no trial passes."""
     gn = float(np.linalg.norm(gW))
     for d, newton in ((d, True), (-gW, False)):
-        slope, t = float(gW @ d), 1.0
+        slope = float(gW @ d)
+        t = min(1.0, _MAX_STEP_SUP / float(np.max(np.abs(S * d))))
         for _ in range(_MAX_SHRINKS):
             Wt = W + t * d if proj is None else proj(W + t * d)
             ft = f(Wt)
@@ -305,10 +326,11 @@ def descend(
     """Line-search Newton-CG on phi (or its quadrant truncation).
 
     It runs on W = w/S with energy f(S W)/c, (S, _, c) the fibering scan of
-    its cone (raw units when no scanned energy is negative), so both are of
+    its cone (raw units when the scan has no negative minimum), so both are of
     unit order at the near-origin dip and ``gradient_stop`` on the gradient
     in W is relative in w.  A step follows the truncated-CG direction
-    (forcing term min(0.5, |g|) |g|), or -g when no trial along it passes.
+    (forcing term min(0.5, |g|) |g|), or -g when no trial along it passes,
+    and moves w by at most ``_MAX_STEP_SUP`` in sup norm.
     A run not converged after min(``max_iterations``, ``_REFINE_ITERATIONS``)
     steps is flagged ``descent_not_converged`` and ``newton_step_cap`` (or
     ``line_search_floor`` where no trial passes), not raised.
@@ -333,7 +355,7 @@ def descend(
     cap = min(cfg.max_iterations, _REFINE_ITERATIONS)
     while (gn := float(np.linalg.norm(gW))) > cfg.gradient_stop and steps < cap:
         trial = _line_search(f, g, proj, W, fW, gW,
-                             _newton_direction(g, W, gW, min(0.5, gn) * gn))
+                             _newton_direction(g, W, gW, min(0.5, gn) * gn), S)
         if trial is None:
             stop = "line_search_floor"
             break
@@ -555,7 +577,14 @@ def mountain_pass(
             flags.append("relocation_budget_exhausted")
             break
 
-    point = _make_point(prob, w, "mountain_pass", relocations + total_iters, True, flags)
+    point = _make_point(
+        prob,
+        w,
+        "mountain_pass",
+        relocations + total_iters,
+        True,
+        flags,
+    )
     if point.energy <= max(fa, fb):
         point.converged = False
         point.flags.append("energy_not_above_endpoints")

@@ -291,6 +291,38 @@ def test_descend_reaches_an_anisotropic_minimizer_within_the_step_budget():
     assert 3.3 < pt.u.sup_norm() / pt.v.sup_norm() < 3.5
 
 
+def test_fibering_seed_skips_a_far_field_descent_at_unit_amplitude():
+    """On [0, 10] the default energy is already negative at e itself and
+    falls towards larger amplitudes; the seed is the near-origin dip, not
+    the lowest scanned energy at t = 1."""
+    data = default_config_dict()
+    data["domain"] = {**data["domain"], "extents": [[0.0, 10.0]]}
+    prob, _ = parse_config_text(json.dumps(data))
+    scales, d, c = _fibering_minimum(prob, (1, 1))
+    assert phi_energy(*solve._unpack(d, prob.grid), prob, "Q1") < 0.0
+    assert c > 0.0
+    assert np.max(scales * d) < 1.0
+
+
+def test_descend_steps_are_capped_off_the_scan_point():
+    """p < 2: from a start far from any scanned state the Newton direction
+    is huge; steps capped in sup norm keep energy and residual finite."""
+    data = {
+        **default_config_dict(),
+        "domain": {"extents": [[0.0, 1.0]], "nodes": [65]},
+        "exponents": {"p": "1.6 + x", "q": 4.0},
+        "coupling": {"alpha": 1.1, "beta": 1.1, "lambda": 0.001},
+        "nonlinearity": {"kind": "separable_power", "c1": 1.0, "gamma1": 3.0,
+                         "c2": 1.0, "gamma2": 5.0},
+    }
+    prob, cfg = parse_config_text(json.dumps(data))
+    g = prob.grid
+    e = np.where(g.interior, np.sin(np.pi * g.axes[0]), 0.0)
+    pt = descend(prob, (g.function(3e-9 * e), g.function(5e-5 * e)), "Q1", cfg)
+    assert np.isfinite(pt.energy) and np.isfinite(pt.residual)
+    assert max(pt.u.sup_norm(), pt.v.sup_norm()) <= solve._MAX_STEP_SUP * (1 + pt.iterations)
+
+
 def test_constant_sign_solutions_on_a_65x65_square():
     """The descent stores no Jacobian, so it has no size cap: on a 65x65
     square (7938 free unknowns) the default problem gives four converged
