@@ -51,14 +51,9 @@ def backtracking_step(
     g: np.ndarray,
     step_init: float = _STEP_INIT,
     project: Callable[[np.ndarray], np.ndarray] | None = None,
-    step_cap_sup: float | None = None,
 ) -> tuple[np.ndarray, float, bool]:
     """One descent relocation along -g.  Returns (x_new, f_new, moved)."""
     t = step_init
-    if step_cap_sup is not None:
-        gs = float(np.max(np.abs(g)))
-        if gs > 0.0:
-            t = min(t, step_cap_sup / gs)
     for _ in range(_MAX_SHRINKS):
         xn = x - t * g
         if project is not None:

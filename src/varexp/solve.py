@@ -18,15 +18,17 @@ Three experiment drivers sit on top of two engines:
   meets the stopping tolerance and its energy exceeds both endpoints.
 
 Both engines work on packed states w = [u.ravel(), v.ravel()] and call the
-energy kernel of ``varexp.energy`` directly, bound to the run's sign pattern
-(none for the plain functional).  Start pairs and the far path endpoint are
-validated once, on entry (grid, zero boundary values, quadrant tag, cone);
-line searches, Newton steps and the polish build no ``GridFunction``.
+energy kernel of ``varexp.energy`` directly, bound to the run's sign pattern,
+with its cone projector; the plain functional has no sign pattern and the
+identity for a projector, so neither engine branches on a truncation.
+Start pairs and the far path endpoint are validated once, on entry (grid,
+zero boundary values, quadrant tag, cone); line searches, Newton steps
+and the polish build no ``GridFunction``.
 The kernel and the cone projector take stacks of packed states, so states
 that do not depend on one another go through in one numpy call each: the
 whole mountain-pass path after every re-spacing, a chunk of the fibering
-scan, the two states of a Hessian-vector difference and the perturbed
-states of a Newton Jacobian.
+scan, and in ``_hessian_products`` the two states of a Hessian-vector
+difference and the perturbed states of a Newton Jacobian.
 
 The far path endpoint is the least dyadic multiple of a bump state with
 negative energy (``_first_negative_multiple``).
@@ -184,7 +186,8 @@ def smooth_bump(grid: Grid) -> GridFunction:
 # --- the functional on packed states ----------------------------------------------
 
 
-def _cone_projector(grid: Grid, signs: tuple[int, int]):
+def _cone_projector(grid: Grid, signs: tuple[int, int] | None):
+    """Clamp of packed states onto the cone of ``signs``; identity for None."""
     def proj(w: np.ndarray) -> np.ndarray:
         return _clamp(_pairs(w, grid), signs, grid).reshape(w.shape)
 
@@ -193,19 +196,18 @@ def _cone_projector(grid: Grid, signs: tuple[int, int]):
 
 def _require_in_cone(proj, w: np.ndarray, message: str) -> None:
     """Refuses a packed state that the cone projector ``proj`` would move,
-    by however little; any state passes without a truncation."""
-    if proj is not None and not np.array_equal(proj(w), w):
+    by however little."""
+    if not np.array_equal(proj(w), w):
         raise ConfigError(message)
 
 
 def _functional(prob: ProblemSpec, signs: tuple[int, int] | None):
-    """Energy, gradient and cone projector (None without a truncation) on
-    packed states: the energy kernel bound to the sign pattern."""
-    proj = None if signs is None else _cone_projector(prob.grid, signs)
+    """Energy, gradient and cone projector on packed states: the energy
+    kernel bound to the sign pattern (the plain functional for None)."""
     return (
         partial(_energy, prob=prob, signs=signs),
         partial(_gradient, prob=prob, signs=signs),
-        proj,
+        _cone_projector(prob.grid, signs),
     )
 
 
@@ -272,16 +274,23 @@ def _fibering_minimum(
     return None if best is None else (t[best] ** powers, d, -float(e[best]))
 
 
+def _hessian_products(g, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Central differences (g(w + e r) - g(w - e r)) / 2e along each row r,
+    e = h / sup|r| with h = 1e-6 max(1, sup|w|): one stacked call of the
+    gradient ``g`` on all 2 len(rows) states."""
+    h = 1e-6 * max(1.0, float(np.max(np.abs(w))))
+    e = h / np.max(np.abs(rows), axis=1, keepdims=True)
+    grads = g(np.concatenate([w + e * rows, w - e * rows]))
+    return (grads[:len(rows)] - grads[len(rows):]) / (2.0 * e)
+
+
 def _newton_direction(g, W: np.ndarray, gW: np.ndarray, tol: float) -> np.ndarray:
     """Truncated CG on H d = -g(W) to residual ``tol``, stopped at the first
     direction p of non-positive curvature (-g(W) if it is the first); H p is
-    a central difference of ``g`` along p, one call on W +- h p."""
-    h = 1e-6 * max(1.0, float(np.max(np.abs(W))))
+    ``_hessian_products`` along p."""
     z, r, p, rr = np.zeros_like(gW), gW, -gW, float(gW @ gW)
     for j in range(W.size):
-        e = h / float(np.max(np.abs(p)))
-        gp, gm = g(np.stack([W + e * p, W - e * p]))
-        hp = (gp - gm) / (2.0 * e)
+        hp = _hessian_products(g, W, p[None])[0]
         curvature = float(p @ hp)
         if curvature <= 0.0:
             return -gW if j == 0 else z
@@ -305,7 +314,7 @@ def _line_search(f, g, proj, W, fW, gW, d, S):
         slope = float(gW @ d)
         t = min(1.0, _MAX_STEP_SUP / float(np.max(np.abs(S * d))))
         for _ in range(_MAX_SHRINKS):
-            Wt = W + t * d if proj is None else proj(W + t * d)
+            Wt = proj(W + t * d)
             ft = f(Wt)
             if ft <= fW + _ARMIJO * t * slope:
                 return Wt, ft, g(Wt)
@@ -392,8 +401,9 @@ def _respace(path: np.ndarray) -> np.ndarray:
 
 
 # The dense Jacobian and its dense solve are quadratic in memory and cubic in
-# time; beyond this many free degrees of freedom the polish stage is skipped
-# and reported by flag.  Colouring cuts the gradient calls only.
+# time; beyond this many free degrees of freedom a mountain pass runs no
+# polish and stops after its first relocation chunk, flagged.  Colouring cuts
+# the gradient calls only.
 _POLISH_DOF_CAP = 1600
 
 # Nodes per axis that the nodal gradient at one node reads on either side:
@@ -428,54 +438,47 @@ def _jacobian_pattern(grid: Grid, idx: np.ndarray):
     return colour, rows, cols
 
 
-def _fd_jacobian(gfun, w: np.ndarray, idx: np.ndarray, h: float, pattern):
+def _fd_jacobian(gfun, w: np.ndarray, idx: np.ndarray, pattern):
     """Central-difference Jacobian of ``gfun`` over the free positions
-    ``idx``: a +-h state pair per colour of ``_jacobian_pattern``, all
-    evaluated in one stacked ``gfun`` call.
+    ``idx``: ``_hessian_products`` along the indicator of each colour of
+    ``_jacobian_pattern``, all in one stacked ``gfun`` call.
 
     Each entry reads the same floating-point inputs as a one-column-at-a-time
     difference, since no row sees a second perturbed column, so the two
     Jacobians are equal bit for bit; entries off the pattern are zero in both.
     """
     colour, rows, cols = pattern
-    states = np.tile(w, (2 * (colour.max() + 1), 1))
-    states[2 * colour, idx] += h
-    states[2 * colour + 1, idx] -= h
-    grads = gfun(states)[:, idx]
-    diffs = (grads[0::2] - grads[1::2]) / (2.0 * h)
+    indicators = np.zeros((colour.max() + 1, w.size))
+    indicators[colour, idx] = 1.0
+    diffs = _hessian_products(gfun, w, indicators)[:, idx]
     jac = np.zeros((idx.size, idx.size))
     jac[rows, cols] = diffs[colour[cols], rows]
     return jac
 
 
-def _newton_polish(gfun, proj, grid: Grid, w, cfg):
+def _newton_polish(gfun, proj, w, idx, pattern, cfg):
     """Damped Newton on the nodal gradient system ``gfun(w) = 0``.
 
     Column-coloured finite-difference Jacobian over the free (interior)
-    degrees of freedom (``_fd_jacobian``: one stacked gradient call of
-    2 * 10 states per step in 1D, 2 * 50 in 2D, whatever the grid size),
-    stored dense, direct solve with a least-squares fallback, step halving
-    until the gradient norm decreases, cone projection in a truncated pass.
-    The gradient at an accepted trial is kept for the next step.  Returns
-    (w, iterations, converged, skip_flag).  First-order alternatives (BB
-    descent on 0.5*|G|^2 driven by Hessian-vector differences) were measured
-    to creep near a saddle: the Hessian degenerates along the bump peak
-    where |grad u| ~ 0, and the induced ill-conditioning squares.
+    degrees of freedom ``idx`` (``_fd_jacobian`` on ``pattern``: one stacked
+    gradient call of 2 * 10 states per step in 1D, 2 * 50 in 2D, whatever
+    the grid size), stored dense, direct solve with a least-squares
+    fallback, step halving until the gradient norm decreases, each trial
+    projected by ``proj``.  The gradient at an accepted trial is kept for
+    the next step.  Returns (w, iterations, converged).  First-order
+    alternatives (BB descent on 0.5*|G|^2 driven by Hessian-vector
+    differences) were measured to creep near a saddle: the Hessian
+    degenerates along the bump peak where |grad u| ~ 0, and the induced
+    ill-conditioning squares.
     """
-    free = np.concatenate([grid.interior.ravel(), grid.interior.ravel()])
-    idx = np.nonzero(free)[0]
-    if idx.size > _POLISH_DOF_CAP:
-        return w, 0, False, "polish_skipped_large_system"
-    pattern = _jacobian_pattern(grid, idx)
     target = max(0.01 * cfg.gradient_stop, 1e-13)
     iters = 0
     gw = gfun(w)
     for iters in range(1, _REFINE_ITERATIONS + 1):
         gn = float(np.linalg.norm(gw))
         if gn <= target:
-            return w, iters, True, None
-        h = 1e-6 * max(1.0, float(np.max(np.abs(w))))
-        jac = _fd_jacobian(gfun, w, idx, h, pattern)
+            return w, iters, True
+        jac = _fd_jacobian(gfun, w, idx, pattern)
         try:
             delta = np.linalg.solve(jac, gw[idx])
         except np.linalg.LinAlgError:
@@ -485,8 +488,7 @@ def _newton_polish(gfun, proj, grid: Grid, w, cfg):
         for _ in range(30):
             wn = w.copy()
             wn[idx] -= step * delta
-            if proj is not None:
-                wn = proj(wn)
+            wn = proj(wn)
             gwn = gfun(wn)
             if float(np.linalg.norm(gwn)) < (1.0 - 1e-4 * step) * gn:
                 w, gw = wn, gwn
@@ -494,9 +496,9 @@ def _newton_polish(gfun, proj, grid: Grid, w, cfg):
                 break
             step *= _SHRINK
         if not moved:
-            return w, iters, False, None
+            return w, iters, False
     gn = float(np.linalg.norm(gw))
-    return w, iters, gn <= cfg.gradient_stop, None
+    return w, iters, gn <= cfg.gradient_stop
 
 
 def mountain_pass(
@@ -511,7 +513,9 @@ def mountain_pass(
     gradient (lowest index on ties), re-spaces the path by arclength every
     10 accepted relocations, and polishes the limiting maximizer by damped
     Newton.  Success requires the final residual to meet ``gradient_stop``
-    and the energy to exceed both endpoint energies.
+    and the energy to exceed both endpoint energies.  Above
+    ``_POLISH_DOF_CAP`` free degrees of freedom it stops, unpolished, after
+    its first relocation chunk.
     """
     _check_pair(*endpoint, prob)
     f, g, proj = _functional(prob, _quadrant_signs(quadrant))
@@ -528,12 +532,12 @@ def mountain_pass(
         raise ConfigError("mountain-pass endpoint must be nonzero")
 
     m = cfg.path_points
-    path = wa + np.linspace(0.0, 1.0, m)[:, None] * (wb - wa)
-    if proj is not None:
-        path = proj(path)
+    path = proj(wa + np.linspace(0.0, 1.0, m)[:, None] * (wb - wa))
     fvals = f(path)
 
-    flags: list[str] = []
+    idx = np.flatnonzero(np.tile(prob.grid.interior.ravel(), 2))
+    pattern = _jacobian_pattern(prob.grid, idx) if idx.size <= _POLISH_DOF_CAP else None
+    flags: list[str] = [] if pattern else ["polish_skipped_large_system"]
     total_iters = 0
     relocations = 0
     chunk_target = 2000
@@ -546,9 +550,8 @@ def mountain_pass(
             gz = g(path[j])
             scale = max(1.0, float(np.max(np.abs(path[j]))))
             cap = max(_MAX_STEP_SUP, 0.02 * scale)
-            zn, fn, moved = backtracking_step(
-                f, path[j], fvals[j], gz, project=proj, step_cap_sup=cap
-            )
+            t0 = cap / max(cap, float(np.max(np.abs(gz))))  # first move: sup <= cap
+            zn, fn, moved = backtracking_step(f, path[j], fvals[j], gz, t0, proj)
             if not moved or float(np.max(np.abs(zn - path[j]))) <= 1e-12 * scale:
                 path_dead = True
                 break
@@ -556,17 +559,13 @@ def mountain_pass(
             fvals[j] = fn
             accepted += 1
             if accepted % 10 == 0:
-                path = _respace(path)
-                if proj is not None:
-                    path = proj(path)
+                path = proj(_respace(path))
                 fvals = f(path)
         j = 1 + int(np.argmax(fvals[1:-1]))
-        w, refine_iters, ok, skip_flag = _newton_polish(
-            g, proj, prob.grid, path[j].copy(), cfg
-        )
+        w, refine_iters, ok = path[j].copy(), 0, False
+        if pattern is not None:
+            w, refine_iters, ok = _newton_polish(g, proj, w, idx, pattern, cfg)
         total_iters += refine_iters
-        if skip_flag is not None and skip_flag not in flags:
-            flags.append(skip_flag)
         if ok and f(w) > max(fa, fb):
             break
         # Otherwise w is kept as a best effort if relocation cannot resume.
@@ -575,6 +574,8 @@ def mountain_pass(
             break
         if relocations >= cfg.max_iterations:
             flags.append("relocation_budget_exhausted")
+            break
+        if pattern is None:
             break
 
     point = _make_point(

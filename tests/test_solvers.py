@@ -103,6 +103,27 @@ def test_project_q3_is_negated_q1():
     np.testing.assert_array_equal(q3(w), -q1(-w))
 
 
+def test_plain_functional_projector_is_the_identity():
+    """Without a truncation the projector that ``_functional`` returns is
+    the identity, on one state and on a stack."""
+    g = PROB.grid
+    w = np.random.default_rng(4).standard_normal((3, 2 * g.n_nodes))
+    for proj in (solve._cone_projector(g, None), solve._functional(PROB, None)[2]):
+        for x in (w[0], w):
+            np.testing.assert_array_equal(proj(x), x)
+
+
+def test_descend_without_a_quadrant_accepts_a_mixed_sign_start():
+    g = PROB.grid
+    b = smooth_bump(g)
+    start = (g.function(2.0 * b.values), g.function(-2.0 * b.values))
+    with pytest.raises(ConfigError, match="cone"):
+        descend(PROB, start, quadrant="Q1", cfg=FAST)
+    pt = descend(PROB, start, quadrant=None, cfg=SolverConfig(max_iterations=2))
+    assert pt.iterations == 2
+    assert pt.energy < phi_energy(*start, PROB)
+
+
 def test_classify_quadrant():
     g = PROB.grid
     pos = tent_function(0.5, 0.2, g)
@@ -413,6 +434,18 @@ def test_mountain_pass_negation_equivariance():
     assert p2.residual == p1.residual
 
 
+def test_unpolished_mountain_pass_stops_after_its_first_chunk(monkeypatch):
+    """Success needs the polish, so a pass above the polish's size cap stops
+    after one relocation chunk instead of spending the whole budget."""
+    monkeypatch.setattr(solve, "_POLISH_DOF_CAP", 0)
+    pt = mountain_pass(PROB, negative_endpoint(PROB), cfg=SolverConfig())
+    assert pt.iterations <= 2000
+    assert not pt.converged
+    assert "polish_skipped_large_system" in pt.flags
+    assert "refinement_not_converged" in pt.flags
+    assert "relocation_budget_exhausted" not in pt.flags
+
+
 def test_mountain_pass_evaluates_its_path_in_one_call_per_respacing(monkeypatch):
     """The whole path goes through the energy as one stack of path_points
     states: once at the start and once after every re-spacing (one call per
@@ -500,7 +533,7 @@ def test_coloured_jacobian_equals_dense_column_loop(prob, quadrant, amplitude):
     idx = free_dofs(prob.grid)
     h = polish_step(w)
     pattern = solve._jacobian_pattern(prob.grid, idx)
-    coloured = solve._fd_jacobian(gfun, w, idx, h, pattern)
+    coloured = solve._fd_jacobian(gfun, w, idx, pattern)
     assert np.array_equal(coloured, dense_fd_jacobian(gfun, w, idx, h))
 
 
@@ -515,7 +548,7 @@ def test_polish_jacobian_is_one_stacked_gradient_call(prob, n_colours, monkeypat
     """One Newton step evaluates the residual once, then its Jacobian in one
     gradient call on a stack of 2 states per colour, however many free
     columns there are (62 in 1D, 450 in 2D)."""
-    gfun = solve._functional(prob, None)[1]
+    _, gfun, proj = solve._functional(prob, None)
     states = []
 
     def counted(w):
@@ -527,8 +560,10 @@ def test_polish_jacobian_is_one_stacked_gradient_call(prob, n_colours, monkeypat
 
     monkeypatch.setattr(np.linalg, "solve", stop)
     w = random_state(prob, np.random.default_rng(37), 1.0)
+    idx = free_dofs(prob.grid)
+    pattern = solve._jacobian_pattern(prob.grid, idx)
     with pytest.raises(JacobianBuilt):
-        solve._newton_polish(counted, None, prob.grid, w, SolverConfig())
+        solve._newton_polish(counted, proj, w, idx, pattern, SolverConfig())
     assert states == [1, 2 * n_colours]
 
 
@@ -539,14 +574,16 @@ def test_newton_polish_never_evaluates_a_state_twice():
     far = negative_endpoint(PROB)
     pt = mountain_pass(PROB, far, cfg=FAST)
     w = solve._pack(pt.u, pt.v) + 1e-4 * random_state(PROB, np.random.default_rng(5), 1.0)
-    gfun = solve._functional(PROB, None)[1]
+    _, gfun, proj = solve._functional(PROB, None)
+    idx = free_dofs(PROB.grid)
+    pattern = solve._jacobian_pattern(PROB.grid, idx)
     seen = []
 
     def counted(x):
         seen.append(x.copy())
         return gfun(x)
 
-    _, iters, converged, _ = solve._newton_polish(counted, None, PROB.grid, w, SolverConfig())
+    _, iters, converged = solve._newton_polish(counted, proj, w, idx, pattern, SolverConfig())
     assert converged and iters >= 3
     single = [x for x in seen if x.ndim == 1]
     jacobians = len(seen) - len(single)

@@ -164,11 +164,11 @@ def polish():
     pattern = solve._jacobian_pattern(grid, idx)
     out["colour_pattern_us"] = per_call_us(lambda: solve._jacobian_pattern(grid, idx))
     out["coloured_jacobian_us"] = per_call_us(
-        lambda: solve._fd_jacobian(gfun, w, idx, h, pattern)
+        lambda: solve._fd_jacobian(gfun, w, idx, pattern)
     )
     out["coloured_jacobian_gradient_calls"] = 2 * int(pattern[0].max() + 1)
     out["coloured_equals_dense"] = bool(
-        np.array_equal(solve._fd_jacobian(gfun, w, idx, h, pattern), jac)
+        np.array_equal(solve._fd_jacobian(gfun, w, idx, pattern), jac)
     )
     return out
 
