@@ -14,8 +14,9 @@ Three experiment drivers sit on top of two engines:
   Hessian degenerates where the gradient of the state vanishes), so the
   near-saddle state is finished by damped Newton on the nodal gradient
   system with a column-coloured, dense finite-difference Jacobian
-  (``_newton_polish``); relocation resumes unless the candidate's residual
-  meets the stopping tolerance and its energy exceeds both endpoints.
+  (``_newton_polish``) every 2000 relocations; the pass is accepted, and
+  converged, exactly when the polished residual meets the stopping
+  tolerance and its energy exceeds both endpoints.
 
 Both engines work on packed states w = [u.ravel(), v.ravel()] and call the
 energy kernel of ``varexp.energy`` directly, bound to the run's sign pattern,
@@ -465,7 +466,9 @@ def _newton_polish(gfun, proj, w, idx, pattern, cfg):
     the grid size), stored dense, direct solve with a least-squares
     fallback, step halving until the gradient norm decreases, each trial
     projected by ``proj``.  The gradient at an accepted trial is kept for
-    the next step.  Returns (w, iterations, converged).  First-order
+    the next step.  Stops at residual max(0.01 * gradient_stop, 1e-13), at
+    the step cap or at the halving floor, and returns (w, iterations) with
+    no verdict: ``mountain_pass`` alone accepts.  First-order
     alternatives (BB descent on 0.5*|G|^2 driven by Hessian-vector
     differences) were measured to creep near a saddle: the Hessian
     degenerates along the bump peak where |grad u| ~ 0, and the induced
@@ -477,14 +480,13 @@ def _newton_polish(gfun, proj, w, idx, pattern, cfg):
     for iters in range(1, _REFINE_ITERATIONS + 1):
         gn = float(np.linalg.norm(gw))
         if gn <= target:
-            return w, iters, True
+            break
         jac = _fd_jacobian(gfun, w, idx, pattern)
         try:
             delta = np.linalg.solve(jac, gw[idx])
         except np.linalg.LinAlgError:
             delta = np.linalg.lstsq(jac, gw[idx], rcond=None)[0]
         step = 1.0
-        moved = False
         for _ in range(30):
             wn = w.copy()
             wn[idx] -= step * delta
@@ -492,13 +494,11 @@ def _newton_polish(gfun, proj, w, idx, pattern, cfg):
             gwn = gfun(wn)
             if float(np.linalg.norm(gwn)) < (1.0 - 1e-4 * step) * gn:
                 w, gw = wn, gwn
-                moved = True
                 break
             step *= _SHRINK
-        if not moved:
-            return w, iters, False
-    gn = float(np.linalg.norm(gw))
-    return w, iters, gn <= cfg.gradient_stop
+        else:
+            break
+    return w, iters
 
 
 def mountain_pass(
@@ -511,11 +511,12 @@ def mountain_pass(
 
     Relocates the maximal-energy interior path point along the negative
     gradient (lowest index on ties), re-spaces the path by arclength every
-    10 accepted relocations, and polishes the limiting maximizer by damped
-    Newton.  Success requires the final residual to meet ``gradient_stop``
-    and the energy to exceed both endpoint energies.  Above
-    ``_POLISH_DOF_CAP`` free degrees of freedom it stops, unpolished, after
-    its first relocation chunk.
+    10 relocations and polishes the path maximum by damped Newton every
+    2000.  The polished point is returned, converged, once its residual
+    meets ``gradient_stop`` and its energy exceeds both endpoint energies.
+    Otherwise the pass stops, flagged, when the path maximum stalls, when
+    the budget is spent, or after its first 2000 relocations if it has more
+    than ``_POLISH_DOF_CAP`` free degrees of freedom and so no polish.
     """
     _check_pair(*endpoint, prob)
     f, g, proj = _functional(prob, _quadrant_signs(quadrant))
@@ -538,61 +539,56 @@ def mountain_pass(
     idx = np.flatnonzero(np.tile(prob.grid.interior.ravel(), 2))
     pattern = _jacobian_pattern(prob.grid, idx) if idx.size <= _POLISH_DOF_CAP else None
     flags: list[str] = [] if pattern else ["polish_skipped_large_system"]
-    total_iters = 0
-    relocations = 0
-    chunk_target = 2000
-    path_dead = False
+    relocations = polish_steps = 0
     while True:
-        accepted = 0
-        while accepted < chunk_target and relocations < cfg.max_iterations:
-            relocations += 1
-            j = 1 + int(np.argmax(fvals[1:-1]))
-            gz = g(path[j])
-            scale = max(1.0, float(np.max(np.abs(path[j]))))
-            cap = max(_MAX_STEP_SUP, 0.02 * scale)
-            t0 = cap / max(cap, float(np.max(np.abs(gz))))  # first move: sup <= cap
-            zn, fn, moved = backtracking_step(f, path[j], fvals[j], gz, t0, proj)
-            if not moved or float(np.max(np.abs(zn - path[j]))) <= 1e-12 * scale:
-                path_dead = True
-                break
+        relocations += 1
+        stop = None
+        j = 1 + int(np.argmax(fvals[1:-1]))
+        gz = g(path[j])
+        scale = max(1.0, float(np.max(np.abs(path[j]))))
+        cap = max(_MAX_STEP_SUP, 0.02 * scale)
+        t0 = cap / max(cap, float(np.max(np.abs(gz))))  # first move: sup <= cap
+        zn, fn, moved = backtracking_step(f, path[j], fvals[j], gz, t0, proj)
+        if not moved or float(np.max(np.abs(zn - path[j]))) <= 1e-12 * scale:
+            stop = "path_maximum_stalled"
+        else:
             path[j] = zn
             fvals[j] = fn
-            accepted += 1
-            if accepted % 10 == 0:
+            if relocations % 10 == 0:
                 path = proj(_respace(path))
                 fvals = f(path)
+            if relocations >= cfg.max_iterations:
+                stop = "relocation_budget_exhausted"
+            elif relocations % 2000:
+                continue
         j = 1 + int(np.argmax(fvals[1:-1]))
-        w, refine_iters, ok = path[j].copy(), 0, False
+        w, steps = path[j].copy(), 0
         if pattern is not None:
-            w, refine_iters, ok = _newton_polish(g, proj, w, idx, pattern, cfg)
-        total_iters += refine_iters
-        if ok and f(w) > max(fa, fb):
-            break
-        # Otherwise w is kept as a best effort if relocation cannot resume.
-        if path_dead:
-            flags.append("path_maximum_stalled")
-            break
-        if relocations >= cfg.max_iterations:
-            flags.append("relocation_budget_exhausted")
-            break
-        if pattern is None:
-            break
-
-    point = _make_point(
-        prob,
-        w,
-        "mountain_pass",
-        relocations + total_iters,
-        True,
-        flags,
-    )
-    if point.energy <= max(fa, fb):
+            w, steps = _newton_polish(g, proj, w, idx, pattern, cfg)
+        polish_steps += steps
+        point = _make_point(
+            prob,
+            w,
+            "mountain_pass",
+            relocations + polish_steps,
+            True,
+            flags,
+        )
+        low = point.energy <= max(fa, fb)
+        rough = point.residual > cfg.gradient_stop
+        if not (low or rough):
+            return point
+        if stop is None and pattern is not None:
+            continue
+        # Not accepted and relocation cannot resume: w is a best effort.
         point.converged = False
-        point.flags.append("energy_not_above_endpoints")
-    if point.residual > cfg.gradient_stop:
-        point.converged = False
-        point.flags.append("refinement_not_converged")
-    return point
+        if stop is not None:
+            flags.append(stop)
+        if low:
+            flags.append("energy_not_above_endpoints")
+        if rough:
+            flags.append("refinement_not_converged")
+        return point
 
 
 # --- scans -------------------------------------------------------------------------

@@ -446,6 +446,36 @@ def test_unpolished_mountain_pass_stops_after_its_first_chunk(monkeypatch):
     assert "relocation_budget_exhausted" not in pt.flags
 
 
+def test_mountain_pass_accepts_a_polish_that_floors_below_the_stop():
+    """At a stop of 1e-11 the polish aims at 1e-13 and ends on its step
+    halving floor at about 1.35e-13.  That meets the stop, so the pass is
+    accepted after its first polish instead of relocating its whole budget
+    and reporting a converged point flagged as out of budget."""
+    cfg = SolverConfig(path_points=11, gradient_stop=1e-11, max_iterations=4000)
+    pt = mountain_pass(PROB, negative_endpoint(PROB), cfg=cfg)
+    assert pt.converged
+    assert pt.residual <= cfg.gradient_stop
+    assert pt.iterations <= 2000 + solve._REFINE_ITERATIONS
+    assert "relocation_budget_exhausted" not in pt.flags
+
+
+@pytest.mark.parametrize("flag", ["relocation_budget_exhausted", "path_maximum_stalled"])
+def test_a_mountain_pass_stopped_by_a_flag_is_not_converged(flag, monkeypatch):
+    """A pass is converged exactly when it is accepted, so a stop flag never
+    comes with ``converged``.  The polish is a no-op here, so no candidate
+    meets the stop; the budget ends the pass after 60 relocations, or the
+    first relocation stalls."""
+    monkeypatch.setattr(solve, "_newton_polish", lambda g, proj, w, *a: (w, 0))
+    if flag == "path_maximum_stalled":
+        monkeypatch.setattr(
+            solve, "backtracking_step", lambda f, w, fw, *a: (w, fw, False)
+        )
+    cfg = SolverConfig(path_points=11, max_iterations=60)
+    pt = mountain_pass(PROB, negative_endpoint(PROB), cfg=cfg)
+    assert flag in pt.flags and "refinement_not_converged" in pt.flags
+    assert not pt.converged
+
+
 def test_mountain_pass_evaluates_its_path_in_one_call_per_respacing(monkeypatch):
     """The whole path goes through the energy as one stack of path_points
     states: once at the start and once after every re-spacing (one call per
@@ -583,8 +613,9 @@ def test_newton_polish_never_evaluates_a_state_twice():
         seen.append(x.copy())
         return gfun(x)
 
-    _, iters, converged = solve._newton_polish(counted, proj, w, idx, pattern, SolverConfig())
-    assert converged and iters >= 3
+    w, iters = solve._newton_polish(counted, proj, w, idx, pattern, SolverConfig())
+    # The polish target at the default stop of 1e-8.
+    assert np.linalg.norm(gfun(w)) <= 1e-10 and iters >= 3
     single = [x for x in seen if x.ndim == 1]
     jacobians = len(seen) - len(single)
     assert jacobians == iters - 1

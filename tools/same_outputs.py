@@ -13,8 +13,9 @@ exit status are compared.  One line is printed per run; the exit status is
 
 A run whose bytes differ is followed by what each tree's ``results.json``
 says of it: the exit status, ``distinct_count``, the inventory flags, each
-point's energy and residual, and each run that did not converge with its
-flags.  Outputs that are meant to change can be judged on those.
+point's energy, residual and iterations, and each run that did not converge
+with its flags and iterations.  Outputs that are meant to change can be
+judged on those.
 
 The runs: ``check``, ``norm``, ``scan``, ``eigen``, ``pairs`` and ``solve
 --theorem 1``/``2`` on the default config; ``eigen`` on the 2D config of the
@@ -129,8 +130,10 @@ def summary(result: dict) -> list[str]:
         return [head]
     lines = [f"{head}, distinct_count {inv['distinct_count']}, flags {inv['flags']}"]
     lines += [f"{p['quadrant']} {p['method']}: energy {p['energy']!r}, "
-              f"residual {p['residual']!r}" for p in inv["points"]]
-    lines += [f"not converged: {r['quadrant']} {r['method']} {r['flags']}"
+              f"residual {p['residual']!r}, iterations {p['iterations']}"
+              for p in inv["points"]]
+    lines += [f"not converged: {r['quadrant']} {r['method']} {r['flags']}, "
+              f"iterations {r['iterations']}"
               for r in inv["runs"] if not r["converged"]]
     return lines
 
