@@ -51,22 +51,51 @@ def backtracking_step(
     g: np.ndarray,
     step_init: float = _STEP_INIT,
     project: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> tuple[np.ndarray, float, bool]:
-    """One descent relocation along -g.  Returns (x_new, f_new, moved)."""
+    stack: int = 1,
+) -> tuple[np.ndarray, float, int]:
+    """One descent relocation along -g.  Returns (x_new, f_new, trials):
+    ``trials`` is the 1-based index of the accepted trial, or 0 when no
+    trial is accepted and (x, fx) is returned.
+
+    The trials halve the step from ``step_init``, at most ``_MAX_SHRINKS``
+    of them.  They are projected and evaluated ``stack`` at a time, the
+    stack as one array of shape (stack, len(x)) in one call of ``f`` (a
+    stack of one as the 1-D state itself), and then tested in order: the
+    first trial that does not move ends the search, and ``f`` never sees
+    it; the first that passes the Armijo test is accepted.  So every stack
+    size accepts the same trial with the same bits, provided ``f`` of a
+    stack gives the bits of a loop over its rows.
+    """
     t = step_init
-    for _ in range(_MAX_SHRINKS):
-        xn = x - t * g
+    tried = 0
+    while tried < _MAX_SHRINKS:
+        steps = []
+        for _ in range(min(stack, _MAX_SHRINKS - tried)):
+            steps.append(t)
+            t *= _SHRINK
+        if len(steps) == 1:
+            xs = x - steps[0] * g
+        else:
+            xs = x - np.multiply.outer(steps, g)
         if project is not None:
-            xn = project(xn)
-        dx = xn - x
-        nd2 = float(np.dot(dx, dx))
-        if nd2 == 0.0:
-            return x, fx, False
-        fn = f(xn)
-        if fn <= fx - _ARMIJO * nd2 / max(t, _TINY):
-            return xn, fn, True
-        t *= _SHRINK
-    return x, fx, False
+            xs = project(xs)
+        rows = [xs] if xs.ndim == 1 else list(xs)
+        nd2 = []
+        for xn in rows:
+            dx = xn - x
+            nd2.append(float(np.dot(dx, dx)))
+            if nd2[-1] == 0.0:
+                break
+        live = len(nd2) - (nd2[-1] == 0.0)
+        if live:
+            fs = [f(xs)] if xs.ndim == 1 else f(xs[:live]).tolist()
+        for i in range(live):
+            if fs[i] <= fx - _ARMIJO * nd2[i] / max(steps[i], _TINY):
+                return rows[i], fs[i], tried + i + 1
+        if nd2[-1] == 0.0:
+            return x, fx, 0
+        tried += len(rows)
+    return x, fx, 0
 
 
 def bb_minimize(
@@ -94,8 +123,8 @@ def bb_minimize(
         if stat <= gradient_stop:
             return OptimizeResult(x, fx, stat, it - 1, True, "tolerance")
         t0 = min(max(t_bb, _BB_CLIP[0]), _BB_CLIP[1])
-        xn, fn, moved = backtracking_step(f, x, fx, g, step_init=t0)
-        if not moved:
+        xn, fn, trials = backtracking_step(f, x, fx, g, step_init=t0)
+        if not trials:
             # Line-search floor: no acceptable decrease at any scale.
             return OptimizeResult(
                 x, fx, stat, it, stat <= gradient_stop, "line_search_floor"

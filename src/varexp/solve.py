@@ -28,8 +28,11 @@ and the polish build no ``GridFunction``.
 The kernel and the cone projector take stacks of packed states, so states
 that do not depend on one another go through in one numpy call each: the
 whole mountain-pass path after every re-spacing, a chunk of the fibering
-scan, and in ``_hessian_products`` the two states of a Hessian-vector
-difference and the perturbed states of a Newton Jacobian.
+scan, in ``_hessian_products`` the two states of a Hessian-vector
+difference and the perturbed states of a Newton Jacobian, and the
+halvings of a relocation's line search, as many per call as the previous
+relocation needed (``backtracking_step``'s ``stack``; the trials are
+tested in order, so the accepted one is that of a one-at-a-time search).
 
 The far path endpoint is the least dyadic multiple of a bump state with
 negative energy (``_first_negative_multiple``).
@@ -540,6 +543,7 @@ def mountain_pass(
     pattern = _jacobian_pattern(prob.grid, idx) if idx.size <= _POLISH_DOF_CAP else None
     flags: list[str] = [] if pattern else ["polish_skipped_large_system"]
     relocations = polish_steps = 0
+    stack = 1
     while True:
         relocations += 1
         stop = None
@@ -548,10 +552,13 @@ def mountain_pass(
         scale = max(1.0, float(np.max(np.abs(path[j]))))
         cap = max(_MAX_STEP_SUP, 0.02 * scale)
         t0 = cap / max(cap, float(np.max(np.abs(gz))))  # first move: sup <= cap
-        zn, fn, moved = backtracking_step(f, path[j], fvals[j], gz, t0, proj)
-        if not moved or float(np.max(np.abs(zn - path[j]))) <= 1e-12 * scale:
+        # Halvings are evaluated as many at a time as the last relocation
+        # needed; every stack size accepts the same trial.
+        zn, fn, trials = backtracking_step(f, path[j], fvals[j], gz, t0, proj, stack)
+        if not trials or float(np.max(np.abs(zn - path[j]))) <= 1e-12 * scale:
             stop = "path_maximum_stalled"
         else:
+            stack = trials
             path[j] = zn
             fvals[j] = fn
             if relocations % 10 == 0:

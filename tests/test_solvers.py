@@ -468,7 +468,7 @@ def test_a_mountain_pass_stopped_by_a_flag_is_not_converged(flag, monkeypatch):
     monkeypatch.setattr(solve, "_newton_polish", lambda g, proj, w, *a: (w, 0))
     if flag == "path_maximum_stalled":
         monkeypatch.setattr(
-            solve, "backtracking_step", lambda f, w, fw, *a: (w, fw, False)
+            solve, "backtracking_step", lambda f, w, fw, *a: (w, fw, 0)
         )
     cfg = SolverConfig(path_points=11, max_iterations=60)
     pt = mountain_pass(PROB, negative_endpoint(PROB), cfg=cfg)
@@ -479,32 +479,82 @@ def test_a_mountain_pass_stopped_by_a_flag_is_not_converged(flag, monkeypatch):
 def test_mountain_pass_evaluates_its_path_in_one_call_per_respacing(monkeypatch):
     """The whole path goes through the energy as one stack of path_points
     states: once at the start and once after every re-spacing (one call per
-    path point before the kernel took stacks)."""
-    stacks = []
-    respacings = [0]
+    path point before the kernel took stacks).  Every other call of the
+    energy outside the relocation line search is one of the two endpoint
+    energies; the line search's own stacks are its halvings."""
+    calls = []  # ("path", expected) or ("f", state) outside the line search
+    in_step = [False]
     functional, respace = solve._functional, solve._respace
+    step = solve.backtracking_step
+    cfg = SolverConfig(path_points=11, max_iterations=60)
+    far = negative_endpoint(PROB)
+    proj = solve._cone_projector(PROB.grid, (1, 1))
 
     def counted_functional(prob, signs):
         f, g, proj = functional(prob, signs)
 
         def counted_f(w):
-            if w.ndim > 1:
-                stacks.append(w.shape[0])
+            if not in_step[0]:
+                calls.append(("f", w.copy()))
             return f(w)
 
         return counted_f, g, proj
 
     def counted_respace(path):
-        respacings[0] += 1
-        return respace(path)
+        out = respace(path)
+        calls.append(("path", proj(out)))
+        return out
+
+    def counted_step(*args):
+        in_step[0] = True
+        try:
+            return step(*args)
+        finally:
+            in_step[0] = False
 
     monkeypatch.setattr(solve, "_functional", counted_functional)
     monkeypatch.setattr(solve, "_respace", counted_respace)
-    far = negative_endpoint(PROB)
-    cfg = SolverConfig(path_points=11, max_iterations=60)
+    monkeypatch.setattr(solve, "backtracking_step", counted_step)
     mountain_pass(PROB, far, "Q1", cfg)
-    assert respacings[0] >= 3
-    assert stacks == [cfg.path_points] * (1 + respacings[0])
+    w = energy._pack(*far)
+    start = proj(np.linspace(0.0, 1.0, cfg.path_points)[:, None] * w)
+    kinds = [kind for kind, _ in calls]
+    respacings = kinds.count("path")
+    assert respacings >= 3
+    assert kinds == ["f", "f", "f"] + ["path", "f"] * respacings
+    assert calls[0][1].ndim == calls[1][1].ndim == 1
+    assert np.array_equal(calls[1][1], w)
+    paths = [start] + [expected for kind, expected in calls if kind == "path"]
+    evaluated = [calls[2][1]] + [state for kind, state in calls[4::2]]
+    for expected, state in zip(paths, evaluated, strict=True):
+        assert state.shape == (cfg.path_points, w.size)
+        assert np.array_equal(state, expected)
+
+
+@pytest.mark.parametrize("quadrant", ["Q1", None])
+def test_mountain_pass_is_bitwise_independent_of_the_trial_stack(quadrant, monkeypatch):
+    """Relocation halvings are evaluated as many at a time as the last
+    relocation needed; one at a time, the pass reaches the same bits."""
+    step = solve.backtracking_step
+    stacks = []
+
+    def recorded(f, x, fx, g, t0, proj, stack):
+        stacks.append(stack)
+        return step(f, x, fx, g, t0, proj, stack)
+
+    far = negative_endpoint(PROB)
+    monkeypatch.setattr(solve, "backtracking_step", recorded)
+    adaptive = mountain_pass(PROB, far, quadrant, FAST)
+    assert max(stacks) > 1
+    monkeypatch.setattr(
+        solve, "backtracking_step",
+        lambda f, x, fx, g, t0, proj, stack: step(f, x, fx, g, t0, proj, 1),
+    )
+    single = mountain_pass(PROB, far, quadrant, FAST)
+    assert np.array_equal(adaptive.u.values, single.u.values)
+    assert np.array_equal(adaptive.v.values, single.v.values)
+    for field in ("energy", "residual", "iterations", "flags", "converged"):
+        assert getattr(adaptive, field) == getattr(single, field)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,10 @@ It prints one JSON object with:
 * ``energy_evaluations``: for the same two runs, energy evaluations made by
   the solvers per stage, the share of them that are trials of
   ``backtracking_step``, and its steps (mountain-pass relocations; the
-  descent's Newton line search is not counted there).  These counts repeat
-  exactly from run to run;
+  descent's Newton line search is not counted there).  Evaluations count
+  every state of a stacked call; ``energy_calls`` and
+  ``line_search_trial_calls`` count energy-kernel calls instead.  These
+  counts repeat exactly from run to run;
 * ``rayleigh_us``: on the 49x49 square of ``bench/eigen_2d_varp.json``
   with p = 3.5 + x/2 + y/4, microseconds per Rayleigh quotient and per
   Rayleigh gradient computed from scratch and from terms already computed,
@@ -205,7 +207,8 @@ def evaluation_counts():
     """Gradient and energy evaluations (one per state of a stacked call) per
     innermost stage, counted by wrapping the solver's module globals; the
     line-search steps and their energy trials are counted through
-    ``backtracking_step``, which ``bb_minimize`` and ``mountain_pass`` call."""
+    ``backtracking_step``, which ``bb_minimize`` and ``mountain_pass`` call.
+    Energy-kernel calls are counted beside the states they evaluate."""
     stack = ["other"]
     counts: dict[str, int] = {}
     energies: dict[str, dict[str, int]] = {}
@@ -215,7 +218,8 @@ def evaluation_counts():
 
     def tally(key, states):
         row = energies.setdefault(stack[-1], dict.fromkeys(
-            ("energy", "line_search_trials", "line_search_steps"), 0))
+            ("energy", "energy_calls", "line_search_trials",
+             "line_search_trial_calls", "line_search_steps"), 0))
         row[key] += states
 
     def staged(name, fn):
@@ -237,8 +241,10 @@ def evaluation_counts():
     def counted_energy(w, *args, **kwargs):
         states = 1 if w.ndim == 1 else len(w)
         tally("energy", states)
+        tally("energy_calls", 1)
         if in_step[0]:
             tally("line_search_trials", states)
+            tally("line_search_trial_calls", 1)
         return _energy(w, *args, **kwargs)
 
     real_step = optimize.backtracking_step
