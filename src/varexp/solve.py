@@ -16,7 +16,9 @@ Three experiment drivers sit on top of two engines:
   system with a column-coloured, dense finite-difference Jacobian
   (``_newton_polish``) every 2000 relocations; the pass is accepted, and
   converged, exactly when the polished residual meets the stopping
-  tolerance and its energy exceeds both endpoints.
+  tolerance and its energy exceeds both endpoints.  Its one loop,
+  ``_lockstep_passes``, runs any number of passes of one functional side
+  by side; ``symmetric_pairs`` gives it all its levels at once.
 
 Both engines work on packed states w = [u.ravel(), v.ravel()] and call the
 energy kernel of ``varexp.energy`` directly, bound to the run's sign pattern,
@@ -33,6 +35,11 @@ difference and the perturbed states of a Newton Jacobian, and the
 halvings of a relocation's line search, as many per call as the previous
 relocation needed (``backtracking_step``'s ``stack``; the trials are
 tested in order, so the accepted one is that of a one-at-a-time search).
+Passes in lockstep share these calls: one gradient call on the stacked
+path maxima per relocation round, one line search on their rows, and
+one call on the paths re-spaced in that round.  A stacked call gives
+the bits of a loop over its rows, so each pass ends with the bits of
+its run alone; a lone pass still sends the kernel 1-D states.
 
 The far path endpoint is the least dyadic multiple of a bump state with
 negative energy (``_first_negative_multiple``).
@@ -504,6 +511,31 @@ def _newton_polish(gfun, proj, w, idx, pattern, cfg):
     return w, iters
 
 
+def _stacked(fn, states: list[np.ndarray]) -> list:
+    """``fn`` of each of the equal-shape arrays ``states``: one call on
+    their stack, or on the array itself when there is only one."""
+    if len(states) == 1:
+        return [fn(states[0])]
+    return list(fn(np.stack(states))) if states else []
+
+
+@dataclasses.dataclass(slots=True)
+class _Pass:
+    """One pass of ``_lockstep_passes``: its path, the path energies, the
+    larger endpoint energy, its own counters, flags and stop, and its
+    point once it has one."""
+
+    path: np.ndarray
+    fvals: np.ndarray
+    floor: float
+    flags: list[str]
+    relocations: int = 0
+    polish_steps: int = 0
+    stack: int = 1
+    stop: str | None = None
+    point: CriticalPoint | None = None
+
+
 def mountain_pass(
     prob: ProblemSpec,
     endpoint: tuple[GridFunction, GridFunction],
@@ -521,81 +553,135 @@ def mountain_pass(
     the budget is spent, or after its first 2000 relocations if it has more
     than ``_POLISH_DOF_CAP`` free degrees of freedom and so no polish.
     """
-    _check_pair(*endpoint, prob)
-    f, g, proj = _functional(prob, _quadrant_signs(quadrant))
-    wb = _pack(*endpoint)
-    _require_in_cone(proj, wb, "mountain-pass endpoint must lie inside the cone")
-    # Evaluated, not taken as 0: a custom F may miss 0 at the origin by 1e-12.
-    wa = np.zeros_like(wb)
-    fa, fb = f(wa), f(wb)
-    if fa > 0.0 or fb > 0.0:
-        raise ConfigError(
-            f"mountain-pass endpoints must have non-positive energy (got {fa:.3g}, {fb:.3g})"
-        )
-    if not wb.any():
-        raise ConfigError("mountain-pass endpoint must be nonzero")
+    return _lockstep_passes(prob, [endpoint], quadrant, cfg)[0]
 
-    m = cfg.path_points
-    path = proj(wa + np.linspace(0.0, 1.0, m)[:, None] * (wb - wa))
-    fvals = f(path)
+
+def _lockstep_passes(
+    prob: ProblemSpec,
+    endpoints: list[tuple[GridFunction, GridFunction]],
+    quadrant: str | None,
+    cfg: SolverConfig,
+) -> list[CriticalPoint]:
+    """``mountain_pass`` toward each of ``endpoints``, in lockstep.
+
+    Every endpoint is checked before any pass starts.  A round relocates
+    the path maximum of each active pass: one gradient call on their
+    stack, one ``backtracking_step`` on its rows, and the paths due for
+    re-spacing projected and evaluated as one stack.  The stall test, the
+    trial stack, the polish, the flags and the verdict stay per pass, and
+    a pass leaves the rounds once it is accepted or stops.  The kernel and
+    the projector give a stack the bits of a loop over its rows, so each
+    pass returns the bits of its run alone.  A lone pass still gives the
+    kernel its 1-D path maximum and trials and its (path_points, 2n) path:
+    a stack of one state costs more than the state itself.
+    """
+    f, g, proj = _functional(prob, _quadrant_signs(quadrant))
+    # Evaluated, not taken as 0: a custom F may miss 0 at the origin by 1e-12.
+    wa = np.zeros(2 * prob.grid.n_nodes)
+    fa = f(wa)
+    ramp = np.linspace(0.0, 1.0, cfg.path_points)[:, None]
+    starts, floors = [], []
+    for endpoint in endpoints:
+        _check_pair(*endpoint, prob)
+        wb = _pack(*endpoint)
+        _require_in_cone(proj, wb, "mountain-pass endpoint must lie inside the cone")
+        fb = f(wb)
+        if fa > 0.0 or fb > 0.0:
+            raise ConfigError(
+                f"mountain-pass endpoints must have non-positive energy (got {fa:.3g}, {fb:.3g})"
+            )
+        if not wb.any():
+            raise ConfigError("mountain-pass endpoint must be nonzero")
+        starts.append(wa + ramp * (wb - wa))
+        floors.append(max(fa, fb))
 
     idx = np.flatnonzero(np.tile(prob.grid.interior.ravel(), 2))
     pattern = _jacobian_pattern(prob.grid, idx) if idx.size <= _POLISH_DOF_CAP else None
-    flags: list[str] = [] if pattern else ["polish_skipped_large_system"]
-    relocations = polish_steps = 0
-    stack = 1
-    while True:
-        relocations += 1
-        stop = None
-        j = 1 + int(np.argmax(fvals[1:-1]))
-        gz = g(path[j])
-        scale = max(1.0, float(np.max(np.abs(path[j]))))
-        cap = max(_MAX_STEP_SUP, 0.02 * scale)
-        t0 = cap / max(cap, float(np.max(np.abs(gz))))  # first move: sup <= cap
-        # Halvings are evaluated as many at a time as the last relocation
-        # needed; every stack size accepts the same trial.
-        zn, fn, trials = backtracking_step(f, path[j], fvals[j], gz, t0, proj, stack)
-        if not trials or float(np.max(np.abs(zn - path[j]))) <= 1e-12 * scale:
-            stop = "path_maximum_stalled"
-        else:
-            stack = trials
-            path[j] = zn
-            fvals[j] = fn
-            if relocations % 10 == 0:
-                path = proj(_respace(path))
-                fvals = f(path)
-            if relocations >= cfg.max_iterations:
-                stop = "relocation_budget_exhausted"
-            elif relocations % 2000:
+    paths = _stacked(proj, starts)
+    passes = [
+        _Pass(path, fvals, floor, [] if pattern else ["polish_skipped_large_system"])
+        for path, fvals, floor in zip(paths, _stacked(f, paths), floors)
+    ]
+    active = passes
+    while active:
+        tops, states, fz, scales, stacks = [], [], [], [], []
+        for p in active:
+            tops.append(1 + int(p.fvals[1:-1].argmax()))
+            states.append(p.path[tops[-1]])
+            fz.append(p.fvals[tops[-1]])
+            scales.append(max(1.0, float(np.abs(states[-1]).max())))
+            stacks.append(p.stack)
+        grads = _stacked(g, states)
+        t0 = []
+        for scale, gz in zip(scales, grads):
+            cap = max(_MAX_STEP_SUP, 0.02 * scale)
+            t0.append(cap / max(cap, float(np.abs(gz).max())))  # first move: sup <= cap
+        # Halvings are evaluated as many at a time as the pass's last
+        # relocation needed; every stack size accepts the same trial.
+        steps = backtracking_step(f, states, fz, grads, t0, proj, stacks)
+        respaced = []
+        for p, j, z, scale, (zn, fn, trials) in zip(active, tops, states, scales, steps):
+            p.relocations += 1
+            if not trials or float(np.abs(zn - z).max()) <= 1e-12 * scale:
+                p.stop = "path_maximum_stalled"
                 continue
-        j = 1 + int(np.argmax(fvals[1:-1]))
-        w, steps = path[j].copy(), 0
-        if pattern is not None:
-            w, steps = _newton_polish(g, proj, w, idx, pattern, cfg)
-        polish_steps += steps
-        point = _make_point(
-            prob,
-            w,
-            "mountain_pass",
-            relocations + polish_steps,
-            True,
-            flags,
-        )
-        low = point.energy <= max(fa, fb)
-        rough = point.residual > cfg.gradient_stop
-        if not (low or rough):
-            return point
-        if stop is None and pattern is not None:
-            continue
-        # Not accepted and relocation cannot resume: w is a best effort.
-        point.converged = False
-        if stop is not None:
-            flags.append(stop)
-        if low:
-            flags.append("energy_not_above_endpoints")
-        if rough:
-            flags.append("refinement_not_converged")
+            p.stack = trials
+            p.path[j] = zn
+            p.fvals[j] = fn
+            if p.relocations % 10 == 0:
+                respaced.append(p)
+        if respaced:
+            paths = _stacked(proj, [_respace(p.path) for p in respaced])
+            for p, path, fvals in zip(respaced, paths, _stacked(f, paths)):
+                p.path, p.fvals = path, fvals
+        still = []
+        for p in active:
+            if p.stop is None:
+                if p.relocations >= cfg.max_iterations:
+                    p.stop = "relocation_budget_exhausted"
+                elif p.relocations % 2000:
+                    still.append(p)
+                    continue
+            p.point = _judge(prob, g, proj, p, idx, pattern, cfg)
+            if p.point is None:
+                still.append(p)
+        active = still
+    return [p.point for p in passes]
+
+
+def _judge(prob, g, proj, p: _Pass, idx, pattern, cfg) -> CriticalPoint | None:
+    """Polishes the path maximum of pass ``p`` and returns the polished
+    point, converged, when it is accepted; None when relocation resumes;
+    otherwise the point, not converged, with the pass's stop and the
+    failed tests among its flags."""
+    j = 1 + int(np.argmax(p.fvals[1:-1]))
+    w, steps = p.path[j].copy(), 0
+    if pattern is not None:
+        w, steps = _newton_polish(g, proj, w, idx, pattern, cfg)
+    p.polish_steps += steps
+    point = _make_point(
+        prob,
+        w,
+        "mountain_pass",
+        p.relocations + p.polish_steps,
+        True,
+        p.flags,
+    )
+    low = point.energy <= p.floor
+    rough = point.residual > cfg.gradient_stop
+    if not (low or rough):
         return point
+    if p.stop is None and pattern is not None:
+        return None
+    # Not accepted and relocation cannot resume: w is a best effort.
+    point.converged = False
+    if p.stop is not None:
+        p.flags.append(p.stop)
+    if low:
+        p.flags.append("energy_not_above_endpoints")
+    if rough:
+        p.flags.append("refinement_not_converged")
+    return point
 
 
 # --- scans -------------------------------------------------------------------------
@@ -835,32 +921,48 @@ def _pair_sites(grid: Grid, k: int) -> tuple[list[tuple], float]:
     return centers, eps
 
 
-def symmetric_pairs(
-    prob: ProblemSpec, k: int, cfg: SolverConfig = SolverConfig()
-) -> SolutionInventory:
-    """Mountain passes toward scaled n-bump states, n = 1..k, each returned
-    with its negation (an equally valid critical point by evenness).
-
-    When the deflation merge drops any of these states -- two levels landed
-    on one critical point -- the inventory is flagged ``pair_runs_collapsed``.
-    """
-    _require_hypotheses(prob, ("even_symmetry",), cfg.seed)
+def _pair_endpoints(prob: ProblemSpec, k: int):
+    """Per level n = 1..k, the endpoint t (b, b) of its pass, b the sum of
+    the first n tents of ``_pair_sites`` and t its least dyadic multiple of
+    negative energy, or None when there is no such t."""
     centers, eps = _pair_sites(prob.grid, k)
     tents = [tent_function(c, eps, prob.grid) for c in centers]
-
-    runs: list[CriticalPoint] = []
-    points: list[CriticalPoint] = []
-    energies: list[float] = []
-    flags: list[str] = []
+    endpoints = []
     for n in range(1, k + 1):
         bump_sum = tents[0]
         for h in tents[1:n]:
             bump_sum = bump_sum + h
         t = _first_negative_multiple(prob, _pack(bump_sum, bump_sum))
-        if t is None:
+        endpoints.append(None if t is None else (t * bump_sum, t * bump_sum))
+    return endpoints
+
+
+def symmetric_pairs(
+    prob: ProblemSpec, k: int, cfg: SolverConfig = SolverConfig()
+) -> SolutionInventory:
+    """Mountain passes toward scaled n-bump states, n = 1..k, each returned
+    with its negation (an equally valid critical point by evenness).  The
+    passes are independent and run in lockstep (``_lockstep_passes``); the
+    runs and flags are listed in level order.
+
+    When the deflation merge drops any of these states -- two levels landed
+    on one critical point -- the inventory is flagged ``pair_runs_collapsed``.
+    """
+    _require_hypotheses(prob, ("even_symmetry",), cfg.seed)
+    endpoints = _pair_endpoints(prob, k)
+    passes = iter(_lockstep_passes(
+        prob, [e for e in endpoints if e is not None], None, cfg
+    ))
+
+    runs: list[CriticalPoint] = []
+    points: list[CriticalPoint] = []
+    energies: list[float] = []
+    flags: list[str] = []
+    for n, endpoint in enumerate(endpoints, start=1):
+        if endpoint is None:
             flags.append(f"no_negative_energy_endpoint_n{n}")
             continue
-        mp = mountain_pass(prob, (t * bump_sum, t * bump_sum), None, cfg)
+        mp = next(passes)
         runs.append(mp)
         energies.append(mp.energy)
         if mp.converged:

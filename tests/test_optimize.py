@@ -1,5 +1,6 @@
 """The Armijo backtracking step of ``varexp.optimize``: every stack size of
-its trials accepts the trial of the one-at-a-time search, with its bits."""
+its trials accepts the trial of the one-at-a-time search, with its bits,
+and so does every state of a search on several states."""
 
 from functools import partial
 
@@ -85,7 +86,7 @@ def run(case, stack):
         seen.extend(r.copy() for r in rows)
         return h(w)
 
-    return x, fx, backtracking_step(f, x, fx, g, t0, project, stack), seen
+    return x, fx, backtracking_step(f, [x], [fx], [g], [t0], project, [stack])[0], seen
 
 
 @pytest.mark.parametrize("stack", STACKS)
@@ -113,3 +114,64 @@ def test_a_trial_that_does_not_move_ends_the_search_unevaluated():
 def test_a_rejected_search_evaluates_every_halving():
     *_, seen = run("reaches_the_shrink_floor", 1)
     assert len(seen) == _MAX_SHRINKS
+
+
+def row_cases():
+    """Four searches on the Q1 energy kernel of PROB, as rows of one stack:
+    accepted at trial 1, accepted after halvings, stopped at its first
+    trial, which does not move (g pushes 0 out of the cone), and uphill
+    along +g, accepted only at trial 45, where the rise is below the
+    energy's round-off."""
+    accepted_first = energy_case(0.05, 0.01)
+    accepted_later = energy_case(0.05, 100.0)
+    f = accepted_first[0]
+    w = accepted_first[1]
+    zero = np.zeros_like(w)
+    uphill = -_gradient(w, PROB, Q1)
+    rows = [
+        accepted_first[1:5],
+        accepted_later[1:5],
+        (zero, f(zero), np.ones_like(w), 1.0),
+        (w, f(w), uphill, 1e-3 * float(np.max(np.abs(w))) / float(np.max(np.abs(uphill)))),
+    ]
+    return f, rows
+
+
+@pytest.mark.parametrize("stacks", [(1, 1, 1, 1), (1, 3, 2, 7), (60, 60, 60, 60)])
+def test_row_stacked_searches_match_the_searches_alone(stacks):
+    """Each row of a row-stacked search gets the state, energy and trial
+    index of its search alone, bit for bit, and the rows share one call
+    of f per round: as many calls as the longest of the searches alone."""
+    h, rows = row_cases()
+    alone, calls_alone = [], []
+    for (x, fx, g, t0), stack in zip(rows, stacks):
+        calls = []
+        (step,) = backtracking_step(
+            lambda w: calls.append(w) or h(w), [x], [fx], [g], [t0], PROJ, [stack]
+        )
+        alone.append(step)
+        calls_alone.append(len(calls))
+    assert [k for _, _, k in alone] == [1, 8, 0, 45]
+    assert calls_alone[2] == 0
+    calls = []
+    x, fx, g, t0 = (list(column) for column in zip(*rows))
+    stacked = backtracking_step(
+        lambda w: calls.append(w) or h(w), np.stack(x), fx, np.stack(g), t0, PROJ, list(stacks)
+    )
+    assert len(stacked) == len(rows)
+    for (xs, fs, ks), (x1, f1, k1) in zip(stacked, alone):
+        assert np.array_equal(xs, x1)
+        assert fs == f1 and ks == k1
+    assert len(calls) == max(calls_alone)
+
+
+def test_a_lone_row_goes_to_f_as_the_1d_state():
+    """A lone row with a stack of one trial gives f its 1-D trials, not
+    stacks of shape (1, len(x))."""
+    h, rows = row_cases()
+    x, fx, g, t0 = rows[1]
+    shapes = []
+    (xs, fs, ks), = backtracking_step(
+        lambda w: shapes.append(w.shape) or h(w), x[None], [fx], g[None], [t0], PROJ, [1]
+    )
+    assert ks == 8 and shapes == [x.shape] * 8

@@ -468,7 +468,8 @@ def test_a_mountain_pass_stopped_by_a_flag_is_not_converged(flag, monkeypatch):
     monkeypatch.setattr(solve, "_newton_polish", lambda g, proj, w, *a: (w, 0))
     if flag == "path_maximum_stalled":
         monkeypatch.setattr(
-            solve, "backtracking_step", lambda f, w, fw, *a: (w, fw, 0)
+            solve, "backtracking_step",
+            lambda f, x, fx, *a: [(w, fw, 0) for w, fw in zip(x, fx)],
         )
     cfg = SolverConfig(path_points=11, max_iterations=60)
     pt = mountain_pass(PROB, negative_endpoint(PROB), cfg=cfg)
@@ -534,12 +535,13 @@ def test_mountain_pass_evaluates_its_path_in_one_call_per_respacing(monkeypatch)
 @pytest.mark.parametrize("quadrant", ["Q1", None])
 def test_mountain_pass_is_bitwise_independent_of_the_trial_stack(quadrant, monkeypatch):
     """Relocation halvings are evaluated as many at a time as the last
-    relocation needed; one at a time, the pass reaches the same bits."""
+    relocation needed (one stack per row of the row-stacked search); one
+    at a time, the pass reaches the same bits."""
     step = solve.backtracking_step
     stacks = []
 
     def recorded(f, x, fx, g, t0, proj, stack):
-        stacks.append(stack)
+        stacks.extend(stack)
         return step(f, x, fx, g, t0, proj, stack)
 
     far = negative_endpoint(PROB)
@@ -548,13 +550,153 @@ def test_mountain_pass_is_bitwise_independent_of_the_trial_stack(quadrant, monke
     assert max(stacks) > 1
     monkeypatch.setattr(
         solve, "backtracking_step",
-        lambda f, x, fx, g, t0, proj, stack: step(f, x, fx, g, t0, proj, 1),
+        lambda f, x, fx, g, t0, proj, stack: step(f, x, fx, g, t0, proj, [1] * len(x)),
     )
     single = mountain_pass(PROB, far, quadrant, FAST)
     assert np.array_equal(adaptive.u.values, single.u.values)
     assert np.array_equal(adaptive.v.values, single.v.values)
     for field in ("energy", "residual", "iterations", "flags", "converged"):
         assert getattr(adaptive, field) == getattr(single, field)
+
+
+# Every pass accepted at relocation 2000, or, at a stop below the 1-bump
+# pass's polished residual (3.0e-12), that pass relocating on alone after
+# the others leave, to its budget.
+LOCKSTEP_CASES = {
+    "all_accepted_together": FAST,
+    "active_set_shrinks": SolverConfig(path_points=11, max_iterations=2300,
+                                       gradient_stop=1e-12),
+}
+
+
+def count_kernel_calls(monkeypatch):
+    """Records (kind, rows) of the solver's kernel calls: each gradient
+    call outside the polish ("gradient"), each line search ("step", its
+    rows), and each energy call on paths outside the line search ("path",
+    the number of paths)."""
+    calls = []
+    inside = []  # the line search or the polish, while it runs
+    functional = solve._functional
+
+    def counted_functional(prob, signs):
+        f, g, proj = functional(prob, signs)
+
+        def counted_f(w):
+            if not inside and w.ndim > 1:
+                calls.append(("path", 1 if w.ndim == 2 else len(w)))
+            return f(w)
+
+        def counted_g(w):
+            if not inside:
+                calls.append(("gradient", 1 if w.ndim == 1 else len(w)))
+                assert w.ndim == 1 or len(w) > 1
+            return g(w)
+
+        return counted_f, counted_g, proj
+
+    def inside_of(name, fn):
+        def wrapped(*args):
+            if name == "step":
+                calls.append(("step", len(args[1])))
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return wrapped
+
+    monkeypatch.setattr(solve, "_functional", counted_functional)
+    monkeypatch.setattr(solve, "_newton_polish", inside_of("polish", solve._newton_polish))
+    monkeypatch.setattr(solve, "backtracking_step", inside_of("step", solve.backtracking_step))
+    return calls
+
+
+def rows_of(calls, kind):
+    return [rows for k, rows in calls if k == kind]
+
+
+@pytest.mark.parametrize("case", LOCKSTEP_CASES)
+def test_lockstep_passes_match_single_passes_bitwise(case, monkeypatch):
+    """Each pass of ``symmetric_pairs`` carries the bits of the same
+    ``mountain_pass`` run alone.  A lone pass relocates with 1-D gradient
+    calls only.  Passes in lockstep make one gradient call and one line
+    search per relocation round, on the path maxima of the passes still
+    active, stacked, and evaluate their initial and re-spaced paths as one
+    stack; a pass left alone makes 1-D calls again."""
+    calls = count_kernel_calls(monkeypatch)
+    cfg = LOCKSTEP_CASES[case]
+    inv = symmetric_pairs(PROB, 3, cfg)
+    lockstep = list(calls)
+    endpoints = solve._pair_endpoints(PROB, 3)
+    assert len(inv.runs) == len(endpoints) == 3
+    relocations = []
+    for run, endpoint in zip(inv.runs, endpoints, strict=True):
+        calls.clear()
+        alone = mountain_pass(PROB, endpoint, None, cfg)
+        grads = rows_of(calls, "gradient")
+        assert grads == [1] * len(grads)
+        relocations.append(len(grads))
+        assert np.array_equal(run.u.values, alone.u.values)
+        assert np.array_equal(run.v.values, alone.v.values)
+        for field in ("energy", "residual", "iterations", "flags", "converged"):
+            assert getattr(run, field) == getattr(alone, field)
+    rounds = [sum(r >= t for r in relocations) for t in range(1, max(relocations) + 1)]
+    assert rows_of(lockstep, "gradient") == rows_of(lockstep, "step") == rounds
+    if cfg is not FAST:
+        assert [pt.converged for pt in inv.runs] == [False, True, True]
+        assert "relocation_budget_exhausted" in inv.runs[0].flags
+        assert relocations == [2300, 2000, 2000]
+        assert rows_of(lockstep, "path") == [3] * (1 + 200) + [1] * 30
+
+
+def test_pairs_lists_its_flags_in_level_order(monkeypatch):
+    """The endpoints are all built before the passes run, yet a level with
+    no negative-energy endpoint is flagged in its place among the levels."""
+    real = solve._first_negative_multiple
+    levels, given = [], []
+
+    def no_level_2(prob, w):
+        levels.append(w)
+        return None if len(levels) == 2 else real(prob, w)
+
+    def not_converged(prob, endpoints, quadrant, cfg):
+        given.extend(endpoints)
+        z = prob.grid.zeros()
+        return [CriticalPoint(u=z, v=z, energy=-1.0, residual=1.0, quadrant="Q1",
+                              method="stub", iterations=0, converged=False)
+                for _ in endpoints]
+
+    monkeypatch.setattr(solve, "_first_negative_multiple", no_level_2)
+    monkeypatch.setattr(solve, "_lockstep_passes", not_converged)
+    inv = symmetric_pairs(PROB, 3, FAST)
+    assert len(given) == len(inv.runs) == 2
+    assert inv.flags == [
+        "pair_search_n1_not_converged",
+        "no_negative_energy_endpoint_n2",
+        "pair_search_n3_not_converged",
+    ]
+
+
+def test_pairs_refuses_an_invalid_endpoint_before_relocating(monkeypatch):
+    """Half the least negative multiple leaves the 2-bump endpoint at
+    positive energy: ``symmetric_pairs`` raises the pass's ConfigError, and
+    no pass relocates, since every endpoint is checked first."""
+    real = solve._first_negative_multiple
+    levels = []
+
+    def half_at_level_2(prob, w):
+        levels.append(w)
+        t = real(prob, w)
+        return t / 2 if len(levels) == 2 else t
+
+    def no_relocation(*args):
+        raise AssertionError("relocation attempted before every endpoint was checked")
+
+    monkeypatch.setattr(solve, "_first_negative_multiple", half_at_level_2)
+    monkeypatch.setattr(solve, "backtracking_step", no_relocation)
+    with pytest.raises(ConfigError, match="non-positive energy"):
+        symmetric_pairs(PROB, 3, FAST)
 
 
 # ---------------------------------------------------------------------------
@@ -905,7 +1047,8 @@ def test_each_driver_runs_one_hypothesis_pass(driver, monkeypatch):
 
     monkeypatch.setattr(solve, "check_hypotheses", counted)
     monkeypatch.setattr(solve, "descend", lambda prob, start, quadrant, cfg: point(quadrant))
-    monkeypatch.setattr(solve, "mountain_pass", lambda prob, endpoint, quadrant, cfg: point(quadrant))
+    monkeypatch.setattr(solve, "_lockstep_passes",
+                        lambda prob, endpoints, quadrant, cfg: [point(quadrant) for _ in endpoints])
     driver()
     assert len(calls) == 1, calls
 

@@ -18,20 +18,22 @@ It prints one JSON object with:
   one dense Newton solve on it;
 * ``batched_us``: at 129 nodes, the 21 states of a mountain-pass path
   through the energy kernel as one stacked call and as 21 single calls,
-  and the 20 perturbed states of one coloured Jacobian through the
-  gradient kernel as one stacked call and as 20 single calls;
+  the 20 perturbed states of one coloured Jacobian through the gradient
+  kernel as one stacked call and as 20 single calls, and the relocation
+  gradients of the 3 lockstep ``pairs`` passes (the midpoints of their
+  initial paths) as one stacked call and as 3 single calls;
 * ``gradient_calls``: gradient evaluations per stage (descent,
   mountain-pass relocation, Newton polish) of ``solve --theorem 2`` and
   ``pairs`` on ``configs/default.json``, counting every state of a stacked
-  call, with the number of gradient-kernel calls and of Newton Jacobians
-  built;
+  call, with the number of gradient-kernel calls, in all and per stage,
+  and of Newton Jacobians built;
 * ``energy_evaluations``: for the same two runs, energy evaluations made by
   the solvers per stage, the share of them that are trials of
-  ``backtracking_step``, and its steps (mountain-pass relocations; the
-  descent's Newton line search is not counted there).  Evaluations count
-  every state of a stacked call; ``energy_calls`` and
-  ``line_search_trial_calls`` count energy-kernel calls instead.  These
-  counts repeat exactly from run to run;
+  ``backtracking_step``, and its steps (mountain-pass relocations, one per
+  row of a row-stacked search; the descent's Newton line search is not
+  counted there).  Evaluations count every state of a stacked call;
+  ``energy_calls`` and ``line_search_trial_calls`` count energy-kernel
+  calls instead.  These counts repeat exactly from run to run;
 * ``rayleigh_us``: on the 49x49 square of ``bench/eigen_2d_varp.json``
   with p = 3.5 + x/2 + y/4, microseconds per Rayleigh quotient and per
   Rayleigh gradient computed from scratch and from terms already computed,
@@ -187,6 +189,8 @@ def batched_us():
     perturbed = np.tile(w, (2 * (colour.max() + 1), 1))
     perturbed[2 * colour, idx] += h
     perturbed[2 * colour + 1, idx] -= h
+    maxima = [0.5 * solve._pack(*e) for e in solve._pair_endpoints(prob, cli._PAIR_SITES)]
+    stacked_maxima = np.stack(maxima)
     return {
         "path_states": len(path),
         "path_energy_stacked": per_call_us(lambda: _energy(path, prob, None)),
@@ -200,6 +204,13 @@ def batched_us():
         "jacobian_gradient_single_calls": per_call_us(
             lambda: [_gradient(z, prob, None) for z in perturbed]
         ),
+        "relocation_states": len(maxima),
+        "relocation_gradient_stacked": per_call_us(
+            lambda: _gradient(stacked_maxima, prob, None)
+        ),
+        "relocation_gradient_single_calls": per_call_us(
+            lambda: [_gradient(z, prob, None) for z in maxima]
+        ),
     }
 
 
@@ -207,13 +218,14 @@ def evaluation_counts():
     """Gradient and energy evaluations (one per state of a stacked call) per
     innermost stage, counted by wrapping the solver's module globals; the
     line-search steps and their energy trials are counted through
-    ``backtracking_step``, which ``bb_minimize`` and ``mountain_pass`` call.
-    Energy-kernel calls are counted beside the states they evaluate."""
+    ``backtracking_step``, which ``bb_minimize`` and the mountain-pass loop
+    ``_lockstep_passes`` call.  Kernel calls are counted beside the states
+    they evaluate."""
     stack = ["other"]
     counts: dict[str, int] = {}
     energies: dict[str, dict[str, int]] = {}
     in_step = [0]
-    kernel_calls = [0]
+    kernel_calls: dict[str, int] = {}
     jacobian_builds = [0]
 
     def tally(key, states):
@@ -233,13 +245,13 @@ def evaluation_counts():
         return wrapper
 
     def counted_gradient(w, *args, **kwargs):
-        states = 1 if w.ndim == 1 else len(w)
+        states = w.size // w.shape[-1]
         counts[stack[-1]] = counts.get(stack[-1], 0) + states
-        kernel_calls[0] += 1
+        kernel_calls[stack[-1]] = kernel_calls.get(stack[-1], 0) + 1
         return _gradient(w, *args, **kwargs)
 
     def counted_energy(w, *args, **kwargs):
-        states = 1 if w.ndim == 1 else len(w)
+        states = w.size // w.shape[-1]
         tally("energy", states)
         tally("energy_calls", 1)
         if in_step[0]:
@@ -249,11 +261,11 @@ def evaluation_counts():
 
     real_step = optimize.backtracking_step
 
-    def counted_step(*args, **kwargs):
-        tally("line_search_steps", 1)
+    def counted_step(f, x, *args, **kwargs):
+        tally("line_search_steps", len(x))
         in_step[0] += 1
         try:
-            return real_step(*args, **kwargs)
+            return real_step(f, x, *args, **kwargs)
         finally:
             in_step[0] -= 1
 
@@ -268,7 +280,7 @@ def evaluation_counts():
         "_energy": counted_energy,
         "backtracking_step": counted_step,
         "descend": staged("descent", solve.descend),
-        "mountain_pass": staged("mountain_pass", solve.mountain_pass),
+        "_lockstep_passes": staged("mountain_pass", solve._lockstep_passes),
         "_newton_polish": staged("newton_polish", solve._newton_polish),
     }
     saved = {name: getattr(solve, name) for name in patches}
@@ -285,12 +297,14 @@ def evaluation_counts():
         ):
             counts.clear()
             energies.clear()
-            kernel_calls[0] = jacobian_builds[0] = 0
+            kernel_calls.clear()
+            jacobian_builds[0] = 0
             run()
             energy_out[label] = dict(sorted(energies.items()))
             out[label] = dict(sorted(counts.items()))
             out[label]["total"] = sum(counts.values())
-            out[label]["kernel_calls"] = kernel_calls[0]
+            out[label]["kernel_calls"] = sum(kernel_calls.values())
+            out[label]["kernel_calls_by_stage"] = dict(sorted(kernel_calls.items()))
             out[label]["newton_jacobians"] = jacobian_builds[0]
     finally:
         for name, fn in saved.items():
