@@ -177,6 +177,154 @@ def test_nonlinearity_entry_error_names_its_path_once(kind, key, value):
     assert msg.count(f"nonlinearity[{kind}]") == 1
 
 
+# Every section x {not an object, unknown key, missing required key, wrong
+# type, out of range}: the exact message of each, on small_config() with a
+# hypothesis_constants section added.  (id, dotted path, value, message);
+# the path "" replaces the whole config, and _DELETE removes the key.
+_DELETE = object()
+_DIAGNOSTICS = [
+    ('config-not-object', '', [],
+     'config: expected an object, got list'),
+    ('config-unknown-key', 'extras', {},
+     'extras (line 38): unknown key (allowed: coupling, domain, exponents, hypothesis_constants, nonlinearity, schema, solver)'),
+    ('config-missing-domain', 'domain', _DELETE,
+     'domain: missing required key'),
+    ('schema-missing', 'schema', _DELETE,
+     "schema: expected 'varexp-config/1', got None"),
+    ('schema-wrong-type', 'schema', 1,
+     "schema (line 2): expected 'varexp-config/1', got 1"),
+    ('schema-out-of-range', 'schema', 'varexp-config/999',
+     "schema (line 2): expected 'varexp-config/1', got 'varexp-config/999'"),
+    ('domain-not-object', 'domain', [],
+     'domain (line 3): expected an object, got list'),
+    ('domain-unknown-key', 'domain.bogus', 1,
+     'domain.bogus (line 13): unknown key (allowed: extents, nodes)'),
+    ('domain-missing-nodes', 'domain.nodes', _DELETE,
+     'domain.nodes: missing required key'),
+    ('domain-missing-extents', 'domain.extents', _DELETE,
+     'domain.extents: missing required key'),
+    ('domain-nodes-wrong-type', 'domain.nodes', 33,
+     "domain (line 3): 'int' object is not iterable"),
+    ('domain-nodes-out-of-range', 'domain.nodes', [2],
+     'domain (line 3): need at least 3 nodes per axis, got 2'),
+    ('domain-nodes-axes-mismatch', 'domain.nodes', [33, 33],
+     'domain (line 3): node counts do not match the number of axes'),
+    ('domain-extents-out-of-range', 'domain.extents', [[1.0, 0.0]],
+     'domain (line 3): invalid extent (1.0, 0.0): need lo < hi'),
+    ('exponents-not-object', 'exponents', 3.0,
+     'exponents (line 14): expected an object, got float'),
+    ('exponents-unknown-key', 'exponents.r', 3.0,
+     'exponents.r (line 17): unknown key (allowed: p, q)'),
+    ('exponents-missing-p', 'exponents.p', _DELETE,
+     'exponents.p: missing required key'),
+    ('exponents-missing-q', 'exponents.q', _DELETE,
+     'exponents.q: missing required key'),
+    ('exponents-p-wrong-type', 'exponents.p', [3.0],
+     'exponents.p (line 15): exponents.p (line 15): expected a number, got [3.0]'),
+    ('exponents-p-bool', 'exponents.p', True,
+     'exponents.p (line 15): exponents.p (line 15): expected a number, got True'),
+    ('exponents-p-out-of-range', 'exponents.p', 1.0,
+     'exponents.p (line 15): exponent samples must be > 1 everywhere (min 1)'),
+    ('coupling-not-object', 'coupling', 'x',
+     'coupling (line 18): expected an object, got str'),
+    ('coupling-unknown-key', 'coupling.gamma', 1.2,
+     'coupling.gamma (line 22): unknown key (allowed: alpha, beta, lambda)'),
+    ('coupling-missing-alpha', 'coupling.alpha', _DELETE,
+     'coupling.alpha: missing required key'),
+    ('coupling-lambda-wrong-type', 'coupling.lambda', 'small',
+     "coupling.lambda (line 21): expected a number, got 'small'"),
+    ('coupling-alpha-bool', 'coupling.alpha', True,
+     'coupling.alpha (line 19): coupling.alpha (line 19): expected a number, got True'),
+    ('coupling-lambda-out-of-range', 'coupling.lambda', -1.0,
+     'conf.json: coupling weight lambda must be nonnegative'),
+    ('coupling-alpha-out-of-range', 'coupling.alpha', 1.0,
+     'coupling.alpha (line 19): exponent samples must be > 1 everywhere (min 1)'),
+    ('coupling-supercritical', 'coupling.alpha', 2.0,
+     'coupling (line 18): hypothesis coupling_product_subcritical violated: max(alpha/p + beta/q) = 1.06667 must stay below 1'),
+    ('nonlinearity-not-object', 'nonlinearity', 'log_power',
+     'nonlinearity (line 23): expected an object, got str'),
+    ('nonlinearity-unknown-key', 'nonlinearity.c1', 1.0,
+     'nonlinearity.c1 (line 29): unknown key (allowed: a, b, kind, theta1, theta2)'),
+    ('nonlinearity-unknown-kind', 'nonlinearity.kind', 'bogus',
+     "nonlinearity.kind (line 24): unknown kind 'bogus' (one of: custom, linear_source, log_power, separable_power)"),
+    ('nonlinearity-missing-gamma1', 'nonlinearity', {'kind': 'separable_power', 'gamma2': 4.0},
+     'nonlinearity[separable_power].gamma1: expected a number, got None'),
+    ('nonlinearity-missing-expression', 'nonlinearity', {'kind': 'custom'},
+     'nonlinearity[custom].expression: expected an expression string'),
+    ('nonlinearity-a-bool', 'nonlinearity.a', True,
+     'nonlinearity[log_power].a (line 25): nonlinearity[log_power].a (line 25): expected a number, got True'),
+    ('nonlinearity-gamma1-wrong-type', 'nonlinearity', {'kind': 'separable_power', 'gamma1': 'x', 'gamma2': 4.0},
+     "nonlinearity[separable_power].gamma1 (line 25): expected a number, got 'x'"),
+    ('nonlinearity-g-wrong-type', 'nonlinearity', {'kind': 'linear_source', 'g': [1.0]},
+     'nonlinearity[linear_source].g (line 25): expected a number, got [1.0]'),
+    ('nonlinearity-expression-wrong-type', 'nonlinearity', {'kind': 'custom', 'expression': 3},
+     'nonlinearity[custom].expression (line 25): expected an expression string'),
+    ('nonlinearity-a-out-of-range', 'nonlinearity.a', 2.0,
+     'nonlinearity[log_power]: log_power requires a(x) > p(x) everywhere'),
+    ('nonlinearity-gamma1-out-of-range', 'nonlinearity', {'kind': 'separable_power', 'gamma1': 1.0, 'gamma2': 4.0},
+     'nonlinearity[separable_power]: separable_power requires exponents > 1'),
+    ('nonlinearity-g-out-of-range', 'nonlinearity', {'kind': 'linear_source', 'g': '1/x'},
+     'nonlinearity[linear_source].g (line 25): field evaluates to non-finite values'),
+    ('nonlinearity-expression-out-of-range', 'nonlinearity', {'kind': 'custom', 'expression': '1 + u^4'},
+     'nonlinearity[custom]: custom nonlinearity must satisfy F(x, 0, 0) = 0'),
+    ('constants-not-object', 'hypothesis_constants', [],
+     'hypothesis_constants (line 33): expected an object, got list'),
+    ('constants-unknown-key', 'hypothesis_constants.K', 1.0,
+     'hypothesis_constants.K (line 37): unknown key (allowed: C, C1, C2, M, delta, gamma)'),
+    ('constants-missing-gamma', 'hypothesis_constants.gamma', _DELETE,
+     'hypothesis_constants.gamma: missing required key'),
+    ('constants-missing-C', 'hypothesis_constants.C', _DELETE,
+     'hypothesis_constants.C: missing required key'),
+    ('constants-C-wrong-type', 'hypothesis_constants.C', 'x',
+     "hypothesis_constants.C (line 36): expected a number, got 'x'"),
+    ('constants-gamma-bool', 'hypothesis_constants.gamma', True,
+     'hypothesis_constants.gamma (line 34): hypothesis_constants.gamma (line 34): expected a number, got True'),
+    ('constants-M-bool', 'hypothesis_constants.M', True,
+     'hypothesis_constants.M (line 37): expected a number, got True'),
+    ('constants-C-out-of-range', 'hypothesis_constants.C', -1.0,
+     'hypothesis constants must be positive'),
+    ('constants-gamma-out-of-range', 'hypothesis_constants.gamma', 1.0,
+     'hypothesis_constants.gamma (line 34): exponent samples must be > 1 everywhere (min 1)'),
+    ('solver-not-object', 'solver', 0,
+     'solver (line 30): expected an object, got int'),
+    ('solver-unknown-key', 'solver.bogus', 1,
+     'solver.bogus (line 32): unknown key (allowed: gradient_stop, max_iterations, path_points, seed)'),
+    ('solver-seed-wrong-type', 'solver.seed', 1.5,
+     'solver.seed (line 31): expected an integer, got 1.5'),
+    ('solver-seed-bool', 'solver.seed', True,
+     'solver.seed (line 31): expected an integer, got True'),
+    ('solver-gradient_stop-wrong-type', 'solver.gradient_stop', 'x',
+     "solver.gradient_stop (line 32): expected a number, got 'x'"),
+    ('solver-path_points-out-of-range', 'solver.path_points', 3,
+     'solver (line 30): mountain-pass path needs at least 5 points'),
+    ('solver-gradient_stop-out-of-range', 'solver.gradient_stop', -1.0,
+     'solver (line 30): gradient stop must be nonnegative'),
+    ('solver-seed-out-of-range', 'solver.seed', -1,
+     'solver (line 30): seed must be nonnegative, got -1'),
+    ('solver-max_iterations-out-of-range', 'solver.max_iterations', 0,
+     'solver (line 30): iteration cap must be positive'),
+]
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.parametrize("path, value, message", [case[1:] for case in _DIAGNOSTICS],
+                         ids=[case[0] for case in _DIAGNOSTICS])
+def test_diagnostic_matrix(path, value, message):
+    cfg = small_config(hypothesis_constants={"gamma": 3.5, "delta": 3.5, "C": 400.0})
+    if not path:
+        cfg = value
+    else:
+        section, _, key = path.partition(".")
+        target, name = (cfg[section], key) if key else (cfg, section)
+        if value is _DELETE:
+            del target[name]
+        else:
+            target[name] = value
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(json.dumps(cfg, indent=2), source="conf.json")
+    assert str(exc.value) == message
+
+
 def test_config_file_not_found(tmp_path):
     with pytest.raises(ConfigError, match="config file not found"):
         parse_config(tmp_path / "absent.json")
