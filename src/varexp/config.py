@@ -1,17 +1,22 @@
 """JSON configuration parsing for problem and solver settings.
 
 The file format is a single JSON object with a versioned ``schema`` key.
-Unknown keys anywhere are hard errors: a silently ignored typo in an
-exponent entry would invalidate every hypothesis check downstream.
-Diagnostics carry the dotted key path and a best-effort line number found
-by scanning the raw text.
+Each section goes through ``_section``: it must be an object, an unknown
+key is a hard error (a silently ignored typo in an exponent entry would
+invalidate every hypothesis check downstream), and required keys are looked
+for in their declared order.  Each number goes through ``_number``: it must
+be finite and not a bool, and a node count or integer solver key an int.
+A diagnostic names its dotted key path once, with a best-effort line number
+found by scanning the raw text.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
+import sys
+import typing
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +24,6 @@ import numpy as np
 from .energy import HypothesisConstants, ProblemSpec
 from .errors import ConfigError
 from .exponents import (
-    ExponentField,
     _parse_on_grid,
     _sample,
     constant_exponent,
@@ -44,19 +48,8 @@ log = logging.getLogger(__name__)
 SCHEMA_TAG = "varexp-config/1"
 DEFAULT_LAMBDA = 1e-3
 
-_TOP_KEYS = {"schema", "domain", "exponents", "coupling", "nonlinearity",
-             "solver", "hypothesis_constants"}
-_DOMAIN_KEYS = {"extents", "nodes"}
-_EXPONENT_KEYS = {"p", "q"}
-_COUPLING_KEYS = {"alpha", "beta", "lambda"}
-_CONSTANT_KEYS = {"gamma", "delta", "C", "M", "C1", "C2"}
-_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
-_NONLINEARITY_KEYS = {
-    "log_power": {"kind", "a", "b", "theta1", "theta2"},
-    "separable_power": {"kind", "c1", "gamma1", "c2", "gamma2"},
-    "linear_source": {"kind", "g", "h"},
-    "custom": {"kind", "expression"},
-}
+# Each solver key and its type, int or float.
+_SOLVER_TYPES = typing.get_type_hints(SolverConfig)
 
 
 def default_config_dict() -> dict:
@@ -73,151 +66,111 @@ def default_config_dict() -> dict:
     }
 
 
-def _line_of(text: str | None, key: str) -> str:
-    if not text:
-        return ""
-    needle = f'"{key}"'
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return f" (line {lineno})"
-    return ""
-
-
 def _fail(text: str | None, path: str, message: str) -> ConfigError:
-    key = path.rsplit(".", 1)[-1]
-    return ConfigError(f"{path}{_line_of(text, key)}: {message}")
+    """An error naming ``path`` and the first line of ``text`` quoting its key."""
+    needle = f'"{path.rsplit(".", 1)[-1]}"'
+    for lineno, line in enumerate((text or "").splitlines(), start=1):
+        if needle in line:
+            return ConfigError(f"{path} (line {lineno}): {message}")
+    return ConfigError(f"{path}: {message}")
 
 
-def _require_mapping(data, path, text):
-    if not isinstance(data, dict):
-        raise _fail(text, path, f"expected an object, got {type(data).__name__}")
-    return data
-
-
-def _reject_unknown(data: dict, allowed: set, path: str, text: str | None):
-    unknown = sorted(set(data) - allowed)
+def _section(value, path: str, text: str | None, allowed, required=()) -> dict:
+    """``value`` as the section at ``path`` ("" for the top level): an
+    object with no key outside ``allowed`` and with each of ``required``,
+    looked for in the order given."""
+    if not isinstance(value, dict):
+        raise _fail(text, path or "config",
+                    f"expected an object, got {type(value).__name__}")
+    prefix = f"{path}." if path else ""
+    unknown = sorted(set(value) - set(allowed))
     if unknown:
-        raise _fail(text, f"{path}.{unknown[0]}" if path else unknown[0],
+        raise _fail(text, prefix + unknown[0],
                     f"unknown key (allowed: {', '.join(sorted(allowed))})")
+    for key in required:
+        if key not in value:
+            raise _fail(text, prefix + key, "missing required key")
+    return value
 
 
-def _number(value, path, text) -> float:
+def _number(value, path: str, text: str | None, integer: bool = False):
+    """``value`` as a finite float, or as an int when ``integer`` is set;
+    a bool is neither."""
+    if integer:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise _fail(text, path, f"expected an integer, got {value!r}")
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(text, path, f"expected a number, got {value!r}")
+    # False for NaN, infinities and ints beyond the float range.
+    if not abs(value) <= sys.float_info.max:
+        raise _fail(text, path, f"expected a finite number, got {value!r}")
     return float(value)
 
 
-def _field(grid: Grid, value, path: str, text: str | None) -> ExponentField:
-    """A spatial field given either as a constant or an expression in x[, y]."""
+def _field(grid: Grid, value, path: str, text: str | None, exponent: bool = True):
+    """A spatial field given as a constant or as an expression in x[, y]:
+    an ExponentField, or its plain nodal values (no exponent constraints)
+    when ``exponent`` is False."""
+    if not isinstance(value, str):
+        value = _number(value, path, text)
     try:
+        if exponent:
+            make = exponent_from_expression if isinstance(value, str) else constant_exponent
+            return make(grid, value)
         if isinstance(value, str):
-            return exponent_from_expression(grid, value)
-        return constant_exponent(grid, _number(value, path, text))
+            values = _sample(grid, _parse_on_grid(grid, value))
+        else:
+            values = np.full(grid.shape, value)
     except (ConfigError, ExpressionError) as exc:
         raise _fail(text, path, str(exc)) from exc
-
-
-def _source_values(grid: Grid, value, path: str, text: str | None) -> np.ndarray:
-    """A plain coefficient field (no exponent constraints): constant or
-    expression in the space variables."""
-    if isinstance(value, str):
-        try:
-            vals = _sample(grid, _parse_on_grid(grid, value))
-        except ExpressionError as exc:
-            raise _fail(text, path, str(exc)) from exc
-    else:
-        vals = np.full(grid.shape, _number(value, path, text))
-    if not np.all(np.isfinite(vals)):
+    if not np.all(np.isfinite(values)):
         raise _fail(text, path, "field evaluates to non-finite values")
-    return vals
+    return values
 
 
-def _build_grid(data: dict, text: str | None) -> Grid:
-    dom = _require_mapping(data.get("domain"), "domain", text)
-    _reject_unknown(dom, _DOMAIN_KEYS, "domain", text)
-    for key in _DOMAIN_KEYS:
-        if key not in dom:
-            raise _fail(text, f"domain.{key}", "missing required key")
-    extents = dom["extents"]
-    nodes = dom["nodes"]
-    try:
-        return make_grid(tuple(tuple(e) for e in extents), tuple(nodes))
-    except (ConfigError, TypeError) as exc:
-        raise _fail(text, "domain", str(exc)) from exc
+def _expression(grid: Grid, value, path: str, text: str | None) -> str:
+    if not isinstance(value, str):
+        raise _fail(text, path, "expected an expression string")
+    return value
+
+
+# Each nonlinearity kind: its constructor, called with the grid, p, q and
+# then the entries; the reader of each entry, called with the grid, value,
+# path and text; and its entries in argument order, each with its default
+# (None where there is none).
+_NONLINEARITIES = {
+    "log_power": (LogPowerCoupling, _field,
+                  {"a": 4.0, "b": 4.0, "theta1": 1.5, "theta2": 1.5}),
+    "separable_power": (lambda grid, p, q, *e: SeparablePower(grid, *e),
+                        lambda grid, value, path, text: _number(value, path, text),
+                        {"c1": 1.0, "gamma1": None, "c2": 1.0, "gamma2": None}),
+    "linear_source": (lambda grid, p, q, *e: LinearSource(grid, *e),
+                      partial(_field, exponent=False), {"g": 0.0, "h": 0.0}),
+    "custom": (lambda grid, p, q, *e: CustomExpression(grid, *e), _expression,
+               {"expression": None}),
+}
 
 
 def _build_nonlinearity(grid, p, q, data, text) -> Nonlinearity:
-    data = _require_mapping(data, "nonlinearity", text)
-    kind = data.get("kind", "log_power")
-    if kind not in _NONLINEARITY_KEYS:
-        raise _fail(text, "nonlinearity.kind",
-                    f"unknown kind {kind!r} (one of: "
-                    f"{', '.join(sorted(_NONLINEARITY_KEYS))})")
-    _reject_unknown(data, _NONLINEARITY_KEYS[kind], "nonlinearity", text)
+    # The kind decides which keys are allowed, so it is checked first.
+    kind = data.get("kind", "log_power") if isinstance(data, dict) else "log_power"
+    if not isinstance(kind, str) or kind not in _NONLINEARITIES:
+        raise _fail(text, "nonlinearity.kind", f"unknown kind {kind!r} "
+                    f"(one of: {', '.join(sorted(_NONLINEARITIES))})")
+    make, read, defaults = _NONLINEARITIES[kind]
+    data = _section(data, "nonlinearity", text, ("kind", *defaults))
     path = f"nonlinearity[{kind}]"
     # Entries are read before the constructor runs: their errors already
     # carry their own dotted path, so only the constructor's get the kind's.
-    if kind == "log_power":
-        make, args = LogPowerCoupling, [p, q] + [
-            _field(grid, data.get(key, default), f"{path}.{key}", text)
-            for key, default in (("a", 4.0), ("b", 4.0), ("theta1", 1.5), ("theta2", 1.5))
-        ]
-    elif kind == "separable_power":
-        make, args = SeparablePower, [
-            _number(data.get(key, default), f"{path}.{key}", text)
-            for key, default in (("c1", 1.0), ("gamma1", None), ("c2", 1.0), ("gamma2", None))
-        ]
-    elif kind == "linear_source":
-        make, args = LinearSource, [
-            _source_values(grid, data.get(key, 0.0), f"{path}.{key}", text)
-            for key in ("g", "h")
-        ]
-    else:
-        expr = data.get("expression")
-        if not isinstance(expr, str):
-            raise _fail(text, f"{path}.expression", "expected an expression string")
-        make, args = CustomExpression, [expr]
+    entries = [read(grid, data.get(key, default), f"{path}.{key}", text)
+               for key, default in defaults.items()]
     try:
-        return make(grid, *args)
+        return make(grid, p, q, *entries)
     except ExpressionError as exc:
         raise _fail(text, f"{path}.expression", str(exc)) from exc
     except ConfigError as exc:
         raise _fail(text, path, str(exc)) from exc
-
-
-def _build_constants(grid, data, text) -> HypothesisConstants:
-    data = _require_mapping(data, "hypothesis_constants", text)
-    _reject_unknown(data, _CONSTANT_KEYS, "hypothesis_constants", text)
-    for key in ("gamma", "delta", "C"):
-        if key not in data:
-            raise _fail(text, f"hypothesis_constants.{key}", "missing required key")
-    kwargs = {}
-    for key in ("M", "C1", "C2"):
-        if key in data:
-            kwargs[key] = _number(data[key], f"hypothesis_constants.{key}", text)
-    return HypothesisConstants(
-        gamma=_field(grid, data["gamma"], "hypothesis_constants.gamma", text),
-        delta=_field(grid, data["delta"], "hypothesis_constants.delta", text),
-        C=_number(data["C"], "hypothesis_constants.C", text),
-        **kwargs,
-    )
-
-
-def _build_solver(data, text) -> SolverConfig:
-    data = _require_mapping(data, "solver", text)
-    _reject_unknown(data, _SOLVER_KEYS, "solver", text)
-    kwargs = {}
-    for key, value in data.items():
-        if key in ("max_iterations", "path_points", "seed"):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise _fail(text, f"solver.{key}", f"expected an integer, got {value!r}")
-            kwargs[key] = value
-        else:
-            kwargs[key] = _number(value, f"solver.{key}", text)
-    try:
-        return SolverConfig(**kwargs)
-    except ConfigError as exc:
-        raise _fail(text, "solver", str(exc)) from exc
 
 
 def parse_config_text(raw: str, source: str = "<config>") -> tuple[ProblemSpec, SolverConfig]:
@@ -229,45 +182,50 @@ def parse_config_text(raw: str, source: str = "<config>") -> tuple[ProblemSpec, 
         raise ConfigError(
             f"{source} is not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from exc
-    data = _require_mapping(data, "config", raw)
-    _reject_unknown(data, _TOP_KEYS, "", raw)
-
-    schema = data.get("schema")
-    if schema != SCHEMA_TAG:
-        raise _fail(raw, "schema",
-                    f"expected {SCHEMA_TAG!r}, got {schema!r}")
+    data = _section(data, "", raw, ("schema", "domain", "exponents", "coupling",
+                                    "nonlinearity", "solver", "hypothesis_constants"))
+    if data.get("schema") != SCHEMA_TAG:
+        raise _fail(raw, "schema", f"expected {SCHEMA_TAG!r}, got {data.get('schema')!r}")
     if "domain" not in data:
         raise _fail(raw, "domain", "missing required key")
-    grid = _build_grid(data, raw)
+    dom = _section(data["domain"], "domain", raw, ("extents", "nodes"), ("extents", "nodes"))
+    extents, nodes = dom["extents"], dom["nodes"]
+    if not (isinstance(extents, list)
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in extents)):
+        raise _fail(raw, "domain.extents", f"expected a list of [lo, hi] pairs, got {extents!r}")
+    if not isinstance(nodes, list):
+        raise _fail(raw, "domain.nodes", f"expected a list of node counts, got {nodes!r}")
+    extents = [tuple(_number(x, "domain.extents", raw) for x in pair) for pair in extents]
+    nodes = [_number(n, "domain.nodes", raw, integer=True) for n in nodes]
+    try:
+        grid = make_grid(extents, nodes)
+    except ConfigError as exc:
+        raise _fail(raw, "domain", str(exc)) from exc
 
-    exps = _require_mapping(data.get("exponents", {}), "exponents", raw)
-    _reject_unknown(exps, _EXPONENT_KEYS, "exponents", raw)
-    for key in _EXPONENT_KEYS:
-        if key not in exps:
-            raise _fail(raw, f"exponents.{key}", "missing required key")
-    p = _field(grid, exps["p"], "exponents.p", raw)
-    q = _field(grid, exps["q"], "exponents.q", raw)
+    exps = _section(data.get("exponents", {}), "exponents", raw, ("p", "q"), ("p", "q"))
+    p, q = (_field(grid, exps[key], f"exponents.{key}", raw) for key in ("p", "q"))
 
-    coup = _require_mapping(data.get("coupling", {}), "coupling", raw)
-    _reject_unknown(coup, _COUPLING_KEYS, "coupling", raw)
-    for key in ("alpha", "beta"):
-        if key not in coup:
-            raise _fail(raw, f"coupling.{key}", "missing required key")
-    alpha = _field(grid, coup["alpha"], "coupling.alpha", raw)
-    beta = _field(grid, coup["beta"], "coupling.beta", raw)
-    if "lambda" in coup:
-        lam = _number(coup["lambda"], "coupling.lambda", raw)
-    else:
-        lam = DEFAULT_LAMBDA
-        log.info("coupling.lambda not set; using the documented default %g",
-                 DEFAULT_LAMBDA)
+    coup = _section(data.get("coupling", {}), "coupling", raw,
+                    ("alpha", "beta", "lambda"), ("alpha", "beta"))
+    alpha, beta = (_field(grid, coup[key], f"coupling.{key}", raw) for key in ("alpha", "beta"))
+    if "lambda" not in coup:
+        log.info("coupling.lambda not set; using the documented default %g", DEFAULT_LAMBDA)
+    lam = _number(coup.get("lambda", DEFAULT_LAMBDA), "coupling.lambda", raw)
 
-    nonlinearity = _build_nonlinearity(
-        grid, p, q, data.get("nonlinearity", {"kind": "log_power"}), raw
-    )
+    nonlinearity = _build_nonlinearity(grid, p, q, data.get("nonlinearity", {}), raw)
+
     constants = None
     if "hypothesis_constants" in data:
-        constants = _build_constants(grid, data["hypothesis_constants"], raw)
+        section = _section(data["hypothesis_constants"], "hypothesis_constants", raw,
+                           ("gamma", "delta", "C", "M", "C1", "C2"), ("gamma", "delta", "C"))
+        path = "hypothesis_constants.{}".format
+        kwargs = {key: _field(grid, section[key], path(key), raw) for key in ("gamma", "delta")}
+        kwargs |= {key: _number(section[key], path(key), raw)
+                   for key in ("C", "M", "C1", "C2") if key in section}
+        try:
+            constants = HypothesisConstants(**kwargs)
+        except ConfigError as exc:
+            raise _fail(raw, "hypothesis_constants", str(exc)) from exc
 
     try:
         prob = ProblemSpec(grid=grid, p=p, q=q, alpha=alpha, beta=beta,
@@ -278,14 +236,16 @@ def parse_config_text(raw: str, source: str = "<config>") -> tuple[ProblemSpec, 
 
     margin = prob.coupling_margin()
     if margin >= 1.0:
-        raise _fail(
-            raw, "coupling",
-            "hypothesis coupling_product_subcritical violated: "
-            f"max(alpha/p + beta/q) = {margin:.6g} must stay below 1",
-        )
+        raise _fail(raw, "coupling", "hypothesis coupling_product_subcritical violated: "
+                    f"max(alpha/p + beta/q) = {margin:.6g} must stay below 1")
 
-    solver = _build_solver(data.get("solver", {}), raw)
-    return prob, solver
+    solver = _section(data.get("solver", {}), "solver", raw, _SOLVER_TYPES)
+    kwargs = {key: _number(value, f"solver.{key}", raw, integer=_SOLVER_TYPES[key] is int)
+              for key, value in solver.items()}
+    try:
+        return prob, SolverConfig(**kwargs)
+    except ConfigError as exc:
+        raise _fail(raw, "solver", str(exc)) from exc
 
 
 def parse_config(path) -> tuple[ProblemSpec, SolverConfig]:

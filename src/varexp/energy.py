@@ -98,8 +98,11 @@ class HypothesisConstants:
     C2: float = 0.1
 
     def __post_init__(self):
-        if min(self.C, self.M, self.C1, self.C2) <= 0.0:
-            raise ConfigError("hypothesis constants must be positive")
+        for name in ("C", "M", "C1", "C2"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ConfigError(
+                    f"hypothesis constant {name} must be positive and finite, got {value!r}")
 
 
 def default_hypothesis_constants(
@@ -139,6 +142,8 @@ class ProblemSpec:
                 raise ConfigError(f"exponent field {name} lives on a different grid")
         if self.alpha.min <= 1.0 or self.beta.min <= 1.0:
             raise ConfigError("coupling exponents alpha, beta must exceed 1")
+        if not np.isfinite(self.lam):
+            raise ConfigError(f"coupling weight lambda must be finite, got {self.lam!r}")
         if self.lam < 0.0:
             raise ConfigError("coupling weight lambda must be nonnegative")
 

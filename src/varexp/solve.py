@@ -130,6 +130,8 @@ class SolverConfig:
             raise ConfigError("mountain-pass path needs at least 5 points")
         if self.max_iterations < 1:
             raise ConfigError("iteration cap must be positive")
+        if not np.isfinite(self.gradient_stop):
+            raise ConfigError(f"gradient stop must be finite, got {self.gradient_stop!r}")
         if self.gradient_stop < 0.0:
             raise ConfigError("gradient stop must be nonnegative")
         if self.seed < 0:

@@ -2,6 +2,9 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +166,7 @@ def test_malformed_expression_is_a_config_error(tmp_path, capsys, section, field
         ("log_power", "b", "3 +* x"),
         ("log_power", "theta1", "3 +* x"),
         ("log_power", "theta2", "3 +* x"),
+        ("log_power", "a", True),
         ("separable_power", "gamma1", "x"),
         ("linear_source", "g", "3 +* x"),
         ("custom", "expression", "u^4 +* v"),
@@ -175,6 +179,109 @@ def test_nonlinearity_entry_error_names_its_path_once(kind, key, value):
     msg = str(exc.value)
     assert msg.startswith(f"nonlinearity[{kind}].{key} (line ")
     assert msg.count(f"nonlinearity[{kind}]") == 1
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [("exponents", "p"), ("coupling", "alpha"), ("hypothesis_constants", "gamma")],
+)
+def test_field_entry_error_names_its_path_once(section, key):
+    cfg = small_config(hypothesis_constants={"gamma": 3.5, "delta": 3.5, "C": 400.0})
+    cfg[section][key] = True
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(json.dumps(cfg, indent=2))
+    msg = str(exc.value)
+    assert msg.startswith(f"{section}.{key} (line ")
+    assert msg.count(f"{section}.{key}") == 1
+
+
+def test_hypothesis_constant_error_names_its_section():
+    cfg = small_config(hypothesis_constants={"gamma": 3.5, "delta": 3.5, "C": -1.0})
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(json.dumps(cfg, indent=2))
+    msg = str(exc.value)
+    assert msg.startswith("hypothesis_constants (line ")
+    assert "constant C must be positive" in msg
+
+
+@pytest.mark.parametrize(
+    "dotted, value",
+    [
+        ("coupling.lambda", float("nan")),
+        ("solver.gradient_stop", float("inf")),
+        ("exponents.p", float("nan")),
+        ("coupling.alpha", float("-inf")),
+        ("hypothesis_constants.C", float("inf")),
+        ("coupling.lambda", 10**400),
+    ],
+    ids=["lambda-nan", "gradient_stop-inf", "p-nan", "alpha-minus-inf", "C-inf",
+         "lambda-beyond-float-range"],
+)
+def test_non_finite_numbers_are_rejected(dotted, value):
+    # Python's json reads NaN and Infinity; neither is a usable setting.
+    cfg = small_config(hypothesis_constants={"gamma": 3.5, "delta": 3.5, "C": 400.0})
+    section, _, key = dotted.partition(".")
+    cfg[section][key] = value
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(json.dumps(cfg, indent=2))
+    msg = str(exc.value)
+    assert msg.startswith(f"{dotted} (line ")
+    assert msg.endswith(f"expected a finite number, got {value!r}")
+
+
+@pytest.mark.parametrize("dotted, value", [("coupling.lambda", float("nan")),
+                                           ("solver.gradient_stop", float("inf"))])
+def test_cli_reports_a_non_finite_number_before_solving(tmp_path, capsys, dotted, value):
+    code, out = run_cli(tmp_path, small_config(**{dotted: value}), "solve", "--theorem", "1")
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {dotted} (line ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("nodes", [float("nan")], "expected an integer, got nan"),
+        ("nodes", [float("inf")], "expected an integer, got inf"),
+        ("nodes", [33.7], "expected an integer, got 33.7"),
+        ("nodes", ["33"], "expected an integer, got '33'"),
+        ("nodes", [True], "expected an integer, got True"),
+        ("extents", [[0.0, "1"]], "expected a number, got '1'"),
+        ("extents", [[0.0, float("inf")]], "expected a finite number, got inf"),
+        ("extents", [[0.0]], "expected a list of [lo, hi] pairs, got [[0.0]]"),
+        ("extents", [0.0, 1.0], "expected a list of [lo, hi] pairs, got [0.0, 1.0]"),
+    ],
+)
+def test_domain_entries_are_checked(key, value, message):
+    cfg = small_config(**{f"domain.{key}": value})
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(json.dumps(cfg, indent=2))
+    msg = str(exc.value)
+    assert msg.startswith(f"domain.{key} (line ")
+    assert msg.endswith(message)
+
+
+def test_missing_keys_are_reported_in_declared_order():
+    # Under several hash seeds: a set of required keys would name either.
+    script = (
+        "import json\n"
+        "from varexp.config import default_config_dict, parse_config_text\n"
+        "from varexp.errors import ConfigError\n"
+        "for section in ('domain', 'exponents'):\n"
+        "    cfg = default_config_dict()\n"
+        "    cfg[section] = {}\n"
+        "    try:\n"
+        "        parse_config_text(json.dumps(cfg))\n"
+        "    except ConfigError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines() == ["domain.extents: missing required key",
+                                            "exponents.p: missing required key"], seed
 
 
 # Every section x {not an object, unknown key, missing required key, wrong
@@ -204,7 +311,7 @@ _DIAGNOSTICS = [
     ('domain-missing-extents', 'domain.extents', _DELETE,
      'domain.extents: missing required key'),
     ('domain-nodes-wrong-type', 'domain.nodes', 33,
-     "domain (line 3): 'int' object is not iterable"),
+     'domain.nodes (line 10): expected a list of node counts, got 33'),
     ('domain-nodes-out-of-range', 'domain.nodes', [2],
      'domain (line 3): need at least 3 nodes per axis, got 2'),
     ('domain-nodes-axes-mismatch', 'domain.nodes', [33, 33],
@@ -220,9 +327,9 @@ _DIAGNOSTICS = [
     ('exponents-missing-q', 'exponents.q', _DELETE,
      'exponents.q: missing required key'),
     ('exponents-p-wrong-type', 'exponents.p', [3.0],
-     'exponents.p (line 15): exponents.p (line 15): expected a number, got [3.0]'),
+     'exponents.p (line 15): expected a number, got [3.0]'),
     ('exponents-p-bool', 'exponents.p', True,
-     'exponents.p (line 15): exponents.p (line 15): expected a number, got True'),
+     'exponents.p (line 15): expected a number, got True'),
     ('exponents-p-out-of-range', 'exponents.p', 1.0,
      'exponents.p (line 15): exponent samples must be > 1 everywhere (min 1)'),
     ('coupling-not-object', 'coupling', 'x',
@@ -234,7 +341,7 @@ _DIAGNOSTICS = [
     ('coupling-lambda-wrong-type', 'coupling.lambda', 'small',
      "coupling.lambda (line 21): expected a number, got 'small'"),
     ('coupling-alpha-bool', 'coupling.alpha', True,
-     'coupling.alpha (line 19): coupling.alpha (line 19): expected a number, got True'),
+     'coupling.alpha (line 19): expected a number, got True'),
     ('coupling-lambda-out-of-range', 'coupling.lambda', -1.0,
      'conf.json: coupling weight lambda must be nonnegative'),
     ('coupling-alpha-out-of-range', 'coupling.alpha', 1.0,
@@ -247,12 +354,14 @@ _DIAGNOSTICS = [
      'nonlinearity.c1 (line 29): unknown key (allowed: a, b, kind, theta1, theta2)'),
     ('nonlinearity-unknown-kind', 'nonlinearity.kind', 'bogus',
      "nonlinearity.kind (line 24): unknown kind 'bogus' (one of: custom, linear_source, log_power, separable_power)"),
+    ('nonlinearity-kind-wrong-type', 'nonlinearity.kind', [1],
+     "nonlinearity.kind (line 24): unknown kind [1] (one of: custom, linear_source, log_power, separable_power)"),
     ('nonlinearity-missing-gamma1', 'nonlinearity', {'kind': 'separable_power', 'gamma2': 4.0},
      'nonlinearity[separable_power].gamma1: expected a number, got None'),
     ('nonlinearity-missing-expression', 'nonlinearity', {'kind': 'custom'},
      'nonlinearity[custom].expression: expected an expression string'),
     ('nonlinearity-a-bool', 'nonlinearity.a', True,
-     'nonlinearity[log_power].a (line 25): nonlinearity[log_power].a (line 25): expected a number, got True'),
+     'nonlinearity[log_power].a (line 25): expected a number, got True'),
     ('nonlinearity-gamma1-wrong-type', 'nonlinearity', {'kind': 'separable_power', 'gamma1': 'x', 'gamma2': 4.0},
      "nonlinearity[separable_power].gamma1 (line 25): expected a number, got 'x'"),
     ('nonlinearity-g-wrong-type', 'nonlinearity', {'kind': 'linear_source', 'g': [1.0]},
@@ -278,11 +387,11 @@ _DIAGNOSTICS = [
     ('constants-C-wrong-type', 'hypothesis_constants.C', 'x',
      "hypothesis_constants.C (line 36): expected a number, got 'x'"),
     ('constants-gamma-bool', 'hypothesis_constants.gamma', True,
-     'hypothesis_constants.gamma (line 34): hypothesis_constants.gamma (line 34): expected a number, got True'),
+     'hypothesis_constants.gamma (line 34): expected a number, got True'),
     ('constants-M-bool', 'hypothesis_constants.M', True,
      'hypothesis_constants.M (line 37): expected a number, got True'),
     ('constants-C-out-of-range', 'hypothesis_constants.C', -1.0,
-     'hypothesis constants must be positive'),
+     'hypothesis_constants (line 33): hypothesis constant C must be positive and finite, got -1.0'),
     ('constants-gamma-out-of-range', 'hypothesis_constants.gamma', 1.0,
      'hypothesis_constants.gamma (line 34): exponent samples must be > 1 everywhere (min 1)'),
     ('solver-not-object', 'solver', 0,

@@ -577,6 +577,22 @@ def test_odd_custom_term_breaks_evenness():
     assert not verdicts["even_symmetry"].passed
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_problem_spec_rejects_a_non_finite_lambda(value):
+    with pytest.raises(ConfigError, match="lambda must be finite"):
+        build_problem(lam=value)
+
+
+@pytest.mark.parametrize("name", ["C", "M", "C1", "C2"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_hypothesis_constants_must_be_positive_and_finite(name, value):
+    g = make_grid((0.0, 1.0), 33)
+    fields = {"gamma": constant_exponent(g, 3.5), "delta": constant_exponent(g, 3.5)}
+    kwargs = {"C": 400.0, name: value}
+    with pytest.raises(ConfigError, match=rf"hypothesis constant {name} must be positive"):
+        energy.HypothesisConstants(**fields, **kwargs)
+
+
 def test_growth_checks_need_constants_for_custom_kinds():
     g = make_grid((0.0, 1.0), 33)
     prob = build_problem(grid=g, nonlinearity=CustomExpression(g, "u^2 * v^2"))

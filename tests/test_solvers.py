@@ -80,6 +80,13 @@ def test_solver_config_rejects_bad_values(kwargs):
         SolverConfig(**kwargs)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_solver_config_rejects_a_non_finite_gradient_stop(value):
+    # NaN < 0 is False, so only an explicit finiteness check stops it.
+    with pytest.raises(ConfigError, match="gradient stop must be finite"):
+        SolverConfig(gradient_stop=value)
+
+
 def test_solver_config_defaults_are_valid():
     cfg = SolverConfig()
     assert cfg.gradient_stop == 1e-8

@@ -2,7 +2,7 @@
 
     python3 tools/same_outputs.py PARENT CHANGE
 
-PARENT and CHANGE are the roots of two source checkouts.  Each of the 38
+PARENT and CHANGE are the roots of two source checkouts.  Each of the 41
 runs below is made once per tree, as ``python -m varexp.cli SUBCOMMAND ...
 --deterministic --out out`` with ``PYTHONPATH=<tree>/src`` and
 ``OPENBLAS_NUM_THREADS=1``, from a fresh working directory.  Both trees read
@@ -22,7 +22,25 @@ The runs: ``check``, ``norm``, ``scan``, ``eigen``, ``pairs`` and ``solve
 benchmark (read from PARENT); and ``check``, ``eigen``, ``pairs``, ``scan``
 and ``solve --theorem 1``/``2`` on each of the five configs below, which
 cover a variable p, a custom F, p < 2 in 1D and 2D, and every function,
-constant and operator of the expression language.
+constant and operator of the expression language.  Last, ``check`` on three
+malformed configs, so that diagnostics (standard error and exit status) are
+compared too.
+
+Against a parent older than the single config reader, these are expected
+to differ, and nothing else:
+
+* ``no_exponents`` (an empty ``exponents`` section): the old reader kept
+  the required keys in a set, so it named ``exponents.p`` or
+  ``exponents.q`` as missing depending on the hash seed of the run.  The
+  new one always names ``exponents.p``; both exit 1.
+* ``lambda_nan`` (``"lambda": NaN``): the old reader accepted NaN, ran the
+  check and died writing ``results.json``, with a ``ValueError`` traceback
+  and exit 1.  The new one exits 1 at once with ``error: coupling.lambda
+  (line 21): expected a finite number, got nan``.
+* ``nodes_33.7`` (``"nodes": [33.7]``): the old reader truncated the count
+  to 33, ran the check and exited 0.  The new one exits 1 with ``error:
+  domain.nodes (line 10): expected an integer, got 33.7`` and writes no
+  file.
 """
 
 from __future__ import annotations
@@ -79,6 +97,13 @@ CONFIGS = {
         4.0, 4.0, 20.0),
 }
 
+_BASE = CONFIGS["separable_p_3+x/2"]
+MALFORMED = {
+    "no_exponents": {**_BASE, "exponents": {}},
+    "lambda_nan": {**_BASE, "coupling": {**_BASE["coupling"], "lambda": float("nan")}},
+    "nodes_33.7": {**_BASE, "domain": {**_BASE["domain"], "nodes": [33.7]}},
+}
+
 DEFAULT_RUNS = (("check",), ("norm",), ("scan",), ("eigen",), ("pairs",),
                 ("solve", "--theorem", "1"), ("solve", "--theorem", "2"))
 CONFIG_RUNS = (("check",), ("eigen",), ("pairs",), ("scan",),
@@ -96,6 +121,10 @@ def runs(parent: Path, configs: Path) -> list[tuple[str, tuple[str, ...]]]:
         path.write_text(json.dumps(data, indent=2), encoding="utf-8")
         out += [(f"{name} {' '.join(args)}", (*args, "--config", str(path)))
                 for args in CONFIG_RUNS]
+    for name, data in MALFORMED.items():
+        path = configs / f"{name}.json"
+        path.write_text(json.dumps(data, indent=2), encoding="utf-8")
+        out.append((f"{name} check", ("check", "--config", str(path))))
     return out
 
 
@@ -122,12 +151,14 @@ def differences(a: dict, b: dict) -> list[str]:
 
 
 def summary(result: dict) -> list[str]:
-    """Exit status and inventory of one run, from its ``results.json``."""
+    """Exit status and inventory of one run, from its ``results.json``, or
+    the last line of its standard error when it has no inventory."""
     head = f"exit {result['exit status']}"
     raw = result["files"].get("results.json")
     inv = json.loads(raw).get("inventory") if raw is not None else None
     if not inv:
-        return [head]
+        err = result["stderr"].decode(errors="replace").strip().splitlines()
+        return [f"{head}, stderr ends: {err[-1]}" if err else head]
     lines = [f"{head}, distinct_count {inv['distinct_count']}, flags {inv['flags']}"]
     lines += [f"{p['quadrant']} {p['method']}: energy {p['energy']!r}, "
               f"residual {p['residual']!r}, iterations {p['iterations']}"
