@@ -218,9 +218,9 @@ def parse_config_text(raw: str, source: str = "<config>") -> tuple[ProblemSpec, 
     if "hypothesis_constants" in data:
         section = _section(data["hypothesis_constants"], "hypothesis_constants", raw,
                            ("gamma", "delta", "C", "M", "C1", "C2"), ("gamma", "delta", "C"))
-        path = "hypothesis_constants.{}".format
-        kwargs = {key: _field(grid, section[key], path(key), raw) for key in ("gamma", "delta")}
-        kwargs |= {key: _number(section[key], path(key), raw)
+        kwargs = {key: _field(grid, section[key], f"hypothesis_constants.{key}", raw)
+                  for key in ("gamma", "delta")}
+        kwargs |= {key: _number(section[key], f"hypothesis_constants.{key}", raw)
                    for key in ("C", "M", "C1", "C2") if key in section}
         try:
             constants = HypothesisConstants(**kwargs)

@@ -195,15 +195,6 @@ def test_field_entry_error_names_its_path_once(section, key):
     assert msg.count(f"{section}.{key}") == 1
 
 
-def test_hypothesis_constant_error_names_its_section():
-    cfg = small_config(hypothesis_constants={"gamma": 3.5, "delta": 3.5, "C": -1.0})
-    with pytest.raises(ConfigError) as exc:
-        parse_config_text(json.dumps(cfg, indent=2))
-    msg = str(exc.value)
-    assert msg.startswith("hypothesis_constants (line ")
-    assert "constant C must be positive" in msg
-
-
 @pytest.mark.parametrize(
     "dotted, value",
     [
