@@ -6,10 +6,11 @@ experiments, --theorem 1 or 2), scan (ray energy trace), pairs (paired
 solutions via evenness).  Every run writes results.json to --out; solve and
 pairs additionally dump one CSV per stored solution.
 
-Exit status: 0 full success, 2 partial convergence, failed verdicts, pair
-levels collapsed onto one point (flag ``pair_runs_collapsed``) or an eigen
-estimate whose least restart stopped at its iteration cap, 1 configuration
-or I/O error.
+Exit status: 0 full success; 2 when check has a failed verdict, when solve
+or pairs found fewer distinct points than their theorem promises (a run that
+did not converge, a missing pair level and levels collapsed onto one point
+all count as such), or when an eigen estimate's least restart stopped at its
+iteration cap; 1 on a configuration or I/O error.
 """
 
 from __future__ import annotations
@@ -50,13 +51,9 @@ from .solve import (
 )
 from .spaces import (
     holder_check,
-    luxemburg_norm,
-    modular,
     norm_modular_relation_check,
     sobolev_norm,
 )
-
-log = logging.getLogger(__name__)
 
 _DEFAULT_T_LIST = [float(2**k) for k in range(21)]
 _PAIR_SITES = 3
@@ -137,8 +134,8 @@ def _norm_probes(prob: ProblemSpec, seed: int) -> dict:
     for name, u in probes.items():
         rep = norm_modular_relation_check(u, prob.p)
         out[name] = {
-            "luxemburg_norm": luxemburg_norm(u, prob.p),
-            "modular": modular(u, prob.p),
+            "luxemburg_norm": rep.norm_value,
+            "modular": rep.modular_value,
             "band": list(rep.relation_band),
             "band_holds": rep.band_holds,
             "trichotomy_holds": rep.trichotomy_holds,
@@ -197,57 +194,42 @@ def _run(args) -> int:
     outdir = args.out
     outdir.mkdir(parents=True, exist_ok=True)
     report = RunReport(config_echo=_config_echo(args, prob, cfg))
-    timings: dict[str, float] = {}
     status = 0
 
     t0 = time.perf_counter()
     if args.subcommand == "check":
         verdicts = check_hypotheses(prob, sample_budget=1000, seed=cfg.seed)
         report.hypothesis_results = {k: v.as_dict() for k, v in verdicts.items()}
-        timings["check"] = time.perf_counter() - t0
         if not all(v.passed for v in verdicts.values()):
             status = 2
     elif args.subcommand == "norm":
         report.norms = _norm_probes(prob, cfg.seed)
-        timings["norm"] = time.perf_counter() - t0
     elif args.subcommand == "eigen":
         report.eigen_estimates = _eigen_block(prob, cfg)
-        timings["eigen"] = time.perf_counter() - t0
         for est in report.eigen_estimates.values():
             least = est["restart_values"].index(est["value"])
             if est["stop_reasons"][least] == "iteration_cap":
                 status = 2
-    elif args.subcommand == "solve":
-        quadrants = QUADRANTS
-        if args.quadrants is not None:
-            quadrants = _parse_quadrants(args.quadrants)
-        if args.theorem == 1:
-            inv = find_constant_sign_solutions(prob, cfg, quadrants)
-        else:
-            inv = find_six_solutions(prob, cfg, quadrants)
-        report.inventory = write_inventory(inv, outdir)
-        timings["solve"] = time.perf_counter() - t0
-        if not all(run.converged for run in inv.runs):
-            status = 2
     elif args.subcommand == "scan":
         ts = _DEFAULT_T_LIST if args.t_list is None else _parse_t_list(args.t_list)
         h1, h2, _ = _mountain_endpoints(prob)
         scan = divergence_scan(prob, h1, h2, ts)
         report.scans = [scan_to_dict(scan)]
-        timings["scan"] = time.perf_counter() - t0
-    elif args.subcommand == "pairs":
-        inv = symmetric_pairs(prob, _PAIR_SITES, cfg)
+    elif args.subcommand in ("solve", "pairs"):
+        if args.subcommand == "pairs":
+            inv = symmetric_pairs(prob, _PAIR_SITES, cfg)
+        else:
+            quadrants = QUADRANTS
+            if args.quadrants is not None:
+                quadrants = _parse_quadrants(args.quadrants)
+            driver = find_constant_sign_solutions if args.theorem == 1 else find_six_solutions
+            inv = driver(prob, cfg, quadrants)
         report.inventory = write_inventory(inv, outdir)
-        timings["pairs"] = time.perf_counter() - t0
-        if (
-            not all(run.converged for run in inv.runs)
-            or len(inv.runs) < _PAIR_SITES
-            or "pair_runs_collapsed" in inv.flags
-        ):
+        if not inv.complete:
             status = 2
 
     if not args.deterministic:
-        report.timings = timings
+        report.timings = {args.subcommand: time.perf_counter() - t0}
     write_report(report, outdir / "results.json")
     return status
 

@@ -35,8 +35,8 @@ input.  Validation (grid identity, zero boundary values, quadrant tags)
 happens once, in the public functions that take ``GridFunction`` pairs, and
 at the entry of the solvers; those stay single-state.
 
-Also here: the sampled hypothesis checkers and the Rayleigh quotient with its
-descent minimizer.
+Also here: the table of sampled hypothesis checks, walked by
+``check_hypotheses``, and the Rayleigh quotient with its descent minimizer.
 """
 
 from __future__ import annotations
@@ -368,24 +368,7 @@ class HypothesisVerdict:
     detail: dict
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "samples": int(self.samples),
-            "worst_margin": float(self.worst_margin),
-            "detail": self.detail,
-        }
-
-
-HYPOTHESIS_NAMES = (
-    "coupling_product_subcritical",
-    "derivative_growth_bound",
-    "log_improved_superlinearity",
-    "higher_order_at_origin",
-    "axis_derivatives_vanish",
-    "even_symmetry",
-    "exponent_monotone_direction",
-)
+        return dataclasses.asdict(self)
 
 
 def _sample_uv(rng: np.random.Generator, m: int, lo: float = 1e-3, hi: float = 1e3):
@@ -401,174 +384,164 @@ def _line_monotone(values: np.ndarray, axis: int, tol: float) -> bool:
     return bool(np.all(up | down))
 
 
+# Each check maps (prob, rng, m) to (passed, samples, worst_margin, detail),
+# drawing from ``rng`` only what it needs, m being the per-check sample count.
+
+
+def _coupling_product_subcritical(prob, rng, m):
+    worst = prob.coupling_margin()
+    return (worst < 1.0, prob.grid.n_nodes, 1.0 - worst,
+            {"max_alpha_over_p_plus_beta_over_q": worst})
+
+
+def _derivative_growth_bound(prob, rng, m):
+    consts = prob.constants()
+    idx = rng.integers(0, prob.grid.n_nodes, size=m)
+    u = _sample_uv(rng, m)
+    v = _sample_uv(rng, m)
+    fu, fv = prob.nonlinearity.partials(np.stack([u, v]), at=idx)
+    lhs = np.abs(fu * u) + np.abs(fv * v)
+    gam = consts.gamma.values.reshape(-1)[idx]
+    dlt = consts.delta.values.reshape(-1)[idx]
+    rhs = consts.C * (1.0 + np.abs(u) ** gam + np.abs(v) ** dlt)
+    return (np.all(lhs <= rhs * (1.0 + INEQUALITY_SLACK)), m, np.min(rhs - lhs),
+            {"C": consts.C, "worst_ratio": float(np.max(lhs / rhs))})
+
+
+def _log_improved_superlinearity(prob, rng, m):
+    consts = prob.constants()
+    nl = prob.nonlinearity
+    idx = rng.integers(0, prob.grid.n_nodes, size=m)
+    shell = np.exp(rng.uniform(np.log(consts.M), np.log(consts.M * 1e3), size=m))
+    frac = rng.uniform(0.0, 1.0, size=m)
+    u = shell * frac * rng.choice([-1.0, 1.0], size=m)
+    v = shell * (1.0 - frac) * rng.choice([-1.0, 1.0], size=m)
+    pv = prob.p.values.reshape(-1)[idx]
+    qv = prob.q.values.reshape(-1)[idx]
+    if isinstance(nl, LogPowerCoupling):
+        av = nl.a.values.reshape(-1)[idx]
+        bv = nl.b.values.reshape(-1)[idx]
+    else:
+        av = pv + 1.0
+        bv = qv + 1.0
+    lam_u = np.log(np.e + np.abs(u))
+    lam_v = np.log(np.e + np.abs(v))
+    fu, fv = nl.partials(np.stack([u, v]), at=idx)
+    f = nl.value(np.stack([u, v]), at=idx)
+    left = consts.C1 * (
+        np.abs(u) ** pv * lam_u ** (av - 1.0)
+        + np.abs(v) ** qv * lam_v ** (bv - 1.0)
+    )
+    mid = consts.C2 * (fu * u / lam_u + fv * v / lam_v)
+    right = fu * u / pv + fv * v / qv - f
+    slack = INEQUALITY_SLACK * (1.0 + np.abs(mid))
+    ok = np.all(left <= mid + slack) and np.all(mid <= right + slack)
+    margin = min(np.min(mid - left), np.min(right - mid))
+    return ok, m, margin, {"M": consts.M, "C1": consts.C1, "C2": consts.C2}
+
+
+def _higher_order_at_origin(prob, rng, m):
+    k = min(64, m)
+    idx = rng.integers(0, prob.grid.n_nodes, size=k)
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=k)
+    u0, v0 = np.cos(angle), np.sin(angle)
+    pv = prob.p.values.reshape(-1)[idx]
+    qv = prob.q.values.reshape(-1)[idx]
+    scales = 2.0 ** -np.arange(0, 26, dtype=float)
+    ratios = []
+    for s in scales:
+        f = prob.nonlinearity.value(np.stack([s * u0, s * v0]), at=idx)
+        denom = np.abs(s * u0) ** pv + np.abs(s * v0) ** qv
+        ratios.append(float(np.max(f / denom)))
+    ratios_arr = np.array(ratios)
+    tail = ratios_arr[5:]
+    decreasing = bool(np.all(np.diff(tail) <= 0.0))
+    # Observed decay exponent of the ratio per halving of the amplitude.
+    with np.errstate(divide="ignore"):
+        logs = np.log2(ratios_arr[[5, -1]])
+    exponent = float((logs[0] - logs[1]) / (len(ratios_arr) - 6))
+    passed = decreasing and ratios_arr[-1] <= 1e-3 * max(ratios_arr[0], 1e-300)
+    return passed, k * len(scales), ratios_arr[0] - ratios_arr[-1], {
+        "first_ratio": float(ratios_arr[0]),
+        "last_ratio": float(ratios_arr[-1]),
+        "observed_decay_exponent": exponent,
+    }
+
+
+def _axis_derivatives_vanish(prob, rng, m):
+    nl = prob.nonlinearity
+    idx = rng.integers(0, prob.grid.n_nodes, size=m)
+    other = _sample_uv(rng, m)
+    zeros = np.zeros(m)
+    fu_axis, _ = nl.partials(np.stack([zeros, other]), at=idx)
+    _, fv_axis = nl.partials(np.stack([other, zeros]), at=idx)
+    worst = float(max(np.max(np.abs(fu_axis)), np.max(np.abs(fv_axis))))
+    return worst <= 1e-12, 2 * m, 1e-12 - worst, {"max_axis_derivative": worst}
+
+
+def _even_symmetry(prob, rng, m):
+    nl = prob.nonlinearity
+    idx = rng.integers(0, prob.grid.n_nodes, size=m)
+    u = _sample_uv(rng, m)
+    v = _sample_uv(rng, m)
+    f = nl.value(np.stack([u, v]), at=idx)
+    f_neg = nl.value(np.stack([-u, -v]), at=idx)
+    worst = float(np.max(np.abs(f - f_neg) / (1.0 + np.abs(f))))
+    return worst <= 1e-12, m, 1e-12 - worst, {"max_relative_gap": worst}
+
+
+def _exponent_monotone_direction(prob, rng, m):
+    tol = 1e-13
+    detail = {}
+    passed = True
+    for label, field in (("p", prob.p), ("q", prob.q)):
+        axes_ok = []
+        for axis in range(prob.grid.ndim):
+            scale = tol * max(1.0, np.max(np.abs(field.values)))
+            if _line_monotone(field.values, axis, scale):
+                axes_ok.append(axis)
+        detail[f"{label}_monotone_axes"] = axes_ok
+        passed = passed and bool(axes_ok)
+    return passed, prob.grid.n_nodes, 0.0 if passed else -1.0, detail
+
+
+# The checks in the order they draw from one generator.
+_CHECKS = {
+    "coupling_product_subcritical": _coupling_product_subcritical,
+    "derivative_growth_bound": _derivative_growth_bound,
+    "log_improved_superlinearity": _log_improved_superlinearity,
+    "higher_order_at_origin": _higher_order_at_origin,
+    "axis_derivatives_vanish": _axis_derivatives_vanish,
+    "even_symmetry": _even_symmetry,
+    "exponent_monotone_direction": _exponent_monotone_direction,
+}
+
+HYPOTHESIS_NAMES = tuple(_CHECKS)
+
+
 def check_hypotheses(
     prob: ProblemSpec,
     sample_budget: int = 1000,
     seed: int = 0,
     names: tuple[str, ...] = HYPOTHESIS_NAMES,
 ) -> dict[str, HypothesisVerdict]:
-    """Sampled/exact verdicts for the structural hypotheses of the problem.
+    """Sampled/exact verdicts for the structural hypotheses in ``names``,
+    keyed and drawn in ``HYPOTHESIS_NAMES`` order; an unknown name raises.
 
     Every verdict records the sample count and the worst margin observed
     (positive margins mean the inequality held with room to spare).
     """
+    unknown = [n for n in names if n not in _CHECKS]
+    if unknown:
+        raise ConfigError(f"unknown hypotheses: {', '.join(unknown)}")
     rng = np.random.default_rng(seed)
-    out: dict[str, HypothesisVerdict] = {}
     m = max(16, int(sample_budget))
-    nl = prob.nonlinearity
-    n_nodes = prob.grid.n_nodes
-    slack = INEQUALITY_SLACK
-
-    if "coupling_product_subcritical" in names:
-        worst = prob.coupling_margin()
-        out["coupling_product_subcritical"] = HypothesisVerdict(
-            name="coupling_product_subcritical",
-            passed=worst < 1.0,
-            samples=n_nodes,
-            worst_margin=1.0 - worst,
-            detail={"max_alpha_over_p_plus_beta_over_q": worst},
-        )
-
-    if "derivative_growth_bound" in names:
-        consts = prob.constants()
-        idx = rng.integers(0, n_nodes, size=m)
-        u = _sample_uv(rng, m)
-        v = _sample_uv(rng, m)
-        fu, fv = nl.partials(np.stack([u, v]), at=idx)
-        lhs = np.abs(fu * u) + np.abs(fv * v)
-        gam = consts.gamma.values.reshape(-1)[idx]
-        dlt = consts.delta.values.reshape(-1)[idx]
-        rhs = consts.C * (1.0 + np.abs(u) ** gam + np.abs(v) ** dlt)
-        margin = float(np.min(rhs - lhs))
-        out["derivative_growth_bound"] = HypothesisVerdict(
-            name="derivative_growth_bound",
-            passed=bool(np.all(lhs <= rhs * (1.0 + slack))),
-            samples=m,
-            worst_margin=margin,
-            detail={"C": consts.C, "worst_ratio": float(np.max(lhs / rhs))},
-        )
-
-    if "log_improved_superlinearity" in names:
-        consts = prob.constants()
-        idx = rng.integers(0, n_nodes, size=m)
-        shell = np.exp(rng.uniform(np.log(consts.M), np.log(consts.M * 1e3), size=m))
-        frac = rng.uniform(0.0, 1.0, size=m)
-        u = shell * frac * rng.choice([-1.0, 1.0], size=m)
-        v = shell * (1.0 - frac) * rng.choice([-1.0, 1.0], size=m)
-        pv = prob.p.values.reshape(-1)[idx]
-        qv = prob.q.values.reshape(-1)[idx]
-        if isinstance(nl, LogPowerCoupling):
-            av = nl.a.values.reshape(-1)[idx]
-            bv = nl.b.values.reshape(-1)[idx]
-        else:
-            av = pv + 1.0
-            bv = qv + 1.0
-        lam_u = np.log(np.e + np.abs(u))
-        lam_v = np.log(np.e + np.abs(v))
-        fu, fv = nl.partials(np.stack([u, v]), at=idx)
-        f = nl.value(np.stack([u, v]), at=idx)
-        left = consts.C1 * (
-            np.abs(u) ** pv * lam_u ** (av - 1.0)
-            + np.abs(v) ** qv * lam_v ** (bv - 1.0)
-        )
-        mid = consts.C2 * (fu * u / lam_u + fv * v / lam_v)
-        right = fu * u / pv + fv * v / qv - f
-        scale = 1.0 + np.abs(mid)
-        ok = np.all(left <= mid + slack * scale) and np.all(mid <= right + slack * scale)
-        margin = float(min(np.min(mid - left), np.min(right - mid)))
-        out["log_improved_superlinearity"] = HypothesisVerdict(
-            name="log_improved_superlinearity",
-            passed=bool(ok),
-            samples=m,
-            worst_margin=margin,
-            detail={"M": consts.M, "C1": consts.C1, "C2": consts.C2},
-        )
-
-    if "higher_order_at_origin" in names:
-        k = min(64, m)
-        idx = rng.integers(0, n_nodes, size=k)
-        angle = rng.uniform(0.0, 2.0 * np.pi, size=k)
-        u0, v0 = np.cos(angle), np.sin(angle)
-        pv = prob.p.values.reshape(-1)[idx]
-        qv = prob.q.values.reshape(-1)[idx]
-        scales = 2.0 ** -np.arange(0, 26, dtype=float)
-        ratios = []
-        for s in scales:
-            f = nl.value(np.stack([s * u0, s * v0]), at=idx)
-            denom = np.abs(s * u0) ** pv + np.abs(s * v0) ** qv
-            ratios.append(float(np.max(f / denom)))
-        ratios_arr = np.array(ratios)
-        tail = ratios_arr[5:]
-        decreasing = bool(np.all(np.diff(tail) <= 0.0))
-        # Observed decay exponent of the ratio per halving of the amplitude.
-        with np.errstate(divide="ignore"):
-            logs = np.log2(ratios_arr[[5, -1]])
-        exponent = float((logs[0] - logs[1]) / (len(ratios_arr) - 6))
-        passed = decreasing and ratios_arr[-1] <= 1e-3 * max(ratios_arr[0], 1e-300)
-        out["higher_order_at_origin"] = HypothesisVerdict(
-            name="higher_order_at_origin",
-            passed=passed,
-            samples=k * len(scales),
-            worst_margin=float(ratios_arr[0] - ratios_arr[-1]),
-            detail={
-                "first_ratio": float(ratios_arr[0]),
-                "last_ratio": float(ratios_arr[-1]),
-                "observed_decay_exponent": exponent,
-            },
-        )
-
-    if "axis_derivatives_vanish" in names:
-        idx = rng.integers(0, n_nodes, size=m)
-        other = _sample_uv(rng, m)
-        zeros = np.zeros(m)
-        fu_axis, _ = nl.partials(np.stack([zeros, other]), at=idx)
-        _, fv_axis = nl.partials(np.stack([other, zeros]), at=idx)
-        worst = float(max(np.max(np.abs(fu_axis)), np.max(np.abs(fv_axis))))
-        out["axis_derivatives_vanish"] = HypothesisVerdict(
-            name="axis_derivatives_vanish",
-            passed=worst <= 1e-12,
-            samples=2 * m,
-            worst_margin=1e-12 - worst,
-            detail={"max_axis_derivative": worst},
-        )
-
-    if "even_symmetry" in names:
-        idx = rng.integers(0, n_nodes, size=m)
-        u = _sample_uv(rng, m)
-        v = _sample_uv(rng, m)
-        f = nl.value(np.stack([u, v]), at=idx)
-        f_neg = nl.value(np.stack([-u, -v]), at=idx)
-        gap = np.abs(f - f_neg)
-        scale = 1.0 + np.abs(f)
-        worst = float(np.max(gap / scale))
-        out["even_symmetry"] = HypothesisVerdict(
-            name="even_symmetry",
-            passed=worst <= 1e-12,
-            samples=m,
-            worst_margin=1e-12 - worst,
-            detail={"max_relative_gap": worst},
-        )
-
-    if "exponent_monotone_direction" in names:
-        tol = 1e-13
-        detail = {}
-        passed = True
-        for label, field in (("p", prob.p), ("q", prob.q)):
-            axes_ok = []
-            for axis in range(prob.grid.ndim):
-                scale = tol * max(1.0, np.max(np.abs(field.values)))
-                if _line_monotone(field.values, axis, scale):
-                    axes_ok.append(axis)
-            detail[f"{label}_monotone_axes"] = axes_ok
-            passed = passed and bool(axes_ok)
-        out["exponent_monotone_direction"] = HypothesisVerdict(
-            name="exponent_monotone_direction",
-            passed=passed,
-            samples=n_nodes,
-            worst_margin=0.0 if passed else -1.0,
-            detail=detail,
-        )
-
+    out: dict[str, HypothesisVerdict] = {}
+    for name, check in _CHECKS.items():
+        if name in names:
+            passed, samples, margin, detail = check(prob, rng, m)
+            out[name] = HypothesisVerdict(name, bool(passed), int(samples),
+                                          float(margin), detail)
     return out
 
 

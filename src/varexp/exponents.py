@@ -53,7 +53,7 @@ class ExponentField:
         if self.descriptor is not None:
             nodal = _sample(self.grid, self.descriptor)
             gap = float(np.max(np.abs(nodal - arr)))
-            if gap > 1e-12:
+            if not gap <= 1e-12:
                 raise ConfigError(
                     f"descriptor disagrees with stored samples by {gap:.3g} (> 1e-12)"
                 )
@@ -87,10 +87,11 @@ def _parse_on_grid(grid: Grid, text: str, *extra: str) -> Expression:
 
 
 def _sample(grid: Grid, expr: Expression) -> np.ndarray:
-    """``expr`` at the nodes of ``grid``, as a fresh grid-shaped array."""
-    return np.broadcast_to(
-        np.asarray(expr.evaluate(_space_env(grid)), dtype=float), grid.shape
-    ).copy()
+    """``expr`` at the nodes of ``grid``, as a fresh grid-shaped array.
+    Non-finite values come back without a warning; every caller checks."""
+    with np.errstate(all="ignore"):
+        values = np.asarray(expr.evaluate(_space_env(grid)), dtype=float)
+    return np.broadcast_to(values, grid.shape).copy()
 
 
 def constant_exponent(grid: Grid, value: float) -> ExponentField:

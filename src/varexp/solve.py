@@ -126,6 +126,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_iterations", "path_points", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.path_points < 5:
             raise ConfigError("mountain-pass path needs at least 5 points")
         if self.max_iterations < 1:
@@ -153,15 +157,28 @@ class CriticalPoint:
 
 @dataclasses.dataclass
 class SolutionInventory:
+    """The distinct critical points of a driver and the runs behind them.
+
+    ``target`` is the number of distinct points the driver's theorem
+    promises.  Only converged runs give points, and no driver makes more
+    runs than its target, so a complete inventory is one in which every run
+    converged to a point of its own.
+    """
+
     points: list[CriticalPoint]
     runs: list[CriticalPoint]
     theorem_target: str
+    target: int
     flags: list[str] = dataclasses.field(default_factory=list)
     energy_sequence: list[float] | None = None
 
     @property
     def distinct_count(self) -> int:
         return len(self.points)
+
+    @property
+    def complete(self) -> bool:
+        return self.distinct_count >= self.target
 
 
 @dataclasses.dataclass
@@ -825,7 +842,7 @@ def _quadrant_inventory(
     ]
     points = merge_points(eligible, _DEFLATION_DISTANCE)
     inventory = SolutionInventory(points=points, runs=runs, theorem_target="four",
-                                  flags=flags)
+                                  target=len(runs), flags=flags)
     return inventory, symmetric
 
 
@@ -896,6 +913,7 @@ def find_six_solutions(
         points=points,
         runs=runs,
         theorem_target="six",
+        target=inv4.target + 2,
         flags=flags,
     )
 
@@ -981,6 +999,7 @@ def symmetric_pairs(
         points=merged,
         runs=runs,
         theorem_target="pairs",
+        target=2 * k,
         flags=flags,
         energy_sequence=energies,
     )

@@ -406,7 +406,6 @@ _DIAGNOSTICS = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 @pytest.mark.parametrize("path, value, message", [case[1:] for case in _DIAGNOSTICS],
                          ids=[case[0] for case in _DIAGNOSTICS])
 def test_diagnostic_matrix(path, value, message):
@@ -423,6 +422,29 @@ def test_diagnostic_matrix(path, value, message):
     with pytest.raises(ConfigError) as exc:
         parse_config_text(json.dumps(cfg, indent=2), source="conf.json")
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "nonlinearity, message",
+    [({"kind": "linear_source", "g": "1/x"},
+      "nonlinearity[linear_source].g (line 25): field evaluates to non-finite values"),
+     ({"kind": "custom", "expression": "u^2/x + v^4"},
+      "nonlinearity[custom]: custom nonlinearity must satisfy F(x, 0, 0) = 0")],
+    ids=["g-1/x", "custom-u^2/x"],
+)
+def test_non_finite_field_prints_only_the_error_line(tmp_path, nonlinearity, message):
+    # In a fresh process, so that a numpy RuntimeWarning would reach stderr.
+    cfg = small_config(hypothesis_constants={"gamma": 3.5, "delta": 3.5, "C": 400.0},
+                       nonlinearity=nonlinearity)
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(cfg, indent=2))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "varexp.cli", "check", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_config_file_not_found(tmp_path):
@@ -499,6 +521,27 @@ def test_solve_theorem_one_writes_inventory_and_csv(tmp_path):
     assert len(csvs) == inv["distinct_count"] >= 1
     header = csvs[0].read_text().splitlines()[0]
     assert header == "index,x,u,v"
+
+
+def test_solve_exits_2_below_its_theorems_point_count(tmp_path):
+    """On p = 1.6 + x the fibering scan finds no negative energy, so every
+    quadrant descent converges at its zero seed and theorem 1 gets none of
+    its four points: the command exits 2 although every run converged."""
+    cfg = small_config(
+        domain={"extents": [[0.0, 1.0]], "nodes": [65]},
+        exponents={"p": "1.6 + x", "q": 4.0},
+        coupling={"alpha": 1.1, "beta": 1.1, "lambda": 0.001},
+        nonlinearity={"kind": "separable_power", "c1": 1.0, "gamma1": 3.0,
+                      "c2": 1.0, "gamma2": 5.0},
+        hypothesis_constants={"gamma": 3.0, "delta": 5.0, "C": 10.0,
+                              "M": 1.0, "C1": 1e-4, "C2": 0.01},
+        solver={"seed": 0},
+    )
+    code, out = run_cli(tmp_path, cfg, "solve", "--theorem", "1")
+    assert code == 2
+    inv = load_report(out / "results.json")["inventory"]
+    assert inv["distinct_count"] == 0
+    assert [r["converged"] for r in inv["runs"]] == [True] * 4
 
 
 def test_solve_quadrant_filter(tmp_path):
@@ -631,21 +674,29 @@ def test_eigen_exits_2_when_least_restart_is_capped(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize(
-    "flags, expected_code",
-    [([], 0), (["pair_runs_collapsed"], 2)],
-    ids=["distinct_levels", "collapsed_levels"],
+    "levels, flags, expected_code",
+    [(("distinct",) * 3, [], 0),
+     (("distinct", "collapsed", "distinct"), ["pair_runs_collapsed"], 2),
+     (("distinct", "not_converged", "distinct"), ["pair_search_n2_not_converged"], 2),
+     (("distinct", "distinct"), ["no_negative_energy_endpoint_n3"], 2)],
+    ids=["distinct_levels", "collapsed_levels", "level_not_converged", "level_missing"],
 )
-def test_pairs_exits_2_when_levels_collapse(tmp_path, monkeypatch, flags,
+def test_pairs_exits_2_when_levels_collapse(tmp_path, monkeypatch, levels, flags,
                                             expected_code):
-    """Converged pair runs whose levels merged into fewer points are a
-    partial result: the command exits 2."""
+    """Pair levels that give fewer than 2k distinct points -- merged onto an
+    earlier level, not converged or missing -- are a partial result: the
+    command exits 2.  A distinct level gives its point and its negation."""
     def stub(prob, k, cfg):
         z = prob.grid.zeros()
-        run = CriticalPoint(u=z, v=z, energy=1.0, residual=0.0, quadrant="Q1",
-                            method="mountain_pass", iterations=1, converged=True)
-        return SolutionInventory(points=[run], runs=[run] * k,
-                                 theorem_target="pairs", flags=list(flags),
-                                 energy_sequence=[1.0] * k)
+        runs = [CriticalPoint(u=z, v=z, energy=1.0, residual=0.0, quadrant="Q1",
+                              method="mountain_pass", iterations=1,
+                              converged=level != "not_converged")
+                for level in levels]
+        points = [pt for run, level in zip(runs, levels) if level == "distinct"
+                  for pt in (run, run)]
+        return SolutionInventory(points=points, runs=runs, theorem_target="pairs",
+                                 target=2 * k, flags=list(flags),
+                                 energy_sequence=[1.0] * len(runs))
 
     monkeypatch.setattr(cli, "symmetric_pairs", stub)
     code, out = run_cli(tmp_path, small_config(), "pairs")

@@ -617,6 +617,11 @@ def test_monotone_exponent_direction_verdict():
     assert v["exponent_monotone_direction"].passed
 
 
+def test_unknown_hypothesis_name_is_refused():
+    with pytest.raises(ConfigError, match="unknown hypotheses: even_symetry"):
+        check_hypotheses(PROB, names=("even_symetry",))
+
+
 def test_verdicts_serialize():
     verdicts = check_hypotheses(PROB, sample_budget=50, names=("even_symmetry",))
     d = verdicts["even_symmetry"].as_dict()

@@ -73,6 +73,13 @@ FAST = SolverConfig(path_points=11)
         {"max_iterations": 0},
         {"gradient_stop": -1.0},
         {"seed": -1},
+        # Comparisons alone pass NaN and accept non-integers.
+        {"path_points": float("nan")},
+        {"max_iterations": float("nan")},
+        {"seed": float("nan")},
+        {"path_points": 7.5},
+        {"max_iterations": True},
+        {"seed": 0.5},
     ],
 )
 def test_solver_config_rejects_bad_values(kwargs):

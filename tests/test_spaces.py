@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 
 from varexp.errors import ConfigError, DataError
 from varexp.exponents import (
+    ExponentField,
     conjugate_exponent,
     constant_exponent,
     exponent_from_expression,
     exponent_from_values,
 )
+from varexp.expressions import parse_expression
 from varexp.grid import make_grid, tent_function
 from varexp.spaces import (
     holder_check,
@@ -47,6 +49,14 @@ def test_exponent_must_exceed_one():
         exponent_from_values(g, np.ones(g.shape))
     with pytest.raises(ConfigError):
         exponent_from_expression(g, "1 + x")  # hits 1 at x=0
+
+
+def test_descriptor_evaluating_to_nan_is_refused():
+    # sin(pi*x)*ln(x) is 0*(-inf) = NaN at x = 0, and NaN > 1e-12 is False.
+    g = COARSE
+    desc = parse_expression("3 + sin(pi*x)*ln(x) - sin(pi*x)*ln(x)")
+    with pytest.raises(ConfigError, match="descriptor disagrees"):
+        ExponentField(g, np.full(g.shape, 3.0), desc)
 
 
 def test_conjugate_exponent_values():

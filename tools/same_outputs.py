@@ -26,21 +26,15 @@ constant and operator of the expression language.  Last, ``check`` on three
 malformed configs, so that diagnostics (standard error and exit status) are
 compared too.
 
-Against a parent older than the single config reader, these are expected
-to differ, and nothing else:
+Against a parent without the completeness rule (``solve`` and ``pairs``
+exit 2 exactly when ``SolutionInventory.complete`` is False), these two are
+expected to differ, and nothing else:
 
-* ``no_exponents`` (an empty ``exponents`` section): the old reader kept
-  the required keys in a set, so it named ``exponents.p`` or
-  ``exponents.q`` as missing depending on the hash seed of the run.  The
-  new one always names ``exponents.p``; both exit 1.
-* ``lambda_nan`` (``"lambda": NaN``): the old reader accepted NaN, ran the
-  check and died writing ``results.json``, with a ``ValueError`` traceback
-  and exit 1.  The new one exits 1 at once with ``error: coupling.lambda
-  (line 21): expected a finite number, got nan``.
-* ``nodes_33.7`` (``"nodes": [33.7]``): the old reader truncated the count
-  to 33, ran the check and exited 0.  The new one exits 1 with ``error:
-  domain.nodes (line 10): expected an integer, got 33.7`` and writes no
-  file.
+* ``solve --theorem 1`` on ``separable_p_1.6+x_n65`` (c2) and on
+  ``separable_2d_p<2_17x17`` (c3): every quadrant descent converges at its
+  zero seed, so ``distinct_count`` is 0 of 4.  The old status rule looked
+  only at convergence and exited 0; the new one exits 2.  Every file is
+  identical.
 """
 
 from __future__ import annotations
