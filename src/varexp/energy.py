@@ -49,8 +49,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .exponents import ExponentField
-from .grid import (Grid, GridFunction, VectorField, _adjoint_sum,
-                   _difference_components, _integral)
+from .grid import Grid, GridFunction, _adjoint_sum, _difference_components, _integral
 from .nonlinearity import LogPowerCoupling, Nonlinearity, _uv
 from .optimize import bb_minimize
 from .spaces import INEQUALITY_SLACK
@@ -252,8 +251,11 @@ def _unpack(w: np.ndarray, grid: Grid) -> tuple[GridFunction, GridFunction]:
 
 def _difference(x: np.ndarray, grid: Grid, out=None) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Difference gradient components of a grid-shaped array and |grad x|^2 (into ``out``)."""
-    field = VectorField(grid, _difference_components(x, grid))
-    return field.components, field.magnitude_squared(out)
+    comps = _difference_components(x, grid)
+    mag2 = np.square(comps[0], out=out)
+    for c in comps[1:]:
+        mag2 += c**2
+    return comps, mag2
 
 
 def _flux_adjoint(comps: tuple[np.ndarray, ...], flux: np.ndarray, grid: Grid) -> np.ndarray:
@@ -311,7 +313,7 @@ def _gradient(
     plan = prob._plan
     flux = (mag2 if plan.reg is None else mag2 + plan.reg) ** plan.flux
     g = _flux_adjoint(comps, flux, grid) - src
-    np.copyto(g, 0.0, where=~grid.interior)
+    np.copyto(g, 0.0, where=grid.boundary)
     return g.reshape(w.shape)
 
 
@@ -554,7 +556,11 @@ def _rayleigh_terms(x: np.ndarray, plan: SimpleNamespace, grid: Grid):
     M = np.empty((2,) + x.shape)  # (|grad x|^2, |x|)
     comps = _difference(x, grid, out=M[0])[0]
     np.abs(x, out=M[1])
-    num, den = _integral(M**plan.terms / plan.p, grid).tolist()
+    # _integral(M**plan.terms / plan.p, grid), with the scalings in place
+    S = M**plan.terms
+    S /= plan.p
+    S *= grid.weights
+    num, den = np.add.reduce(S, axis=tuple(range(1, S.ndim))).tolist()
     if den == 0.0:
         raise DataError("Rayleigh quotient of the zero function")
     return comps, M, num, den
@@ -565,9 +571,14 @@ def _rayleigh_gradient(
 ) -> np.ndarray:
     comps, M, num, den = terms
     flux, dpow = (M if plan.reg is None else np.stack([M[0] + plan.reg, M[1]])) ** plan.grad
-    dden = grid.weights * np.sign(x) * dpow
-    g = (_flux_adjoint(comps, flux, grid) - (num / den) * dden) / den
-    np.copyto(g, 0.0, where=~grid.interior)
+    # (_flux_adjoint(...) - (num / den) * (weights * sign(x) * dpow)) / den, in place
+    dden = grid.weights * np.sign(x)
+    dden *= dpow
+    dden *= num / den
+    g = _flux_adjoint(comps, flux, grid)
+    g -= dden
+    g /= den
+    np.copyto(g, 0.0, where=grid.boundary)
     return g
 
 
@@ -611,7 +622,7 @@ def random_zero_boundary(grid: Grid, rng: np.random.Generator) -> GridFunction:
                 vals += rng.normal() / (k**2 + l**2) * np.sin(k * np.pi * xi) * np.sin(
                     l * np.pi * eta
                 )
-    vals[~grid.interior] = 0.0
+    vals[grid.boundary] = 0.0
     sup = np.max(np.abs(vals))
     if sup == 0.0:  # pragma: no cover - measure-zero draw
         vals[grid.interior] = 1.0

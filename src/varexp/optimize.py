@@ -1,13 +1,18 @@
 """Shared first-order minimization machinery.
 
-A Barzilai-Borwein-stepped descent with Armijo backtracking.  The
-sufficient-decrease test is written in the projected form
+A Barzilai-Borwein-stepped descent (``bb_minimize``) and the row-stacked
+Armijo backtracking of the mountain-pass relocations
+(``backtracking_step``).  Both halve the step from its initial value and
+accept the first trial that passes one sufficient-decrease test,
+``_sufficient_decrease``, written in the projected form
 
     f(x+) <= f(x) - (c / t) * ||x+ - x||^2,
 
 which reduces to the classical Armijo condition when there is no projection
 and stays meaningful on a clamped cone (the mountain-pass relocations).
-Stationarity of a descent is measured by ||g||.
+``bb_minimize`` runs its one-row halving loop itself, without the
+generator round trip of ``backtracking_step``; both give the same trial
+with the same bits.  Stationarity of a descent is measured by ||g||.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ def backtracking_step(
     project: Callable[[np.ndarray], np.ndarray] | None,
     stack: Sequence[int],
 ) -> list[tuple[np.ndarray, float, int]]:
-    """One descent relocation along -g of each of the independent 1-D
+    """One mountain-pass relocation along -g of each of the independent 1-D
     states ``x``, with ``fx``, ``g``, ``step_init`` and ``stack`` given per
     state.  Returns one (x_new, f_new, trials) per state: ``trials`` is the
     1-based index of the accepted trial, or 0 when no trial is accepted and
@@ -62,8 +67,8 @@ def backtracking_step(
     The trials of a state halve the step from its ``step_init``, at most
     ``_MAX_SHRINKS`` of them.  They are projected and evaluated ``stack``
     at a time and then tested in order: the first trial that does not move
-    ends the search, and ``f`` never sees it; the first that passes the
-    Armijo test is accepted.  Several states search in rounds: the next
+    ends the search, and ``f`` never sees it; the first that passes
+    ``_sufficient_decrease`` is accepted.  Several states search in rounds: the next
     stacks of all undecided states go through one call of ``f``, state
     after state, as an array of shape (trials, len(x)) (a lone trial as
     the 1-D state itself), and a state leaves once its search is decided.
@@ -72,8 +77,8 @@ def backtracking_step(
     over its rows.
     """
     if len(x) == 1:
-        # One state (bb_minimize, a lone pass) skips the rounds' bookkeeping,
-        # which costs each of its steps about 1.6 us.
+        # One state (a lone pass) skips the rounds' bookkeeping, which costs
+        # each of its steps about 1.6 us.
         return [_alone(f, _search(x[0], fx[0], g[0], step_init[0], stack[0], project))]
     return _lockstep(f, [_search(*row, project) for row in zip(x, fx, g, step_init, stack)])
 
@@ -147,12 +152,18 @@ def _search(x, fx, g, t, stack, project):
         if live:
             fs = yield xs if xs.ndim == 1 else xs[:live]
             for i in range(live):
-                if fs[i] <= fx - _ARMIJO * nd2[i] / max(steps[i], _TINY):
+                if _sufficient_decrease(fs[i], fx, nd2[i], steps[i]):
                     return rows[i], fs[i], tried + i + 1
         if nd2[-1] == 0.0:
             return x, fx, 0
         tried += len(rows)
     return x, fx, 0
+
+
+def _sufficient_decrease(fn: float, fx: float, nd2: float, t: float) -> bool:
+    """The Armijo test of a trial at step ``t`` that moved the state by
+    ``nd2`` = ||x+ - x||^2, in its projected form."""
+    return fn <= fx - _ARMIJO * nd2 / max(t, _TINY)
 
 
 def bb_minimize(
@@ -164,7 +175,11 @@ def bb_minimize(
 ) -> OptimizeResult:
     """Descent with BB steps and backtracking.
 
-    Terminates when the gradient norm drops to ``gradient_stop``, when the
+    Each iteration tries x - t*g from the clipped BB step t, halving t at
+    most ``_MAX_SHRINKS`` times, and accepts the first trial that passes
+    ``_sufficient_decrease``; a trial that does not move ends the search.
+    The BB step is computed from the accepted trial's x+ - x and its
+    squared norm.  Terminates when the gradient norm drops to ``gradient_stop``, when the
     line search hits its shrink budget (numerical floor), or at the
     iteration cap.  An iterate whose sup norm leaves ``_RESCALE_WINDOW`` is
     divided by it, a safeguard against amplitude drift; between such
@@ -179,18 +194,26 @@ def bb_minimize(
         stat = math.sqrt(float(g @ g))
         if stat <= gradient_stop:
             return OptimizeResult(x, fx, stat, it - 1, True, "tolerance")
-        t0 = min(max(t_bb, _BB_CLIP[0]), _BB_CLIP[1])
-        (xn, fn, trials), = backtracking_step(f, [x], [fx], [g], [t0], None, [1])
-        if not trials:
+        t = min(max(t_bb, _BB_CLIP[0]), _BB_CLIP[1])
+        accepted = False
+        for _ in range(_MAX_SHRINKS):
+            xn = x - t * g
+            dx = xn - x
+            nd2 = float(np.dot(dx, dx))
+            if nd2 == 0.0:
+                break
+            fn = f(xn)
+            accepted = _sufficient_decrease(fn, fx, nd2, t)
+            if accepted:
+                break
+            t *= _SHRINK
+        if not accepted:
             # Line-search floor: no acceptable decrease at any scale.
-            return OptimizeResult(
-                x, fx, stat, it, stat <= gradient_stop, "line_search_floor"
-            )
+            return OptimizeResult(x, fx, stat, it, False, "line_search_floor")
         gn = grad(xn)
-        dx = xn - x
         dg = gn - g
         denom = float(np.dot(dx, dg))
-        t_bb = float(np.dot(dx, dx)) / denom if denom > 0.0 else _STEP_INIT
+        t_bb = nd2 / denom if denom > 0.0 else _STEP_INIT
         x, fx, g = xn, fn, gn
         sup = float(np.max(np.abs(x)))
         if sup > 0.0 and not (_RESCALE_WINDOW[0] <= sup <= _RESCALE_WINDOW[1]):

@@ -209,7 +209,7 @@ def smooth_bump(grid: Grid) -> GridFunction:
         dist2 = dist2 + (x - c) ** 2
     r = np.sqrt(dist2)
     vals = np.where(r < radius, np.cos(np.pi * r / (2.0 * radius)) ** 2, 0.0)
-    vals[~grid.interior] = 0.0
+    vals[grid.boundary] = 0.0
     return GridFunction(grid, vals)
 
 
@@ -284,7 +284,7 @@ def _fibering_minimum(
     vals = np.ones(grid.shape)
     for x, lo, hi in zip(grid.coordinate_arrays(), grid.lo, grid.hi):
         vals = vals * np.sin(np.pi * (x - lo) / (hi - lo))
-    vals[~grid.interior] = 0.0
+    vals[grid.boundary] = 0.0
     su, sv = signs or (1, 1)
     d = np.concatenate([su * vals.ravel(), sv * vals.ravel()])
     pmin, qmin = prob.p.values.min(), prob.q.values.min()

@@ -1,14 +1,19 @@
 """The Armijo backtracking step of ``varexp.optimize``: every stack size of
 its trials accepts the trial of the one-at-a-time search, with its bits,
-and so does every state of a search on several states."""
+and so does every state of a search on several states; ``bb_minimize``'s
+own halving loop accepts the trial of a one-row step."""
 
 from functools import partial
 
 import numpy as np
 import pytest
 
-from varexp.energy import _energy, _gradient, _pack
-from varexp.optimize import _MAX_SHRINKS, backtracking_step
+from varexp import optimize
+from varexp.energy import (_energy, _gradient, _pack, _rayleigh_gradient, _rayleigh_plan,
+                           _rayleigh_terms, random_zero_boundary)
+from varexp.exponents import exponent_from_expression
+from varexp.grid import make_grid
+from varexp.optimize import _MAX_SHRINKS, backtracking_step, bb_minimize
 from varexp.solve import _cone_projector
 
 from test_solvers import PROB, negative_endpoint
@@ -175,3 +180,55 @@ def test_a_lone_row_goes_to_f_as_the_1d_state():
         lambda w: shapes.append(w.shape) or h(w), x[None], [fx], g[None], [t0], PROJ, [1]
     )
     assert ks == 8 and shapes == [x.shape] * 8
+
+
+def rayleigh_17x17():
+    """The Rayleigh quotient and its gradient for p = 3.5 + x/2 + y/4 on
+    the 17x17 unit square, unmemoised, and a random zero-boundary state."""
+    grid = make_grid([[0.0, 1.0], [0.0, 1.0]], [17, 17])
+    plan = _rayleigh_plan(exponent_from_expression(grid, "3.5 + x/2 + y/4").values)
+
+    def f(x):
+        *_, num, den = _rayleigh_terms(x.reshape(grid.shape), plan, grid)
+        return num / den
+
+    def grad(x):
+        X = x.reshape(grid.shape)
+        return _rayleigh_gradient(X, _rayleigh_terms(X, plan, grid), plan, grid).ravel()
+
+    return f, grad, random_zero_boundary(grid, np.random.default_rng(0)).values.ravel()
+
+
+def test_bb_minimize_accepts_the_trial_of_a_one_row_backtracking_step():
+    """For 200 iterations on a 2D Rayleigh quotient, ``bb_minimize``'s
+    halving loop accepts the trial index, state and value of a one-row
+    ``backtracking_step`` from the same BB step, bit for bit."""
+    f, grad, x0 = rayleigh_17x17()
+    x, fx, g, t_bb = x0, f(x0), grad(x0), optimize._STEP_INIT
+    reference = []
+    for _ in range(200):
+        t0 = min(max(t_bb, optimize._BB_CLIP[0]), optimize._BB_CLIP[1])
+        (xn, fn, k), = backtracking_step(f, [x], [fx], [g], [t0], None, [1])
+        assert k
+        gn = grad(xn)
+        dx = xn - x
+        denom = float(np.dot(dx, gn - g))
+        t_bb = float(np.dot(dx, dx)) / denom if denom > 0.0 else optimize._STEP_INIT
+        reference.append((k, xn.tobytes(), fn))
+        x, fx, g = xn, fn, gn
+
+    trials, accepted = [0], []
+
+    def counted_f(z):
+        trials[-1] += 1
+        return f(z)
+
+    def recorded_grad(z):
+        accepted.append((trials[-1], z.tobytes(), f(z)))
+        trials.append(0)
+        return grad(z)
+
+    res = bb_minimize(counted_f, recorded_grad, x0, max_iterations=200)
+    assert res.stop_reason == "iteration_cap" and res.iterations == 200
+    assert accepted[1:] == reference  # accepted[0] is the start
+    assert res.x.tobytes() == x.tobytes() and res.f_value == fx
