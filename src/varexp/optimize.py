@@ -162,8 +162,10 @@ def _search(x, fx, g, t, stack, project):
 
 def _sufficient_decrease(fn: float, fx: float, nd2: float, t: float) -> bool:
     """The Armijo test of a trial at step ``t`` that moved the state by
-    ``nd2`` = ||x+ - x||^2, in its projected form."""
-    return fn <= fx - _ARMIJO * nd2 / max(t, _TINY)
+    ``nd2`` = ||x+ - x||^2, in its projected form, and a strict decrease:
+    once (c / t) * nd2 is below half an ulp of f(x) the right-hand side
+    rounds to f(x), and the test alone would pass f(x+) == f(x)."""
+    return fn < fx and fn <= fx - _ARMIJO * nd2 / max(t, _TINY)
 
 
 def bb_minimize(

@@ -125,8 +125,9 @@ def row_cases():
     """Four searches on the Q1 energy kernel of PROB, as rows of one stack:
     accepted at trial 1, accepted after halvings, stopped at its first
     trial, which does not move (g pushes 0 out of the cone), and uphill
-    along +g, accepted only at trial 45, where the rise is below the
-    energy's round-off."""
+    along +g, never accepted: trial 45, where the rise is below the
+    energy's round-off, leaves the energy where it is, and trial 46 does
+    not move."""
     accepted_first = energy_case(0.05, 0.01)
     accepted_later = energy_case(0.05, 100.0)
     f = accepted_first[0]
@@ -156,7 +157,7 @@ def test_row_stacked_searches_match_the_searches_alone(stacks):
         )
         alone.append(step)
         calls_alone.append(len(calls))
-    assert [k for _, _, k in alone] == [1, 8, 0, 45]
+    assert [k for _, _, k in alone] == [1, 8, 0, 0]
     assert calls_alone[2] == 0
     calls = []
     x, fx, g, t0 = (list(column) for column in zip(*rows))
@@ -232,3 +233,14 @@ def test_bb_minimize_accepts_the_trial_of_a_one_row_backtracking_step():
     assert res.stop_reason == "iteration_cap" and res.iterations == 200
     assert accepted[1:] == reference  # accepted[0] is the start
     assert res.x.tobytes() == x.tobytes() and res.f_value == fx
+
+
+def test_bb_minimize_stops_at_the_floor_when_no_trial_lowers_f():
+    """f == 1 with a gradient of 1e-6 in every entry: c*t*||g||^2 is below
+    half an ulp of 1, so the Armijo bound rounds to f(x) and every trial
+    meets it with f(x+) == f(x).  None lowers f, so the first iteration
+    ends at the line-search floor instead of stepping on to the cap."""
+    res = bb_minimize(lambda x: 1.0, lambda x: np.full_like(x, 1e-6), np.zeros(8),
+                      max_iterations=2000)
+    assert (res.stop_reason, res.iterations, res.converged) == ("line_search_floor", 1, False)
+    assert res.f_value == 1.0 and not res.x.any()
