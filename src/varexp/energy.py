@@ -49,7 +49,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .exponents import ExponentField
-from .grid import Grid, GridFunction, _adjoint_sum, _difference_components, _integral
+from .grid import (Grid, GridFunction, _adjoint_sum, _difference_components, _integral,
+                   _magnitude_squared)
 from .nonlinearity import LogPowerCoupling, Nonlinearity, _uv
 from .optimize import bb_minimize
 from .spaces import INEQUALITY_SLACK
@@ -252,10 +253,7 @@ def _unpack(w: np.ndarray, grid: Grid) -> tuple[GridFunction, GridFunction]:
 def _difference(x: np.ndarray, grid: Grid, out=None) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Difference gradient components of a grid-shaped array and |grad x|^2 (into ``out``)."""
     comps = _difference_components(x, grid)
-    mag2 = np.square(comps[0], out=out)
-    for c in comps[1:]:
-        mag2 += c**2
-    return comps, mag2
+    return comps, _magnitude_squared(comps, out)
 
 
 def _flux_adjoint(comps: tuple[np.ndarray, ...], flux: np.ndarray, grid: Grid) -> np.ndarray:

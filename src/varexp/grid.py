@@ -202,11 +202,8 @@ class VectorField:
     grid: Grid
     components: tuple[np.ndarray, ...]
 
-    def magnitude_squared(self, out: np.ndarray | None = None) -> np.ndarray:
-        out = np.square(self.components[0], out=out)
-        for c in self.components[1:]:
-            out += c**2
-        return out
+    def magnitude_squared(self) -> np.ndarray:
+        return _magnitude_squared(self.components)
 
     def magnitude(self) -> np.ndarray:
         return np.sqrt(self.magnitude_squared())
@@ -249,6 +246,14 @@ def _difference_components(arr: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...
     them along leading axes, unchecked."""
     lead = arr.ndim - grid.ndim
     return tuple(_diff_axis(arr, h, lead + axis) for axis, h in enumerate(grid.spacing))
+
+
+def _magnitude_squared(components: Sequence[np.ndarray], out=None) -> np.ndarray:
+    """Sum of the squared components, in axis order (into ``out``)."""
+    out = np.square(components[0], out=out)
+    for c in components[1:]:
+        out += c**2
+    return out
 
 
 def _adjoint_sum(coefficients: Sequence[np.ndarray], grid: Grid) -> np.ndarray:
