@@ -4,7 +4,8 @@ A Barzilai-Borwein-stepped descent (``bb_minimize``) and the row-stacked
 Armijo backtracking of the mountain-pass relocations
 (``backtracking_step``).  Both halve the step from its initial value and
 accept the first trial that passes one sufficient-decrease test,
-``_sufficient_decrease``, written in the projected form
+``_sufficient_decrease``: a strict decrease f(x+) < f(x) and the Armijo
+bound in the projected form
 
     f(x+) <= f(x) - (c / t) * ||x+ - x||^2,
 
@@ -68,10 +69,11 @@ def backtracking_step(
     ``_MAX_SHRINKS`` of them.  They are projected and evaluated ``stack``
     at a time and then tested in order: the first trial that does not move
     ends the search, and ``f`` never sees it; the first that passes
-    ``_sufficient_decrease`` is accepted.  Several states search in rounds: the next
-    stacks of all undecided states go through one call of ``f``, state
-    after state, as an array of shape (trials, len(x)) (a lone trial as
-    the 1-D state itself), and a state leaves once its search is decided.
+    ``_sufficient_decrease`` is accepted.  Several states search in
+    rounds: the next stacks of all undecided states go through one call of
+    ``f``, state after state, as an array of shape (trials, len(x)) (a
+    lone trial as the 1-D state itself), and a state leaves once its
+    search is decided.
     So every stack size and every set of states accepts the same trial
     with the same bits, provided ``f`` of a stack gives the bits of a loop
     over its rows.
@@ -180,12 +182,13 @@ def bb_minimize(
     Each iteration tries x - t*g from the clipped BB step t, halving t at
     most ``_MAX_SHRINKS`` times, and accepts the first trial that passes
     ``_sufficient_decrease``; a trial that does not move ends the search.
-    The BB step is computed from the accepted trial's x+ - x and its
-    squared norm.  Terminates when the gradient norm drops to ``gradient_stop``, when the
-    line search hits its shrink budget (numerical floor), or at the
-    iteration cap.  An iterate whose sup norm leaves ``_RESCALE_WINDOW`` is
-    divided by it, a safeguard against amplitude drift; between such
-    rescales the accepted energy sequence is strictly decreasing.
+    The next BB step is computed from the accepted trial's x+ - x and its
+    squared norm.  Terminates when the gradient norm drops to
+    ``gradient_stop``, when the line search hits its shrink budget
+    (numerical floor), or at the iteration cap.  An iterate whose sup norm
+    leaves ``_RESCALE_WINDOW`` is divided by it, a safeguard against
+    amplitude drift; between such rescales the accepted energy sequence is
+    strictly decreasing.
     """
     x = np.array(x0, dtype=float)
     fx = f(x)

@@ -218,8 +218,8 @@ def evaluation_counts():
     """Gradient and energy evaluations (one per state of a stacked call) per
     innermost stage, counted by wrapping the solver's module globals; the
     line-search steps and their energy trials are counted through
-    ``backtracking_step``, which ``bb_minimize`` and the mountain-pass loop
-    ``_lockstep_passes`` call.  Kernel calls are counted beside the states
+    ``backtracking_step``, which the mountain-pass loop ``_lockstep_passes``
+    calls.  Kernel calls are counted beside the states
     they evaluate."""
     stack = ["other"]
     counts: dict[str, int] = {}
