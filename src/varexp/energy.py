@@ -452,19 +452,21 @@ def _higher_order_at_origin(prob, rng, m):
     for s in scales:
         f = prob.nonlinearity.value(np.stack([s * u0, s * v0]), at=idx)
         denom = np.abs(s * u0) ** pv + np.abs(s * v0) ** qv
-        ratios.append(float(np.max(f / denom)))
+        # o(|u|^p + |v|^q) bounds a magnitude, so the ratio is of |F|.
+        ratios.append(float(np.max(np.abs(f) / denom)))
     ratios_arr = np.array(ratios)
     tail = ratios_arr[5:]
     decreasing = bool(np.all(np.diff(tail) <= 0.0))
-    # Observed decay exponent of the ratio per halving of the amplitude.
-    with np.errstate(divide="ignore"):
+    # Observed decay exponent of the ratio per halving of the amplitude;
+    # none when a ratio is 0 (F vanishes near the origin).
+    with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log2(ratios_arr[[5, -1]])
-    exponent = float((logs[0] - logs[1]) / (len(ratios_arr) - 6))
+        exponent = float((logs[0] - logs[1]) / (len(ratios_arr) - 6))
     passed = decreasing and ratios_arr[-1] <= 1e-3 * max(ratios_arr[0], 1e-300)
     return passed, k * len(scales), ratios_arr[0] - ratios_arr[-1], {
         "first_ratio": float(ratios_arr[0]),
         "last_ratio": float(ratios_arr[-1]),
-        "observed_decay_exponent": exponent,
+        "observed_decay_exponent": exponent if np.isfinite(exponent) else None,
     }
 
 

@@ -11,9 +11,8 @@ bound in the projected form
 
 which reduces to the classical Armijo condition when there is no projection
 and stays meaningful on a clamped cone (the mountain-pass relocations).
-``bb_minimize`` runs its one-row halving loop itself, without the
-generator round trip of ``backtracking_step``; both give the same trial
-with the same bits.  Stationarity of a descent is measured by ||g||.
+``bb_minimize`` runs its own one-row halving loop, without the rounds of
+``backtracking_step``; both accept the same trial with the same bits.  Stationarity of a descent is measured by ||g||.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ def backtracking_step(
     fx: Sequence[float],
     g: Sequence[np.ndarray],
     step_init: Sequence[float],
-    project: Callable[[np.ndarray], np.ndarray] | None,
+    project: Callable[[np.ndarray], np.ndarray],
     stack: Sequence[int],
 ) -> list[tuple[np.ndarray, float, int]]:
     """One mountain-pass relocation along -g of each of the independent 1-D
@@ -66,100 +65,62 @@ def backtracking_step(
     (x, fx) is returned.
 
     The trials of a state halve the step from its ``step_init``, at most
-    ``_MAX_SHRINKS`` of them.  They are projected and evaluated ``stack``
-    at a time and then tested in order: the first trial that does not move
-    ends the search, and ``f`` never sees it; the first that passes
-    ``_sufficient_decrease`` is accepted.  Several states search in
-    rounds: the next stacks of all undecided states go through one call of
-    ``f``, state after state, as an array of shape (trials, len(x)) (a
-    lone trial as the 1-D state itself), and a state leaves once its
-    search is decided.
+    ``_MAX_SHRINKS`` of them.  The search runs in rounds.  A round takes the
+    next ``stack`` trials of each open state and projects them; the first
+    trial that does not move ends its state's search, and ``f`` never sees
+    it.  All of the round's other trials go through one call of ``f``,
+    state after state, as an array of shape (trials, len(x)); a lone trial
+    goes in as the 1-D state itself.  Each state's trials are then tested in
+    order, and the first that passes ``_sufficient_decrease`` is accepted.
     So every stack size and every set of states accepts the same trial
     with the same bits, provided ``f`` of a stack gives the bits of a loop
     over its rows.
     """
-    if len(x) == 1:
-        # One state (a lone pass) skips the rounds' bookkeeping, which costs
-        # each of its steps about 1.6 us.
-        return [_alone(f, _search(x[0], fx[0], g[0], step_init[0], stack[0], project))]
-    return _lockstep(f, [_search(*row, project) for row in zip(x, fx, g, step_init, stack)])
-
-
-def _alone(f, search):
-    """Runs one ``_search`` generator, each of its stacks through one call
-    of ``f``."""
-    try:
-        trials = next(search)
-        while True:
-            trials = search.send([f(trials)] if trials.ndim == 1 else f(trials).tolist())
-    except StopIteration as done:
-        return done.value
-
-
-def _lockstep(f, searches):
-    """Runs ``_search`` generators in rounds: the trials that all of them
-    yield in a round go through one call of ``f``, search after search (a
-    lone 1-D trial as itself), and each is sent its own energies."""
-    out: list = [None] * len(searches)
-    sent: list = [None] * len(searches)  # what each search is sent next
-    live = range(len(searches))
-    while live:
-        now, trials = [], []
-        for i in live:
-            try:
-                trials.append(searches[i].send(sent[i]))
-                now.append(i)
-            except StopIteration as done:
-                out[i] = done.value
-        live = now
-        if len(trials) == 1:
-            t = trials[0]
-            sent[now[0]] = [f(t)] if t.ndim == 1 else f(t).tolist()
-        elif trials:
-            batch = np.concatenate([t[None] if t.ndim == 1 else t for t in trials])
-            energies = f(batch).tolist()
-            k = 0
-            for i, t in zip(now, trials):
-                n = 1 if t.ndim == 1 else len(t)
-                sent[i] = energies[k:k + n]
-                k += n
+    out: list = [None] * len(x)
+    t, tried = list(step_init), [0] * len(x)
+    open_rows = range(len(x))
+    while open_rows:
+        trials, batch = [], []
+        for i in open_rows:
+            xi, steps = x[i], []
+            for _ in range(min(stack[i], _MAX_SHRINKS - tried[i])):
+                steps.append(t[i])
+                t[i] *= _SHRINK
+            if len(steps) == 1:
+                xs = project(xi - steps[0] * g[i])
+            else:
+                xs = project(xi - np.multiply.outer(steps, g[i]))
+            rows = [xs] if xs.ndim == 1 else list(xs)
+            nd2 = []
+            for xn in rows:
+                dx = xn - xi
+                nd2.append(float(np.dot(dx, dx)))
+                if nd2[-1] == 0.0:
+                    break
+            live = len(nd2) - (nd2[-1] == 0.0)
+            if live:
+                batch.append(xs if xs.ndim == 1 else xs[:live])
+            trials.append((i, steps, rows, nd2, live))
+        fs = []
+        if batch:
+            b = batch[0] if len(batch) == 1 else np.concatenate(
+                [r[None] if r.ndim == 1 else r for r in batch])
+            fs = [f(b)] if b.ndim == 1 else f(b).tolist()
+        k, still = 0, []
+        for i, steps, rows, nd2, live in trials:
+            for j in range(live):
+                if _sufficient_decrease(fs[k + j], fx[i], nd2[j], steps[j]):
+                    out[i] = (rows[j], fs[k + j], tried[i] + j + 1)
+                    break
+            else:
+                tried[i] += len(rows)
+                if nd2[-1] != 0.0 and tried[i] < _MAX_SHRINKS:
+                    still.append(i)
+                else:
+                    out[i] = (x[i], fx[i], 0)
+            k += live
+        open_rows = still
     return out
-
-
-def _search(x, fx, g, t, stack, project):
-    """The search of ``backtracking_step`` on one state, as a generator: it
-    yields each stack of its trials that ``f`` must evaluate (the 1-D
-    trial itself for a stack of one), is sent their energies as a list,
-    and returns (x_new, f_new, trials)."""
-    tried = 0
-    while tried < _MAX_SHRINKS:
-        steps = []
-        for _ in range(min(stack, _MAX_SHRINKS - tried)):
-            steps.append(t)
-            t *= _SHRINK
-        if len(steps) == 1:
-            xs = x - steps[0] * g
-        else:
-            xs = x - np.multiply.outer(steps, g)
-        if project is not None:
-            xs = project(xs)
-        rows = [xs] if xs.ndim == 1 else list(xs)
-        nd2 = []
-        for xn in rows:
-            dx = xn - x
-            nd2.append(float(np.dot(dx, dx)))
-            if nd2[-1] == 0.0:
-                break
-        live = len(nd2) - (nd2[-1] == 0.0)
-        if live:
-            fs = yield xs if xs.ndim == 1 else xs[:live]
-            for i in range(live):
-                if _sufficient_decrease(fs[i], fx, nd2[i], steps[i]):
-                    return rows[i], fs[i], tried + i + 1
-        if nd2[-1] == 0.0:
-            return x, fx, 0
-        tried += len(rows)
-    return x, fx, 0
 
 
 def _sufficient_decrease(fn: float, fx: float, nd2: float, t: float) -> bool:

@@ -447,6 +447,36 @@ def test_non_finite_field_prints_only_the_error_line(tmp_path, nonlinearity, mes
     assert proc.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "nonlinearity",
+    [{"kind": "linear_source", "g": 0.0, "h": 0.0},
+     {"kind": "custom", "expression": "-(u^4 + v^4)"}],
+    ids=["F=0", "F<0"],
+)
+def test_check_reports_an_f_that_vanishes_or_is_negative_near_the_origin(tmp_path,
+                                                                          nonlinearity):
+    """The ratio F / (|u|^p + |v|^q) near the origin is 0 or negative here:
+    ``check`` exits 2 on the failed superlinearity, quietly, with a report
+    that gives no decay exponent for F = 0.  In a fresh process, so that a
+    numpy RuntimeWarning would reach stderr."""
+    cfg = small_config(hypothesis_constants={"gamma": 4.0, "delta": 4.0, "C": 20.0},
+                       nonlinearity=nonlinearity)
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(cfg, indent=2))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "varexp.cli", "check", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    verdicts = load_report(tmp_path / "out" / "results.json")["hypothesis_results"]
+    assert not verdicts["log_improved_superlinearity"]["passed"]
+    origin = verdicts["higher_order_at_origin"]
+    assert origin["passed"]
+    exponent = origin["detail"]["observed_decay_exponent"]
+    assert exponent is None if nonlinearity["kind"] == "linear_source" else exponent == 1.0
+
+
 def test_config_file_not_found(tmp_path):
     with pytest.raises(ConfigError, match="config file not found"):
         parse_config(tmp_path / "absent.json")

@@ -59,6 +59,10 @@ def parabola(w):
     return -2e-4 * s + C * s * s
 
 
+def identity(w):
+    return w
+
+
 def simple_case(f, x, project):
     return f, x, 0.0, np.ones_like(x), 1.0, project
 
@@ -75,9 +79,9 @@ def one_free_entry():
 CASES = {
     "first_trial_accepted": (lambda: energy_case(0.05, 0.01), 1),
     "accepted_after_halvings": (lambda: energy_case(0.05, 100.0), 8),
-    "accepted_on_its_armijo_margin": (lambda: simple_case(parabola, np.zeros(8), None), 6),
+    "accepted_on_its_armijo_margin": (lambda: simple_case(parabola, np.zeros(8), identity), 6),
     "stops_without_moving": (lambda: simple_case(above, one_free_entry(), PROJ), 0),
-    "reaches_the_shrink_floor": (lambda: simple_case(above, np.zeros(8), None), 0),
+    "reaches_the_shrink_floor": (lambda: simple_case(above, np.zeros(8), identity), 0),
 }
 
 
@@ -209,7 +213,7 @@ def test_bb_minimize_accepts_the_trial_of_a_one_row_backtracking_step():
     reference = []
     for _ in range(200):
         t0 = min(max(t_bb, optimize._BB_CLIP[0]), optimize._BB_CLIP[1])
-        (xn, fn, k), = backtracking_step(f, [x], [fx], [g], [t0], None, [1])
+        (xn, fn, k), = backtracking_step(f, [x], [fx], [g], [t0], identity, [1])
         assert k
         gn = grad(xn)
         dx = xn - x
@@ -244,3 +248,15 @@ def test_bb_minimize_stops_at_the_floor_when_no_trial_lowers_f():
                       max_iterations=2000)
     assert (res.stop_reason, res.iterations, res.converged) == ("line_search_floor", 1, False)
     assert res.f_value == 1.0 and not res.x.any()
+
+
+def test_bb_minimize_rescales_an_iterate_that_leaves_the_window():
+    """-||x||^2 has no minimum: along -g = 2x the BB step falls back to 1,
+    so each iteration triples x.  Once the sup norm passes 1e6, at 3**13,
+    the iterate is divided by it, so after 40 iterations (13 + 13 + 13 + 1)
+    it has sup norm 3 instead of 3**40, and its energy is recomputed."""
+    res = bb_minimize(lambda x: -float(x @ x), lambda x: -2.0 * x, np.linspace(-1.0, 1.0, 9),
+                      max_iterations=40)
+    assert (res.stop_reason, res.iterations, res.converged) == ("iteration_cap", 40, False)
+    assert float(np.max(np.abs(res.x))) == 3.0
+    assert res.f_value == -float(res.x @ res.x)

@@ -22,6 +22,11 @@ It prints one JSON object with:
   kernel as one stacked call and as 20 single calls, and the relocation
   gradients of the 3 lockstep ``pairs`` passes (the midpoints of their
   initial paths) as one stacked call and as 3 single calls;
+* ``line_search_us``: at 129 nodes, microseconds per ``backtracking_step``
+  on phi's kernel and (identity) projector, from the first relocations of
+  the ``pairs`` passes (those 3 midpoints, their gradients and the
+  relocation's first step): one row with stacks of 1 and 6 trials, and
+  the 3 rows with stacks of 1;
 * ``gradient_calls``: gradient evaluations per stage (descent,
   mountain-pass relocation, Newton polish) of ``solve --theorem 2`` and
   ``pairs`` on ``configs/default.json``, counting every state of a stacked
@@ -177,6 +182,12 @@ def polish():
     return out
 
 
+def relocation_maxima(prob):
+    """The midpoints of the initial paths of the 3 lockstep ``pairs``
+    passes: the states of their first relocations."""
+    return [0.5 * solve._pack(*e) for e in solve._pair_endpoints(prob, cli._PAIR_SITES)]
+
+
 def batched_us():
     prob, cfg = problem([[0.0, 1.0]], [129])
     grid = prob.grid
@@ -189,7 +200,7 @@ def batched_us():
     perturbed = np.tile(w, (2 * (colour.max() + 1), 1))
     perturbed[2 * colour, idx] += h
     perturbed[2 * colour + 1, idx] -= h
-    maxima = [0.5 * solve._pack(*e) for e in solve._pair_endpoints(prob, cli._PAIR_SITES)]
+    maxima = relocation_maxima(prob)
     stacked_maxima = np.stack(maxima)
     return {
         "path_states": len(path),
@@ -212,6 +223,28 @@ def batched_us():
             lambda: [_gradient(z, prob, None) for z in maxima]
         ),
     }
+
+
+def line_search_us():
+    """One ``backtracking_step`` on the first relocations of the ``pairs``
+    passes: phi's kernel and projector, the states' gradients and the
+    relocation's first step."""
+    prob, _ = problem([[0.0, 1.0]], [129])
+    f, g, proj = solve._functional(prob, None)
+    rows = []
+    for z in relocation_maxima(prob):
+        gz = g(z)
+        cap = max(solve._MAX_STEP_SUP, 0.02 * max(1.0, float(np.abs(z).max())))
+        rows.append((z, f(z), gz, cap / max(cap, float(np.abs(gz).max()))))
+    x, fx, gs, t0 = (list(column) for column in zip(*rows))
+
+    def step(n, stack):
+        return per_call_us(
+            lambda: optimize.backtracking_step(f, x[:n], fx[:n], gs[:n], t0[:n], proj, [stack] * n)
+        )
+
+    return {"one_row_stack_1": step(1, 1), "one_row_stack_6": step(1, 6),
+            "three_rows_stack_1": step(3, 1)}
 
 
 def evaluation_counts():
@@ -378,6 +411,7 @@ def main() -> int:
         "source_us": source_us(),
         "polish": polish(),
         "batched_us": batched_us(),
+        "line_search_us": line_search_us(),
         "rayleigh_us": rayleigh_us(),
     }
     result["gradient_calls"], result["energy_evaluations"] = evaluation_counts()

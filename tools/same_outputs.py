@@ -26,23 +26,8 @@ constant and operator of the expression language.  Last, ``check`` on three
 malformed configs, so that diagnostics (standard error and exit status) are
 compared too.
 
-Against a parent whose Armijo test accepts a trial that does not lower f
-(``optimize._sufficient_decrease`` without ``f(x+) < f(x)``), these three
-``eigen`` runs are expected to differ, and nothing else.  The parent's
-descents accepted steps whose energy rounded to the old one; such a trial
-is now halved further, so the restarts stop where f stops falling:
-
-* the benchmark's 2D config: the q restarts take [123, 140, 141, 174,
-  122] iterations instead of [143, 152, 155, 287, 138], all at
-  ``line_search_floor``, with the same least value; p is unchanged;
-* ``separable_p_1.6+x_n65`` (c2): the least p value goes from
-  9.856985870483348 to 9.856985870515697, every restart still at the cap;
-* ``separable_2d_p<2_17x17`` (c3): the p restarts take [1124, 1270,
-  1607, 1287, 1500] iterations instead of [1228, 2779, 1610, 1390, 1613],
-  all at ``line_search_floor`` (two stopped at ``tolerance``), with the
-  same least value to 15 digits.
-
-The exit statuses are unchanged.
+A change whose outputs are meant to differ lists the runs expected to
+differ, and how, in its CHANGES.md entry; every other run must agree.
 """
 
 from __future__ import annotations
