@@ -19,15 +19,21 @@ Accepted syntax, a subset of Python's expression grammar::
 
 Nothing else is accepted: no comments, hexadecimal, underscored or complex
 literals, comparisons, attributes, keyword arguments or trailing commas.
+
+A tree has three node types: ``Const``, ``Var`` and ``Op``, an operation
+on one or two operands.  Each operation is one row of ``_OPS``: its
+evaluator, its derivative rule and its text.  Adding a function is one row
+there plus its arity in ``_FUNCTIONS``, the parser's whitelist.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import operator
 import re
 import warnings
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -41,16 +47,6 @@ __all__ = [
 class ExpressionError(ValueError):
     """Raised for syntax errors, unknown names, or bad arity."""
 
-
-_FUNCTIONS = {
-    "ln": np.log,
-    "log": np.log,
-    "exp": np.exp,
-    "abs": np.abs,
-    "sqrt": np.sqrt,
-    "sin": np.sin,
-    "cos": np.cos,
-}
 
 _CONSTANTS = {"pi": np.pi, "e": np.e}
 
@@ -120,125 +116,37 @@ class Var(Expression):
 
 
 @dataclasses.dataclass(frozen=True)
-class Binary(Expression):
-    op: str  # one of + - * / ^
-    left: Expression
-    right: Expression
+class Op(Expression):
+    """The operation ``_OPS[name]`` on ``a``, or on ``a`` and ``b``."""
 
+    name: str
+    a: Expression
+    b: Expression | None = None
+
+    # Each method recurses into self.a and self.b directly, one Python frame
+    # per tree level, so that deep trees reach the recursion limit late.
     def evaluate(self, env):
-        a = self.left.evaluate(env)
-        b = self.right.evaluate(env)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            return a / b
-        return np.power(a, b)
+        row = _OPS[self.name]
+        if self.b is None:
+            return row.evaluate(self.a.evaluate(env))
+        return row.evaluate(self.a.evaluate(env), self.b.evaluate(env))
 
     def diff(self, var):
-        fa, fb = self.left, self.right
-        da, db = fa.diff(var), fb.diff(var)
-        if self.op == "+":
-            return _add(da, db)
-        if self.op == "-":
-            return _sub(da, db)
-        if self.op == "*":
-            return _add(_mul(da, fb), _mul(fa, db))
-        if self.op == "/":
-            num = _sub(_mul(da, fb), _mul(fa, db))
-            return _div(num, _mul(fb, fb))
-        # Power rule.  The common case (constant exponent) gets the clean form;
-        # the general case uses f^g * (g' ln f + g f'/f).
-        if isinstance(fb, Const):
-            c = fb.value
-            return _mul(_mul(Const(c), _pow(fa, Const(c - 1.0))), da)
-        inner = _add(_mul(db, Call("ln", (fa,))), _div(_mul(fb, da), fa))
-        return _mul(_pow(fa, fb), inner)
+        da = self.a.diff(var)
+        db = None if self.b is None else self.b.diff(var)
+        return _OPS[self.name].diff(self.a, self.b, da, db)
 
     def text(self):
-        return f"({self.left.text()} {self.op} {self.right.text()})"
-
-
-@dataclasses.dataclass(frozen=True)
-class Neg(Expression):
-    arg: Expression
-
-    def evaluate(self, env):
-        return -self.arg.evaluate(env)
-
-    def diff(self, var):
-        return _neg(self.arg.diff(var))
-
-    def text(self):
-        return f"(-{self.arg.text()})"
-
-
-@dataclasses.dataclass(frozen=True)
-class Call(Expression):
-    func: str
-    args: tuple[Expression, ...]
-
-    def evaluate(self, env):
-        vals = [a.evaluate(env) for a in self.args]
-        if self.func == "pow":
-            return np.power(vals[0], vals[1])
-        return _FUNCTIONS[self.func](vals[0])
-
-    def diff(self, var):
-        if self.func == "pow":
-            return Binary("^", self.args[0], self.args[1]).diff(var)
-        (g,) = self.args
-        dg = g.diff(var)
-        if self.func in ("ln", "log"):
-            outer = _div(Const(1.0), g)
-        elif self.func == "exp":
-            outer = Call("exp", (g,))
-        elif self.func == "abs":
-            # d|g| = sign(g) dg; encoded as g/|g| which evaluates to nan at 0,
-            # so we special-case sign() during evaluation instead.
-            return _mul(Sign(g), dg)
-        elif self.func == "sqrt":
-            outer = _div(Const(0.5), Call("sqrt", (g,)))
-        elif self.func == "sin":
-            outer = Call("cos", (g,))
-        elif self.func == "cos":
-            outer = _neg(Call("sin", (g,)))
-        else:  # pragma: no cover - parser rejects unknown functions
-            raise ExpressionError(f"cannot differentiate {self.func!r}")
-        return _mul(outer, dg)
-
-    def text(self):
-        inner = ", ".join(a.text() for a in self.args)
-        return f"{self.func}({inner})"
-
-
-@dataclasses.dataclass(frozen=True)
-class Sign(Expression):
-    """sign(g) with sign(0) = 0; appears only through d|g|."""
-
-    arg: Expression
-
-    def evaluate(self, env):
-        return np.sign(self.arg.evaluate(env))
-
-    def diff(self, var):
-        # Derivative of sign is 0 a.e.; the kink at 0 is accepted, matching
-        # the convention used by the truncated functionals.
-        return Const(0.0)
-
-    def text(self):
-        return f"sign({self.arg.text()})"
+        row = _OPS[self.name]
+        if self.b is None:
+            return row.text.format(self.a.text())
+        return row.text.format(self.a.text(), self.b.text())
 
 
 # --- simplifying constructors ------------------------------------------------
 
 def _is_const(e: Expression, value: float | None = None) -> bool:
-    if not isinstance(e, Const):
-        return False
-    return value is None or e.value == value
+    return isinstance(e, Const) and (value is None or e.value == value)
 
 
 def _add(a: Expression, b: Expression) -> Expression:
@@ -248,7 +156,7 @@ def _add(a: Expression, b: Expression) -> Expression:
         return b
     if _is_const(b, 0.0):
         return a
-    return Binary("+", a, b)
+    return Op("+", a, b)
 
 
 def _sub(a: Expression, b: Expression) -> Expression:
@@ -258,7 +166,7 @@ def _sub(a: Expression, b: Expression) -> Expression:
         return a
     if _is_const(a, 0.0):
         return _neg(b)
-    return Binary("-", a, b)
+    return Op("-", a, b)
 
 
 def _mul(a: Expression, b: Expression) -> Expression:
@@ -270,7 +178,7 @@ def _mul(a: Expression, b: Expression) -> Expression:
         return b
     if _is_const(b, 1.0):
         return a
-    return Binary("*", a, b)
+    return Op("*", a, b)
 
 
 def _div(a: Expression, b: Expression) -> Expression:
@@ -282,7 +190,7 @@ def _div(a: Expression, b: Expression) -> Expression:
         return a
     if _is_const(a) and _is_const(b):
         return Const(a.value / b.value)
-    return Binary("/", a, b)
+    return Op("/", a, b)
 
 
 def _pow(a: Expression, b: Expression) -> Expression:
@@ -295,15 +203,69 @@ def _pow(a: Expression, b: Expression) -> Expression:
         # rejects; numpy need not warn about them first.
         with np.errstate(all="ignore"):
             return Const(float(np.power(a.value, b.value)))
-    return Binary("^", a, b)
+    return Op("^", a, b)
 
 
 def _neg(a: Expression) -> Expression:
     if _is_const(a):
         return Const(-a.value)
-    if isinstance(a, Neg):
-        return a.arg
-    return Neg(a)
+    if isinstance(a, Op) and a.name == "neg":
+        return a.a
+    return Op("neg", a)
+
+
+# --- operations -----------------------------------------------------------------
+
+class _Row(NamedTuple):
+    evaluate: Callable  # the operands' values -> the value
+    diff: Callable  # (a, b, da, db) -> the derivative; b and db are None for one operand
+    text: str  # str.format template over the operands' texts
+
+
+def _power_rule(f, g, df, dg):
+    # The common case (constant exponent) gets the clean form; the general
+    # case uses f^g * (g' ln f + g f'/f).
+    if isinstance(g, Const):
+        c = g.value
+        return _mul(_mul(Const(c), _pow(f, Const(c - 1.0))), df)
+    return _mul(_pow(f, g), _add(_mul(dg, Op("ln", f)), _div(_mul(g, df), f)))
+
+
+def _chain(outer: Callable[[Expression], Expression]) -> Callable:
+    """The chain rule outer(g) * dg of a function of one argument."""
+    return lambda g, b, dg, db: _mul(outer(g), dg)
+
+
+# ``operator`` keeps Python floats as Python floats for ``+ - * /``, where
+# numpy's ufuncs would return numpy scalars.
+_OPS = {
+    "+": _Row(operator.add, lambda a, b, da, db: _add(da, db), "({} + {})"),
+    "-": _Row(operator.sub, lambda a, b, da, db: _sub(da, db), "({} - {})"),
+    "*": _Row(operator.mul, lambda a, b, da, db: _add(_mul(da, b), _mul(a, db)), "({} * {})"),
+    "/": _Row(
+        operator.truediv,
+        lambda a, b, da, db: _div(_sub(_mul(da, b), _mul(a, db)), _mul(b, b)),
+        "({} / {})",
+    ),
+    "^": _Row(np.power, _power_rule, "({} ^ {})"),
+    "pow": _Row(np.power, _power_rule, "pow({}, {})"),
+    "neg": _Row(operator.neg, lambda a, b, da, db: _neg(da), "(-{})"),
+    "ln": _Row(np.log, _chain(lambda g: _div(Const(1.0), g)), "ln({})"),
+    "log": _Row(np.log, _chain(lambda g: _div(Const(1.0), g)), "log({})"),
+    "exp": _Row(np.exp, _chain(lambda g: Op("exp", g)), "exp({})"),
+    # d|g| = sign(g) dg, not g/|g|, which is nan at 0.
+    "abs": _Row(np.abs, _chain(lambda g: Op("sign", g)), "abs({})"),
+    "sqrt": _Row(np.sqrt, _chain(lambda g: _div(Const(0.5), Op("sqrt", g))), "sqrt({})"),
+    "sin": _Row(np.sin, _chain(lambda g: Op("cos", g)), "sin({})"),
+    "cos": _Row(np.cos, _chain(lambda g: _neg(Op("sin", g))), "cos({})"),
+    # sign(0) = 0, and sign appears only through d|g|.  Its derivative is 0
+    # a.e.; the kink at 0 is accepted, matching the convention used by the
+    # truncated functionals.
+    "sign": _Row(np.sign, lambda g, b, dg, db: Const(0.0), "sign({})"),
+}
+
+# The functions a config may call, with their arities.
+_FUNCTIONS = {"ln": 1, "log": 1, "exp": 1, "abs": 1, "sqrt": 1, "sin": 1, "cos": 1, "pow": 2}
 
 
 # --- parser -------------------------------------------------------------------
@@ -334,15 +296,12 @@ def _build(node: ast.expr, source: str, allowed: set[str] | None) -> Expression:
     elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
         name = node.func.id
         args = tuple(_build(arg, source, allowed) for arg in node.args)
-        if name == "pow":
-            if len(args) != 2:
-                raise ExpressionError("pow() takes exactly two arguments")
-        elif name in _FUNCTIONS:
-            if len(args) != 1:
-                raise ExpressionError(f"{name}() takes exactly one argument")
-        else:
+        if name not in _FUNCTIONS:
             raise ExpressionError(f"unknown function {name!r}")
-        return Call(name, args)
+        if len(args) != _FUNCTIONS[name]:
+            count = {1: "one argument", 2: "two arguments"}[_FUNCTIONS[name]]
+            raise ExpressionError(f"{name}() takes exactly {count}")
+        return Op(name, *args)
     raise ExpressionError(f"unsupported syntax {ast.get_source_segment(source, node)!r}")
 
 

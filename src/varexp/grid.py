@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -75,17 +76,19 @@ def make_grid(extents, nodes) -> Grid:
     """Build a grid from per-axis extents and node counts.
 
     ``extents`` is ``(lo, hi)`` for 1D or a sequence of such pairs;
-    ``nodes`` is an int or a matching sequence of ints (each >= 3).
+    ``nodes`` is an int or a matching sequence of ints (each >= 3); a bool
+    or a non-integral count is refused, not truncated.
     """
     ext = list(extents)
     if len(ext) == 2 and np.isscalar(ext[0]):
         ext = [tuple(extents)]
     if len(ext) not in (1, 2):
         raise ConfigError(f"only 1D/2D boxes supported, got {len(ext)} axes")
-    if np.isscalar(nodes):
-        counts = [int(nodes)] * len(ext)
-    else:
-        counts = [int(n) for n in nodes]
+    counts = [nodes] * len(ext) if np.isscalar(nodes) else list(nodes)
+    for n in counts:
+        if isinstance(n, bool) or not isinstance(n, numbers.Real) or not float(n).is_integer():
+            raise ConfigError(f"node count must be an integer, got {n!r}")
+    counts = [int(n) for n in counts]
     if len(counts) != len(ext):
         raise ConfigError("node counts do not match the number of axes")
 

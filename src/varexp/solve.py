@@ -497,7 +497,7 @@ def _newton_polish(gfun, proj, w, idx, pattern, cfg):
     projected by ``proj``.  The gradient at an accepted trial is kept for
     the next step.  Stops at residual max(0.01 * gradient_stop, 1e-13), at
     the step cap or at the halving floor, and returns (w, iterations) with
-    no verdict: ``mountain_pass`` alone accepts.  First-order
+    no verdict: ``_judge`` alone accepts.  First-order
     alternatives (BB descent on 0.5*|G|^2 driven by Hessian-vector
     differences) were measured to creep near a saddle: the Hessian
     degenerates along the bump peak where |grad u| ~ 0, and the induced
@@ -809,6 +809,11 @@ def _quadrant_inventory(
     bad = [q for q in quadrants if q not in QUADRANT_SIGNS]
     if bad:
         raise ConfigError(f"invalid quadrant tags: {', '.join(bad)}")
+    # A repeated tag would run its cone twice and merge the two runs into
+    # one point, so the inventory could never be complete.
+    repeated = sorted({q for q in quadrants if quadrants.count(q) > 1})
+    if repeated:
+        raise ConfigError(f"repeated quadrant tags: {', '.join(repeated)}")
     symmetric = _require_hypotheses(prob, names, cfg.seed)
     flags: list[str] = []
     if prob.lam > _LAMBDA_SMALLNESS:

@@ -588,6 +588,17 @@ def test_solve_rejects_unknown_quadrant(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("theorem", ["1", "2"])
+def test_solve_rejects_repeated_quadrant(tmp_path, capsys, theorem):
+    path = write_config(tmp_path, small_config())
+    code = main(["solve", "--theorem", theorem, "--quadrants", "Q1,q1",
+                 "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "repeated quadrant tags: Q1" in err
+
+
 def test_solve_rejects_empty_quadrant_list(tmp_path, capsys):
     path = write_config(tmp_path, small_config())
     code = main(["solve", "--quadrants", ",",

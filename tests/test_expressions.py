@@ -285,3 +285,8 @@ def test_expression_language(text, tree, d_dx):
         return
     e = parse_expression(text)
     assert (e.text(), e.diff("x").text()) == (tree, d_dx)
+
+
+def test_second_derivative_of_abs_is_zero():
+    # d|x| is sign(x) dx, and sign has derivative 0 away from its kink.
+    assert parse_expression("abs(x)").diff("x").diff("x").text() == "0"

@@ -52,6 +52,28 @@ def test_too_few_nodes_rejected(n):
         make_grid((0.0, 1.0), n)
 
 
+@pytest.mark.parametrize(
+    "extents, nodes",
+    [
+        ((0.0, 1.0), 33.7),
+        ((0.0, 1.0), True),
+        ((0.0, 1.0), float("nan")),
+        ((0.0, 1.0), float("inf")),
+        ((0.0, 1.0), "33"),
+        ([(0.0, 1.0), (0.0, 1.0)], [5, 5.5]),
+        ([(0.0, 1.0), (0.0, 1.0)], [np.bool_(True), 5]),
+    ],
+    ids=["33.7", "bool", "nan", "inf", "str", "2d_5.5", "2d_numpy_bool"],
+)
+def test_non_integral_node_count_rejected(extents, nodes):
+    with pytest.raises(ConfigError, match="node count must be an integer"):
+        make_grid(extents, nodes)
+
+
+def test_integral_float_node_count_accepted():
+    assert make_grid((0.0, 1.0), 33.0).shape == (33,)
+
+
 def test_bad_extent_rejected():
     with pytest.raises(ConfigError):
         make_grid((1.0, 1.0), 11)

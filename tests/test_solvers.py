@@ -999,6 +999,34 @@ def test_find_constant_sign_rejects_bad_quadrant():
         find_constant_sign_solutions(PROB, cfg=FAST, quadrants=("Q1", "nope"))
 
 
+def test_find_constant_sign_rejects_repeated_quadrant():
+    with pytest.raises(ConfigError, match="repeated quadrant tags: Q1"):
+        find_constant_sign_solutions(PROB, cfg=FAST, quadrants=("Q1", "Q1"))
+
+
+def test_six_solutions_without_evenness_run_their_own_q3_runs():
+    """F = u^4 + v^4 + (1 + x)u^2v^2 + 0.1u^2v|v| meets every theorem-2
+    hypothesis but is not even, so the Q3 descent and the Q3 pass are run
+    from their own starts, not negated from Q1; each run's quadrant is
+    ``classify_quadrant`` of its pair.  Convergence is not asserted: on a
+    2000-relocation budget neither pass converges."""
+    data = {
+        **default_config_dict(),
+        "domain": {"extents": [[0.0, 1.0]], "nodes": [33]},
+        "nonlinearity": {"kind": "custom",
+                         "expression": "u^4 + v^4 + (1 + x)*u^2*v^2 + 0.1*u^2*v*abs(v)"},
+        "hypothesis_constants": {"gamma": 4.0, "delta": 4.0, "C": 20.0, "M": 1.0,
+                                 "C1": 1e-4, "C2": 0.01},
+    }
+    prob, _ = parse_config_text(json.dumps(data))
+    inv = find_six_solutions(prob, SolverConfig(max_iterations=2000, path_points=11))
+    assert [(r.method, r.quadrant) for r in inv.runs] == [
+        ("descent", "Q1"), ("descent", "Q2"), ("descent", "Q3"), ("descent", "Q4"),
+        ("mountain_pass", "Q1"), ("mountain_pass", "Q3"),
+    ]
+    assert not any("negation_pair" in r.flags for r in inv.runs)
+
+
 def test_find_constant_sign_refuses_supercritical_coupling():
     prob = make_problem(alpha=1.6)
     with pytest.raises(ConfigError, match="coupling_product_subcritical"):
