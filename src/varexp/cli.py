@@ -168,9 +168,13 @@ def _eigen_block(prob: ProblemSpec, cfg: SolverConfig) -> dict:
 
 def _parse_t_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        ts = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"--t-list: {exc}") from exc
+    bad = next((t for t in ts if not np.isfinite(t)), None)
+    if bad is not None:
+        raise ConfigError(f"--t-list: expected a finite number, got {bad!r}")
+    return ts
 
 
 def _parse_quadrants(text: str) -> tuple[str, ...]:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,7 +51,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .exponents import ExponentField
 from .grid import (Grid, GridFunction, _adjoint_sum, _difference_components, _integral,
-                   _magnitude_squared)
+                   _magnitude_squared, _separable)
 from .nonlinearity import LogPowerCoupling, Nonlinearity, _uv
 from .optimize import bb_minimize
 from .spaces import INEQUALITY_SLACK
@@ -604,24 +605,18 @@ def rayleigh_gradient(u: GridFunction, p: ExponentField) -> GridFunction:
 
 
 def random_zero_boundary(grid: Grid, rng: np.random.Generator) -> GridFunction:
-    """Random zero-boundary sum of six sine modes per axis, sup-normalized to 1."""
-    modes = 6
-    axes = [
-        (ax - lo) / (hi - lo) for ax, lo, hi in zip(grid.axes, grid.lo, grid.hi)
-    ]
-    if grid.ndim == 1:
-        xi = axes[0]
-        vals = np.zeros(grid.shape)
-        for k in range(1, modes + 1):
-            vals += rng.normal() / k**2 * np.sin(k * np.pi * xi)
-    else:
-        xi, eta = np.meshgrid(axes[0], axes[1], indexing="ij")
-        vals = np.zeros(grid.shape)
-        for k in range(1, modes + 1):
-            for l in range(1, modes + 1):
-                vals += rng.normal() / (k**2 + l**2) * np.sin(k * np.pi * xi) * np.sin(
-                    l * np.pi * eta
-                )
+    """Random zero-boundary sum of sine modes, sup-normalized to 1.
+
+    One term per mode tuple (k1, ...) of ``itertools.product(range(1, 7),
+    repeat=grid.ndim)``, in that order: a normal draw over k1^2 + ..., times
+    the outer product of sin(k_i pi x_i) over the axes, x_i in [0, 1].
+    """
+    unit = [(ax - lo) / (hi - lo) for ax, lo, hi in zip(grid.axes, grid.lo, grid.hi)]
+    vals = np.zeros(grid.shape)
+    for modes in itertools.product(range(1, 7), repeat=grid.ndim):
+        c = rng.normal() / sum(k**2 for k in modes)
+        first, *rest = [np.sin(k * np.pi * x) for k, x in zip(modes, unit)]
+        vals += _separable(np.multiply, [c * first, *rest])
     vals[grid.boundary] = 0.0
     sup = np.max(np.abs(vals))
     if sup == 0.0:  # pragma: no cover - measure-zero draw

@@ -55,8 +55,6 @@ class Grid:
 
     def coordinate_arrays(self) -> tuple[np.ndarray, ...]:
         """Per-node coordinate arrays (meshgrid with matrix indexing)."""
-        if self.ndim == 1:
-            return (self.axes[0],)
         return tuple(np.meshgrid(*self.axes, indexing="ij"))
 
     def zeros(self) -> "GridFunction":
@@ -70,6 +68,12 @@ class Grid:
             f"({lo:g}, {hi:g})x{n}" for lo, hi, n in zip(self.lo, self.hi, self.shape)
         )
         return f"Grid[{parts}]"
+
+
+def _separable(ufunc: np.ufunc, per_axis: Sequence[np.ndarray]) -> np.ndarray:
+    """The grid-shaped outer ``ufunc`` of one 1-D array per axis, applied in
+    axis order: a separable field built without full coordinate arrays."""
+    return functools.reduce(ufunc.outer, per_axis)
 
 
 def make_grid(extents, nodes) -> Grid:
@@ -92,7 +96,7 @@ def make_grid(extents, nodes) -> Grid:
     if len(counts) != len(ext):
         raise ConfigError("node counts do not match the number of axes")
 
-    lo, hi, axes, spacing = [], [], [], []
+    lo, hi, axes, spacing, axis_weights, axis_interior = [], [], [], [], [], []
     for (a, b), n in zip(ext, counts):
         a, b = float(a), float(b)
         if not (np.isfinite(a) and np.isfinite(b)) or a >= b:
@@ -102,23 +106,17 @@ def make_grid(extents, nodes) -> Grid:
         lo.append(a)
         hi.append(b)
         axes.append(np.linspace(a, b, n))
-        spacing.append((b - a) / (n - 1))
-
-    axis_weights = []
-    for h, n in zip(spacing, counts):
+        h = (b - a) / (n - 1)
+        spacing.append(h)
         w = np.full(n, h)
         w[0] = w[-1] = h / 2.0
         axis_weights.append(w)
-    weights = axis_weights[0]
-    if len(counts) == 2:
-        weights = np.multiply.outer(axis_weights[0], axis_weights[1])
+        inside = np.ones(n, dtype=bool)
+        inside[0] = inside[-1] = False
+        axis_interior.append(inside)
 
-    interior = np.ones(tuple(counts), dtype=bool)
-    for axis in range(len(counts)):
-        _, _, _, first, _, last, _ = _axis_slices(axis)
-        interior[first] = interior[last] = False
-
-    weights = np.ascontiguousarray(weights)
+    weights = _separable(np.multiply, axis_weights)
+    interior = _separable(np.logical_and, axis_interior)
     weights.setflags(write=False)
     boundary = ~interior
     interior.setflags(write=False)
@@ -340,9 +338,6 @@ def tent_function(center, epsilon: float, grid: Grid) -> GridFunction:
             raise GeometryError(
                 f"tent ball of radius {eps:g} at {snapped} touches the boundary"
             )
-    coords = grid.coordinate_arrays()
-    dist2 = np.zeros(grid.shape)
-    for x, c in zip(coords, snapped):
-        dist2 = dist2 + (x - c) ** 2
-    vals = np.maximum(0.0, eps - np.sqrt(dist2))
+    dist = np.sqrt(_separable(np.add, [(ax - c) ** 2 for ax, c in zip(grid.axes, snapped)]))
+    vals = np.maximum(0.0, eps - dist)
     return GridFunction(grid, vals)

@@ -58,7 +58,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError, DataError, GeometryError
 from .energy import (
     QUADRANT_SIGNS,
     QUADRANTS,
@@ -75,7 +75,7 @@ from .energy import (
     check_hypotheses,
     phi_energy,
 )
-from .grid import Grid, GridFunction, tent_function
+from .grid import Grid, GridFunction, _separable, tent_function
 from .optimize import _ARMIJO, _MAX_SHRINKS, _SHRINK, backtracking_step
 
 __all__ = [
@@ -191,7 +191,9 @@ class ScanResult:
 
 
 def classify_quadrant(u: GridFunction, v: GridFunction) -> str:
-    tol = 1e-12
+    """The first quadrant whose cone holds (u, v) to within 1e-12 times
+    the amplitude scale of ``merge_points``, or "mixed"."""
+    tol = 1e-12 * min(1.0, max(u.sup_norm(), v.sup_norm()))
     for tag, (su, sv) in QUADRANT_SIGNS.items():
         if np.all(su * u.values >= -tol) and np.all(sv * v.values >= -tol):
             return tag
@@ -203,11 +205,7 @@ def smooth_bump(grid: Grid) -> GridFunction:
     center, supported in the ball of radius 0.15 times the shortest extent."""
     center = tuple(0.5 * (lo + hi) for lo, hi in zip(grid.lo, grid.hi))
     radius = 0.15 * min(hi - lo for lo, hi in zip(grid.lo, grid.hi))
-    coords = grid.coordinate_arrays()
-    dist2 = np.zeros(grid.shape)
-    for x, c in zip(coords, center):
-        dist2 = dist2 + (x - c) ** 2
-    r = np.sqrt(dist2)
+    r = np.sqrt(_separable(np.add, [(ax - c) ** 2 for ax, c in zip(grid.axes, center)]))
     vals = np.where(r < radius, np.cos(np.pi * r / (2.0 * radius)) ** 2, 0.0)
     vals[grid.boundary] = 0.0
     return GridFunction(grid, vals)
@@ -281,9 +279,9 @@ def _fibering_minimum(
     minimum.  Cached for one cone: the quadrant driver seeds at S d, and
     ``descend`` runs in the same scan's units."""
     grid = prob.grid
-    vals = np.ones(grid.shape)
-    for x, lo, hi in zip(grid.coordinate_arrays(), grid.lo, grid.hi):
-        vals = vals * np.sin(np.pi * (x - lo) / (hi - lo))
+    vals = _separable(np.multiply, [
+        np.sin(np.pi * (ax - lo) / (hi - lo)) for ax, lo, hi in zip(grid.axes, grid.lo, grid.hi)
+    ])
     vals[grid.boundary] = 0.0
     su, sv = signs or (1, 1)
     d = np.concatenate([su * vals.ravel(), sv * vals.ravel()])
@@ -712,11 +710,16 @@ def divergence_scan(
     h2: GridFunction,
     t_values,
 ) -> ScanResult:
-    """Energies phi(t*h1, t*h2) over ascending t, plus the least negative t."""
+    """Energies phi(t*h1, t*h2) over ascending t, plus the least negative t.
+    An energy that is not finite is refused, naming the first such t."""
     ts = sorted(float(t) for t in t_values)
     if not ts:
         raise ConfigError("divergence scan needs a nonempty t list")
-    points = [(t, phi_energy(t * h1, t * h2, prob)) for t in ts]
+    with np.errstate(all="ignore"):
+        points = [(t, phi_energy(t * h1, t * h2, prob)) for t in ts]
+    bad = next((t for t, e in points if not np.isfinite(e)), None)
+    if bad is not None:
+        raise DataError(f"divergence scan: the energy at t = {bad!r} is not finite")
     first_negative = next((t for t, e in points if e < 0.0), None)
     return ScanResult(points=points, first_negative_t=first_negative)
 

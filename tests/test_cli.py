@@ -539,6 +539,25 @@ def test_scan_bad_t_list(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "t_list, message",
+    [("1,1e300", "divergence scan: the energy at t = 1e+300 is not finite"),
+     ("1,nan", "--t-list: expected a finite number, got nan"),
+     ("1,inf", "--t-list: expected a finite number, got inf")],
+    ids=["energy-overflow", "nan", "inf"],
+)
+def test_scan_refuses_a_non_finite_t_or_energy(tmp_path, t_list, message):
+    # In a fresh process, so that a numpy RuntimeWarning would reach stderr.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "varexp.cli", "scan", "--t-list", t_list,
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
+    assert not (out / "results.json").exists()
+
+
 def test_solve_theorem_one_writes_inventory_and_csv(tmp_path):
     code, out = run_cli(tmp_path, small_config(), "solve", "--theorem", "1")
     assert code == 0

@@ -658,6 +658,41 @@ def test_rayleigh_rejects_exponent_on_another_grid():
         rayleigh_quotient(u, p_other)
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize(
+    "extents, nodes",
+    [((0.0, 1.0), 33), ([(0.0, 1.3), (-0.4, 0.9)], [13, 11])],
+    ids=["1d", "2d"],
+)
+def test_random_zero_boundary_is_the_per_node_mode_sum_bitwise(extents, nodes, seed):
+    """One normal per mode, drawn with the last axis's mode number fastest
+    and divided by the sum of the squared mode numbers; at each interior
+    node the terms c * sin(k1 pi x1) [* sin(k2 pi x2)] are summed in that
+    order, and the sum is sup-normalized."""
+    g = make_grid(extents, nodes)
+    rng = np.random.default_rng(seed)
+    if g.ndim == 1:
+        coefficients = {(k,): rng.normal() / k**2 for k in range(1, 7)}
+    else:
+        coefficients = {(k, l): rng.normal() / (k**2 + l**2)
+                        for k in range(1, 7) for l in range(1, 7)}
+    unit = [(ax - lo) / (hi - lo) for ax, lo, hi in zip(g.axes, g.lo, g.hi)]
+    expected = np.zeros(g.shape)
+    for index in np.ndindex(g.shape):
+        if g.interior[index]:
+            total = 0.0
+            for modes, c in coefficients.items():
+                term = c
+                for k, x, i in zip(modes, unit, index):
+                    term = term * np.sin(k * np.pi * x[i])
+                total = total + term
+            expected[index] = total
+    expected = expected / np.max(np.abs(expected))
+    drawn = np.random.default_rng(seed)
+    assert np.array_equal(random_zero_boundary(g, drawn).values, expected)
+    assert drawn.normal() == rng.normal()
+
+
 def test_minimize_rayleigh_laplacian():
     g = make_grid((0.0, 1.0), 65)
     res = minimize_rayleigh(constant_exponent(g, 2.0), restarts=2, seed=0)

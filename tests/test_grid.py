@@ -93,6 +93,33 @@ def test_interior_mask_and_weights():
     np.testing.assert_allclose(g.weights, 0.25 * np.array([0.5, 1, 1, 1, 0.5]))
 
 
+# Spacings that are not dyadic, so that the weight products round.
+BOX_2D = ([(0.0, 1.3), (-0.4, 0.9)], [41, 37])
+
+
+@pytest.mark.parametrize(
+    "extents, nodes",
+    [((0.0, 0.7), 13), ([(0.0, 1.0), (0.0, 1.0)], [9, 9]), BOX_2D],
+    ids=["1d", "2d", "anisotropic"],
+)
+def test_weights_and_interior_are_the_per_node_products_bitwise(extents, nodes):
+    """Each node's weight is the product, in axis order, of its trapezoid
+    weight along each axis, and it is interior when it is inside along
+    every axis."""
+    g = make_grid(extents, nodes)
+    weights, interior = np.empty(g.shape), np.empty(g.shape, dtype=bool)
+    for index in np.ndindex(g.shape):
+        w, inside = 1.0, True
+        for i, lo, hi, n in zip(index, g.lo, g.hi, g.shape):
+            h = (hi - lo) / (n - 1)
+            w = w * (h / 2.0 if i in (0, n - 1) else h)
+            inside = inside and 0 < i < n - 1
+        weights[index], interior[index] = w, inside
+    assert np.array_equal(g.weights, weights)
+    assert g.interior.dtype == bool and np.array_equal(g.interior, interior)
+    assert np.array_equal(g.boundary, ~interior)
+
+
 # ---------------------------------------------------------------------------
 # GridFunction bookkeeping
 
@@ -338,6 +365,21 @@ def test_tent_2d_support_is_a_ball():
     r = np.sqrt((x - 0.5) ** 2 + (y - 0.5) ** 2)
     assert np.all(t.values[r > 0.25] == 0.0)
     assert t.values[20, 20] == pytest.approx(0.25)
+
+
+def test_tent_off_centre_is_the_per_node_distance_bitwise():
+    g = make_grid(*BOX_2D)
+    center, eps = (0.5, 0.1), 0.3
+    t = tent_function(center, eps, g)
+    snapped = [ax[np.argmin(np.abs(ax - c))] for ax, c in zip(g.axes, center)]
+    expected = np.empty(g.shape)
+    for index in np.ndindex(g.shape):
+        dist2 = 0.0
+        for ax, i, c in zip(g.axes, index, snapped):
+            d = ax[i] - c
+            dist2 = dist2 + d * d
+        expected[index] = max(0.0, eps - np.sqrt(dist2))
+    assert np.array_equal(t.values, expected)
 
 
 def test_tent_radius_must_be_resolved():

@@ -161,6 +161,49 @@ def test_smooth_bump_profile():
     assert np.all(b.values >= 0.0)
 
 
+@pytest.mark.parametrize(
+    "extents, nodes",
+    [((0.0, 1.0), 65), ([(0.0, 1.3), (-0.4, 0.9)], [41, 37])],
+    ids=["1d", "2d"],
+)
+def test_smooth_bump_is_the_per_node_distance_profile_bitwise(extents, nodes):
+    g = make_grid(extents, nodes)
+    center = [0.5 * (lo + hi) for lo, hi in zip(g.lo, g.hi)]
+    radius = 0.15 * min(hi - lo for lo, hi in zip(g.lo, g.hi))
+    r = np.empty(g.shape)
+    for index in np.ndindex(g.shape):
+        dist2 = 0.0
+        for ax, i, c in zip(g.axes, index, center):
+            d = ax[i] - c
+            dist2 = dist2 + d * d
+        r[index] = np.sqrt(dist2)
+    expected = np.where(r < radius, np.cos(np.pi * r / (2.0 * radius)) ** 2, 0.0)
+    expected[g.boundary] = 0.0
+    assert np.array_equal(smooth_bump(g).values, expected)
+
+
+@pytest.mark.parametrize(
+    "extents, nodes",
+    [([[0.0, 1.0]], [33]), ([[0.0, 1.3], [-0.4, 0.9]], [13, 11])],
+    ids=["1d", "2d"],
+)
+def test_fibering_profile_is_the_per_node_sine_product_bitwise(extents, nodes):
+    """The profile e of the plain functional's fibering scan, on both
+    components: at each interior node the product, in axis order, of
+    sin(pi (x - lo)/(hi - lo)) along each axis."""
+    data = {**default_config_dict(), "domain": {"extents": extents, "nodes": nodes}}
+    prob, _ = parse_config_text(json.dumps(data))
+    g = prob.grid
+    e = np.zeros(g.shape)
+    for index in np.ndindex(g.shape):
+        if g.interior[index]:
+            e[index] = 1.0
+            for ax, i, lo, hi in zip(g.axes, index, g.lo, g.hi):
+                e[index] = e[index] * np.sin(np.pi * (ax[i] - lo) / (hi - lo))
+    d = _fibering_minimum(prob, None)[1]
+    assert np.array_equal(d, np.concatenate([e.ravel(), e.ravel()]))
+
+
 # ---------------------------------------------------------------------------
 # descent
 
@@ -986,6 +1029,18 @@ def test_find_constant_sign_runs_all_four_quadrants():
     assert all(
         "component_below_nontriviality_threshold" in r.flags for r in inv.runs
     )
+
+
+def test_tiny_constant_sign_minimizers_keep_their_quadrants():
+    """At lambda = 1e-6 the four minimizers have sup 6.3e-13, below an
+    absolute sign tolerance of 1e-12; the tolerance scales with them."""
+    data = default_config_dict()
+    data["coupling"]["lambda"] = 1e-6
+    prob, cfg = parse_config_text(json.dumps(data))
+    inv = find_constant_sign_solutions(prob, cfg)
+    assert max(max(pt.u.sup_norm(), pt.v.sup_norm()) for pt in inv.points) < 1e-12
+    assert [pt.quadrant for pt in inv.points] == list(QUADRANTS)
+    assert [r.quadrant for r in inv.runs] == list(QUADRANTS)
 
 
 def test_find_constant_sign_respects_quadrant_subset():

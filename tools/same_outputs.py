@@ -2,7 +2,7 @@
 
     python3 tools/same_outputs.py PARENT CHANGE
 
-PARENT and CHANGE are the roots of two source checkouts.  Each of the 44
+PARENT and CHANGE are the roots of two source checkouts.  Each of the 49
 runs below is made once per tree, as ``python -m varexp.cli SUBCOMMAND ...
 --deterministic --out out`` with ``PYTHONPATH=<tree>/src`` and
 ``OPENBLAS_NUM_THREADS=1``, from a fresh working directory.  Both trees read
@@ -21,9 +21,9 @@ The runs: ``check``, ``norm``, ``scan``, ``eigen``, ``pairs`` and ``solve
 --theorem 1``/``2`` on the default config, and there also ``solve --theorem
 1 --quadrants Q2,Q4``, ``scan --t-list 1,8,64`` and ``check --seed 3``, so
 that the option parsers run too; ``eigen`` on the 2D config of the
-benchmark (read from PARENT); and ``check``, ``eigen``, ``pairs``, ``scan``
-and ``solve --theorem 1``/``2`` on each of the five configs below, which
-cover a variable p, a custom F, p < 2 in 1D and 2D, and every function,
+benchmark (read from PARENT); and ``check``, ``norm``, ``eigen``, ``pairs``,
+``scan`` and ``solve --theorem 1``/``2`` on each of the five configs below,
+which cover a variable p, a custom F, p < 2 in 1D and 2D, and every function,
 constant and operator of the expression language.  Last, ``check`` on three
 malformed configs, so that diagnostics (standard error and exit status) are
 compared too.
@@ -97,7 +97,7 @@ DEFAULT_RUNS = (("check",), ("norm",), ("scan",), ("eigen",), ("pairs",),
                 ("solve", "--theorem", "1"), ("solve", "--theorem", "2"),
                 ("solve", "--theorem", "1", "--quadrants", "Q2,Q4"),
                 ("scan", "--t-list", "1,8,64"), ("check", "--seed", "3"))
-CONFIG_RUNS = (("check",), ("eigen",), ("pairs",), ("scan",),
+CONFIG_RUNS = (("check",), ("norm",), ("eigen",), ("pairs",), ("scan",),
                ("solve", "--theorem", "1"), ("solve", "--theorem", "2"))
 
 
