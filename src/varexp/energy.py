@@ -51,7 +51,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .exponents import ExponentField
 from .grid import (Grid, GridFunction, _adjoint_sum, _difference_components, _integral,
-                   _magnitude_squared, _separable)
+                   _magnitude_squared)
 from .nonlinearity import LogPowerCoupling, Nonlinearity, _uv
 from .optimize import bb_minimize
 from .spaces import INEQUALITY_SLACK
@@ -616,7 +616,7 @@ def random_zero_boundary(grid: Grid, rng: np.random.Generator) -> GridFunction:
     for modes in itertools.product(range(1, 7), repeat=grid.ndim):
         c = rng.normal() / sum(k**2 for k in modes)
         first, *rest = [np.sin(k * np.pi * x) for k, x in zip(modes, unit)]
-        vals += _separable(np.multiply, [c * first, *rest])
+        vals += functools.reduce(np.multiply.outer, [c * first, *rest])
     vals[grid.boundary] = 0.0
     sup = np.max(np.abs(vals))
     if sup == 0.0:  # pragma: no cover - measure-zero draw

@@ -70,12 +70,6 @@ class Grid:
         return f"Grid[{parts}]"
 
 
-def _separable(ufunc: np.ufunc, per_axis: Sequence[np.ndarray]) -> np.ndarray:
-    """The grid-shaped outer ``ufunc`` of one 1-D array per axis, applied in
-    axis order: a separable field built without full coordinate arrays."""
-    return functools.reduce(ufunc.outer, per_axis)
-
-
 def make_grid(extents, nodes) -> Grid:
     """Build a grid from per-axis extents and node counts.
 
@@ -115,8 +109,8 @@ def make_grid(extents, nodes) -> Grid:
         inside[0] = inside[-1] = False
         axis_interior.append(inside)
 
-    weights = _separable(np.multiply, axis_weights)
-    interior = _separable(np.logical_and, axis_interior)
+    weights = functools.reduce(np.multiply.outer, axis_weights)
+    interior = functools.reduce(np.logical_and.outer, axis_interior)
     weights.setflags(write=False)
     boundary = ~interior
     interior.setflags(write=False)
@@ -338,6 +332,7 @@ def tent_function(center, epsilon: float, grid: Grid) -> GridFunction:
             raise GeometryError(
                 f"tent ball of radius {eps:g} at {snapped} touches the boundary"
             )
-    dist = np.sqrt(_separable(np.add, [(ax - c) ** 2 for ax, c in zip(grid.axes, snapped)]))
+    squares = [(ax - c) ** 2 for ax, c in zip(grid.axes, snapped)]
+    dist = np.sqrt(functools.reduce(np.add.outer, squares))
     vals = np.maximum(0.0, eps - dist)
     return GridFunction(grid, vals)

@@ -54,7 +54,7 @@ Q1/Q2 descents and the Q1 pass instead of being recomputed.
 from __future__ import annotations
 
 import dataclasses
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -75,7 +75,7 @@ from .energy import (
     check_hypotheses,
     phi_energy,
 )
-from .grid import Grid, GridFunction, _separable, tent_function
+from .grid import Grid, GridFunction, tent_function
 from .optimize import _ARMIJO, _MAX_SHRINKS, _SHRINK, backtracking_step
 
 __all__ = [
@@ -205,7 +205,7 @@ def smooth_bump(grid: Grid) -> GridFunction:
     center, supported in the ball of radius 0.15 times the shortest extent."""
     center = tuple(0.5 * (lo + hi) for lo, hi in zip(grid.lo, grid.hi))
     radius = 0.15 * min(hi - lo for lo, hi in zip(grid.lo, grid.hi))
-    r = np.sqrt(_separable(np.add, [(ax - c) ** 2 for ax, c in zip(grid.axes, center)]))
+    r = np.sqrt(reduce(np.add.outer, [(ax - c) ** 2 for ax, c in zip(grid.axes, center)]))
     vals = np.where(r < radius, np.cos(np.pi * r / (2.0 * radius)) ** 2, 0.0)
     vals[grid.boundary] = 0.0
     return GridFunction(grid, vals)
@@ -279,7 +279,7 @@ def _fibering_minimum(
     minimum.  Cached for one cone: the quadrant driver seeds at S d, and
     ``descend`` runs in the same scan's units."""
     grid = prob.grid
-    vals = _separable(np.multiply, [
+    vals = reduce(np.multiply.outer, [
         np.sin(np.pi * (ax - lo) / (hi - lo)) for ax, lo, hi in zip(grid.axes, grid.lo, grid.hi)
     ])
     vals[grid.boundary] = 0.0
@@ -715,11 +715,15 @@ def divergence_scan(
     ts = sorted(float(t) for t in t_values)
     if not ts:
         raise ConfigError("divergence scan needs a nonempty t list")
+    amplitude = max(h1.sup_norm(), h2.sup_norm())
+    points = []
     with np.errstate(all="ignore"):
-        points = [(t, phi_energy(t * h1, t * h2, prob)) for t in ts]
-    bad = next((t for t, e in points if not np.isfinite(e)), None)
-    if bad is not None:
-        raise DataError(f"divergence scan: the energy at t = {bad!r} is not finite")
+        for t in ts:
+            # A t whose scaled probe overflows is refused before it is built.
+            e = phi_energy(t * h1, t * h2, prob) if np.isfinite(t * amplitude) else np.inf
+            if not np.isfinite(e):
+                raise DataError(f"divergence scan: the energy at t = {t!r} is not finite")
+            points.append((t, e))
     first_negative = next((t for t, e in points if e < 0.0), None)
     return ScanResult(points=points, first_negative_t=first_negative)
 

@@ -542,9 +542,10 @@ def test_scan_bad_t_list(tmp_path):
 @pytest.mark.parametrize(
     "t_list, message",
     [("1,1e300", "divergence scan: the energy at t = 1e+300 is not finite"),
+     ("1,1e308", "divergence scan: the energy at t = 1e+308 is not finite"),
      ("1,nan", "--t-list: expected a finite number, got nan"),
      ("1,inf", "--t-list: expected a finite number, got inf")],
-    ids=["energy-overflow", "nan", "inf"],
+    ids=["energy-overflow", "probe-overflow", "nan", "inf"],
 )
 def test_scan_refuses_a_non_finite_t_or_energy(tmp_path, t_list, message):
     # In a fresh process, so that a numpy RuntimeWarning would reach stderr.

@@ -153,6 +153,16 @@ def test_classify_quadrant():
     assert classify_quadrant(g.function(mixed_vals), pos) == "mixed"
 
 
+@pytest.mark.parametrize("quadrant", QUADRANTS)
+def test_classify_quadrant_of_a_tiny_state(quadrant):
+    """At amplitude 1e-13 an absolute tolerance of 1e-12 would put every
+    sign pattern in Q1; the tolerance scales with the amplitude."""
+    g = PROB.grid
+    tent = 1e-13 * tent_function(0.5, 0.2, g).values
+    su, sv = QUADRANT_SIGNS[quadrant]
+    assert classify_quadrant(g.function(su * tent), g.function(sv * tent)) == quadrant
+
+
 def test_smooth_bump_profile():
     g = make_grid((0.0, 1.0), 65)
     b = smooth_bump(g)
