@@ -540,20 +540,25 @@ def test_scan_bad_t_list(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "t_list, message",
-    [("1,1e300", "divergence scan: the energy at t = 1e+300 is not finite"),
-     ("1,1e308", "divergence scan: the energy at t = 1e+308 is not finite"),
-     ("1,nan", "--t-list: expected a finite number, got nan"),
-     ("1,inf", "--t-list: expected a finite number, got inf")],
+    "t_list, extents, message",
+    [("1,1e300", [[0.0, 1.0]], "divergence scan: the energy at t = 1e+300 is not finite"),
+     # On [0, 100] the probe has sup 15, so 1e308 times it overflows.
+     ("1,1e308", [[0.0, 100.0]], "divergence scan: the energy at t = 1e+308 is not finite"),
+     ("1,nan", [[0.0, 1.0]], "--t-list: expected a finite number, got nan"),
+     ("1,inf", [[0.0, 1.0]], "--t-list: expected a finite number, got inf")],
     ids=["energy-overflow", "probe-overflow", "nan", "inf"],
 )
-def test_scan_refuses_a_non_finite_t_or_energy(tmp_path, t_list, message):
+def test_scan_refuses_a_non_finite_t_or_energy(tmp_path, t_list, extents, message):
     # In a fresh process, so that a numpy RuntimeWarning would reach stderr.
     src = str(Path(cli.__file__).resolve().parents[1])
+    config = tmp_path / "config.json"
+    data = default_config_dict()
+    data["domain"]["extents"] = extents
+    config.write_text(json.dumps(data))
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "varexp.cli", "scan", "--t-list", t_list,
-         "--out", str(out)],
+         "--config", str(config), "--out", str(out)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
     assert not (out / "results.json").exists()
