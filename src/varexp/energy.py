@@ -32,8 +32,9 @@ state, bit for bit what it returns for that state alone, so the solvers
 evaluate independent states (a mountain-pass path, a chunk of the fibering
 scan, the perturbed states of a Newton step) in one numpy call.  The kernel trusts its
 input.  Validation (grid identity, zero boundary values, quadrant tags)
-happens once, in the public functions that take ``GridFunction`` pairs, and
-at the entry of the solvers; those stay single-state.
+happens once, where a state enters: ``_checked_pair`` checks a
+``GridFunction`` pair and returns its packed state, for the public functions
+and the entries of the solvers alike; those stay single-state.
 
 Also here: the table of sampled hypothesis checks, walked by
 ``check_hypotheses``, and the Rayleigh quotient with its descent minimizer.
@@ -235,11 +236,12 @@ def _sign_column(signs: tuple[int, int], ndim: int) -> np.ndarray:
     return s
 
 
-def _check_pair(u: GridFunction, v: GridFunction, prob: ProblemSpec) -> None:
+def _checked_pair(u: GridFunction, v: GridFunction, prob: ProblemSpec) -> np.ndarray:
+    """The packed state of a pair on the grid of ``prob`` that vanishes on
+    its boundary; refuses any other pair."""
     if u.grid is not prob.grid or v.grid is not prob.grid:
         raise DataError("state pair lives on a different grid")
-    u.require_zero_boundary("u")
-    v.require_zero_boundary("v")
+    return _pack(u.require_zero_boundary("u"), v.require_zero_boundary("v"))
 
 
 def _pack(u: GridFunction, v: GridFunction) -> np.ndarray:
@@ -325,8 +327,7 @@ def phi_energy(
     """phi(u, v) = Phi - Psi by trapezoidal quadrature, or its truncation to
     a quadrant: (u, v) replaced by their quadrant clamps inside Psi only."""
     signs = _quadrant_signs(quadrant)
-    _check_pair(u, v, prob)
-    return _energy(_pack(u, v), prob, signs)
+    return _energy(_checked_pair(u, v, prob), prob, signs)
 
 
 def phi_gradient(
@@ -335,8 +336,7 @@ def phi_gradient(
     """Nodal gradient of ``phi_energy`` w.r.t. interior values (see
     ``_gradient``); boundary entries zero."""
     signs = _quadrant_signs(quadrant)
-    _check_pair(u, v, prob)
-    return _unpack(_gradient(_pack(u, v), prob, signs), prob.grid)
+    return _unpack(_gradient(_checked_pair(u, v, prob), prob, signs), prob.grid)
 
 
 def _residual(g: np.ndarray, grid: Grid) -> float:
@@ -353,8 +353,7 @@ def weak_residual(u: GridFunction, v: GridFunction, prob: ProblemSpec) -> float:
     quadrant run's fibering units), so this is the quantity reported for a
     critical point, not the one a descent stops on.
     """
-    _check_pair(u, v, prob)
-    return _residual(_gradient(_pack(u, v), prob), prob.grid)
+    return _residual(_gradient(_checked_pair(u, v, prob), prob), prob.grid)
 
 
 # --- hypothesis checks ----------------------------------------------------------
@@ -583,25 +582,26 @@ def _rayleigh_gradient(
     return g
 
 
-def _check_rayleigh_argument(u: GridFunction, p: ExponentField) -> None:
+def _checked_rayleigh_argument(u: GridFunction, p: ExponentField) -> np.ndarray:
+    """The values of u, once u is on the grid of p and zero on its boundary."""
     if p.grid is not u.grid:
         raise DataError("Rayleigh argument and exponent live on different grids")
-    u.require_zero_boundary("rayleigh argument")
+    return u.require_zero_boundary("rayleigh argument").values
 
 
 def rayleigh_quotient(u: GridFunction, p: ExponentField) -> float:
     """Weighted gradient modular over weighted modular, on zero-trace data."""
-    _check_rayleigh_argument(u, p)
-    *_, num, den = _rayleigh_terms(u.values, _rayleigh_plan(p.values), u.grid)
+    x = _checked_rayleigh_argument(u, p)
+    *_, num, den = _rayleigh_terms(x, _rayleigh_plan(p.values), u.grid)
     return num / den
 
 
 def rayleigh_gradient(u: GridFunction, p: ExponentField) -> GridFunction:
     """Nodal gradient of the Rayleigh quotient (boundary entries zero)."""
-    _check_rayleigh_argument(u, p)
+    x = _checked_rayleigh_argument(u, p)
     plan = _rayleigh_plan(p.values)
-    terms = _rayleigh_terms(u.values, plan, u.grid)
-    return GridFunction(u.grid, _rayleigh_gradient(u.values, terms, plan, u.grid))
+    terms = _rayleigh_terms(x, plan, u.grid)
+    return GridFunction(u.grid, _rayleigh_gradient(x, terms, plan, u.grid))
 
 
 def random_zero_boundary(grid: Grid, rng: np.random.Generator) -> GridFunction:

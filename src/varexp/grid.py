@@ -308,9 +308,10 @@ def integrate(values, grid: Grid) -> float:
 def tent_function(center, epsilon: float, grid: Grid) -> GridFunction:
     """Nodal samples of max(0, epsilon - |x - center|).
 
-    The requested center is snapped to the nearest grid node so the peak
-    value is exactly ``epsilon`` there.  The support ball must lie strictly
-    inside the domain and must be resolved by more than two cells.
+    The requested center, a point of the box, is snapped to the nearest grid
+    node so the peak value is exactly ``epsilon`` there.  The support ball
+    must lie strictly inside the domain and must be resolved by more than
+    two cells.
     """
     eps = float(epsilon)
     if np.isscalar(center):
@@ -323,6 +324,8 @@ def tent_function(center, epsilon: float, grid: Grid) -> GridFunction:
             f"tent radius {eps:g} is not resolved: need radius > 2*max spacing "
             f"({2.0 * max(grid.spacing):g})"
         )
+    if not all(lo <= c <= hi for c, lo, hi in zip(center, grid.lo, grid.hi)):
+        raise GeometryError(f"tent center {center} is not a point of the box")
     snapped = tuple(
         float(ax[int(round((c - lo) / h))])
         for ax, c, lo, h in zip(grid.axes, center, grid.lo, grid.spacing)

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import lru_cache, partial, reduce
+from numbers import Real
 
 import numpy as np
 
@@ -63,7 +64,7 @@ from .energy import (
     QUADRANT_SIGNS,
     QUADRANTS,
     ProblemSpec,
-    _check_pair,
+    _checked_pair,
     _clamp,
     _energy,
     _gradient,
@@ -73,7 +74,6 @@ from .energy import (
     _residual,
     _unpack,
     check_hypotheses,
-    phi_energy,
 )
 from .grid import Grid, GridFunction, tent_function
 from .optimize import _ARMIJO, _MAX_SHRINKS, _SHRINK, backtracking_step
@@ -134,6 +134,8 @@ class SolverConfig:
             raise ConfigError("mountain-pass path needs at least 5 points")
         if self.max_iterations < 1:
             raise ConfigError("iteration cap must be positive")
+        if isinstance(self.gradient_stop, bool) or not isinstance(self.gradient_stop, Real):
+            raise ConfigError(f"gradient stop must be a real number, got {self.gradient_stop!r}")
         if not np.isfinite(self.gradient_stop):
             raise ConfigError(f"gradient stop must be finite, got {self.gradient_stop!r}")
         if self.gradient_stop < 0.0:
@@ -372,10 +374,9 @@ def descend(
     steps is flagged ``descent_not_converged`` and ``newton_step_cap`` (or
     ``line_search_floor`` where no trial passes), not raised.
     """
-    _check_pair(*start, prob)
+    w0 = _checked_pair(*start, prob)
     signs = _quadrant_signs(quadrant)
     f_raw, g_raw, proj = _functional(prob, signs)
-    w0 = _pack(*start)
     _require_in_cone(proj, w0, f"start pair is not inside the {quadrant} cone")
     fib = _fibering_minimum(prob, signs)
     S, c = (1.0, 1.0) if fib is None else (fib[0], fib[2])
@@ -599,8 +600,7 @@ def _lockstep_passes(
     ramp = np.linspace(0.0, 1.0, cfg.path_points)[:, None]
     starts, floors = [], []
     for endpoint in endpoints:
-        _check_pair(*endpoint, prob)
-        wb = _pack(*endpoint)
+        wb = _checked_pair(*endpoint, prob)
         _require_in_cone(proj, wb, "mountain-pass endpoint must lie inside the cone")
         fb = f(wb)
         if fa > 0.0 or fb > 0.0:
@@ -711,16 +711,17 @@ def divergence_scan(
     t_values,
 ) -> ScanResult:
     """Energies phi(t*h1, t*h2) over ascending t, plus the least negative t.
-    An energy that is not finite is refused, naming the first such t."""
+    The pair is checked and packed once, and each t scales the packed ray.
+    An energy that is not finite is refused, naming the first such t; this
+    covers a t whose scaled pair overflows."""
     ts = sorted(float(t) for t in t_values)
     if not ts:
         raise ConfigError("divergence scan needs a nonempty t list")
-    amplitude = max(h1.sup_norm(), h2.sup_norm())
+    w = _checked_pair(h1, h2, prob)
     points = []
     with np.errstate(all="ignore"):
         for t in ts:
-            # A t whose scaled probe overflows is refused before it is built.
-            e = phi_energy(t * h1, t * h2, prob) if np.isfinite(t * amplitude) else np.inf
+            e = _energy(t * w, prob)
             if not np.isfinite(e):
                 raise DataError(f"divergence scan: the energy at t = {t!r} is not finite")
             points.append((t, e))
@@ -942,8 +943,6 @@ def _pair_sites(grid: Grid, k: int) -> tuple[list[tuple], float]:
         positions = [lo0 + (0.2 + 0.6 * i / (k - 1)) * span for i in range(k)]
         gap = 0.6 * span / (k - 1)
     eps = min(0.08 * span, 0.45 * gap)
-    if 2.0 * eps >= gap:
-        raise GeometryError(f"cannot pack {k} disjoint bump sites in the domain")
     if eps <= 2.0 * max(grid.spacing):
         raise GeometryError(
             f"bump radius {eps:g} for k={k} is unresolved at this grid spacing"

@@ -394,6 +394,22 @@ def test_tent_must_stay_inside_domain():
         tent_function(0.9, 0.2, g)
 
 
+@pytest.mark.parametrize(
+    "extents, nodes, center",
+    [
+        ((0.0, 1.0), 129, (-0.5,)),  # the negative node index wrapped to x = 0.5078
+        ([(0.0, 1.0), (0.0, 2.0)], [33, 33], (0.5, -1.0)),  # wrapped to y = 1.0625
+        ((0.0, 1.0), 33, (2.0,)),  # node index 64 of 33
+        ((0.0, 1.0), 129, (float("nan"),)),
+    ],
+    ids=["below-1d", "below-2d", "above-1d", "nan"],
+)
+def test_tent_center_outside_the_box_is_refused(extents, nodes, center):
+    g = make_grid(extents, nodes)
+    with pytest.raises(GeometryError, match="is not a point of the box"):
+        tent_function(center, 0.2, g)
+
+
 def test_tent_center_dimension_mismatch():
     g = make_grid([(0.0, 1.0), (0.0, 1.0)], [33, 33])
     with pytest.raises(GeometryError):

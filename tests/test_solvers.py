@@ -80,6 +80,9 @@ FAST = SolverConfig(path_points=11)
         {"path_points": 7.5},
         {"max_iterations": True},
         {"seed": 0.5},
+        # np.isfinite passes True and raises TypeError on a string.
+        {"gradient_stop": True},
+        {"gradient_stop": "1e-8"},
     ],
 )
 def test_solver_config_rejects_bad_values(kwargs):
@@ -934,6 +937,9 @@ def test_scan_goes_negative_and_records_threshold():
     # the recorded threshold is the first scanned t with negative energy
     first = next(t for t, e in res.points if e < 0.0)
     assert res.first_negative_t == first
+    # each energy is phi at the scaled pair, bit for bit
+    for t, e in res.points:
+        assert e == phi_energy(t * h1, t * h2, PROB)
 
 
 def test_scan_without_attraction_stays_nonnegative():
