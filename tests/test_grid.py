@@ -397,9 +397,9 @@ def test_tent_must_stay_inside_domain():
 @pytest.mark.parametrize(
     "extents, nodes, center",
     [
-        ((0.0, 1.0), 129, (-0.5,)),  # the negative node index wrapped to x = 0.5078
-        ([(0.0, 1.0), (0.0, 2.0)], [33, 33], (0.5, -1.0)),  # wrapped to y = 1.0625
-        ((0.0, 1.0), 33, (2.0,)),  # node index 64 of 33
+        ((0.0, 1.0), 129, (-0.5,)),
+        ([(0.0, 1.0), (0.0, 2.0)], [33, 33], (0.5, -1.0)),
+        ((0.0, 1.0), 33, (2.0,)),
         ((0.0, 1.0), 129, (float("nan"),)),
     ],
     ids=["below-1d", "below-2d", "above-1d", "nan"],

@@ -24,11 +24,10 @@ that the option parsers run too, and ``scan --t-list 1,1e308``, whose
 energy at t = 1e308 is not finite, so that the scan's refusal runs;
 ``eigen`` on the 2D config of the benchmark (read from PARENT); and
 ``check``, ``norm``, ``eigen``, ``pairs``, ``scan`` and ``solve --theorem
-1``/``2`` on each of the five configs below,
-which cover a variable p, a custom F, p < 2 in 1D and 2D, and every function,
-constant and operator of the expression language.  Last, ``check`` on three
-malformed configs, so that diagnostics (standard error and exit status) are
-compared too.
+1``/``2`` on each of the five configs below, which cover a variable p, a
+custom F, p < 2 in 1D and 2D, and every function, constant and operator of
+the expression language.  Last, ``check`` on three malformed configs, so
+that diagnostics (standard error and exit status) are compared too.
 
 A change whose outputs are meant to differ lists the runs expected to
 differ, and how, in its CHANGES.md entry; every other run must agree.
