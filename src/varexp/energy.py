@@ -37,7 +37,8 @@ happens once, where a state enters: ``_checked_pair`` checks a
 and the entries of the solvers alike; those stay single-state.
 
 Also here: the table of sampled hypothesis checks, walked by
-``check_hypotheses``, and the Rayleigh quotient with its descent minimizer.
+``check_hypotheses``, which draw at every node and hand F pair arrays like
+the kernel's, and the Rayleigh quotient with its descent minimizer.
 """
 
 from __future__ import annotations
@@ -371,9 +372,9 @@ class HypothesisVerdict:
         return dataclasses.asdict(self)
 
 
-def _sample_uv(rng: np.random.Generator, m: int, lo: float = 1e-3, hi: float = 1e3):
-    mag = np.exp(rng.uniform(np.log(lo), np.log(hi), size=m))
-    sign = rng.choice([-1.0, 1.0], size=m)
+def _sample_uv(rng: np.random.Generator, shape: tuple, lo: float = 1e-3, hi: float = 1e3):
+    mag = np.exp(rng.uniform(np.log(lo), np.log(hi), size=shape))
+    sign = rng.choice([-1.0, 1.0], size=shape)
     return mag * sign
 
 
@@ -384,50 +385,46 @@ def _line_monotone(values: np.ndarray, axis: int, tol: float) -> bool:
     return bool(np.all(up | down))
 
 
-# Each check maps (prob, rng, m) to (passed, samples, worst_margin, detail),
-# drawing from ``rng`` only what it needs, m being the per-check sample count.
+# Each check maps (prob, rng, shape) to (passed, samples, worst_margin, detail),
+# drawing from ``rng`` only what it needs.  ``shape`` is (k, *grid.shape): k
+# draws at every node, stacked by ``np.stack([u, v], axis=1)`` into the pair
+# arrays F takes, against which the exponent fields broadcast.
 
 
-def _coupling_product_subcritical(prob, rng, m):
+def _coupling_product_subcritical(prob, rng, shape):
     worst = prob.coupling_margin()
     return (worst < 1.0, prob.grid.n_nodes, 1.0 - worst,
             {"max_alpha_over_p_plus_beta_over_q": worst})
 
 
-def _derivative_growth_bound(prob, rng, m):
+def _derivative_growth_bound(prob, rng, shape):
     consts = prob.constants()
-    idx = rng.integers(0, prob.grid.n_nodes, size=m)
-    u = _sample_uv(rng, m)
-    v = _sample_uv(rng, m)
-    fu, fv = prob.nonlinearity.partials(np.stack([u, v]), at=idx)
+    u = _sample_uv(rng, shape)
+    v = _sample_uv(rng, shape)
+    fu, fv = _uv(prob.nonlinearity.partials(np.stack([u, v], axis=1)), prob.grid.ndim)
     lhs = np.abs(fu * u) + np.abs(fv * v)
-    gam = consts.gamma.values.reshape(-1)[idx]
-    dlt = consts.delta.values.reshape(-1)[idx]
-    rhs = consts.C * (1.0 + np.abs(u) ** gam + np.abs(v) ** dlt)
-    return (np.all(lhs <= rhs * (1.0 + INEQUALITY_SLACK)), m, np.min(rhs - lhs),
+    rhs = consts.C * (1.0 + np.abs(u) ** consts.gamma.values + np.abs(v) ** consts.delta.values)
+    return (np.all(lhs <= rhs * (1.0 + INEQUALITY_SLACK)), u.size, np.min(rhs - lhs),
             {"C": consts.C, "worst_ratio": float(np.max(lhs / rhs))})
 
 
-def _log_improved_superlinearity(prob, rng, m):
+def _log_improved_superlinearity(prob, rng, shape):
     consts = prob.constants()
     nl = prob.nonlinearity
-    idx = rng.integers(0, prob.grid.n_nodes, size=m)
-    shell = np.exp(rng.uniform(np.log(consts.M), np.log(consts.M * 1e3), size=m))
-    frac = rng.uniform(0.0, 1.0, size=m)
-    u = shell * frac * rng.choice([-1.0, 1.0], size=m)
-    v = shell * (1.0 - frac) * rng.choice([-1.0, 1.0], size=m)
-    pv = prob.p.values.reshape(-1)[idx]
-    qv = prob.q.values.reshape(-1)[idx]
+    shell = np.exp(rng.uniform(np.log(consts.M), np.log(consts.M * 1e3), size=shape))
+    frac = rng.uniform(0.0, 1.0, size=shape)
+    u = shell * frac * rng.choice([-1.0, 1.0], size=shape)
+    v = shell * (1.0 - frac) * rng.choice([-1.0, 1.0], size=shape)
+    pv, qv = prob.p.values, prob.q.values
     if isinstance(nl, LogPowerCoupling):
-        av = nl.a.values.reshape(-1)[idx]
-        bv = nl.b.values.reshape(-1)[idx]
+        av, bv = nl.a.values, nl.b.values
     else:
-        av = pv + 1.0
-        bv = qv + 1.0
+        av, bv = pv + 1.0, qv + 1.0
     lam_u = np.log(np.e + np.abs(u))
     lam_v = np.log(np.e + np.abs(v))
-    fu, fv = nl.partials(np.stack([u, v]), at=idx)
-    f = nl.value(np.stack([u, v]), at=idx)
+    uv = np.stack([u, v], axis=1)
+    fu, fv = _uv(nl.partials(uv), prob.grid.ndim)
+    f = nl.value(uv)
     left = consts.C1 * (
         np.abs(u) ** pv * lam_u ** (av - 1.0)
         + np.abs(v) ** qv * lam_v ** (bv - 1.0)
@@ -437,62 +434,53 @@ def _log_improved_superlinearity(prob, rng, m):
     slack = INEQUALITY_SLACK * (1.0 + np.abs(mid))
     ok = np.all(left <= mid + slack) and np.all(mid <= right + slack)
     margin = min(np.min(mid - left), np.min(right - mid))
-    return ok, m, margin, {"M": consts.M, "C1": consts.C1, "C2": consts.C2}
+    return ok, u.size, margin, {"M": consts.M, "C1": consts.C1, "C2": consts.C2}
 
 
-def _higher_order_at_origin(prob, rng, m):
-    k = min(64, m)
-    idx = rng.integers(0, prob.grid.n_nodes, size=k)
-    angle = rng.uniform(0.0, 2.0 * np.pi, size=k)
-    u0, v0 = np.cos(angle), np.sin(angle)
-    pv = prob.p.values.reshape(-1)[idx]
-    qv = prob.q.values.reshape(-1)[idx]
-    scales = 2.0 ** -np.arange(0, 26, dtype=float)
-    ratios = []
-    for s in scales:
-        f = prob.nonlinearity.value(np.stack([s * u0, s * v0]), at=idx)
-        denom = np.abs(s * u0) ** pv + np.abs(s * v0) ** qv
-        # o(|u|^p + |v|^q) bounds a magnitude, so the ratio is of |F|.
-        ratios.append(float(np.max(np.abs(f) / denom)))
-    ratios_arr = np.array(ratios)
-    tail = ratios_arr[5:]
+def _higher_order_at_origin(prob, rng, shape):
+    # One direction per node, scaled by 2^0, ..., 2^-25 in one stack.
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=prob.grid.shape)
+    s = (2.0 ** -np.arange(0, 26, dtype=float)).reshape((-1,) + (1,) * prob.grid.ndim)
+    u, v = s * np.cos(angle), s * np.sin(angle)
+    f = prob.nonlinearity.value(np.stack([u, v], axis=1))
+    denom = np.abs(u) ** prob.p.values + np.abs(v) ** prob.q.values
+    # o(|u|^p + |v|^q) bounds a magnitude, so the ratio is of |F|.
+    ratios = np.max(np.abs(f) / denom, axis=tuple(range(1, f.ndim)))
+    tail = ratios[5:]
     decreasing = bool(np.all(np.diff(tail) <= 0.0))
     # Observed decay exponent of the ratio per halving of the amplitude;
     # none when a ratio is 0 (F vanishes near the origin).
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log2(ratios_arr[[5, -1]])
-        exponent = float((logs[0] - logs[1]) / (len(ratios_arr) - 6))
-    passed = decreasing and ratios_arr[-1] <= 1e-3 * max(ratios_arr[0], 1e-300)
-    return passed, k * len(scales), ratios_arr[0] - ratios_arr[-1], {
-        "first_ratio": float(ratios_arr[0]),
-        "last_ratio": float(ratios_arr[-1]),
+        logs = np.log2(ratios[[5, -1]])
+        exponent = float((logs[0] - logs[1]) / (len(ratios) - 6))
+    passed = decreasing and ratios[-1] <= 1e-3 * max(ratios[0], 1e-300)
+    return passed, f.size, ratios[0] - ratios[-1], {
+        "first_ratio": float(ratios[0]),
+        "last_ratio": float(ratios[-1]),
         "observed_decay_exponent": exponent if np.isfinite(exponent) else None,
     }
 
 
-def _axis_derivatives_vanish(prob, rng, m):
-    nl = prob.nonlinearity
-    idx = rng.integers(0, prob.grid.n_nodes, size=m)
-    other = _sample_uv(rng, m)
-    zeros = np.zeros(m)
-    fu_axis, _ = nl.partials(np.stack([zeros, other]), at=idx)
-    _, fv_axis = nl.partials(np.stack([other, zeros]), at=idx)
+def _axis_derivatives_vanish(prob, rng, shape):
+    nl, ndim = prob.nonlinearity, prob.grid.ndim
+    other = _sample_uv(rng, shape)
+    zeros = np.zeros(shape)
+    fu_axis, _ = _uv(nl.partials(np.stack([zeros, other], axis=1)), ndim)
+    _, fv_axis = _uv(nl.partials(np.stack([other, zeros], axis=1)), ndim)
     worst = float(max(np.max(np.abs(fu_axis)), np.max(np.abs(fv_axis))))
-    return worst <= 1e-12, 2 * m, 1e-12 - worst, {"max_axis_derivative": worst}
+    return worst <= 1e-12, 2 * other.size, 1e-12 - worst, {"max_axis_derivative": worst}
 
 
-def _even_symmetry(prob, rng, m):
+def _even_symmetry(prob, rng, shape):
     nl = prob.nonlinearity
-    idx = rng.integers(0, prob.grid.n_nodes, size=m)
-    u = _sample_uv(rng, m)
-    v = _sample_uv(rng, m)
-    f = nl.value(np.stack([u, v]), at=idx)
-    f_neg = nl.value(np.stack([-u, -v]), at=idx)
+    uv = np.stack([_sample_uv(rng, shape), _sample_uv(rng, shape)], axis=1)
+    f = nl.value(uv)
+    f_neg = nl.value(-uv)
     worst = float(np.max(np.abs(f - f_neg) / (1.0 + np.abs(f))))
-    return worst <= 1e-12, m, 1e-12 - worst, {"max_relative_gap": worst}
+    return worst <= 1e-12, f.size, 1e-12 - worst, {"max_relative_gap": worst}
 
 
-def _exponent_monotone_direction(prob, rng, m):
+def _exponent_monotone_direction(prob, rng, shape):
     tol = 1e-13
     detail = {}
     passed = True
@@ -530,18 +518,23 @@ def check_hypotheses(
     """Sampled/exact verdicts for the structural hypotheses in ``names``,
     keyed and drawn in ``HYPOTHESIS_NAMES`` order; an unknown name raises.
 
-    Every verdict records the sample count and the worst margin observed
-    (positive margins mean the inequality held with room to spare).
+    The sampled checks draw at every node of the grid: ``sample_budget``
+    is a floor, rounded up to k = ceil(max(16, sample_budget) / n_nodes)
+    draws per node (``higher_order_at_origin`` draws one direction per node
+    and scales it 26 times).  Every verdict records the sample count and
+    the worst margin observed (positive margins mean the inequality held
+    with room to spare).
     """
     unknown = [n for n in names if n not in _CHECKS]
     if unknown:
         raise ConfigError(f"unknown hypotheses: {', '.join(unknown)}")
     rng = np.random.default_rng(seed)
-    m = max(16, int(sample_budget))
+    k = -(-max(16, int(sample_budget)) // prob.grid.n_nodes)
+    shape = (k, *prob.grid.shape)
     out: dict[str, HypothesisVerdict] = {}
     for name, check in _CHECKS.items():
         if name in names:
-            passed, samples, margin, detail = check(prob, rng, m)
+            passed, samples, margin, detail = check(prob, rng, shape)
             out[name] = HypothesisVerdict(name, bool(passed), int(samples),
                                           float(margin), detail)
     return out

@@ -24,9 +24,7 @@ Four kinds are provided:
 
 All evaluators take one pair array ``uv`` of shape (..., 2, *grid.shape),
 u over v; ``value`` returns F over the grid axes and ``partials`` (F_u, F_v)
-stacked like ``uv``.  An optional flat index vector ``at`` restricts the
-spatial fields to a subset of nodes, and ``uv`` to shape (..., 2, len(at))
-(used by the sampled hypothesis checks).
+stacked like ``uv``.
 """
 
 from __future__ import annotations
@@ -49,13 +47,6 @@ __all__ = [
 ]
 
 
-def _take(field: np.ndarray, at, grid: Grid) -> np.ndarray:
-    """``field`` (or a stack of fields) at the flat node indices ``at``."""
-    if at is None:
-        return field
-    return field.reshape(field.shape[: field.ndim - grid.ndim] + (-1,))[..., at]
-
-
 def _uv(uv: np.ndarray, spatial: int, keepdims: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """u and v views of a pair array with ``spatial`` trailing axes."""
     rest = (slice(None),) * spatial
@@ -68,14 +59,10 @@ class Nonlinearity:
 
     kind: str = "abstract"
 
-    def _spatial(self, at) -> int:
-        """Spatial axes of the pair arrays this nonlinearity is given."""
-        return self.grid.ndim if at is None else 1
-
-    def value(self, uv, at=None) -> np.ndarray:
+    def value(self, uv) -> np.ndarray:
         raise NotImplementedError
 
-    def partials(self, uv, at=None) -> np.ndarray:
+    def partials(self, uv) -> np.ndarray:
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -131,24 +118,21 @@ class LogPowerCoupling(Nonlinearity):
         exps = tuple(np.stack([f.values, g.values]) for f, g in pairs)
         return exps + tuple(e - 1.0 for e in exps)
 
-    def _fields(self, at):
-        return self._stacks if at is None else [_take(f, at, self.grid) for f in self._stacks]
-
-    def value(self, uv, at=None):
-        e, l, t = self._fields(at)[:3]
-        A, s = np.abs(uv), self._spatial(at)
+    def value(self, uv):
+        e, l, t = self._stacks[:3]
+        A, s = np.abs(uv), self.grid.ndim
         L = np.log1p(A)
         (pu, pv), (tu, tv), (lu, lv) = _uv(A**e * L**l, s), _uv(A**t, s), _uv(L, s)
         return pu + pv + tu * tv * lu * lv
 
-    def partials(self, uv, at=None):
-        e, l, t, em, lm, tm = self._fields(at)
+    def partials(self, uv):
+        e, l, t, em, lm, tm = self._stacks
         A = np.abs(uv)
         L, O = np.log1p(A), 1.0 + A
         T = A**t
         # The cross term of F_u carries |v|^t2 ln(1+|v|), that of F_v
         # |u|^t1 ln(1+|u|): T * L with its components swapped.
-        cross = (T * L)[(Ellipsis, slice(None, None, -1)) + (slice(None),) * self._spatial(at)]
+        cross = (T * L)[(Ellipsis, slice(None, None, -1)) + (slice(None),) * self.grid.ndim]
         return np.sign(uv) * (
             e * A**em * L**l + l * A**e * L**lm / O + cross * (t * A**tm * L + T / O)
         )
@@ -173,16 +157,15 @@ class SeparablePower(Nonlinearity):
         self.c1, self.g1 = float(c1), float(gamma1)
         self.c2, self.g2 = float(c2), float(gamma2)
 
-    def value(self, uv, at=None):
-        u, v = _uv(uv, self._spatial(at))
+    def value(self, uv):
+        u, v = _uv(uv, self.grid.ndim)
         return self.c1 * np.abs(u) ** self.g1 + self.c2 * np.abs(v) ** self.g2
 
-    def partials(self, uv, at=None):
-        spatial = self._spatial(at)
-        u, v = _uv(uv, spatial)
+    def partials(self, uv):
+        u, v = _uv(uv, self.grid.ndim)
         fu = self.c1 * self.g1 * np.sign(u) * np.abs(u) ** (self.g1 - 1.0)
         fv = self.c2 * self.g2 * np.sign(v) * np.abs(v) ** (self.g2 - 1.0)
-        return np.stack([fu, fv], axis=-spatial - 1)
+        return np.stack([fu, fv], axis=-self.grid.ndim - 1)
 
     def describe(self) -> dict:
         return {
@@ -202,12 +185,12 @@ class LinearSource(Nonlinearity):
         self.gh = np.empty((2,) + grid.shape)  # (g, h), stacked like a pair array
         self.gh[0], self.gh[1] = g, h
 
-    def value(self, uv, at=None):
-        gu, hv = _uv(_take(self.gh, at, self.grid) * uv, self._spatial(at))
+    def value(self, uv):
+        gu, hv = _uv(self.gh * uv, self.grid.ndim)
         return gu + hv
 
-    def partials(self, uv, at=None):
-        return np.broadcast_to(_take(self.gh, at, self.grid), np.shape(uv)).copy()
+    def partials(self, uv):
+        return np.broadcast_to(self.gh, np.shape(uv)).copy()
 
     def describe(self) -> dict:
         return {
@@ -235,22 +218,21 @@ class CustomExpression(Nonlinearity):
         if not np.all(np.abs(probe) <= 1e-12):
             raise ConfigError("custom nonlinearity must satisfy F(x, 0, 0) = 0")
 
-    def _env(self, uv, at):
-        env = {name: _take(arr, at, self.grid) for name, arr in self._coords.items()}
-        env["u"], env["v"] = _uv(uv, self._spatial(at))
-        return env
+    def _env(self, uv):
+        u, v = _uv(uv, self.grid.ndim)
+        return {**self._coords, "u": u, "v": v}
 
     @staticmethod
     def _evaluate(expr: Expression, env: dict) -> np.ndarray:
         return np.broadcast_to(np.asarray(expr.evaluate(env), dtype=float), np.shape(env["u"]))
 
-    def value(self, uv, at=None):
-        return self._evaluate(self.expr, self._env(uv, at)).copy()
+    def value(self, uv):
+        return self._evaluate(self.expr, self._env(uv)).copy()
 
-    def partials(self, uv, at=None):
-        env = self._env(uv, at)
+    def partials(self, uv):
+        env = self._env(uv)
         fu, fv = (self._evaluate(e, env) for e in (self.expr_u, self.expr_v))
-        return np.stack([fu, fv], axis=-self._spatial(at) - 1)
+        return np.stack([fu, fv], axis=-self.grid.ndim - 1)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "expression": self.text}

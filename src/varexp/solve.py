@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import lru_cache, partial, reduce
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -128,8 +128,10 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("max_iterations", "path_points", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            # A plain int, so that the config echo can be JSON-dumped.
+            object.__setattr__(self, name, int(value))
         if self.path_points < 5:
             raise ConfigError("mountain-pass path needs at least 5 points")
         if self.max_iterations < 1:
@@ -418,8 +420,6 @@ def _respace(path: np.ndarray) -> np.ndarray:
     """
     seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
     s = np.concatenate([[0.0], np.cumsum(seg)])
-    if s[-1] == 0.0:
-        return path
     targets = np.linspace(0.0, s[-1], len(path))
     ii = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, len(path) - 2)
     frac = (targets - s[ii]) / np.where(seg[ii] > 0.0, seg[ii], 1.0)

@@ -577,6 +577,33 @@ def test_odd_custom_term_breaks_evenness():
     assert not verdicts["even_symmetry"].passed
 
 
+def test_axis_derivatives_are_checked_at_every_node():
+    """A linear source that is nonzero at one node of 129 fails the axis
+    check for every seed at the smallest budget: no node goes unsampled."""
+    g = make_grid((0.0, 1.0), 129)
+    source = np.zeros(g.shape)
+    source[100] = 1.0
+    prob = build_problem(grid=g, nonlinearity=LinearSource(g, source, 0.0))
+    for seed in range(10):
+        verdict = check_hypotheses(prob, sample_budget=16, seed=seed,
+                                   names=("axis_derivatives_vanish",))["axis_derivatives_vanish"]
+        assert not verdict.passed
+        assert verdict.detail["max_axis_derivative"] == 1.0
+
+
+def test_sample_budget_rounds_up_to_whole_draws_per_node():
+    """On 33 nodes a budget of 100 is 4 draws per node, and the origin check
+    scales one direction per node 26 times."""
+    verdicts = check_hypotheses(PROB, sample_budget=100, seed=0)
+    assert verdicts["derivative_growth_bound"].samples == 4 * 33
+    assert verdicts["log_improved_superlinearity"].samples == 4 * 33
+    assert verdicts["even_symmetry"].samples == 4 * 33
+    assert verdicts["axis_derivatives_vanish"].samples == 2 * 4 * 33
+    assert verdicts["higher_order_at_origin"].samples == 26 * 33
+    assert check_hypotheses(PROB, sample_budget=1, names=("even_symmetry",))[
+        "even_symmetry"].samples == 33
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_problem_spec_rejects_a_non_finite_lambda(value):
     with pytest.raises(ConfigError, match="lambda must be finite"):

@@ -257,19 +257,14 @@ def every_kind(grid):
 
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_sampled_nodes_and_stacks_match_the_full_grid_bitwise(ndim):
-    """For every kind, ``at`` gives the full-grid values at those nodes, a
-    stack of pair arrays gives each pair's values, and the partials come
-    stacked like their pair array, bit for bit."""
+    """For every kind, a stack of pair arrays gives each pair's values, and
+    the partials come stacked like their pair array, bit for bit."""
     grid = G if ndim == 1 else make_grid([(0.0, 1.0), (0.0, 1.0)], [9, 9])
     rng = np.random.default_rng(6)
     uv = rng.uniform(-3, 3, (2,) + grid.shape)
     stack = rng.uniform(-3, 3, (3, 2) + grid.shape)
-    idx = rng.integers(0, grid.n_nodes, 20)
-    sampled = uv.reshape(2, -1)[:, idx]
     for nl in every_kind(grid):
         value, partials = nl.value(uv), nl.partials(uv)
         assert value.shape == grid.shape and partials.shape == uv.shape
-        assert np.array_equal(nl.value(sampled, at=idx), value.reshape(-1)[idx])
-        assert np.array_equal(nl.partials(sampled, at=idx), partials.reshape(2, -1)[:, idx])
         assert np.array_equal(nl.value(stack), [nl.value(x) for x in stack])
         assert np.array_equal(nl.partials(stack), [nl.partials(x) for x in stack])

@@ -239,6 +239,14 @@ def test_bb_minimize_accepts_the_trial_of_a_one_row_backtracking_step():
     assert res.x.tobytes() == x.tobytes() and res.f_value == fx
 
 
+def test_bb_minimize_stops_on_the_tolerance():
+    """On 1/2 ||x||^2 the first step, t = 1, lands on the minimizer, whose
+    gradient is exactly 0, so the second iteration stops on the tolerance."""
+    res = bb_minimize(lambda x: 0.5 * float(x @ x), lambda x: x, np.array([3.0, -4.0]))
+    assert (res.stop_reason, res.iterations, res.converged) == ("tolerance", 1, True)
+    assert not res.x.any() and res.f_value == 0.0
+
+
 def test_bb_minimize_stops_at_the_floor_when_no_trial_lowers_f():
     """f == 1 with a gradient of 1e-6 in every entry: c*t*||g||^2 is below
     half an ulp of 1, so the Armijo bound rounds to f(x) and every trial

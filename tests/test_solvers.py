@@ -1,5 +1,6 @@
 """Descent, mountain pass, divergence scans and the solution inventories."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -95,6 +96,16 @@ def test_solver_config_rejects_a_non_finite_gradient_stop(value):
     # NaN < 0 is False, so only an explicit finiteness check stops it.
     with pytest.raises(ConfigError, match="gradient stop must be finite"):
         SolverConfig(gradient_stop=value)
+
+
+def test_solver_config_takes_numpy_integers_as_python_ints():
+    """Any integral count is accepted, like a grid's node count, and stored
+    as a plain int, so the config echo stays JSON-serializable."""
+    cfg = SolverConfig(max_iterations=np.int64(100), path_points=np.int32(9),
+                       seed=np.uint8(3))
+    for name, value in (("max_iterations", 100), ("path_points", 9), ("seed", 3)):
+        assert type(getattr(cfg, name)) is int and getattr(cfg, name) == value
+    assert json.loads(json.dumps(dataclasses.asdict(cfg)))["path_points"] == 9
 
 
 def test_solver_config_defaults_are_valid():

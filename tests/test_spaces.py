@@ -122,6 +122,18 @@ def test_norm_power_function():
     assert luxemburg_norm(u, p) == pytest.approx(0.2 ** 0.25, rel=5e-7)
 
 
+def test_norm_above_the_sup_on_a_box_of_measure_four():
+    """On (0, 4) the modular of u/sup exceeds 1, so the upper bracket has to
+    double past sup u; for p = 3 the norm is the cube root of the modular."""
+    g = make_grid((0.0, 4.0), 65)
+    u = g.function(np.sin(np.pi * g.axes[0] / 4.0))
+    p = constant_exponent(g, 3.0)
+    norm = luxemburg_norm(u, p)
+    assert norm == pytest.approx(modular(u, p) ** (1.0 / 3.0), rel=1e-9)
+    assert norm == pytest.approx(1.1929336674, rel=1e-9)
+    assert norm > float(np.max(u.values)) == 1.0
+
+
 def test_norm_zero_function():
     p = exponent_from_expression(COARSE, "2 + x")
     assert luxemburg_norm(COARSE.zeros(), p) == 0.0
