@@ -56,7 +56,7 @@ from .grid import (Grid, GridFunction, _adjoint_sum, _difference_components, _in
                    _magnitude_squared)
 from .nonlinearity import LogPowerCoupling, Nonlinearity, _uv
 from .optimize import bb_minimize
-from .spaces import INEQUALITY_SLACK
+from .spaces import INEQUALITY_SLACK, _check_same_grid
 
 __all__ = [
     "ProblemSpec",
@@ -340,21 +340,16 @@ def phi_gradient(
     return _unpack(_gradient(_checked_pair(u, v, prob), prob, signs), prob.grid)
 
 
-def _residual(g: np.ndarray, grid: Grid) -> float:
-    """Euclidean norm of a packed gradient, u's squares summed before v's."""
-    G = _pairs(g, grid)
-    return float(np.sqrt(np.sum(G[0] ** 2) + np.sum(G[1] ** 2)))
-
-
 def weak_residual(u: GridFunction, v: GridFunction, prob: ProblemSpec) -> float:
-    """Euclidean norm of the nodal gradient of phi — the weak-form defect.
+    """Euclidean norm (``np.linalg.norm``) of the packed nodal gradient of
+    phi — the weak-form defect.
 
     The entries already carry the quadrature weights and vanish at the
     boundary.  A descent stops on the gradient norm in its own units (a
     quadrant run's fibering units), so this is the quantity reported for a
     critical point, not the one a descent stops on.
     """
-    return _residual(_gradient(_checked_pair(u, v, prob), prob), prob.grid)
+    return float(np.linalg.norm(_gradient(_checked_pair(u, v, prob), prob)))
 
 
 # --- hypothesis checks ----------------------------------------------------------
@@ -577,8 +572,7 @@ def _rayleigh_gradient(
 
 def _checked_rayleigh_argument(u: GridFunction, p: ExponentField) -> np.ndarray:
     """The values of u, once u is on the grid of p and zero on its boundary."""
-    if p.grid is not u.grid:
-        raise DataError("Rayleigh argument and exponent live on different grids")
+    _check_same_grid(u, p)
     return u.require_zero_boundary("rayleigh argument").values
 
 
@@ -603,6 +597,9 @@ def random_zero_boundary(grid: Grid, rng: np.random.Generator) -> GridFunction:
     One term per mode tuple (k1, ...) of ``itertools.product(range(1, 7),
     repeat=grid.ndim)``, in that order: a normal draw over k1^2 + ..., times
     the outer product of sin(k_i pi x_i) over the axes, x_i in [0, 1].
+    Such a sum vanishes at every interior node with probability 0; if it
+    did, the division would give NaN and ``GridFunction`` would refuse it
+    with a ``DataError``.
     """
     unit = [(ax - lo) / (hi - lo) for ax, lo, hi in zip(grid.axes, grid.lo, grid.hi)]
     vals = np.zeros(grid.shape)
@@ -611,11 +608,7 @@ def random_zero_boundary(grid: Grid, rng: np.random.Generator) -> GridFunction:
         first, *rest = [np.sin(k * np.pi * x) for k, x in zip(modes, unit)]
         vals += functools.reduce(np.multiply.outer, [c * first, *rest])
     vals[grid.boundary] = 0.0
-    sup = np.max(np.abs(vals))
-    if sup == 0.0:  # pragma: no cover - measure-zero draw
-        vals[grid.interior] = 1.0
-        sup = 1.0
-    return GridFunction(grid, vals / sup)
+    return GridFunction(grid, vals / np.max(np.abs(vals)))
 
 
 @dataclasses.dataclass

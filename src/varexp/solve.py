@@ -71,7 +71,6 @@ from .energy import (
     _pack,
     _pairs,
     _quadrant_signs,
-    _residual,
     _unpack,
     check_hypotheses,
 )
@@ -256,7 +255,7 @@ def _make_point(
         u=u,
         v=v,
         energy=_energy(w, prob),
-        residual=_residual(_gradient(w, prob), prob.grid),
+        residual=float(np.linalg.norm(_gradient(w, prob))),
         quadrant=classify_quadrant(u, v),
         method=method,
         iterations=iterations,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from varexp import energy
+from varexp.config import default_problem
 from varexp.energy import (
     HYPOTHESIS_NAMES,
     QUADRANTS,
@@ -481,6 +482,19 @@ def test_residual_is_gradient_norm():
     gu, gv = phi_gradient(u, v, PROB)
     expected = np.sqrt(np.sum(gu.values**2) + np.sum(gv.values**2))
     assert weak_residual(u, v, PROB) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_residual_is_the_euclidean_norm_of_the_packed_gradient(seed):
+    """On the default problem the residual is np.linalg.norm of the packed
+    gradient [gu, gv] bit for bit, the norm the solvers stop on."""
+    prob, _ = default_problem()
+    rng = np.random.default_rng(seed)
+    u = random_zero_boundary(prob.grid, rng)
+    v = random_zero_boundary(prob.grid, rng)
+    gu, gv = phi_gradient(u, v, prob)
+    packed = np.concatenate([gu.values.ravel(), gv.values.ravel()])
+    assert weak_residual(u, v, prob) == float(np.linalg.norm(packed))
 
 
 # ---------------------------------------------------------------------------

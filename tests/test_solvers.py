@@ -11,6 +11,7 @@ from varexp.energy import (
     QUADRANTS,
     ProblemSpec,
     phi_energy,
+    phi_gradient,
     random_zero_boundary,
     weak_residual,
 )
@@ -759,6 +760,25 @@ def test_pairs_lists_its_flags_in_level_order(monkeypatch):
     ]
 
 
+def test_six_solutions_without_a_negative_energy_endpoint(monkeypatch):
+    """With no multiple of the tent pair at negative energy, theorem 2 runs
+    no mountain pass: its inventory is the four quadrant runs, flagged, and
+    short of its six points."""
+    monkeypatch.setattr(solve, "_first_negative_multiple", lambda prob, w: None)
+    inv = find_six_solutions(PROB, FAST)
+    assert "no_negative_energy_mountain_endpoint" in inv.flags
+    assert [(pt.quadrant, pt.method) for pt in inv.runs] == [
+        (quadrant, "descent") for quadrant in QUADRANTS
+    ]
+    assert inv.target == 6
+    assert inv.complete is False
+
+
+def test_pairs_refuses_a_pair_count_below_one():
+    with pytest.raises(ConfigError, match="pair count k must be at least 1"):
+        symmetric_pairs(PROB, 0, FAST)
+
+
 def test_pairs_refuses_an_invalid_endpoint_before_relocating(monkeypatch):
     """Half the least negative multiple leaves the 2-bump endpoint at
     positive energy: ``symmetric_pairs`` raises the pass's ConfigError, and
@@ -1144,13 +1164,16 @@ DRIVERS = pytest.mark.parametrize(
 @DRIVERS
 def test_reported_energy_and_residual_are_exactly_the_public_ones(driver):
     """Every run and stored point, negation_pair ones included, carries
-    bit for bit the phi_energy and weak_residual of its own pair."""
+    bit for bit the phi_energy and weak_residual of its own pair, and that
+    residual is the Euclidean norm of the packed gradient."""
     inv = driver()
     points = inv.runs + inv.points
     assert any("negation_pair" in pt.flags for pt in points)
     for pt in points:
         assert pt.energy == phi_energy(pt.u, pt.v, PROB)
         assert pt.residual == weak_residual(pt.u, pt.v, PROB)
+        packed = np.concatenate([g.values.ravel() for g in phi_gradient(pt.u, pt.v, PROB)])
+        assert pt.residual == float(np.linalg.norm(packed))
 
 
 @DRIVERS

@@ -210,6 +210,18 @@ def test_unit_norm_forces_unit_modular():
         assert modular(unit, p) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_trichotomy_at_unit_norm():
+    """Scaled to norm 1, sin(pi x) under p = 2 + x reads a norm of exactly
+    1.0 and a modular of 1 + 9e-11: the unit branch holds both verdicts."""
+    g = make_grid((0.0, 1.0), 129)
+    p = exponent_from_expression(g, "2 + x")
+    u = g.function(np.sin(np.pi * g.axes[0]))
+    rep = norm_modular_relation_check(u * (1.0 / luxemburg_norm(u, p)), p)
+    assert rep.norm_value == 1.0
+    assert rep.modular_value == pytest.approx(1.0 + 9e-11, abs=1e-11)
+    assert rep.band_holds and rep.trichotomy_holds
+
+
 def test_band_and_trichotomy_random():
     rng = np.random.default_rng(23)
     p = exponent_from_expression(COARSE, "2 + x")
