@@ -135,7 +135,9 @@ def write_solution_csv(path, point: CriticalPoint) -> None:
 
 
 def read_solution_csv(path, grid: Grid) -> tuple[GridFunction, GridFunction]:
-    """Reload a solution dump onto its grid; inverse of write_solution_csv."""
+    """Reload a solution dump onto its grid; inverse of write_solution_csv.
+    Each row's coordinates must be its node's, exactly."""
+    coords = [c.ravel() for c in grid.coordinate_arrays()]
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         expected = "index," + ",".join(["x", "y"][: grid.ndim]) + ",u,v"
@@ -165,6 +167,10 @@ def read_solution_csv(path, grid: Grid) -> tuple[GridFunction, GridFunction]:
                 raise DataError(f"{path}:{lineno}: node index {i} outside [0, {grid.n_nodes})")
             if seen[i]:
                 raise DataError(f"{path}:{lineno}: node index {i} repeated")
+            for name, cell, c in zip("xy", parts[1:-2], coords):
+                if cell.strip() != repr(float(c[i])):
+                    raise DataError(f"{path}:{lineno}: {name} = {cell.strip()} is not "
+                                    f"node {i}'s {name} = {float(c[i])!r}")
             seen[i] = True
             u[i], v[i] = values
     if not seen.all():

@@ -4,9 +4,9 @@ Three experiment drivers sit on top of two engines:
 
 * ``descend`` — line-search Newton-CG on the (optionally quadrant-truncated)
   energy, in the units of the fibering scan of its cone
-  (``_fibering_minimum``), which also seeds each quadrant run.  Minimizers
-  of the truncated functional with a clamped sign pattern are the
-  constant-sign solutions.
+  (``_fibering_minimum``), which also seeds it when no start is given, as
+  in each quadrant run.  Minimizers of the truncated functional with a
+  clamped sign pattern are the constant-sign solutions.
 * ``mountain_pass`` — the classical numerical mountain-pass scheme: a
   piecewise-linear path from zero to a low-energy state whose maximal-energy
   interior point is repeatedly relocated downhill and re-spaced by
@@ -54,7 +54,7 @@ Q1/Q2 descents and the Q1 pass instead of being recomputed.
 from __future__ import annotations
 
 import dataclasses
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 from numbers import Integral, Real
 
 import numpy as np
@@ -267,7 +267,6 @@ def _make_point(
 # --- descent ---------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
 def _fibering_minimum(
     prob: ProblemSpec, signs: tuple[int, int] | None
 ) -> tuple[np.ndarray, np.ndarray, float] | None:
@@ -279,8 +278,8 @@ def _fibering_minimum(
     c = -f(S d).  A minimum must lie below its neighbour at larger t, so the
     far-field descent of a superlinear coupling, falling towards t = 1, is
     never one.  Chunks go through in ascending k until one adds no lower
-    minimum.  Cached for one cone: the quadrant driver seeds at S d, and
-    ``descend`` runs in the same scan's units."""
+    minimum.  ``descend`` runs the scan once and takes its seed S d and its
+    units from it."""
     grid = prob.grid
     vals = reduce(np.multiply.outer, [
         np.sin(np.pi * (ax - lo) / (hi - lo)) for ax, lo, hi in zip(grid.axes, grid.lo, grid.hi)
@@ -335,52 +334,57 @@ def _newton_direction(g, W: np.ndarray, gW: np.ndarray, tol: float) -> np.ndarra
 
 
 def _line_search(f, g, proj, W, fW, gW, d, S):
-    """(W, f, g) at the first cone-projected trial along d, then along
-    -g(W), that passes Armijo; a trial along d also passes when it lowers
-    |g| by (1 - 1e-4 t) within energy round-off, which near convergence no
-    longer resolves the decrease.  The first trial moves w = S W by at most
-    ``_MAX_STEP_SUP`` in sup norm.  None when no trial passes."""
+    """(W, f, g) at the first cone-projected trial along the descent
+    direction d that passes Armijo, or that lowers |g| by (1 - 1e-4 t)
+    within energy round-off, which near convergence no longer resolves the
+    decrease.  The first trial moves w = S W by at most ``_MAX_STEP_SUP`` in
+    sup norm.  None when no trial passes."""
     gn = float(np.linalg.norm(gW))
-    for d, newton in ((d, True), (-gW, False)):
-        slope = float(gW @ d)
-        t = min(1.0, _MAX_STEP_SUP / float(np.max(np.abs(S * d))))
-        for _ in range(_MAX_SHRINKS):
-            Wt = proj(W + t * d)
-            ft = f(Wt)
-            if ft <= fW + _ARMIJO * t * slope:
-                return Wt, ft, g(Wt)
-            if newton and ft - fW <= _ROUNDOFF * abs(fW):
-                gt = g(Wt)
-                if float(np.linalg.norm(gt)) < (1.0 - _ARMIJO * t) * gn:
-                    return Wt, ft, gt
-            t *= _SHRINK
+    slope = float(gW @ d)
+    t = min(1.0, _MAX_STEP_SUP / float(np.max(np.abs(S * d))))
+    for _ in range(_MAX_SHRINKS):
+        Wt = proj(W + t * d)
+        ft = f(Wt)
+        if ft <= fW + _ARMIJO * t * slope:
+            return Wt, ft, g(Wt)
+        if ft - fW <= _ROUNDOFF * abs(fW):
+            gt = g(Wt)
+            if float(np.linalg.norm(gt)) < (1.0 - _ARMIJO * t) * gn:
+                return Wt, ft, gt
+        t *= _SHRINK
     return None
 
 
 def descend(
     prob: ProblemSpec,
-    start: tuple[GridFunction, GridFunction],
+    start: tuple[GridFunction, GridFunction] | None = None,
     quadrant: str | None = None,
     cfg: SolverConfig = SolverConfig(),
 ) -> CriticalPoint:
     """Line-search Newton-CG on phi (or its quadrant truncation).
 
-    It runs on W = w/S with energy f(S W)/c, (S, _, c) the fibering scan of
+    It runs on W = w/S with energy f(S W)/c, (S, d, c) the fibering scan of
     its cone (raw units when the scan has no negative minimum), so both are of
     unit order at the near-origin dip and ``gradient_stop`` on the gradient
-    in W is relative in w.  A step follows the truncated-CG direction
-    (forcing term min(0.5, |g|) |g|), or -g when no trial along it passes,
-    and moves w by at most ``_MAX_STEP_SUP`` in sup norm.
+    in W is relative in w.  A given ``start`` is checked (grid, zero
+    boundary, cone) before the scan runs; with none, the run seeds at S d,
+    or at the zero pair, flagged ``no_negative_energy_start``, when the scan
+    has no negative minimum.  A step follows the truncated-CG direction
+    (forcing term min(0.5, |g|) |g|) and moves w by at most
+    ``_MAX_STEP_SUP`` in sup norm.
     A run not converged after min(``max_iterations``, ``_REFINE_ITERATIONS``)
     steps is flagged ``descent_not_converged`` and ``newton_step_cap`` (or
     ``line_search_floor`` where no trial passes), not raised.
     """
-    w0 = _checked_pair(*start, prob)
     signs = _quadrant_signs(quadrant)
     f_raw, g_raw, proj = _functional(prob, signs)
-    _require_in_cone(proj, w0, f"start pair is not inside the {quadrant} cone")
+    if start is not None:
+        w0 = _checked_pair(*start, prob)
+        _require_in_cone(proj, w0, f"start pair is not inside the {quadrant} cone")
     fib = _fibering_minimum(prob, signs)
     S, c = (1.0, 1.0) if fib is None else (fib[0], fib[2])
+    if start is None:
+        w0 = np.zeros(2 * prob.grid.n_nodes) if fib is None else fib[0] * fib[1]
 
     def f(W):
         return f_raw(S * W) / c
@@ -402,6 +406,8 @@ def descend(
         steps += 1
     converged = gn <= cfg.gradient_stop
     flags = [] if converged else ["descent_not_converged", stop]
+    if start is None and fib is None:
+        flags.append("no_negative_energy_start")
     return _make_point(prob, S * W, "descent", steps, converged, flags)
 
 
@@ -813,6 +819,8 @@ def _quadrant_inventory(
     """The quadrant runs shared by both theorem drivers, after one hypothesis
     pass requiring ``names``; returns the four-solution inventory and the
     pass's ``even_symmetry`` verdict."""
+    if not quadrants:
+        raise ConfigError("no quadrant tags given")
     bad = [q for q in quadrants if q not in QUADRANT_SIGNS]
     if bad:
         raise ConfigError(f"invalid quadrant tags: {', '.join(bad)}")
@@ -826,35 +834,28 @@ def _quadrant_inventory(
     if prob.lam > _LAMBDA_SMALLNESS:
         flags.append("lambda_exceeds_smallness_threshold")
 
-    zero = prob.grid.zeros()
     done: dict[str, CriticalPoint] = {}
-    runs: list[CriticalPoint] = []
     for quadrant in quadrants:
         mirror = done.get(_OPPOSITE_QUADRANT[quadrant]) if symmetric else None
         if mirror is not None:
             pt = _negated(mirror, prob)
         else:
-            fib = _fibering_minimum(prob, QUADRANT_SIGNS[quadrant])
-            start = (zero, zero) if fib is None else _unpack(fib[0] * fib[1], prob.grid)
-            pt = descend(prob, start, quadrant, cfg)
-            if fib is None:
-                pt.flags.append("no_negative_energy_start")
+            pt = descend(prob, None, quadrant, cfg)
             # Absolute on purpose: a component whose sup is at or below
             # _DEFLATION_DISTANCE is flagged as below the nontriviality
             # threshold, whatever the relative deflation merge decides.
             if min(pt.u.sup_norm(), pt.v.sup_norm()) <= _DEFLATION_DISTANCE:
                 pt.flags.append("component_below_nontriviality_threshold")
         done[quadrant] = pt
-        runs.append(pt)
 
     eligible = [
         pt
-        for pt in runs
+        for pt in done.values()
         if pt.converged and pt.residual <= cfg.gradient_stop and pt.energy < 0.0
     ]
     points = merge_points(eligible, _DEFLATION_DISTANCE)
-    inventory = SolutionInventory(points=points, runs=runs, theorem_target="four",
-                                  target=len(runs), flags=flags)
+    inventory = SolutionInventory(points=points, runs=list(done.values()),
+                                  theorem_target="four", target=len(done), flags=flags)
     return inventory, symmetric
 
 

@@ -120,6 +120,32 @@ def test_csv_non_finite_value_refused_with_its_line(tmp_path, cells):
         read_solution_csv(path, g5)
 
 
+def test_csv_coordinates_checked_against_the_grid(tmp_path):
+    """A dump reloads only onto the nodes it was written on: on the same
+    node count over [0, 2], or with a cell that is not the node's
+    coordinate, the first wrong row is refused with its line."""
+    path = tmp_path / "solution_01_q1.csv"
+    write_solution_csv(path, sample_point())
+    with pytest.raises(DataError, match=r"solution_01_q1\.csv:3: x = 0\.05 is not node 1's x = 0\.1$"):
+        read_solution_csv(path, make_grid((0.0, 2.0), 21))
+    lines = path.read_text().splitlines()
+    index, _, u, v = lines[4].split(",")
+    lines[4] = ",".join([index, "abc", u, v])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=r"solution_01_q1\.csv:5: x = abc is not node 3's x = 0\.15"):
+        read_solution_csv(path, G)
+
+
+def test_csv_2d_y_coordinate_checked(tmp_path):
+    g2 = make_grid([(0.0, 1.0), (0.0, 1.0)], [9, 9])
+    pt = CriticalPoint(u=g2.zeros(), v=g2.zeros(), energy=0.0, residual=0.0, quadrant="Q1",
+                       method="descent", iterations=0, converged=True)
+    path = tmp_path / "solution_01_q1.csv"
+    write_solution_csv(path, pt)
+    with pytest.raises(DataError, match=r"solution_01_q1\.csv:3: y = 0\.125 is not node 1's y = 0\.25"):
+        read_solution_csv(path, make_grid([(0.0, 1.0), (0.0, 2.0)], [9, 9]))
+
+
 def test_csv_2d_layout(tmp_path):
     g2 = make_grid([(0.0, 1.0), (0.0, 1.0)], [9, 9])
     t = tent_function((0.5, 0.5), 0.3, g2)

@@ -339,6 +339,33 @@ def test_descend_leaves_the_quadrant_seed():
     assert pt.residual <= FAST.gradient_stop
 
 
+@pytest.mark.parametrize("quadrant", QUADRANTS)
+def test_descend_without_a_start_seeds_at_its_fibering_minimum(quadrant):
+    """With no start, a descent runs from the lowest point S d of its own
+    cone's fibering scan, bit for bit as from that point given."""
+    scales, d, _ = _fibering_minimum(PROB, QUADRANT_SIGNS[quadrant])
+    seeded = descend(PROB, None, quadrant, FAST)
+    given = descend(PROB, solve._unpack(scales * d, PROB.grid), quadrant, FAST)
+    np.testing.assert_array_equal(seeded.u.values, given.u.values)
+    np.testing.assert_array_equal(seeded.v.values, given.v.values)
+    assert (seeded.energy, seeded.residual, seeded.iterations, seeded.flags) == (
+        given.energy, given.residual, given.iterations, given.flags)
+    assert seeded.converged
+
+
+def test_descend_checks_a_given_start_before_its_scan(monkeypatch):
+    def scan(prob, signs):
+        raise AssertionError("scanned before checking the start")
+
+    monkeypatch.setattr(solve, "_fibering_minimum", scan)
+    g = PROB.grid
+    bad = g.function(np.ones(g.shape))
+    with pytest.raises(DataError):
+        descend(PROB, (bad, bad), "Q1", FAST)
+    with pytest.raises(ConfigError, match="not inside the Q1 cone"):
+        descend(PROB, (g.function(-smooth_bump(g).values), g.zeros()), "Q1", FAST)
+
+
 def test_descend_from_unit_order_seed_continues_at_problem_scale():
     """From 0.05*bump, six orders of magnitude above the minimizer, the
     descent runs in the units of the fibering scan and ends below the
@@ -1104,6 +1131,12 @@ def test_find_constant_sign_rejects_bad_quadrant():
 def test_find_constant_sign_rejects_repeated_quadrant():
     with pytest.raises(ConfigError, match="repeated quadrant tags: Q1"):
         find_constant_sign_solutions(PROB, cfg=FAST, quadrants=("Q1", "Q1"))
+
+
+@pytest.mark.parametrize("driver", [find_constant_sign_solutions, find_six_solutions])
+def test_theorem_drivers_refuse_an_empty_quadrant_list(driver):
+    with pytest.raises(ConfigError, match="no quadrant tags given"):
+        driver(PROB, FAST, quadrants=())
 
 
 def test_six_solutions_without_evenness_run_their_own_q3_runs():

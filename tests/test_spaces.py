@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varexp import exponents
 from varexp.errors import ConfigError, DataError
 from varexp.exponents import (
     ExponentField,
@@ -20,7 +21,6 @@ from varexp.exponents import (
     exponent_from_expression,
     exponent_from_values,
 )
-from varexp.expressions import parse_expression
 from varexp.grid import make_grid, tent_function
 from varexp.spaces import (
     holder_check,
@@ -51,12 +51,27 @@ def test_exponent_must_exceed_one():
         exponent_from_expression(g, "1 + x")  # hits 1 at x=0
 
 
-def test_descriptor_evaluating_to_nan_is_refused():
-    # sin(pi*x)*ln(x) is 0*(-inf) = NaN at x = 0, and NaN > 1e-12 is False.
+def test_descriptor_is_kept_as_text_and_never_evaluated(monkeypatch):
+    """A field is its samples and a text that only names it: a text that
+    would be NaN at x = 0 is kept as given, and an expression field samples
+    its expression once; sampled, that text is refused by its NaN sample."""
     g = COARSE
-    desc = parse_expression("3 + sin(pi*x)*ln(x) - sin(pi*x)*ln(x)")
-    with pytest.raises(ConfigError, match="descriptor disagrees"):
-        ExponentField(g, np.full(g.shape, 3.0), desc)
+    text = "3 + sin(pi*x)*ln(x) - sin(pi*x)*ln(x)"
+    field = ExponentField(g, np.full(g.shape, 3.0), text)
+    assert field.describe() == text
+    assert repr(field) == f"ExponentField({text})"
+    np.testing.assert_array_equal(field.values, 3.0)
+    with pytest.raises(ConfigError, match="exponent field contains non-finite samples"):
+        exponent_from_expression(g, text)
+    real, sampled = exponents._sample, []
+
+    def counted(grid, expr):
+        sampled.append(expr.text())
+        return real(grid, expr)
+
+    monkeypatch.setattr(exponents, "_sample", counted)
+    p = exponent_from_expression(g, "2 + x")
+    assert sampled == [p.describe()] == ["(2 + x)"]
 
 
 def test_conjugate_exponent_values():
