@@ -13,7 +13,8 @@ finite-difference checks at tight tolerances, at unit amplitude and at the
 p >= 2 the flux |grad u|^{p-2} grad u is assembled exactly; only where
 p < 2, where it is singular at grad u = 0, does derivative assembly use the
 regularized magnitude (|grad u|^2 + eps)^{(p-2)/2} grad u.  The energy itself
-is always integrated unregularized.
+is always integrated unregularized.  The stencils, |grad x|^2 and the flux
+adjoint come from ``grid``, their one owner; this module defines none.
 
 Quadrant-truncated variants replace (u, v) by their clamped versions
 s*max(0, s*t) inside Psi while Phi keeps the raw gradients; this is the
@@ -52,8 +53,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .exponents import ExponentField
-from .grid import (Grid, GridFunction, _adjoint_sum, _difference_components, _integral,
-                   _magnitude_squared)
+from .grid import Grid, GridFunction, _difference, _flux_adjoint, _integral
 from .nonlinearity import LogPowerCoupling, Nonlinearity, _uv
 from .optimize import bb_minimize
 from .spaces import INEQUALITY_SLACK, _check_same_grid
@@ -80,7 +80,7 @@ QUADRANTS = ("Q1", "Q2", "Q3", "Q4")
 QUADRANT_SIGNS = {"Q1": (1, 1), "Q2": (-1, 1), "Q3": (-1, -1), "Q4": (1, -1)}
 
 # Flux regularization eps where p < 2, for phi and the Rayleigh quotient alike
-# (see ``_flux_adjoint``).
+# (see ``_exponent_plan``).
 _FLUX_EPS = 1e-10
 
 
@@ -252,19 +252,6 @@ def _pack(u: GridFunction, v: GridFunction) -> np.ndarray:
 def _unpack(w: np.ndarray, grid: Grid) -> tuple[GridFunction, GridFunction]:
     W = _pairs(w, grid)
     return GridFunction(grid, W[0]), GridFunction(grid, W[1])
-
-
-def _difference(x: np.ndarray, grid: Grid, out=None) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Difference gradient components of a grid-shaped array and |grad x|^2 (into ``out``)."""
-    comps = _difference_components(x, grid)
-    return comps, _magnitude_squared(comps, out)
-
-
-def _flux_adjoint(comps: tuple[np.ndarray, ...], flux: np.ndarray, grid: Grid) -> np.ndarray:
-    """Nodal gradient of the gradient modular, from the difference gradient
-    and the flux factor (|grad x|^2 + reg)^{(p-2)/2} (see ``_exponent_plan``)."""
-    coef = grid.weights * flux
-    return _adjoint_sum([coef * c for c in comps], grid)
 
 
 def _psi_integrand(T: np.ndarray, prob: ProblemSpec) -> np.ndarray:

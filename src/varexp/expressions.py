@@ -14,8 +14,8 @@ Accepted syntax, a subset of Python's expression grammar::
     operators  + - * / and ^ or ** for powers, with parentheses; powers are
                right associative and bind tighter than unary minus, so
                -x^2 = -(x^2) and 2^-3^2 = 2^(-9)
-    calls      ln (alias log), exp, abs, sqrt, sin, cos of one argument,
-               and pow(a, b)
+    calls      ln (alias log), exp, abs, sqrt, sin, cos, sign of one
+               argument, and pow(a, b)
 
 Nothing else is accepted: no comments, hexadecimal, underscored or complex
 literals, comparisons, attributes, keyword arguments or trailing commas.
@@ -23,7 +23,8 @@ literals, comparisons, attributes, keyword arguments or trailing commas.
 A tree has three node types: ``Const``, ``Var`` and ``Op``, an operation
 on one or two operands.  Each operation is one row of ``_OPS``: its
 evaluator, its derivative rule and its text.  Adding a function is one row
-there plus its arity in ``_FUNCTIONS``, the parser's whitelist.
+there: the rows whose text is a call are the functions the parser accepts,
+so the text of every tree, derivatives included, parses back.
 """
 
 from __future__ import annotations
@@ -258,14 +259,15 @@ _OPS = {
     "sqrt": _Row(np.sqrt, _chain(lambda g: _div(Const(0.5), Op("sqrt", g))), "sqrt({})"),
     "sin": _Row(np.sin, _chain(lambda g: Op("cos", g)), "sin({})"),
     "cos": _Row(np.cos, _chain(lambda g: _neg(Op("sin", g))), "cos({})"),
-    # sign(0) = 0, and sign appears only through d|g|.  Its derivative is 0
-    # a.e.; the kink at 0 is accepted, matching the convention used by the
-    # truncated functionals.
+    # sign(0) = 0.  Its derivative is 0 a.e.; the kink at 0 is accepted,
+    # matching the convention used by the truncated functionals.
     "sign": _Row(np.sign, lambda g, b, dg, db: Const(0.0), "sign({})"),
 }
 
-# The functions a config may call, with their arities.
-_FUNCTIONS = {"ln": 1, "log": 1, "exp": 1, "abs": 1, "sqrt": 1, "sin": 1, "cos": 1, "pow": 2}
+# The functions a config may call, with their arities: the rows written as calls.
+_FUNCTIONS = {
+    name: row.text.count("{}") for name, row in _OPS.items() if row.text.startswith(name + "(")
+}
 
 
 # --- parser -------------------------------------------------------------------

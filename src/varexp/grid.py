@@ -7,6 +7,12 @@ nodes and first-order one-sided differences at the two extreme nodes of each
 axis; `gradient_adjoint` implements the exact transpose of that linear map,
 which is what makes the assembled energy gradients pass finite-difference
 checks at machine-level tolerances.
+
+This module is the one owner of that stencil.  The energy kernel, the
+Rayleigh quotient, the gradient norm and the polish Jacobian's colouring
+import what they need of it: ``_difference`` (the components and
+|grad x|^2), ``_flux_adjoint`` (the nodal gradient of a gradient modular)
+and ``_STENCIL_REACH`` (how far a nodal gradient reads).
 """
 
 from __future__ import annotations
@@ -197,11 +203,11 @@ class VectorField:
     grid: Grid
     components: tuple[np.ndarray, ...]
 
-    def magnitude_squared(self) -> np.ndarray:
-        return _magnitude_squared(self.components)
 
-    def magnitude(self) -> np.ndarray:
-        return np.sqrt(self.magnitude_squared())
+# Nodes per axis that the nodal gradient at one node reads on either side:
+# the central difference composed with its adjoint reaches two steps (one at
+# the one-sided ends).  Nodes 2*_STENCIL_REACH + 1 apart never share a row.
+_STENCIL_REACH = 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -243,12 +249,14 @@ def _difference_components(arr: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...
     return tuple(_diff_axis(arr, h, lead + axis) for axis, h in enumerate(grid.spacing))
 
 
-def _magnitude_squared(components: Sequence[np.ndarray], out=None) -> np.ndarray:
-    """Sum of the squared components, in axis order (into ``out``)."""
-    out = np.square(components[0], out=out)
-    for c in components[1:]:
-        out += c**2
-    return out
+def _difference(x: np.ndarray, grid: Grid, out=None) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Difference gradient components of a grid-shaped array (or a stack) and
+    |grad x|^2, the squares summed in axis order (into ``out``), unchecked."""
+    comps = _difference_components(x, grid)
+    mag2 = np.square(comps[0], out=out)
+    for c in comps[1:]:
+        mag2 += c**2
+    return comps, mag2
 
 
 def _adjoint_sum(coefficients: Sequence[np.ndarray], grid: Grid) -> np.ndarray:
@@ -260,6 +268,13 @@ def _adjoint_sum(coefficients: Sequence[np.ndarray], grid: Grid) -> np.ndarray:
     for axis in range(1, grid.ndim):
         out += _adjoint_diff_axis(coefficients[axis], grid.spacing[axis], lead + axis)
     return out
+
+
+def _flux_adjoint(comps: tuple[np.ndarray, ...], flux: np.ndarray, grid: Grid) -> np.ndarray:
+    """Nodal gradient of a gradient modular, sum_k D_k^T (weights * flux * c_k),
+    from the difference gradient c and the per-node flux factor."""
+    coef = grid.weights * flux
+    return _adjoint_sum([coef * c for c in comps], grid)
 
 
 def gradient(u: GridFunction) -> VectorField:

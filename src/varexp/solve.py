@@ -74,7 +74,7 @@ from .energy import (
     _unpack,
     check_hypotheses,
 )
-from .grid import Grid, GridFunction, tent_function
+from .grid import Grid, GridFunction, _STENCIL_REACH, tent_function
 from .optimize import _ARMIJO, _MAX_SHRINKS, _SHRINK, backtracking_step
 
 __all__ = [
@@ -439,11 +439,6 @@ def _respace(path: np.ndarray) -> np.ndarray:
 # polish and stops after its first relocation chunk, flagged.  Colouring cuts
 # the gradient calls only.
 _POLISH_DOF_CAP = 1600
-
-# Nodes per axis that the nodal gradient at one node reads on either side:
-# the central difference composed with its adjoint reaches two steps (one at
-# the one-sided ends).  Nodes 2*_STENCIL_REACH + 1 apart never share a row.
-_STENCIL_REACH = 2
 
 
 def _jacobian_pattern(grid: Grid, idx: np.ndarray):

@@ -109,6 +109,20 @@ def test_text_round_trip():
         assert again.evaluate({"x": x}) == e.evaluate({"x": x})
 
 
+def test_derivative_text_round_trip():
+    """The text of a derivative parses back to the same tree: the sign that
+    d|g| brings in is a function of the language."""
+    d = parse_expression("abs(x)^3").diff("x")
+    assert d.text() == "((3 * (abs(x) ^ 2)) * sign(x))"
+    assert parse_expression(d.text()) == d
+    for x in (-1.5, 0.0, 0.5):
+        assert parse_expression(d.text()).evaluate({"x": x}) == 3.0 * x * abs(x)
+    with pytest.raises(ExpressionError, match="exactly one argument"):
+        parse_expression("sign(x, 1)")
+    with pytest.raises(ExpressionError, match="unknown function 'neg'"):
+        parse_expression("neg(x)")
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     a=st.floats(-2.0, 2.0),

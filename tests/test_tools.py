@@ -1,6 +1,7 @@
 """The byte-identity tool ``tools/same_outputs.py``: its run matrix, its
 configs and its reports of a difference, on hand-built inputs (no run of
-the command line)."""
+the command line).  Also a smoke run of the benchmark's layer tracer
+``bench/layer_trace.py`` around small in-process runs of the command."""
 
 import importlib.util
 import json
@@ -99,3 +100,39 @@ def test_summary_of_verdicts_and_of_a_run_without_results():
     failed = result(status=1, stderr=b"Traceback\nerror: bad config\n")
     assert same_outputs.summary(failed) == ["exit 1, stderr ends: error: bad config"]
     assert same_outputs.summary(result(status=1)) == ["exit 1"]
+
+
+def test_layer_tracer_traces_small_runs_and_uninstalls(tmp_path, monkeypatch):
+    """The tracer of ``bench/run_bench.py --trace 1`` wraps every layer, counts
+    the stages of small runs of three workloads' commands, and leaves the
+    program as it found it."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import layer_trace
+    import varexp.cli
+    import varexp.solve
+
+    descend = varexp.solve.descend
+    default = json.loads((ROOT / "configs" / "default.json").read_text())
+    default["domain"]["nodes"] = [33]
+    eigen = json.loads((ROOT / "bench" / "eigen_2d_varp.json").read_text())
+    eigen["domain"]["nodes"] = [9, 9]
+    runs = [
+        ("theorem2", ["solve", "--theorem", "2"], default,
+         {"solve.descend.calls": 2, "solve.mountain_pass.calls": 1}),
+        ("pairs", ["pairs"], default, {}),
+        ("eigen", ["eigen"], eigen, {"optimize.bb_minimize.calls": 10}),
+    ]
+    for name, args, config, counts in runs:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        tracer = layer_trace.Tracer()
+        tracer.install()
+        try:
+            code = varexp.cli.main(
+                [*args, "--config", str(path), "--deterministic", "--out", str(tmp_path / name)])
+        finally:
+            tracer.uninstall()
+        assert code in (0, 2), name
+        metrics = layer_trace.layer_metrics(tracer)
+        assert {key: metrics[key] for key in counts} == counts, name
+    assert varexp.solve.descend is descend
