@@ -31,8 +31,10 @@ over |x| and shares the flux adjoint.  The kernel also takes a stack of
 packed states, shape (..., 2n), and returns one energy (or gradient) per
 state, bit for bit what it returns for that state alone, so the solvers
 evaluate independent states (a mountain-pass path, a chunk of the fibering
-scan, the perturbed states of a Newton step) in one numpy call.  The kernel trusts its
-input.  Validation (grid identity, zero boundary values, quadrant tags)
+scan, the perturbed states of a Newton step) in one numpy call.
+``_hessian`` gives the kernel's exact Hessian-vector product at one state,
+from the same difference operators and the second partials of Psi, for
+the descent's Newton-CG.  The kernel trusts its input.  Validation (grid identity, zero boundary values, quadrant tags)
 happens once, where a state enters: ``_checked_pair`` checks a
 ``GridFunction`` pair and returns its packed state, for the public functions
 and the entries of the solvers alike; those stay single-state.
@@ -53,8 +55,16 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .exponents import ExponentField
-from .grid import Grid, GridFunction, _difference, _flux_adjoint, _integral
-from .nonlinearity import LogPowerCoupling, Nonlinearity, _uv
+from .grid import (
+    Grid,
+    GridFunction,
+    _adjoint_sum,
+    _difference,
+    _difference_components,
+    _flux_adjoint,
+    _integral,
+)
+from .nonlinearity import LogPowerCoupling, Nonlinearity, _power, _swap, _uv
 from .optimize import bb_minimize
 from .spaces import INEQUALITY_SLACK, _check_same_grid
 
@@ -162,6 +172,19 @@ class ProblemSpec:
         al, be = self.alpha.values, self.beta.values
         pairs = ((al, be), (self.lam * al, self.lam * be), (al - 1.0, al), (be, be - 1.0))
         return tuple(np.stack(x) for x in pairs)
+
+    @functools.cached_property
+    def _coupling_second(self) -> tuple[np.ndarray, ...]:
+        """Stacked like (F_uu, F_uv, F_vv): lam*(alpha(alpha - 1), alpha*beta,
+        beta(beta - 1)) and the exponents of |u| and of |v| in the
+        coupling's second partials."""
+        al, be = self.alpha.values, self.beta.values
+        triples = (
+            (self.lam * al * (al - 1.0), self.lam * al * be, self.lam * be * (be - 1.0)),
+            (al - 2.0, al - 1.0, al),
+            (be, be - 1.0, be - 2.0),
+        )
+        return tuple(np.stack(x) for x in triples)
 
     def coupling_margin(self) -> float:
         """max over nodes of alpha/p + beta/q (subcritical iff < 1)."""
@@ -304,6 +327,63 @@ def _gradient(
     g = _flux_adjoint(comps, flux, grid) - src
     np.copyto(g, 0.0, where=grid.boundary)
     return g.reshape(w.shape)
+
+
+def _coupling_second_partials(T: np.ndarray, prob: ProblemSpec) -> np.ndarray:
+    """The coupling's second partials at the pair array T, stacked like
+    (F_uu, F_uv, F_vv): lam*alpha(alpha - 1)|u|^(alpha-2)|v|^beta,
+    lam*alpha*beta*sign(uv)|u|^(alpha-1)|v|^(beta-1) and
+    lam*beta(beta - 1)|u|^alpha|v|^(beta-2), each power through ``_power``."""
+    scale, u_exps, v_exps = prob._coupling_second
+    au, av = _uv(np.abs(T), prob.grid.ndim, keepdims=True)
+    out = scale * _power(au, u_exps) * _power(av, v_exps)
+    su, sv = _uv(np.sign(T), prob.grid.ndim)
+    out[(Ellipsis, 1) + (slice(None),) * prob.grid.ndim] *= su * sv
+    return out
+
+
+def _hessian(w: np.ndarray, prob: ProblemSpec, signs: tuple[int, int] | None = None):
+    """The exact Hessian-vector product of ``_energy`` at the packed state w:
+    a function of a packed direction d (or a stack of them) that returns the
+    derivative of ``_gradient`` along d, boundary entries zero.
+
+    The coefficients are built here, once per state.  The flux part is
+    sum_k D_k^T (weights * sum_l C_kl D_l d), with C = f I + (p - 2) m^((p-4)/2)
+    g g^T, m = |g|^2 (plus the flux regularization where p < 2) and f the flux
+    factor m^((p-2)/2) of ``_gradient``: (p - 1)|g|^(p-2) in 1D where p >= 2.
+    At m = 0 the g g^T term is read as 0 (``_power``).  The source part is
+    the 2x2 block of Psi's second partials per node (the coupling's and
+    F's), evaluated at the clamped pair and times the clamp indicator on
+    both sides, so that the unbounded entries of an exponent below 2 at a
+    clamped zero never enter.
+    """
+    grid = prob.grid
+    W = _pairs(w, grid)
+    T = _clamp(W, signs, grid)
+    comps, mag2 = _difference(W, grid)
+    plan = prob._plan
+    m = mag2 if plan.reg is None else mag2 + plan.reg
+    flux = grid.weights * m**plan.flux
+    bend = grid.weights * (plan.p - 2.0) * _power(m, plan.flux - 1.0)
+    C = [[bend * gk * gl + (flux if k == l else 0.0) for l, gl in enumerate(comps)]
+         for k, gk in enumerate(comps)]
+    block = grid.weights * (_coupling_second_partials(T, prob)
+                            + prob.nonlinearity.second_partials(T))
+    if signs is not None:
+        iu, iv = _uv(T != 0.0, grid.ndim)
+        block *= np.stack([iu, iu & iv, iv])
+    diag, off = block[[0, 2]], block[1]
+
+    def product(d: np.ndarray) -> np.ndarray:
+        D = _pairs(d, grid)
+        dc = _difference_components(D, grid)
+        h = _adjoint_sum([functools.reduce(np.add, [c * x for c, x in zip(row, dc)])
+                          for row in C], grid)
+        h -= diag * D + off * _swap(D, grid.ndim)
+        np.copyto(h, 0.0, where=grid.boundary)
+        return h.reshape(d.shape)
+
+    return product
 
 
 # --- energies -----------------------------------------------------------------

@@ -11,8 +11,10 @@ checks at machine-level tolerances.
 This module is the one owner of that stencil.  The energy kernel, the
 Rayleigh quotient, the gradient norm and the polish Jacobian's colouring
 import what they need of it: ``_difference`` (the components and
-|grad x|^2), ``_flux_adjoint`` (the nodal gradient of a gradient modular)
-and ``_STENCIL_REACH`` (how far a nodal gradient reads).
+|grad x|^2), ``_flux_adjoint`` (the nodal gradient of a gradient modular),
+``_difference_components`` and ``_adjoint_sum`` (D and D^T, for the
+kernel's Hessian product) and ``_STENCIL_REACH`` (how far a nodal gradient
+reads).
 """
 
 from __future__ import annotations

@@ -23,8 +23,12 @@ Four kinds are provided:
     symbolic differentiation, so hypothesis checks get exact values.
 
 All evaluators take one pair array ``uv`` of shape (..., 2, *grid.shape),
-u over v; ``value`` returns F over the grid axes and ``partials`` (F_u, F_v)
-stacked like ``uv``.
+u over v; ``value`` returns F over the grid axes, ``partials`` (F_u, F_v)
+stacked like ``uv``, and ``second_partials`` (F_uu, F_uv, F_vv) stacked the
+same way, with three entries on the pair axis.  A second partial that is
+unbounded at a zero entry (|u|^(g-2) for an exponent g < 2) reads 0 there
+(``_power``): the energy kernel meets such entries only at clamped and
+boundary zeros, where it discards them.
 """
 
 from __future__ import annotations
@@ -54,8 +58,21 @@ def _uv(uv: np.ndarray, spatial: int, keepdims: bool = False) -> tuple[np.ndarra
     return uv[(Ellipsis, u) + rest], uv[(Ellipsis, v) + rest]
 
 
+def _power(A: np.ndarray, e) -> np.ndarray:
+    """A**e for A >= 0, read as 0 where A = 0 and e < 0 (where A**e is
+    unbounded), with no warning."""
+    out = np.zeros(np.broadcast_shapes(np.shape(A), np.shape(e)))
+    return np.power(A, e, out=out, where=(A > 0.0) | (np.asarray(e) >= 0.0))
+
+
+def _swap(uv: np.ndarray, spatial: int) -> np.ndarray:
+    """A pair array with u and v exchanged (a view)."""
+    return uv[(Ellipsis, slice(None, None, -1)) + (slice(None),) * spatial]
+
+
 class Nonlinearity:
-    """Interface: value and exact partials of F at nodal (u, v) data."""
+    """Interface: value and exact first and second partials of F at nodal
+    (u, v) data."""
 
     kind: str = "abstract"
 
@@ -63,6 +80,9 @@ class Nonlinearity:
         raise NotImplementedError
 
     def partials(self, uv) -> np.ndarray:
+        raise NotImplementedError
+
+    def second_partials(self, uv) -> np.ndarray:
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -113,10 +133,11 @@ class LogPowerCoupling(Nonlinearity):
 
     @functools.cached_property
     def _stacks(self) -> tuple[np.ndarray, ...]:
-        """The stacked (p, q), (a, b), (theta1, theta2), then each less one; built on first use."""
+        """The stacked (p, q), (a, b), (theta1, theta2), then each less one,
+        then each less two; built on first use."""
         pairs = ((self.p, self.q), (self.a, self.b), (self.theta1, self.theta2))
         exps = tuple(np.stack([f.values, g.values]) for f, g in pairs)
-        return exps + tuple(e - 1.0 for e in exps)
+        return exps + tuple(e - 1.0 for e in exps) + tuple(e - 2.0 for e in exps)
 
     def value(self, uv):
         e, l, t = self._stacks[:3]
@@ -126,16 +147,34 @@ class LogPowerCoupling(Nonlinearity):
         return pu + pv + tu * tv * lu * lv
 
     def partials(self, uv):
-        e, l, t, em, lm, tm = self._stacks
+        e, l, t, em, lm, tm = self._stacks[:6]
         A = np.abs(uv)
         L, O = np.log1p(A), 1.0 + A
         T = A**t
         # The cross term of F_u carries |v|^t2 ln(1+|v|), that of F_v
         # |u|^t1 ln(1+|u|): T * L with its components swapped.
-        cross = (T * L)[(Ellipsis, slice(None, None, -1)) + (slice(None),) * self.grid.ndim]
+        cross = _swap(T * L, self.grid.ndim)
         return np.sign(uv) * (
             e * A**em * L**l + l * A**e * L**lm / O + cross * (t * A**tm * L + T / O)
         )
+
+    def second_partials(self, uv):
+        e, l, t, em, lm, tm, e2, l2, t2 = self._stacks
+        s = self.grid.ndim
+        A = np.abs(uv)
+        L, O = np.log1p(A), 1.0 + A
+        T, Ae = A**t, A**e
+        # d/dA of A^t ln(1+A), the factor of each cross partial.
+        dcross = t * A**tm * L + T / O
+        own = (
+            e * em * _power(A, e2) * L**l
+            + 2.0 * e * l * A**em * L**lm / O
+            + l * Ae * _power(L, l2) * (lm - L) / O**2
+            + _swap(T * L, s) * (t * tm * _power(A, t2) * L + 2.0 * t * A**tm / O - T / O**2)
+        )
+        fuu, fvv = _uv(own, s)
+        cu, cv = _uv(np.sign(uv) * dcross, s)
+        return np.stack([fuu, cu * cv, fvv], axis=-s - 1)
 
     def describe(self) -> dict:
         return {
@@ -167,6 +206,12 @@ class SeparablePower(Nonlinearity):
         fv = self.c2 * self.g2 * np.sign(v) * np.abs(v) ** (self.g2 - 1.0)
         return np.stack([fu, fv], axis=-self.grid.ndim - 1)
 
+    def second_partials(self, uv):
+        u, v = _uv(uv, self.grid.ndim)
+        fuu = self.c1 * self.g1 * (self.g1 - 1.0) * _power(np.abs(u), self.g1 - 2.0)
+        fvv = self.c2 * self.g2 * (self.g2 - 1.0) * _power(np.abs(v), self.g2 - 2.0)
+        return np.stack([fuu, np.zeros_like(fuu), fvv], axis=-self.grid.ndim - 1)
+
     def describe(self) -> dict:
         return {
             "kind": self.kind,
@@ -192,6 +237,9 @@ class LinearSource(Nonlinearity):
     def partials(self, uv):
         return np.broadcast_to(self.gh, np.shape(uv)).copy()
 
+    def second_partials(self, uv):
+        return np.zeros(np.shape(uv)[:-self.grid.ndim - 1] + (3,) + self.grid.shape)
+
     def describe(self) -> dict:
         return {
             "kind": self.kind,
@@ -209,6 +257,7 @@ class CustomExpression(Nonlinearity):
         self.expr: Expression = _parse_on_grid(grid, text, "u", "v")
         self.expr_u = self.expr.diff("u")
         self.expr_v = self.expr.diff("v")
+        self.expr_second = (self.expr_u.diff("u"), self.expr_u.diff("v"), self.expr_v.diff("v"))
         self._coords = _space_env(grid)
         # F(x,0,0) = 0 is required of every nonlinearity; a non-finite probe
         # fails it, so numpy need not warn about one.
@@ -233,6 +282,16 @@ class CustomExpression(Nonlinearity):
         env = self._env(uv)
         fu, fv = (self._evaluate(e, env) for e in (self.expr_u, self.expr_v))
         return np.stack([fu, fv], axis=-self.grid.ndim - 1)
+
+    def second_partials(self, uv):
+        # An entry that is not finite, as abs(u)^-0.5 from abs(u)^1.5 at
+        # u = 0, reads 0 there, as in ``_power``.
+        env = self._env(uv)
+        with np.errstate(all="ignore"):
+            out = np.stack([self._evaluate(e, env) for e in self.expr_second],
+                           axis=-self.grid.ndim - 1)
+        out[~np.isfinite(out)] = 0.0
+        return out
 
     def describe(self) -> dict:
         return {"kind": self.kind, "expression": self.text}

@@ -5,7 +5,8 @@ Three experiment drivers sit on top of two engines:
 * ``descend`` — line-search Newton-CG on the (optionally quadrant-truncated)
   energy, in the units of the fibering scan of its cone
   (``_fibering_minimum``), which also seeds it when no start is given, as
-  in each quadrant run.  Minimizers of the truncated functional with a
+  in each quadrant run; its CG takes the exact Hessian-vector products of
+  ``energy._hessian``.  Minimizers of the truncated functional with a
   clamped sign pattern are the constant-sign solutions.
 * ``mountain_pass`` — the classical numerical mountain-pass scheme: a
   piecewise-linear path from zero to a low-energy state whose maximal-energy
@@ -30,11 +31,11 @@ and the polish build no ``GridFunction``.
 The kernel and the cone projector take stacks of packed states, so states
 that do not depend on one another go through in one numpy call each: the
 whole mountain-pass path after every re-spacing, a chunk of the fibering
-scan, in ``_hessian_products`` the two states of a Hessian-vector
-difference and the perturbed states of a Newton Jacobian, and the
-halvings of a relocation's line search, as many per call as the previous
-relocation needed (``backtracking_step``'s ``stack``; the trials are
-tested in order, so the accepted one is that of a one-at-a-time search).
+scan, in ``_hessian_products`` the perturbed states of a Newton
+Jacobian, and the halvings of a relocation's line search, as many per
+call as the previous relocation needed (``backtracking_step``'s
+``stack``; the trials are tested in order, so the accepted one is that
+of a one-at-a-time search).
 Passes in lockstep share these calls: one gradient call on the stacked
 path maxima per relocation round, one line search on their rows, and
 one call on the paths re-spaced in that round.  A stacked call gives
@@ -68,6 +69,7 @@ from .energy import (
     _clamp,
     _energy,
     _gradient,
+    _hessian,
     _pack,
     _pairs,
     _quadrant_signs,
@@ -307,20 +309,21 @@ def _fibering_minimum(
 def _hessian_products(g, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Central differences (g(w + e r) - g(w - e r)) / 2e along each row r,
     e = h / sup|r| with h = 1e-6 max(1, sup|w|): one stacked call of the
-    gradient ``g`` on all 2 len(rows) states."""
+    gradient ``g`` on all 2 len(rows) states.  The polish's Jacobian
+    (``_fd_jacobian``) is its one caller."""
     h = 1e-6 * max(1.0, float(np.max(np.abs(w))))
     e = h / np.max(np.abs(rows), axis=1, keepdims=True)
     grads = g(np.concatenate([w + e * rows, w - e * rows]))
     return (grads[:len(rows)] - grads[len(rows):]) / (2.0 * e)
 
 
-def _newton_direction(g, W: np.ndarray, gW: np.ndarray, tol: float) -> np.ndarray:
-    """Truncated CG on H d = -g(W) to residual ``tol``, stopped at the first
-    direction p of non-positive curvature (-g(W) if it is the first); H p is
-    ``_hessian_products`` along p."""
+def _newton_direction(hess, gW: np.ndarray, tol: float) -> np.ndarray:
+    """Truncated CG on H d = -gW to residual ``tol``, stopped at the first
+    direction p of non-positive curvature (-gW if it is the first); H p is
+    ``hess(p)``, the exact product of ``energy._hessian`` in the descent."""
     z, r, p, rr = np.zeros_like(gW), gW, -gW, float(gW @ gW)
-    for j in range(W.size):
-        hp = _hessian_products(g, W, p[None])[0]
+    for j in range(gW.size):
+        hp = hess(p)
         curvature = float(p @ hp)
         if curvature <= 0.0:
             return -gW if j == 0 else z
@@ -371,7 +374,9 @@ def descend(
     or at the zero pair, flagged ``no_negative_energy_start``, when the scan
     has no negative minimum.  A step follows the truncated-CG direction
     (forcing term min(0.5, |g|) |g|) and moves w by at most
-    ``_MAX_STEP_SUP`` in sup norm.
+    ``_MAX_STEP_SUP`` in sup norm.  CG multiplies by the exact Hessian of
+    f in W, (S/c) H(S W) S, with H the product of ``energy._hessian`` built
+    once per iterate; no gradient is differenced.
     A run not converged after min(``max_iterations``, ``_REFINE_ITERATIONS``)
     steps is flagged ``descent_not_converged`` and ``newton_step_cap`` (or
     ``line_search_floor`` where no trial passes), not raised.
@@ -392,13 +397,17 @@ def descend(
     def g(W):
         return (S / c) * g_raw(S * W)
 
+    def hess(W):
+        product = _hessian(S * W, prob, signs)
+        return lambda d: (S / c) * product(S * d)
+
     W = w0 / S
     fW, gW = f(W), g(W)
     steps, stop = 0, "newton_step_cap"
     cap = min(cfg.max_iterations, _REFINE_ITERATIONS)
     while (gn := float(np.linalg.norm(gW))) > cfg.gradient_stop and steps < cap:
         trial = _line_search(f, g, proj, W, fW, gW,
-                             _newton_direction(g, W, gW, min(0.5, gn) * gn), S)
+                             _newton_direction(hess(W), gW, min(0.5, gn) * gn), S)
         if trial is None:
             stop = "line_search_floor"
             break
@@ -451,7 +460,9 @@ def _jacobian_pattern(grid: Grid, idx: np.ndarray):
     pointwise source at r itself, so a row sees at most one column of each
     colour.  Returns (colour, rows, cols): each free column's colour, and
     the Jacobian entries (positions in ``idx``) whose nodes lie within
-    ``_STENCIL_REACH`` of each other on every axis.
+    ``_STENCIL_REACH`` of each other on every axis, row by row and in
+    column order within a row.  They are read off the box of offsets around
+    each free node, so the memory is linear in ``idx.size``, not quadratic.
     """
     period = 2 * _STENCIL_REACH + 1
     component, node = np.divmod(idx, grid.n_nodes)
@@ -460,11 +471,23 @@ def _jacobian_pattern(grid: Grid, idx: np.ndarray):
         (component, *(ra % period for ra in r)), (2,) + (period,) * grid.ndim
     )
     colour = np.unique(key, return_inverse=True)[1]
-    near = np.logical_and.reduce(
-        [np.abs(ra[:, None] - ra[None, :]) <= _STENCIL_REACH for ra in r]
-    )
-    rows, cols = np.nonzero(near)
-    return colour, rows, cols
+    # The nodes of each free node's box in C order, u's then v's: in packed,
+    # and so in column, order.
+    box = np.indices((period,) * grid.ndim).reshape(grid.ndim, -1) - _STENCIL_REACH
+    inside = np.ones((idx.size, box.shape[1]), dtype=bool)
+    neighbour = np.zeros((idx.size, box.shape[1]), dtype=np.intp)
+    for ra, offsets, size in zip(r, box, grid.shape):
+        at = ra[:, None] + offsets
+        inside &= (at >= 0) & (at < size)
+        neighbour = neighbour * size + at
+    neighbour[~inside] = 0
+    position = np.full(2 * grid.n_nodes, -1)
+    position[idx] = np.arange(idx.size)
+    cols = np.concatenate([position[neighbour], position[neighbour + grid.n_nodes]], axis=1)
+    del neighbour  # freed before the gathers below, which set the peak
+    entries = np.tile(inside, 2) & (cols >= 0)
+    rows = np.repeat(np.arange(idx.size), np.count_nonzero(entries, axis=1))
+    return colour, rows, cols[entries]
 
 
 def _fd_jacobian(gfun, w: np.ndarray, idx: np.ndarray, pattern):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -967,6 +968,44 @@ def test_polish_jacobian_pattern_is_the_stencil_reach():
     seen = np.zeros((idx.size, colour.max() + 1), dtype=int)
     np.add.at(seen, (rows, colour[cols]), 1)
     assert seen.max() == 1
+
+
+def test_polish_jacobian_pattern_memory_is_linear_in_the_unknowns():
+    """At 65x65 (7 938 free unknowns) the pattern is read off per-node boxes
+    of offsets: about 12 MB at the peak, of which the returned arrays are
+    6.2 MB.  One idx.size x idx.size boolean alone would be 63 MB."""
+    grid = make_grid([(0.0, 1.0), (0.0, 1.0)], [65, 65])
+    idx = free_dofs(grid)
+    tracemalloc.start()
+    try:
+        colour, rows, cols = solve._jacobian_pattern(grid, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    # Row by row, each row's columns ascending, each entry once.
+    assert np.all(np.diff(rows) >= 0)
+    assert np.all(np.diff(rows * idx.size + cols) > 0)
+    # Each u row and each v row sees the u and the v columns of its box.
+    assert rows.size == 4 * sum(
+        (min(i + 2, 63) - max(i - 2, 1) + 1) * (min(j + 2, 63) - max(j - 2, 1) + 1)
+        for i in range(1, 64) for j in range(1, 64))
+
+
+def test_descent_takes_no_finite_difference_hessian_product(monkeypatch):
+    """The descent's Newton-CG takes the exact product of
+    ``energy._hessian``: with the finite-difference helper refused, the Q1
+    and Q2 descents on the default problem still converge."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("finite-difference Hessian product")
+
+    monkeypatch.setattr(solve, "_hessian_products", refuse)
+    prob, cfg = parse_config_text(json.dumps(default_config_dict()))
+    for quadrant in ("Q1", "Q2"):
+        pt = descend(prob, None, quadrant, cfg)
+        assert pt.converged and pt.flags == [] and pt.quadrant == quadrant
+        assert pt.energy < 0.0 and pt.residual <= cfg.gradient_stop
 
 
 # ---------------------------------------------------------------------------

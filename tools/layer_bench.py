@@ -10,6 +10,12 @@ It prints one JSON object with:
   and the two back to back, on ``configs/default.json`` at 129 and 1025
   nodes and on the unit square at 65x65 with the same constants, and at
   129 nodes of ``LogPowerCoupling.partials`` alone;
+* ``hessian_us``: at the same three sizes, at the Q1 truncation (the
+  descent's functional) and the same smooth state, microseconds per exact
+  Hessian-vector product (``energy._hessian``'s product, the descent's),
+  per finite-difference product (``solve._hessian_products`` on one
+  direction, the polish's), and per coefficient build (one ``_hessian``
+  call, made once per Newton iterate of the descent);
 * ``source_us``: at 129 nodes, the source part of one kernel call on the
   (u, v) pair: the coupling plus F (``value``), and the coupling's partials
   plus F's (``partials``);
@@ -31,7 +37,7 @@ It prints one JSON object with:
   mountain-pass relocation, Newton polish) of ``solve --theorem 2`` and
   ``pairs`` on ``configs/default.json``, counting every state of a stacked
   call, with the number of gradient-kernel calls, in all and per stage,
-  and of Newton Jacobians built;
+  of Newton Jacobians built, and of exact Hessian builds and products;
 * ``energy_evaluations``: for the same two runs, energy evaluations made by
   the solvers per stage, the share of them that are trials of
   ``backtracking_step``, and its steps (mountain-pass relocations, one per
@@ -65,7 +71,7 @@ import numpy as np
 
 from varexp import cli, energy, optimize, solve
 from varexp.config import parse_config_text
-from varexp.energy import _energy, _gradient
+from varexp.energy import _energy, _gradient, _hessian
 from varexp.exponents import exponent_from_expression
 from varexp.grid import make_grid
 
@@ -126,6 +132,27 @@ def kernel_us():
             out[label]["log_power_partials"] = per_call_us(
                 lambda: prob.nonlinearity.partials(pair)
             )
+    return out
+
+
+def hessian_us():
+    out = {}
+    rng = np.random.default_rng(0)
+    for label, extents, nodes in (
+        ("1d_n129", [[0.0, 1.0]], [129]),
+        ("1d_n1025", [[0.0, 1.0]], [1025]),
+        ("2d_65x65", [[0.0, 1.0], [0.0, 1.0]], [65, 65]),
+    ):
+        prob, _ = problem(extents, nodes)
+        w = smooth_state(prob)
+        d = rng.normal(size=w.size) * np.tile(prob.grid.interior.ravel(), 2)
+        product = _hessian(w, prob, (1, 1))
+        g = partial(_gradient, prob=prob, signs=(1, 1))
+        out[label] = {
+            "exact_product": per_call_us(lambda: product(d)),
+            "fd_product": per_call_us(lambda: solve._hessian_products(g, w, d[None])),
+            "coefficient_build": per_call_us(lambda: _hessian(w, prob, (1, 1))),
+        }
     return out
 
 
@@ -260,6 +287,7 @@ def evaluation_counts():
     in_step = [0]
     kernel_calls: dict[str, int] = {}
     jacobian_builds = [0]
+    hessians = {"builds": 0, "products": 0}
 
     def tally(key, states):
         row = energies.setdefault(stack[-1], dict.fromkeys(
@@ -292,6 +320,16 @@ def evaluation_counts():
             tally("line_search_trial_calls", 1)
         return _energy(w, *args, **kwargs)
 
+    def counted_hessian(*args, **kwargs):
+        hessians["builds"] += 1
+        product = _hessian(*args, **kwargs)
+
+        def counted_product(d):
+            hessians["products"] += d.size // d.shape[-1]
+            return product(d)
+
+        return counted_product
+
     real_step = optimize.backtracking_step
 
     def counted_step(f, x, *args, **kwargs):
@@ -311,6 +349,7 @@ def evaluation_counts():
     patches = {
         "_gradient": counted_gradient,
         "_energy": counted_energy,
+        "_hessian": counted_hessian,
         "backtracking_step": counted_step,
         "descend": staged("descent", solve.descend),
         "_lockstep_passes": staged("mountain_pass", solve._lockstep_passes),
@@ -332,6 +371,7 @@ def evaluation_counts():
             energies.clear()
             kernel_calls.clear()
             jacobian_builds[0] = 0
+            hessians.update(builds=0, products=0)
             run()
             energy_out[label] = dict(sorted(energies.items()))
             out[label] = dict(sorted(counts.items()))
@@ -339,6 +379,8 @@ def evaluation_counts():
             out[label]["kernel_calls"] = sum(kernel_calls.values())
             out[label]["kernel_calls_by_stage"] = dict(sorted(kernel_calls.items()))
             out[label]["newton_jacobians"] = jacobian_builds[0]
+            out[label]["hessian_builds"] = hessians["builds"]
+            out[label]["hessian_products"] = hessians["products"]
     finally:
         for name, fn in saved.items():
             setattr(solve, name, fn)
@@ -408,6 +450,7 @@ def main() -> int:
     result = {
         "host": host(),
         "kernel_us": kernel_us(),
+        "hessian_us": hessian_us(),
         "source_us": source_us(),
         "polish": polish(),
         "batched_us": batched_us(),

@@ -2,7 +2,7 @@
 
     python3 tools/same_outputs.py PARENT CHANGE
 
-PARENT and CHANGE are the roots of two source checkouts.  Each of the 50
+PARENT and CHANGE are the roots of two source checkouts.  Each of the 57
 runs below is made once per tree, as ``python -m varexp.cli SUBCOMMAND ...
 --deterministic --out out`` with ``PYTHONPATH=<tree>/src`` and
 ``OPENBLAS_NUM_THREADS=1``, from a fresh working directory.  Both trees read
@@ -92,6 +92,11 @@ CONFIGS = {
         # p reaches about 3.6 here, so with C1 = 1e-4 the left term of the
         # log-improved band overtakes the middle one near |u| = 1000.
         4.0, 4.0, 20.0, C1=1e-6),
+    # Every hypothesis holds but even_symmetry: F(-u, -v) != F(u, v).
+    "custom_not_even_n33": _config(
+        [[0.0, 1.0]], [33], 3.0, 3.0, 1.2,
+        {"kind": "custom", "expression": "u^4 + v^4 + (1 + x)*u^2*v^2 + 0.1*u^2*v*abs(v)"},
+        4.0, 4.0, 20.0),
 }
 
 _BASE = CONFIGS["separable_p_3+x/2"]
