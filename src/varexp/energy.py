@@ -14,7 +14,10 @@ p >= 2 the flux |grad u|^{p-2} grad u is assembled exactly; only where
 p < 2, where it is singular at grad u = 0, does derivative assembly use the
 regularized magnitude (|grad u|^2 + eps)^{(p-2)/2} grad u.  The energy itself
 is always integrated unregularized.  The stencils, |grad x|^2 and the flux
-adjoint come from ``grid``, their one owner; this module defines none.
+adjoint come from ``grid``, their one owner, and the pointwise terms of Psi
+with their first and second partials, the coupling (``ProblemSpec._coupling``,
+a ``LambdaCoupling``) and F, from ``nonlinearity``; this module defines none
+of them and only assembles.
 
 Quadrant-truncated variants replace (u, v) by their clamped versions
 s*max(0, s*t) inside Psi while Phi keeps the raw gradients; this is the
@@ -34,10 +37,11 @@ evaluate independent states (a mountain-pass path, a chunk of the fibering
 scan, the perturbed states of a Newton step) in one numpy call.
 ``_hessian`` gives the kernel's exact Hessian-vector product at one state,
 from the same difference operators and the second partials of Psi, for
-the descent's Newton-CG.  The kernel trusts its input.  Validation (grid identity, zero boundary values, quadrant tags)
-happens once, where a state enters: ``_checked_pair`` checks a
-``GridFunction`` pair and returns its packed state, for the public functions
-and the entries of the solvers alike; those stay single-state.
+the descent's Newton-CG.  The kernel trusts its input.  Validation (grid
+identity, zero boundary values, quadrant tags) happens once, where a state
+enters: ``_checked_pair`` checks a ``GridFunction`` pair and returns its
+packed state, for the public functions and the entries of the solvers
+alike; those stay single-state.
 
 Also here: the table of sampled hypothesis checks, walked by
 ``check_hypotheses``, which draw at every node and hand F pair arrays like
@@ -64,7 +68,7 @@ from .grid import (
     _flux_adjoint,
     _integral,
 )
-from .nonlinearity import LogPowerCoupling, Nonlinearity, _power, _swap, _uv
+from .nonlinearity import LambdaCoupling, LogPowerCoupling, Nonlinearity, _power, _swap, _uv
 from .optimize import bb_minimize
 from .spaces import INEQUALITY_SLACK, _check_same_grid
 
@@ -166,25 +170,9 @@ class ProblemSpec:
         return _exponent_plan(np.stack([self.p.values, self.q.values]))
 
     @functools.cached_property
-    def _coupling(self) -> tuple[np.ndarray, ...]:
-        """Stacked like a pair array: (alpha, beta), lam*(alpha, beta) and the
-        exponents (alpha - 1, alpha) of |u| and (beta, beta - 1) of |v|."""
-        al, be = self.alpha.values, self.beta.values
-        pairs = ((al, be), (self.lam * al, self.lam * be), (al - 1.0, al), (be, be - 1.0))
-        return tuple(np.stack(x) for x in pairs)
-
-    @functools.cached_property
-    def _coupling_second(self) -> tuple[np.ndarray, ...]:
-        """Stacked like (F_uu, F_uv, F_vv): lam*(alpha(alpha - 1), alpha*beta,
-        beta(beta - 1)) and the exponents of |u| and of |v| in the
-        coupling's second partials."""
-        al, be = self.alpha.values, self.beta.values
-        triples = (
-            (self.lam * al * (al - 1.0), self.lam * al * be, self.lam * be * (be - 1.0)),
-            (al - 2.0, al - 1.0, al),
-            (be, be - 1.0, be - 2.0),
-        )
-        return tuple(np.stack(x) for x in triples)
+    def _coupling(self) -> LambdaCoupling:
+        """The coupling term lam*|u|^alpha*|v|^beta of Psi."""
+        return LambdaCoupling(self.grid, self.lam, self.alpha, self.beta)
 
     def coupling_margin(self) -> float:
         """max over nodes of alpha/p + beta/q (subcritical iff < 1)."""
@@ -277,20 +265,6 @@ def _unpack(w: np.ndarray, grid: Grid) -> tuple[GridFunction, GridFunction]:
     return GridFunction(grid, W[0]), GridFunction(grid, W[1])
 
 
-def _psi_integrand(T: np.ndarray, prob: ProblemSpec) -> np.ndarray:
-    """lam*|u|^alpha*|v|^beta + F at the pair array T, over the grid axes."""
-    pu, pv = _uv(np.abs(T) ** prob._coupling[0], prob.grid.ndim)
-    return prob.lam * pu * pv + prob.nonlinearity.value(T)
-
-
-def _coupling_partials(T: np.ndarray, prob: ProblemSpec) -> np.ndarray:
-    """lam*alpha*sign(u)*|u|^(alpha-1)*|v|^beta over lam*beta*sign(v)*
-    |u|^alpha*|v|^(beta-1), the coupling's partials at the pair array T."""
-    _, lam, u_exps, v_exps = prob._coupling
-    au, av = _uv(np.abs(T), prob.grid.ndim, keepdims=True)
-    return lam * np.sign(T) * au**u_exps * av**v_exps
-
-
 def _energy(
     w: np.ndarray, prob: ProblemSpec, signs: tuple[int, int] | None = None
 ) -> float | np.ndarray:
@@ -300,7 +274,8 @@ def _energy(
     grid = prob.grid
     W = _pairs(w, grid)
     m = _integral(_difference(W, grid)[1] ** prob._plan.half / prob._plan.p, grid)
-    psi = _integral(_psi_integrand(_clamp(W, signs, grid), prob), grid)
+    T = _clamp(W, signs, grid)
+    psi = _integral(prob._coupling.value(T) + prob.nonlinearity.value(T), grid)
     e = m[..., 0] + m[..., 1] - psi
     return float(e) if w.ndim == 1 else e
 
@@ -318,7 +293,7 @@ def _gradient(
     grid = prob.grid
     W = _pairs(w, grid)
     T = _clamp(W, signs, grid)
-    src = grid.weights * (_coupling_partials(T, prob) + prob.nonlinearity.partials(T))
+    src = grid.weights * (prob._coupling.partials(T) + prob.nonlinearity.partials(T))
     if signs is not None:
         src = src * (T != 0.0).astype(float)
     comps, mag2 = _difference(W, grid)
@@ -327,19 +302,6 @@ def _gradient(
     g = _flux_adjoint(comps, flux, grid) - src
     np.copyto(g, 0.0, where=grid.boundary)
     return g.reshape(w.shape)
-
-
-def _coupling_second_partials(T: np.ndarray, prob: ProblemSpec) -> np.ndarray:
-    """The coupling's second partials at the pair array T, stacked like
-    (F_uu, F_uv, F_vv): lam*alpha(alpha - 1)|u|^(alpha-2)|v|^beta,
-    lam*alpha*beta*sign(uv)|u|^(alpha-1)|v|^(beta-1) and
-    lam*beta(beta - 1)|u|^alpha|v|^(beta-2), each power through ``_power``."""
-    scale, u_exps, v_exps = prob._coupling_second
-    au, av = _uv(np.abs(T), prob.grid.ndim, keepdims=True)
-    out = scale * _power(au, u_exps) * _power(av, v_exps)
-    su, sv = _uv(np.sign(T), prob.grid.ndim)
-    out[(Ellipsis, 1) + (slice(None),) * prob.grid.ndim] *= su * sv
-    return out
 
 
 def _hessian(w: np.ndarray, prob: ProblemSpec, signs: tuple[int, int] | None = None):
@@ -367,7 +329,7 @@ def _hessian(w: np.ndarray, prob: ProblemSpec, signs: tuple[int, int] | None = N
     bend = grid.weights * (plan.p - 2.0) * _power(m, plan.flux - 1.0)
     C = [[bend * gk * gl + (flux if k == l else 0.0) for l, gl in enumerate(comps)]
          for k, gk in enumerate(comps)]
-    block = grid.weights * (_coupling_second_partials(T, prob)
+    block = grid.weights * (prob._coupling.second_partials(T)
                             + prob.nonlinearity.second_partials(T))
     if signs is not None:
         iu, iv = _uv(T != 0.0, grid.ndim)

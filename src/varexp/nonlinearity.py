@@ -1,6 +1,6 @@
-"""Coupling nonlinearities F(x, u, v) and their exact partial derivatives.
-
-Four kinds are provided:
+"""The pointwise terms of Psi = lam*|u|^alpha*|v|^beta + F(x, u, v) and
+their exact first and second partial derivatives: the coupling
+(``LambdaCoupling``, one per problem) and the nonlinearity F, of four kinds:
 
 ``log_power``
     The log-enhanced power coupling
@@ -22,10 +22,11 @@ Four kinds are provided:
     Any expression string over x (and y in 2D), u, v; partials come from
     symbolic differentiation, so hypothesis checks get exact values.
 
-All evaluators take one pair array ``uv`` of shape (..., 2, *grid.shape),
-u over v; ``value`` returns F over the grid axes, ``partials`` (F_u, F_v)
-stacked like ``uv``, and ``second_partials`` (F_uu, F_uv, F_vv) stacked the
-same way, with three entries on the pair axis.  A second partial that is
+All evaluators, the coupling's too, take one pair array ``uv`` of shape
+(..., 2, *grid.shape), u over v; ``value`` returns the term over the grid
+axes, ``partials`` (F_u, F_v) stacked like ``uv``, and ``second_partials``
+(F_uu, F_uv, F_vv) stacked the same way, with three entries on the pair
+axis.  A second partial that is
 unbounded at a zero entry (|u|^(g-2) for an exponent g < 2) reads 0 there
 (``_power``): the energy kernel meets such entries only at clamped and
 boundary zeros, where it discards them.
@@ -44,6 +45,7 @@ from .grid import Grid
 
 __all__ = [
     "Nonlinearity",
+    "LambdaCoupling",
     "LogPowerCoupling",
     "SeparablePower",
     "LinearSource",
@@ -87,6 +89,41 @@ class Nonlinearity:
 
     def describe(self) -> dict:
         raise NotImplementedError
+
+
+class LambdaCoupling:
+    """The coupling term lam*|u|^alpha*|v|^beta of Psi, with the evaluators
+    of a ``Nonlinearity``; not one, so that the hypothesis checks, which
+    are about F, never see it.
+
+    One exponent table, (alpha - 2, alpha - 1, alpha) for |u| over
+    (beta, beta - 1, beta - 2) for |v|, gives the powers of the second
+    partials (F_uu, F_uv, F_vv); its last two entries for |u| and first two
+    for |v| are those of (F_u, F_v), and the outer ones those of the value.
+    """
+
+    def __init__(self, grid: Grid, lam: float, alpha: ExponentField, beta: ExponentField):
+        self.grid, self.lam = grid, lam
+        al, be = alpha.values, beta.values
+        self.exps = np.array([[al - 2.0, al - 1.0, al], [be, be - 1.0, be - 2.0]])
+        self.scale = lam * np.stack([al, be])
+        self.scale2 = np.stack([lam * al * (al - 1.0), lam * al * be, lam * be * (be - 1.0)])
+
+    def value(self, uv):
+        au, av = _uv(np.abs(uv), self.grid.ndim)
+        return self.lam * au ** self.exps[0, 2] * av ** self.exps[1, 0]
+
+    def partials(self, uv):
+        au, av = _uv(np.abs(uv), self.grid.ndim, keepdims=True)
+        return self.scale * np.sign(uv) * au ** self.exps[0, 1:] * av ** self.exps[1, :2]
+
+    def second_partials(self, uv):
+        s = self.grid.ndim
+        au, av = _uv(np.abs(uv), s, keepdims=True)
+        out = self.scale2 * _power(au, self.exps[0]) * _power(av, self.exps[1])
+        su, sv = _uv(np.sign(uv), s)
+        out[(Ellipsis, 1) + (slice(None),) * s] *= su * sv
+        return out
 
 
 class LogPowerCoupling(Nonlinearity):

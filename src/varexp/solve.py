@@ -31,11 +31,11 @@ and the polish build no ``GridFunction``.
 The kernel and the cone projector take stacks of packed states, so states
 that do not depend on one another go through in one numpy call each: the
 whole mountain-pass path after every re-spacing, a chunk of the fibering
-scan, in ``_hessian_products`` the perturbed states of a Newton
-Jacobian, and the halvings of a relocation's line search, as many per
-call as the previous relocation needed (``backtracking_step``'s
-``stack``; the trials are tested in order, so the accepted one is that
-of a one-at-a-time search).
+scan, in ``_fd_jacobian`` the perturbed states of a Newton Jacobian, and
+the halvings of a relocation's line search, as many per call as the
+previous relocation needed (``backtracking_step``'s ``stack``; the trials
+are tested in order, so the accepted one is that of a one-at-a-time
+search).
 Passes in lockstep share these calls: one gradient call on the stacked
 path maxima per relocation round, one line search on their rows, and
 one call on the paths re-spaced in that round.  A stacked call gives
@@ -251,14 +251,18 @@ def _make_point(
     iterations: int,
     converged: bool,
     flags: list[str],
+    quadrant: str | None = None,
 ) -> CriticalPoint:
+    """The point at w, tagged ``quadrant``, the cone its run was held in,
+    so that a run ending at the zero pair, which lies in every cone, keeps
+    its own; a run with no cone (None) takes ``classify_quadrant``'s tag."""
     u, v = _unpack(w, prob.grid)
     return CriticalPoint(
         u=u,
         v=v,
         energy=_energy(w, prob),
         residual=float(np.linalg.norm(_gradient(w, prob))),
-        quadrant=classify_quadrant(u, v),
+        quadrant=quadrant or classify_quadrant(u, v),
         method=method,
         iterations=iterations,
         converged=converged,
@@ -304,17 +308,6 @@ def _fibering_minimum(
                 break
             best = j
     return None if best is None else (t[best] ** powers, d, -float(e[best]))
-
-
-def _hessian_products(g, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Central differences (g(w + e r) - g(w - e r)) / 2e along each row r,
-    e = h / sup|r| with h = 1e-6 max(1, sup|w|): one stacked call of the
-    gradient ``g`` on all 2 len(rows) states.  The polish's Jacobian
-    (``_fd_jacobian``) is its one caller."""
-    h = 1e-6 * max(1.0, float(np.max(np.abs(w))))
-    e = h / np.max(np.abs(rows), axis=1, keepdims=True)
-    grads = g(np.concatenate([w + e * rows, w - e * rows]))
-    return (grads[:len(rows)] - grads[len(rows):]) / (2.0 * e)
 
 
 def _newton_direction(hess, gW: np.ndarray, tol: float) -> np.ndarray:
@@ -417,7 +410,7 @@ def descend(
     flags = [] if converged else ["descent_not_converged", stop]
     if start is None and fib is None:
         flags.append("no_negative_energy_start")
-    return _make_point(prob, S * W, "descent", steps, converged, flags)
+    return _make_point(prob, S * W, "descent", steps, converged, flags, quadrant)
 
 
 # --- mountain pass ---------------------------------------------------------------
@@ -492,8 +485,9 @@ def _jacobian_pattern(grid: Grid, idx: np.ndarray):
 
 def _fd_jacobian(gfun, w: np.ndarray, idx: np.ndarray, pattern):
     """Central-difference Jacobian of ``gfun`` over the free positions
-    ``idx``: ``_hessian_products`` along the indicator of each colour of
-    ``_jacobian_pattern``, all in one stacked ``gfun`` call.
+    ``idx``: (gfun(w + h r) - gfun(w - h r)) / 2h along the indicator r of
+    each colour of ``_jacobian_pattern``, h = 1e-6 max(1, sup|w|), all
+    2 * colours states in one stacked ``gfun`` call.
 
     Each entry reads the same floating-point inputs as a one-column-at-a-time
     difference, since no row sees a second perturbed column, so the two
@@ -502,7 +496,10 @@ def _fd_jacobian(gfun, w: np.ndarray, idx: np.ndarray, pattern):
     colour, rows, cols = pattern
     indicators = np.zeros((colour.max() + 1, w.size))
     indicators[colour, idx] = 1.0
-    diffs = _hessian_products(gfun, w, indicators)[:, idx]
+    h = 1e-6 * max(1.0, float(np.max(np.abs(w))))
+    grads = gfun(np.concatenate([w + h * indicators, w - h * indicators]))
+    k = len(indicators)
+    diffs = (grads[:k, idx] - grads[k:, idx]) / (2.0 * h)
     jac = np.zeros((idx.size, idx.size))
     jac[rows, cols] = diffs[colour[cols], rows]
     return jac
@@ -682,18 +679,18 @@ def _lockstep_passes(
                 elif p.relocations % 2000:
                     still.append(p)
                     continue
-            p.point = _judge(prob, g, proj, p, idx, pattern, cfg)
+            p.point = _judge(prob, g, proj, p, idx, pattern, cfg, quadrant)
             if p.point is None:
                 still.append(p)
         active = still
     return [p.point for p in passes]
 
 
-def _judge(prob, g, proj, p: _Pass, idx, pattern, cfg) -> CriticalPoint | None:
+def _judge(prob, g, proj, p: _Pass, idx, pattern, cfg, quadrant) -> CriticalPoint | None:
     """Polishes the path maximum of pass ``p`` and returns the polished
-    point, converged, when it is accepted; None when relocation resumes;
-    otherwise the point, not converged, with the pass's stop and the
-    failed tests among its flags."""
+    point, tagged ``quadrant`` (see ``_make_point``), converged, when it is
+    accepted; None when relocation resumes; otherwise the point, not
+    converged, with the pass's stop and the failed tests among its flags."""
     j = 1 + int(np.argmax(p.fvals[1:-1]))
     w, steps = p.path[j].copy(), 0
     if pattern is not None:
@@ -706,6 +703,7 @@ def _judge(prob, g, proj, p: _Pass, idx, pattern, cfg) -> CriticalPoint | None:
         p.relocations + p.polish_steps,
         True,
         p.flags,
+        quadrant,
     )
     low = point.energy <= p.floor
     rough = point.residual > cfg.gradient_stop
@@ -820,7 +818,9 @@ _FOUR_SOLUTION_HYPOTHESES = (
 )
 
 
-def _negated(point: CriticalPoint, prob: ProblemSpec) -> CriticalPoint:
+def _negated(point: CriticalPoint, prob: ProblemSpec, quadrant=None) -> CriticalPoint:
+    """The negation of ``point``, tagged ``quadrant``, the opposite of the
+    cone ``point`` ran in (None for a run with no cone, see ``_make_point``)."""
     return _make_point(
         prob,
         -_pack(point.u, point.v),
@@ -828,6 +828,7 @@ def _negated(point: CriticalPoint, prob: ProblemSpec) -> CriticalPoint:
         point.iterations,
         point.converged,
         point.flags + ["negation_pair"],
+        quadrant,
     )
 
 
@@ -856,7 +857,7 @@ def _quadrant_inventory(
     for quadrant in quadrants:
         mirror = done.get(_OPPOSITE_QUADRANT[quadrant]) if symmetric else None
         if mirror is not None:
-            pt = _negated(mirror, prob)
+            pt = _negated(mirror, prob, quadrant)
         else:
             pt = descend(prob, None, quadrant, cfg)
             # Absolute on purpose: a component whose sup is at or below
@@ -930,7 +931,7 @@ def find_six_solutions(
     else:
         mp1 = mountain_pass(prob, (t_star * h1, t_star * h2), "Q1", cfg)
         if symmetric:
-            mp3 = _negated(mp1, prob)
+            mp3 = _negated(mp1, prob, "Q3")
         else:
             mp3 = mountain_pass(prob, ((-t_star) * h1, (-t_star) * h2), "Q3", cfg)
         for mp in (mp1, mp3):

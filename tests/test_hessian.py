@@ -1,6 +1,7 @@
-"""Exact second derivatives: each nonlinearity's ``second_partials`` and the
-energy kernel's Hessian-vector product ``energy._hessian``, against central
-differences of the first derivatives they differentiate."""
+"""Exact second derivatives: the ``second_partials`` of each nonlinearity
+and of the coupling term, and the energy kernel's Hessian-vector product
+``energy._hessian``, against central differences of the first derivatives
+they differentiate."""
 
 import warnings
 
@@ -129,18 +130,30 @@ def test_exact_product_where_the_difference_gradient_vanishes(dim, p_val):
         assert not zero.any()
 
 
-@pytest.mark.parametrize("kind", list(KINDS))
+@pytest.mark.parametrize("kind", [*KINDS, "coupling"])
 @pytest.mark.parametrize("dim", list(GRIDS))
 def test_second_partials_differentiate_the_partials(dim, kind):
-    """(F_uu, F_uv, F_vv) against central differences of ``partials`` at
-    states away from 0, and finite with no warning at every zero entry."""
-    prob = problem(dim, kind)
-    nl, grid = prob.nonlinearity, prob.grid
+    """(F_uu, F_uv, F_vv) against central differences of ``partials``, and
+    (F_u, F_v) against those of ``value``, at states away from 0, and all
+    three finite with no warning at every zero entry; for each F and for
+    the coupling term lam*|u|^alpha*|v|^beta (``ProblemSpec._coupling``)."""
+    if kind == "coupling":
+        prob = problem(dim, "linear_source")  # any F: the coupling ignores it
+        nl = prob._coupling
+    else:
+        prob = problem(dim, kind)
+        nl = prob.nonlinearity
+    grid = prob.grid
     rng = np.random.default_rng(5)
     uv = random_state(grid, rng, 1.0).reshape((2,) + grid.shape) + 2.0 * grid.boundary
-    second = nl.second_partials(uv)
+    first, second = nl.partials(uv), nl.second_partials(uv)
     assert second.shape == (3,) + grid.shape
     h = 1e-6
+    for j in (0, 1):
+        step = np.zeros_like(uv)
+        step[j] = h
+        fd = (nl.value(uv + step) - nl.value(uv - step)) / (2 * h)
+        np.testing.assert_allclose(first[j], fd, rtol=1e-6, atol=1e-6)
     for k, (i, j) in enumerate([(0, 0), (0, 1), (1, 1)]):
         step = np.zeros_like(uv)
         step[j] = h
@@ -150,4 +163,5 @@ def test_second_partials_differentiate_the_partials(dim, kind):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for at in (zeros, zeros[::-1], np.zeros_like(uv)):
-            assert np.all(np.isfinite(nl.second_partials(at)))
+            for evaluate in (nl.value, nl.partials, nl.second_partials):
+                assert np.all(np.isfinite(evaluate(at)))

@@ -994,13 +994,13 @@ def test_polish_jacobian_pattern_memory_is_linear_in_the_unknowns():
 
 def test_descent_takes_no_finite_difference_hessian_product(monkeypatch):
     """The descent's Newton-CG takes the exact product of
-    ``energy._hessian``: with the finite-difference helper refused, the Q1
-    and Q2 descents on the default problem still converge."""
+    ``energy._hessian``: with the polish's finite-difference Jacobian
+    refused, the Q1 and Q2 descents on the default problem still converge."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("finite-difference Hessian product")
 
-    monkeypatch.setattr(solve, "_hessian_products", refuse)
+    monkeypatch.setattr(solve, "_fd_jacobian", refuse)
     prob, cfg = parse_config_text(json.dumps(default_config_dict()))
     for quadrant in ("Q1", "Q2"):
         pt = descend(prob, None, quadrant, cfg)
@@ -1142,6 +1142,19 @@ def test_find_constant_sign_runs_all_four_quadrants():
     assert all(
         "component_below_nontriviality_threshold" in r.flags for r in inv.runs
     )
+
+
+def test_runs_at_the_zero_pair_keep_their_quadrants(monkeypatch):
+    """With no fibering minimum every descent starts and ends at the zero
+    pair, which lies in every cone; each run still reports the cone it ran
+    in, and each mirrored run the opposite one."""
+    monkeypatch.setattr(solve, "_fibering_minimum", lambda prob, signs: None)
+    prob, cfg = parse_config_text(json.dumps(default_config_dict()))
+    inv = find_constant_sign_solutions(prob, cfg)
+    assert [r.quadrant for r in inv.runs] == list(QUADRANTS)
+    assert all("no_negative_energy_start" in r.flags for r in inv.runs)
+    assert not any(r.u.values.any() or r.v.values.any() for r in inv.runs)
+    assert inv.points == []
 
 
 def test_tiny_constant_sign_minimizers_keep_their_quadrants():

@@ -12,13 +12,13 @@ It prints one JSON object with:
   129 nodes of ``LogPowerCoupling.partials`` alone;
 * ``hessian_us``: at the same three sizes, at the Q1 truncation (the
   descent's functional) and the same smooth state, microseconds per exact
-  Hessian-vector product (``energy._hessian``'s product, the descent's),
-  per finite-difference product (``solve._hessian_products`` on one
-  direction, the polish's), and per coefficient build (one ``_hessian``
-  call, made once per Newton iterate of the descent);
+  Hessian-vector product (``energy._hessian``'s product, the descent's)
+  and per coefficient build (one ``_hessian`` call, made once per Newton
+  iterate of the descent);
 * ``source_us``: at 129 nodes, the source part of one kernel call on the
   (u, v) pair: the coupling plus F (``value``), and the coupling's partials
-  plus F's (``partials``);
+  plus F's (``partials``), each from ``ProblemSpec._coupling`` and
+  ``ProblemSpec.nonlinearity``;
 * ``polish``: one Newton-polish Jacobian at 129 nodes, built column by
   column (the reference loop below) and coloured (``solve._fd_jacobian``);
   one dense Newton solve on it;
@@ -147,10 +147,8 @@ def hessian_us():
         w = smooth_state(prob)
         d = rng.normal(size=w.size) * np.tile(prob.grid.interior.ravel(), 2)
         product = _hessian(w, prob, (1, 1))
-        g = partial(_gradient, prob=prob, signs=(1, 1))
         out[label] = {
             "exact_product": per_call_us(lambda: product(d)),
-            "fd_product": per_call_us(lambda: solve._hessian_products(g, w, d[None])),
             "coefficient_build": per_call_us(lambda: _hessian(w, prob, (1, 1))),
         }
     return out
@@ -160,9 +158,11 @@ def source_us():
     prob, _ = problem([[0.0, 1.0]], [129])
     pair = energy._pairs(smooth_state(prob), prob.grid)
     return {
-        "value": per_call_us(lambda: energy._psi_integrand(pair, prob)),
+        "value": per_call_us(
+            lambda: prob._coupling.value(pair) + prob.nonlinearity.value(pair)
+        ),
         "partials": per_call_us(
-            lambda: energy._coupling_partials(pair, prob) + prob.nonlinearity.partials(pair)
+            lambda: prob._coupling.partials(pair) + prob.nonlinearity.partials(pair)
         ),
     }
 
