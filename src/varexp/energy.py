@@ -495,13 +495,23 @@ def _axis_derivatives_vanish(prob, rng, shape):
     return worst <= 1e-12, 2 * other.size, 1e-12 - worst, {"max_axis_derivative": worst}
 
 
-def _even_symmetry(prob, rng, shape):
+def _symmetry_gap(prob, rng, shape, su, sv):
+    """F at sampled pairs against F at their images (su u, sv v), within a
+    relative gap of 1e-12."""
     nl = prob.nonlinearity
-    uv = np.stack([_sample_uv(rng, shape), _sample_uv(rng, shape)], axis=1)
-    f = nl.value(uv)
-    f_neg = nl.value(-uv)
-    worst = float(np.max(np.abs(f - f_neg) / (1.0 + np.abs(f))))
+    u, v = _sample_uv(rng, shape), _sample_uv(rng, shape)
+    f = nl.value(np.stack([u, v], axis=1))
+    f_image = nl.value(np.stack([su * u, sv * v], axis=1))
+    worst = float(np.max(np.abs(f - f_image) / (1.0 + np.abs(f))))
     return worst <= 1e-12, f.size, 1e-12 - worst, {"max_relative_gap": worst}
+
+
+def _even_symmetry(prob, rng, shape):
+    return _symmetry_gap(prob, rng, shape, -1.0, -1.0)
+
+
+def _reflection_symmetry(prob, rng, shape):
+    return _symmetry_gap(prob, rng, shape, -1.0, 1.0)
 
 
 def _exponent_monotone_direction(prob, rng, shape):
@@ -528,6 +538,7 @@ _CHECKS = {
     "axis_derivatives_vanish": _axis_derivatives_vanish,
     "even_symmetry": _even_symmetry,
     "exponent_monotone_direction": _exponent_monotone_direction,
+    "reflection_symmetry": _reflection_symmetry,
 }
 
 HYPOTHESIS_NAMES = tuple(_CHECKS)

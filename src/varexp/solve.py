@@ -14,8 +14,9 @@ Three experiment drivers sit on top of two engines:
   arclength.  Relocation alone creeps near the saddle (the p-Laplacian
   Hessian degenerates where the gradient of the state vanishes), so the
   near-saddle state is finished by damped Newton on the nodal gradient
-  system with a column-coloured, dense finite-difference Jacobian
-  (``_newton_polish``) every 2000 relocations; the pass is accepted, and
+  system with a column-coloured finite-difference Jacobian, dense on each
+  of the stencil's two decoupled sublattices (``_newton_polish``), every
+  2000 relocations; the pass is accepted, and
   converged, exactly when the polished residual meets the stopping
   tolerance and its energy exceeds both endpoints.  Its one loop,
   ``_lockstep_passes``, runs any number of passes of one functional side
@@ -49,7 +50,9 @@ Deflation is a sup-norm merge relative to amplitude (``merge_points``).
 
 Under a passing ``even_symmetry`` verdict the energy is even, so the Q3/Q4
 descents and the Q3 mountain pass are taken as exact negations of the
-Q1/Q2 descents and the Q1 pass instead of being recomputed.
+Q1/Q2 descents and the Q1 pass instead of being recomputed; under a
+passing ``reflection_symmetry`` verdict (F even in u alone) a Q2/Q4
+descent is the reflection (-u, v) of the Q1/Q3 one.
 """
 
 from __future__ import annotations
@@ -443,66 +446,103 @@ def _respace(path: np.ndarray) -> np.ndarray:
 _POLISH_DOF_CAP = 1600
 
 
-def _jacobian_pattern(grid: Grid, idx: np.ndarray):
-    """Curtis-Powell-Reid column colouring of the polish Jacobian.
+# Per number of axes, the rows M of the map r -> floor(M r / 2) that takes
+# each sublattice of the central stencil (nodes of one parity of their
+# coordinate sum) onto the integer lattice; the same-sublattice offsets o
+# with |o|_1 <= _STENCIL_REACH become the box of half-width
+# _STENCIL_REACH // 2 there.
+_SUBLATTICE_ROTATION = {1: ((1,),), 2: ((1, 1), (1, -1))}
 
-    The free degree of freedom at node r of component c (u or v) gets the
-    colour (c, r mod 5 on each axis), numbered in that order over the
-    non-empty colours.  The nodal gradient at node r reads nodes within
-    ``_STENCIL_REACH`` steps per axis and couples u and v only through the
-    pointwise source at r itself, so a row sees at most one column of each
-    colour.  Returns (colour, rows, cols): each free column's colour, and
-    the Jacobian entries (positions in ``idx``) whose nodes lie within
-    ``_STENCIL_REACH`` of each other on every axis, row by row and in
-    column order within a row.  They are read off the box of offsets around
-    each free node, so the memory is linear in ``idx.size``, not quadratic.
+
+def _jacobian_pattern(grid: Grid, idx: np.ndarray):
+    """Curtis-Powell-Reid column colouring of the polish Jacobian, one
+    block per sublattice.
+
+    On zero-boundary states the nodal gradient at node r reads only nodes
+    r + o of its own sublattice (the parity of the coordinate sum) with
+    |o|_1 <= ``_STENCIL_REACH`` (o in {-2, 0, 2} in 1D, the 9-point diamond
+    in 2D), and couples u and v only through the pointwise source at r
+    itself, so the Jacobian is block-diagonal over the two sublattices.  In
+    the coordinates floor(M r / 2) of ``_SUBLATTICE_ROTATION`` that reach is
+    a box of half-width 1, and the free degree of freedom at node r of
+    component c (u or v) gets the colour (c, floor(M r / 2) mod 3 on each
+    axis), numbered in that order over the non-empty colours: 6 colours in
+    1D, 18 in 2D.  Both sublattices share the colours, since neither reads
+    the other, so a row sees at most one column of each colour.
+
+    Returns (colour, blocks): each free column's colour, and per non-empty
+    sublattice, even sum first, (members, rows, cols): its positions in
+    ``idx``, ascending, and its Jacobian entries as positions in
+    ``members``, row by row and in column order within a row.  They are
+    read off the diamond of offsets around each free node, so the memory
+    is linear in ``idx.size``, not quadratic.
     """
-    period = 2 * _STENCIL_REACH + 1
+    period = _STENCIL_REACH + 1  # the width of the rotated diamond
     component, node = np.divmod(idx, grid.n_nodes)
     r = np.unravel_index(node, grid.shape)
+    lattice = [sum(m * ra for m, ra in zip(row, r)) // 2
+               for row in _SUBLATTICE_ROTATION[grid.ndim]]
     key = np.ravel_multi_index(
-        (component, *(ra % period for ra in r)), (2,) + (period,) * grid.ndim
+        (component, *(la % period for la in lattice)), (2,) + (period,) * grid.ndim
     )
     colour = np.unique(key, return_inverse=True)[1]
-    # The nodes of each free node's box in C order, u's then v's: in packed,
-    # and so in column, order.
-    box = np.indices((period,) * grid.ndim).reshape(grid.ndim, -1) - _STENCIL_REACH
-    inside = np.ones((idx.size, box.shape[1]), dtype=bool)
-    neighbour = np.zeros((idx.size, box.shape[1]), dtype=np.intp)
-    for ra, offsets, size in zip(r, box, grid.shape):
-        at = ra[:, None] + offsets
-        inside &= (at >= 0) & (at < size)
-        neighbour = neighbour * size + at
-    neighbour[~inside] = 0
-    position = np.full(2 * grid.n_nodes, -1)
-    position[idx] = np.arange(idx.size)
-    cols = np.concatenate([position[neighbour], position[neighbour + grid.n_nodes]], axis=1)
-    del neighbour  # freed before the gathers below, which set the peak
-    entries = np.tile(inside, 2) & (cols >= 0)
-    rows = np.repeat(np.arange(idx.size), np.count_nonzero(entries, axis=1))
-    return colour, rows, cols[entries]
+    parity = sum(r) % 2
+    # The same-sublattice offsets within reach, in C order: the nodes of a
+    # free node's diamond, u's then v's, in packed, and so in column, order.
+    box = np.indices((2 * _STENCIL_REACH + 1,) * grid.ndim).reshape(grid.ndim, -1)
+    box -= _STENCIL_REACH
+    diamond = box[:, (box.sum(axis=0) % 2 == 0)
+                  & (np.abs(box).sum(axis=0) <= _STENCIL_REACH)]
+    blocks = []
+    for sub in (0, 1):
+        members = np.flatnonzero(parity == sub)
+        if not members.size:
+            continue
+        inside = np.ones((members.size, diamond.shape[1]), dtype=bool)
+        neighbour = np.zeros((members.size, diamond.shape[1]), dtype=np.intp)
+        for ra, offsets, size in zip(r, diamond, grid.shape):
+            at = ra[members, None] + offsets
+            inside &= (at >= 0) & (at < size)
+            neighbour = neighbour * size + at
+        neighbour[~inside] = 0
+        position = np.full(2 * grid.n_nodes, -1)
+        position[idx[members]] = np.arange(members.size)
+        cols = np.concatenate(
+            [position[neighbour], position[neighbour + grid.n_nodes]], axis=1
+        )
+        del neighbour  # freed before the gathers below, which set the peak
+        entries = np.tile(inside, 2) & (cols >= 0)
+        rows = np.repeat(np.arange(members.size), np.count_nonzero(entries, axis=1))
+        blocks.append((members, rows, cols[entries]))
+    return colour, blocks
 
 
 def _fd_jacobian(gfun, w: np.ndarray, idx: np.ndarray, pattern):
     """Central-difference Jacobian of ``gfun`` over the free positions
-    ``idx``: (gfun(w + h r) - gfun(w - h r)) / 2h along the indicator r of
-    each colour of ``_jacobian_pattern``, h = 1e-6 max(1, sup|w|), all
-    2 * colours states in one stacked ``gfun`` call.
+    ``idx``, one dense block per sublattice of ``_jacobian_pattern``:
+    (gfun(w + h r) - gfun(w - h r)) / 2h along the indicator r of each
+    colour, h = 1e-6 max(1, sup|w|), all 2 * colours states in one stacked
+    ``gfun`` call.  Returns (members, block) per sublattice; the entries
+    between the two sublattices are exactly zero and are not stored.
 
     Each entry reads the same floating-point inputs as a one-column-at-a-time
-    difference, since no row sees a second perturbed column, so the two
-    Jacobians are equal bit for bit; entries off the pattern are zero in both.
+    difference, since no row sees a second perturbed column, so each block
+    equals that Jacobian's block bit for bit; entries off the pattern are
+    zero in both.
     """
-    colour, rows, cols = pattern
+    colour, blocks = pattern
     indicators = np.zeros((colour.max() + 1, w.size))
     indicators[colour, idx] = 1.0
     h = 1e-6 * max(1.0, float(np.max(np.abs(w))))
     grads = gfun(np.concatenate([w + h * indicators, w - h * indicators]))
     k = len(indicators)
     diffs = (grads[:k, idx] - grads[k:, idx]) / (2.0 * h)
-    jac = np.zeros((idx.size, idx.size))
-    jac[rows, cols] = diffs[colour[cols], rows]
-    return jac
+    out = []
+    for members, rows, cols in blocks:
+        jac = np.zeros((members.size, members.size))
+        jac[rows, cols] = diffs[colour[members[cols]], members[rows]]
+        out.append((members, jac))
+    return out
 
 
 def _newton_polish(gfun, proj, w, idx, pattern, cfg):
@@ -510,13 +550,14 @@ def _newton_polish(gfun, proj, w, idx, pattern, cfg):
 
     Column-coloured finite-difference Jacobian over the free (interior)
     degrees of freedom ``idx`` (``_fd_jacobian`` on ``pattern``: one stacked
-    gradient call of 2 * 10 states per step in 1D, 2 * 50 in 2D, whatever
-    the grid size), stored dense, direct solve with a least-squares
-    fallback, step halving until the gradient norm decreases, each trial
-    projected by ``proj``.  The gradient at an accepted trial is kept for
-    the next step.  Stops at residual max(0.01 * gradient_stop, 1e-13), at
-    the step cap or at the halving floor, and returns (w, iterations) with
-    no verdict: ``_judge`` alone accepts.  First-order
+    gradient call of 2 * 6 states per step in 1D, 2 * 18 in 2D, whatever
+    the grid size), stored as one dense block per sublattice and solved
+    block by block, each by a direct solve with a least-squares fallback;
+    step halving until the gradient norm decreases, each trial projected by
+    ``proj``.  The gradient at an accepted trial is kept for the next step.
+    Stops at residual max(0.01 * gradient_stop, 1e-13), at the step cap or
+    at the halving floor, and returns (w, iterations) with no verdict:
+    ``_judge`` alone accepts.  First-order
     alternatives (BB descent on 0.5*|G|^2 driven by Hessian-vector
     differences) were measured to creep near a saddle: the Hessian
     degenerates along the bump peak where |grad u| ~ 0, and the induced
@@ -529,11 +570,13 @@ def _newton_polish(gfun, proj, w, idx, pattern, cfg):
         gn = float(np.linalg.norm(gw))
         if gn <= target:
             break
-        jac = _fd_jacobian(gfun, w, idx, pattern)
-        try:
-            delta = np.linalg.solve(jac, gw[idx])
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(jac, gw[idx], rcond=None)[0]
+        rhs = gw[idx]
+        delta = np.empty(idx.size)
+        for members, jac in _fd_jacobian(gfun, w, idx, pattern):
+            try:
+                delta[members] = np.linalg.solve(jac, rhs[members])
+            except np.linalg.LinAlgError:
+                delta[members] = np.linalg.lstsq(jac, rhs[members], rcond=None)[0]
         step = 1.0
         for _ in range(30):
             wn = w.copy()
@@ -790,22 +833,29 @@ def merge_points(
 # --- experiment drivers ---------------------------------------------------------------
 
 
-def _require_hypotheses(prob: ProblemSpec, names, seed: int) -> bool:
-    """One sampled pass over ``names`` and ``even_symmetry``.  Raises unless
-    every hypothesis in ``names`` holds; returns the ``even_symmetry``
-    verdict, under which the negation of a critical point is one as well."""
+# The exact symmetries of the energy that a hypothesis pass can confirm:
+# under even_symmetry the negation (-u, -v) of a critical point is one as
+# well, under reflection_symmetry its reflection (-u, v).
+_SYMMETRIES = ("even_symmetry", "reflection_symmetry")
+
+
+def _require_hypotheses(prob: ProblemSpec, names, seed: int) -> tuple[bool, bool]:
+    """One sampled pass over ``names`` and ``_SYMMETRIES``.  Raises unless
+    every hypothesis in ``names`` holds; returns the ``even_symmetry`` and
+    ``reflection_symmetry`` verdicts."""
     verdicts = check_hypotheses(
-        prob, sample_budget=500, seed=seed, names=(*names, "even_symmetry")
+        prob, sample_budget=500, seed=seed, names=(*names, *_SYMMETRIES)
     )
     failed = [n for n, v in verdicts.items() if n in names and not v.passed]
     if failed:
         raise ConfigError(
             "theorem preconditions fail for hypotheses: " + ", ".join(failed)
         )
-    return verdicts["even_symmetry"].passed
+    return tuple(verdicts[n].passed for n in _SYMMETRIES)
 
 
 _OPPOSITE_QUADRANT = {"Q1": "Q3", "Q2": "Q4", "Q3": "Q1", "Q4": "Q2"}
+_REFLECTED_QUADRANT = {"Q1": "Q2", "Q2": "Q1", "Q3": "Q4", "Q4": "Q3"}
 
 # Preconditions of the four-solution theorem; the six-solution one adds
 # log_improved_superlinearity.
@@ -818,18 +868,31 @@ _FOUR_SOLUTION_HYPOTHESES = (
 )
 
 
+def _image(point: CriticalPoint, prob: ProblemSpec, w, quadrant, flag) -> CriticalPoint:
+    """The point at w, the image of ``point`` under an exact symmetry of the
+    energy: its run's method, iterations and verdict, its flags plus
+    ``flag``, tagged ``quadrant`` (see ``_make_point``).  The energy and
+    residual are those of w, computed, not copied."""
+    return _make_point(
+        prob, w, point.method, point.iterations, point.converged,
+        point.flags + [flag], quadrant,
+    )
+
+
 def _negated(point: CriticalPoint, prob: ProblemSpec, quadrant=None) -> CriticalPoint:
     """The negation of ``point``, tagged ``quadrant``, the opposite of the
-    cone ``point`` ran in (None for a run with no cone, see ``_make_point``)."""
-    return _make_point(
-        prob,
-        -_pack(point.u, point.v),
-        point.method,
-        point.iterations,
-        point.converged,
-        point.flags + ["negation_pair"],
-        quadrant,
-    )
+    cone ``point`` ran in (None for a run with no cone)."""
+    return _image(point, prob, -_pack(point.u, point.v), quadrant, "negation_pair")
+
+
+def _reflected(point: CriticalPoint, prob: ProblemSpec, quadrant: str) -> CriticalPoint:
+    """The reflection (0.0 - u, v) of ``point``, tagged ``quadrant``, the
+    reflection of the cone ``point`` ran in.  0.0 - u, not -u, gives a zero
+    entry of u the sign bit that a descent in that cone gives it, so the
+    image is that descent bit for bit."""
+    w = _pack(point.u, point.v)
+    w[:prob.grid.n_nodes] = 0.0 - w[:prob.grid.n_nodes]
+    return _image(point, prob, w, quadrant, "reflection_pair")
 
 
 def _quadrant_inventory(
@@ -837,7 +900,15 @@ def _quadrant_inventory(
 ) -> tuple[SolutionInventory, bool]:
     """The quadrant runs shared by both theorem drivers, after one hypothesis
     pass requiring ``names``; returns the four-solution inventory and the
-    pass's ``even_symmetry`` verdict."""
+    pass's ``even_symmetry`` verdict.
+
+    A cone whose image under a confirmed symmetry has already run takes
+    that run's image instead of descending: the negation of the opposite
+    cone's run under ``even_symmetry``, else the reflection of the
+    reflected cone's run under ``reflection_symmetry``.  So on an energy
+    with both, Q1 alone descends (Q2 = R(Q1), Q3 = -Q1, Q4 = -Q2); with the
+    reflection alone Q1 and Q3 descend, and Q2 and Q4 are their
+    reflections."""
     if not quadrants:
         raise ConfigError("no quadrant tags given")
     bad = [q for q in quadrants if q not in QUADRANT_SIGNS]
@@ -848,16 +919,19 @@ def _quadrant_inventory(
     repeated = sorted({q for q in quadrants if quadrants.count(q) > 1})
     if repeated:
         raise ConfigError(f"repeated quadrant tags: {', '.join(repeated)}")
-    symmetric = _require_hypotheses(prob, names, cfg.seed)
+    symmetric, reflective = _require_hypotheses(prob, names, cfg.seed)
     flags: list[str] = []
     if prob.lam > _LAMBDA_SMALLNESS:
         flags.append("lambda_exceeds_smallness_threshold")
 
     done: dict[str, CriticalPoint] = {}
     for quadrant in quadrants:
-        mirror = done.get(_OPPOSITE_QUADRANT[quadrant]) if symmetric else None
-        if mirror is not None:
-            pt = _negated(mirror, prob, quadrant)
+        opposite = done.get(_OPPOSITE_QUADRANT[quadrant]) if symmetric else None
+        reflected = done.get(_REFLECTED_QUADRANT[quadrant]) if reflective else None
+        if opposite is not None:
+            pt = _negated(opposite, prob, quadrant)
+        elif reflected is not None:
+            pt = _reflected(reflected, prob, quadrant)
         else:
             pt = descend(prob, None, quadrant, cfg)
             # Absolute on purpose: a component whose sup is at or below

@@ -505,7 +505,7 @@ def test_check_command_passes_on_default(tmp_path):
     assert code == 0
     rep = load_report(out / "results.json")
     verdicts = rep["hypothesis_results"]
-    assert len(verdicts) == 7
+    assert len(verdicts) == 8
     assert all(v["passed"] for v in verdicts.values())
 
 
@@ -598,7 +598,9 @@ def test_solve_exits_2_below_its_theorems_point_count(tmp_path):
     assert inv["distinct_count"] == 0
     assert [r["converged"] for r in inv["runs"]] == [True] * 4
     flags = ["no_negative_energy_start", "component_below_nontriviality_threshold"]
-    assert [r["flags"] for r in inv["runs"]] == [flags] * 2 + [flags + ["negation_pair"]] * 2
+    assert [r["flags"] for r in inv["runs"]] == [
+        flags, flags + ["reflection_pair"], flags + ["negation_pair"],
+        flags + ["reflection_pair", "negation_pair"]]
 
 
 def test_solve_quadrant_filter(tmp_path):

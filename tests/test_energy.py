@@ -591,6 +591,35 @@ def test_odd_custom_term_breaks_evenness():
     assert not verdicts["even_symmetry"].passed
 
 
+@pytest.mark.parametrize("expression, even, reflective", [
+    ("u^4 + v^4 + u^2*v^2 + 0.1*u^2*v*abs(v)", False, True),
+    ("u^4 + v^4 + u^2*v^2 + 0.1*u*abs(u)*v*abs(v)", True, False),
+    ("u^4 + v^4 + u^2*v^2", True, True),
+])
+def test_reflection_symmetry_is_evenness_in_u_alone(expression, even, reflective):
+    g = make_grid((0.0, 1.0), 33)
+    prob = build_problem(grid=g, nonlinearity=CustomExpression(g, expression))
+    verdicts = check_hypotheses(prob, sample_budget=200, seed=0,
+                                names=("even_symmetry", "reflection_symmetry"))
+    assert verdicts["even_symmetry"].passed is even
+    assert verdicts["reflection_symmetry"].passed is reflective
+    assert verdicts["reflection_symmetry"].samples == verdicts["even_symmetry"].samples
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_reflection_symmetry_draws_last(seed):
+    """``reflection_symmetry`` comes last in the check table, so the other
+    seven checks draw the same numbers whether or not it runs: their
+    verdicts, margins and details are those of a pass without it."""
+    assert HYPOTHESIS_NAMES[-1] == "reflection_symmetry"
+    others = HYPOTHESIS_NAMES[:-1]
+    assert len(others) == 7
+    full = check_hypotheses(PROB, sample_budget=400, seed=seed)
+    without = check_hypotheses(PROB, sample_budget=400, seed=seed, names=others)
+    assert list(without) == list(others)
+    assert {n: full[n].as_dict() for n in others} == {n: v.as_dict() for n, v in without.items()}
+
+
 def test_axis_derivatives_are_checked_at_every_node():
     """A linear source that is nonzero at one node of 129 fails the axis
     check for every seed at the smallest budget: no node goes unsampled."""

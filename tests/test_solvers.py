@@ -873,19 +873,42 @@ def dense_fd_jacobian(gfun, w, idx, h):
     return jac
 
 
+def sublattice(grid, idx):
+    """The sublattice of each free degree of freedom: the parity of its
+    node's coordinate sum."""
+    return sum(np.unravel_index(idx % grid.n_nodes, grid.shape)) % 2
+
+
+def assembled(blocks, size):
+    """The full Jacobian whose sublattice blocks are ``blocks``."""
+    jac = np.zeros((size, size))
+    for members, block in blocks:
+        jac[np.ix_(members, members)] = block
+    return jac
+
+
 @pytest.mark.parametrize("amplitude", [1.0, 1e-7])
 @pytest.mark.parametrize("quadrant", [None, *QUADRANTS])
 @pytest.mark.parametrize("prob", [PROB, PROB_2D], ids=["1d", "2d"])
 def test_coloured_jacobian_equals_dense_column_loop(prob, quadrant, amplitude):
     """Bit for bit, for phi and every truncation, at unit amplitude and at
-    the scale of the quadrant minimizers."""
+    the scale of the quadrant minimizers: each sublattice block equals the
+    column loop's block, and the column loop's entries between the two
+    sublattices are exactly zero."""
     gfun = solve._functional(prob, energy._quadrant_signs(quadrant))[1]
     w = random_state(prob, np.random.default_rng(31), amplitude)
     idx = free_dofs(prob.grid)
     h = polish_step(w)
     pattern = solve._jacobian_pattern(prob.grid, idx)
-    coloured = solve._fd_jacobian(gfun, w, idx, pattern)
-    assert np.array_equal(coloured, dense_fd_jacobian(gfun, w, idx, h))
+    blocks = solve._fd_jacobian(gfun, w, idx, pattern)
+    dense = dense_fd_jacobian(gfun, w, idx, h)
+    parity = sublattice(prob.grid, idx)
+    assert [members.tolist() for members, _ in blocks] == [
+        np.flatnonzero(parity == 0).tolist(), np.flatnonzero(parity == 1).tolist()]
+    for members, block in blocks:
+        assert np.array_equal(block, dense[np.ix_(members, members)])
+    assert np.count_nonzero(dense[parity[:, None] != parity[None, :]]) == 0
+    assert np.array_equal(assembled(blocks, idx.size), dense)
 
 
 class JacobianBuilt(Exception):
@@ -893,12 +916,13 @@ class JacobianBuilt(Exception):
 
 
 @pytest.mark.parametrize(
-    "prob, n_colours", [(PROB, 10), (PROB_2D, 50)], ids=["1d", "2d"]
+    "prob, n_colours", [(PROB, 6), (PROB_2D, 18)], ids=["1d", "2d"]
 )
 def test_polish_jacobian_is_one_stacked_gradient_call(prob, n_colours, monkeypatch):
     """One Newton step evaluates the residual once, then its Jacobian in one
     gradient call on a stack of 2 states per colour, however many free
-    columns there are (62 in 1D, 450 in 2D)."""
+    columns there are (62 in 1D, 450 in 2D): 6 colours in 1D, 18 in 2D,
+    shared by the two sublattices."""
     _, gfun, proj = solve._functional(prob, None)
     states = []
 
@@ -913,6 +937,7 @@ def test_polish_jacobian_is_one_stacked_gradient_call(prob, n_colours, monkeypat
     w = random_state(prob, np.random.default_rng(37), 1.0)
     idx = free_dofs(prob.grid)
     pattern = solve._jacobian_pattern(prob.grid, idx)
+    assert pattern[0].max() + 1 == n_colours
     with pytest.raises(JacobianBuilt):
         solve._newton_polish(counted, proj, w, idx, pattern, SolverConfig())
     assert states == [1, 2 * n_colours]
@@ -945,51 +970,132 @@ def test_newton_polish_never_evaluates_a_state_twice():
         assert not any(np.array_equal(a, b) for b in single[:i])
 
 
+def stencil_diamond(ndim):
+    """The offsets the nodal gradient reads: |o|_1 <= _STENCIL_REACH, on
+    the node's own sublattice (even coordinate sum)."""
+    reach = solve._STENCIL_REACH
+    box = np.indices((2 * reach + 1,) * ndim).reshape(ndim, -1).T - reach
+    return [tuple(o) for o in box if np.abs(o).sum() <= reach and o.sum() % 2 == 0]
+
+
 def test_polish_jacobian_pattern_is_the_stencil_reach():
     """The colouring is exact only while no row of the nodal gradient reads
-    a node more than ``_STENCIL_REACH`` steps away on an axis.  A wider
-    stencil must fail here: the dense Jacobian has to vanish outside that
-    box, the pattern must list every entry inside it exactly once, and no
+    a node outside its own sublattice or more than ``_STENCIL_REACH``
+    steps away in the 1-norm.  A wider stencil must fail here: the dense
+    Jacobian has to vanish outside that diamond (so also at the corners
+    (+-2, +-2) of the even-sum 5x5 box), to be nonzero at every offset of
+    it, the pattern must list every entry inside it exactly once, and no
     row may see two columns of one colour."""
     grid = PROB_2D.grid
     idx = free_dofs(grid)
     nodes = np.array(np.unravel_index(idx % grid.n_nodes, grid.shape))
-    offset = np.max(np.abs(nodes[:, :, None] - nodes[:, None, :]), axis=0)
-    box = offset <= solve._STENCIL_REACH
+    offset = nodes[:, None, :] - nodes[:, :, None]  # column node - row node
+    diamond = stencil_diamond(grid.ndim)
+    reach = np.zeros((idx.size, idx.size), dtype=bool)
+    for o in diamond:
+        reach |= (offset[0] == o[0]) & (offset[1] == o[1])
     gfun = solve._functional(PROB_2D, None)[1]
     w = random_state(PROB_2D, np.random.default_rng(41), 1.0)
     dense = dense_fd_jacobian(gfun, w, idx, polish_step(w))
-    assert np.count_nonzero(dense[box]) > 0
-    assert np.count_nonzero(dense[~box]) == 0
-    colour, rows, cols = solve._jacobian_pattern(grid, idx)
-    filled = np.zeros(box.shape, dtype=int)
-    np.add.at(filled, (rows, cols), 1)
-    np.testing.assert_array_equal(filled, box)
+    assert np.count_nonzero(dense[~reach]) == 0
+    seen_offsets = {tuple(offset[:, i, j]) for i, j in zip(*np.nonzero(dense))}
+    assert seen_offsets == set(diamond)
+    colour, blocks = solve._jacobian_pattern(grid, idx)
+    filled = np.zeros(reach.shape, dtype=int)
     seen = np.zeros((idx.size, colour.max() + 1), dtype=int)
-    np.add.at(seen, (rows, colour[cols]), 1)
+    for members, rows, cols in blocks:
+        np.add.at(filled, (members[rows], members[cols]), 1)
+        np.add.at(seen, (members[rows], colour[members[cols]]), 1)
+    np.testing.assert_array_equal(filled, reach)
     assert seen.max() == 1
 
 
 def test_polish_jacobian_pattern_memory_is_linear_in_the_unknowns():
-    """At 65x65 (7 938 free unknowns) the pattern is read off per-node boxes
-    of offsets: about 12 MB at the peak, of which the returned arrays are
-    6.2 MB.  One idx.size x idx.size boolean alone would be 63 MB."""
+    """At 65x65 (7 938 free unknowns) the pattern is read off per-node
+    diamonds of offsets: about 4.2 MB at the peak, of which the returned
+    arrays are 2.3 MB.  One idx.size x idx.size boolean alone would be
+    63 MB."""
     grid = make_grid([(0.0, 1.0), (0.0, 1.0)], [65, 65])
     idx = free_dofs(grid)
     tracemalloc.start()
     try:
-        colour, rows, cols = solve._jacobian_pattern(grid, idx)
+        colour, blocks = solve._jacobian_pattern(grid, idx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6
-    # Row by row, each row's columns ascending, each entry once.
-    assert np.all(np.diff(rows) >= 0)
-    assert np.all(np.diff(rows * idx.size + cols) > 0)
-    # Each u row and each v row sees the u and the v columns of its box.
-    assert rows.size == 4 * sum(
-        (min(i + 2, 63) - max(i - 2, 1) + 1) * (min(j + 2, 63) - max(j - 2, 1) + 1)
-        for i in range(1, 64) for j in range(1, 64))
+    assert peak < 8e6
+    for members, rows, cols in blocks:
+        # Row by row, each row's columns ascending, each entry once.
+        assert np.all(np.diff(rows) >= 0)
+        assert np.all(np.diff(rows * members.size + cols) > 0)
+    # Each u row and each v row sees the u and the v columns of its diamond.
+    assert sum(rows.size for _, rows, _ in blocks) == 4 * sum(
+        1 <= i + a <= 63 and 1 <= j + b <= 63
+        for i in range(1, 64) for j in range(1, 64)
+        for a, b in stencil_diamond(2))
+
+
+def polish_problem(nodes):
+    """``make_problem``'s log_power problem on a 1D grid of ``nodes[0]``
+    nodes or a 2D square of nodes[0] x nodes[1]."""
+    if len(nodes) == 1:
+        return make_problem(n=nodes[0])
+    g = make_grid([(0.0, 1.0)] * 2, list(nodes))
+    p = constant_exponent(g, 3.0)
+    a = constant_exponent(g, 4.0)
+    th = constant_exponent(g, 1.5)
+    return ProblemSpec(grid=g, p=p, q=p, alpha=constant_exponent(g, 1.2),
+                       beta=constant_exponent(g, 1.2), lam=1e-3,
+                       nonlinearity=LogPowerCoupling(g, p, p, a, a, th, th))
+
+
+@pytest.mark.parametrize("nodes", [(3,), (4,), (5,), (3, 3), (4, 4)],
+                         ids=["n3", "n4", "n5", "3x3", "4x4"])
+def test_polish_step_on_tiny_grids(nodes, monkeypatch):
+    """On 3 and 5 nodes and on the 3x3 square one sublattice has no free
+    node (its block is left out), on 3 nodes and 3x3 the other is one
+    node's (u, v) pair, and on 4 nodes each sublattice is one node.  The
+    blocks still equal the column loop's, and one Newton step lowers the
+    residual."""
+    prob = polish_problem(nodes)
+    gfun = solve._functional(prob, None)[1]
+    idx = free_dofs(prob.grid)
+    w = random_state(prob, np.random.default_rng(43), 1.0)
+    pattern = solve._jacobian_pattern(prob.grid, idx)
+    blocks = solve._fd_jacobian(gfun, w, idx, pattern)
+    parity = sublattice(prob.grid, idx)
+    assert [members.tolist() for members, _ in blocks] == [
+        np.flatnonzero(parity == s).tolist() for s in (0, 1) if np.any(parity == s)]
+    assert np.array_equal(assembled(blocks, idx.size),
+                          dense_fd_jacobian(gfun, w, idx, polish_step(w)))
+    monkeypatch.setattr(solve, "_REFINE_ITERATIONS", 1)
+    wn, iters = solve._newton_polish(gfun, lambda x: x, w, idx, pattern, SolverConfig())
+    assert iters == 1 and np.all(np.isfinite(wn))
+    assert np.linalg.norm(gfun(wn)) < np.linalg.norm(gfun(w))
+
+
+@pytest.mark.parametrize("prob", [PROB, PROB_2D], ids=["1d", "2d"])
+def test_block_solve_step_agrees_with_the_full_solve(prob, monkeypatch):
+    """The Newton step solved block by block is the step of
+    ``np.linalg.solve`` on the assembled full Jacobian to 1e-12 relative
+    (they differ at round-off only).  The step is read off the first
+    trial the line search hands the projector."""
+    gfun = solve._functional(prob, None)[1]
+    idx = free_dofs(prob.grid)
+    w = random_state(prob, np.random.default_rng(47), 1.0)
+    pattern = solve._jacobian_pattern(prob.grid, idx)
+    full = assembled(solve._fd_jacobian(gfun, w, idx, pattern), idx.size)
+    expected = np.linalg.solve(full, gfun(w)[idx])
+    trials = []
+
+    def spy(x):
+        trials.append(x.copy())
+        return x
+
+    monkeypatch.setattr(solve, "_REFINE_ITERATIONS", 1)
+    solve._newton_polish(gfun, spy, w, idx, pattern, SolverConfig())
+    step = (w - trials[0])[idx]
+    assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_descent_takes_no_finite_difference_hessian_product(monkeypatch):
@@ -1191,12 +1297,9 @@ def test_theorem_drivers_refuse_an_empty_quadrant_list(driver):
         driver(PROB, FAST, quadrants=())
 
 
-def test_six_solutions_without_evenness_run_their_own_q3_runs():
-    """F = u^4 + v^4 + (1 + x)u^2v^2 + 0.1u^2v|v| meets every theorem-2
-    hypothesis but is not even, so the Q3 descent and the Q3 pass are run
-    from their own starts, not negated from Q1; each run's quadrant is
-    ``classify_quadrant`` of its pair.  Convergence is not asserted: on a
-    2000-relocation budget neither pass converges."""
+def not_even_problem():
+    """F = u^4 + v^4 + (1 + x)u^2v^2 + 0.1u^2v|v| on 33 nodes: every
+    theorem-2 hypothesis holds, and F is even in u but not in (u, v)."""
     data = {
         **default_config_dict(),
         "domain": {"extents": [[0.0, 1.0]], "nodes": [33]},
@@ -1205,13 +1308,103 @@ def test_six_solutions_without_evenness_run_their_own_q3_runs():
         "hypothesis_constants": {"gamma": 4.0, "delta": 4.0, "C": 20.0, "M": 1.0,
                                  "C1": 1e-4, "C2": 0.01},
     }
-    prob, _ = parse_config_text(json.dumps(data))
+    return parse_config_text(json.dumps(data))[0]
+
+
+def test_six_solutions_without_evenness_run_their_own_q3_runs():
+    """The non-even problem's Q3 descent and Q3 pass are run from their own
+    starts, not negated from Q1; each run keeps the quadrant of its cone.
+    Convergence is not asserted: on a 2000-relocation budget neither pass
+    converges."""
+    prob = not_even_problem()
     inv = find_six_solutions(prob, SolverConfig(max_iterations=2000, path_points=11))
     assert [(r.method, r.quadrant) for r in inv.runs] == [
         ("descent", "Q1"), ("descent", "Q2"), ("descent", "Q3"), ("descent", "Q4"),
         ("mountain_pass", "Q1"), ("mountain_pass", "Q3"),
     ]
     assert not any("negation_pair" in r.flags for r in inv.runs)
+
+
+def counted_descents(monkeypatch):
+    """The cones ``solve.descend`` runs in, in call order."""
+    cones = []
+    real = solve.descend
+
+    def counted(prob, start, quadrant, cfg):
+        cones.append(quadrant)
+        return real(prob, start, quadrant, cfg)
+
+    monkeypatch.setattr(solve, "descend", counted)
+    return cones
+
+
+def assert_bitwise_pair(a, b):
+    """Equal values and equal sign bits, zeros included."""
+    for x, y in ((a.u.values, b.u.values), (a.v.values, b.v.values)):
+        assert np.array_equal(x, y)
+        assert np.array_equal(np.signbit(x), np.signbit(y))
+
+
+def test_default_problem_descends_once_and_reflects_q2(monkeypatch):
+    """The default F is even and even in u alone, so theorem 2 descends in
+    Q1 only: Q2 is the reflection (0 - u, v) of Q1, bit for bit the Q2
+    descent, sign bits included; Q3 and Q4 are the negations of Q1 and Q2."""
+    prob, cfg = parse_config_text(json.dumps(default_config_dict()))
+    cones = counted_descents(monkeypatch)
+    inv = find_six_solutions(prob, cfg)
+    assert cones == ["Q1"]
+    q1, q2, q3, q4 = inv.runs[:4]
+    flags = q1.flags
+    assert [r.flags for r in (q2, q3, q4)] == [
+        flags + ["reflection_pair"], flags + ["negation_pair"],
+        flags + ["reflection_pair", "negation_pair"]]
+    monkeypatch.undo()
+    q2_descent = descend(prob, None, "Q2", cfg)
+    assert_bitwise_pair(q2, q2_descent)
+    assert (q2.energy, q2.residual, q2.iterations, q2.quadrant) == (
+        q2_descent.energy, q2_descent.residual, q2_descent.iterations, "Q2")
+    assert inv.complete
+
+
+def test_reflection_alone_descends_in_q1_and_q3(monkeypatch):
+    """On the non-even problem F(-u, v) = F(u, v) but F(-u, -v) != F(u, v):
+    Q1 and Q3 descend, Q2 = R(Q1) and Q4 = R(Q3), each R the reflection
+    (0 - u, v) with its energy and residual recomputed, and each equal bit
+    for bit to the descent in its own cone."""
+    prob = not_even_problem()
+    cones = counted_descents(monkeypatch)
+    inv = find_constant_sign_solutions(prob, FAST)
+    assert cones == ["Q1", "Q3"]
+    q1, q2, q3, q4 = inv.runs
+    monkeypatch.undo()
+    for source, image in ((q1, q2), (q3, q4)):
+        assert "reflection_pair" in image.flags and "reflection_pair" not in source.flags
+        assert np.array_equal(image.u.values, 0.0 - source.u.values)
+        assert np.array_equal(image.v.values, source.v.values)
+        assert image.energy == phi_energy(image.u, image.v, prob)
+        assert image.residual == weak_residual(image.u, image.v, prob)
+        assert_bitwise_pair(image, descend(prob, None, image.quadrant, FAST))
+
+
+def test_linear_source_is_not_reflective_and_descends_in_every_cone(monkeypatch):
+    """g u + h v with g != 0 fails ``reflection_symmetry`` and
+    ``even_symmetry``, so no cone takes an image of another's run."""
+    prob = make_problem(nonlinearity=lambda g: LinearSource(g, 1.0, 1.0))
+    verdicts = energy.check_hypotheses(prob, names=("even_symmetry", "reflection_symmetry"))
+    assert not any(v.passed for v in verdicts.values())
+    cones = []
+
+    def stub(prob, start, quadrant, cfg):
+        cones.append(quadrant)
+        z = prob.grid.zeros()
+        return CriticalPoint(u=z, v=z, energy=-1.0, residual=0.0, quadrant=quadrant,
+                             method="stub", iterations=0, converged=True)
+
+    monkeypatch.setattr(solve, "descend", stub)
+    inv, symmetric = solve._quadrant_inventory(prob, FAST, QUADRANTS, ())
+    assert cones == list(QUADRANTS) and not symmetric
+    assert [r.method for r in inv.runs] == ["stub"] * 4
+    assert not any({"negation_pair", "reflection_pair"} & set(r.flags) for r in inv.runs)
 
 
 def test_find_constant_sign_refuses_supercritical_coupling():

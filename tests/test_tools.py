@@ -26,10 +26,10 @@ def results_json(data) -> dict:
     return {"results.json": json.dumps(data).encode()}
 
 
-def test_runs_lists_fifty_seven_runs_and_writes_their_configs(tmp_path):
+def test_runs_lists_sixty_four_runs_and_writes_their_configs(tmp_path):
     matrix = same_outputs.runs(ROOT, tmp_path)
-    assert len(matrix) == 57
-    assert len({label for label, _ in matrix}) == 57
+    assert len(matrix) == 64
+    assert len({label for label, _ in matrix}) == 64
     configs = [args[args.index("--config") + 1] for _, args in matrix if "--config" in args]
     assert all(Path(path).is_file() for path in configs)
     assert len(set(configs)) == 1 + len(same_outputs.CONFIGS) + len(same_outputs.MALFORMED)
@@ -118,7 +118,7 @@ def test_layer_tracer_traces_small_runs_and_uninstalls(tmp_path, monkeypatch):
     eigen["domain"]["nodes"] = [9, 9]
     runs = [
         ("theorem2", ["solve", "--theorem", "2"], default,
-         {"solve.descend.calls": 2, "solve.mountain_pass.calls": 1}),
+         {"solve.descend.calls": 1, "solve.mountain_pass.calls": 1}),
         ("pairs", ["pairs"], default, {}),
         ("eigen", ["eigen"], eigen, {"optimize.bb_minimize.calls": 10}),
     ]

@@ -19,13 +19,19 @@ It prints one JSON object with:
   (u, v) pair: the coupling plus F (``value``), and the coupling's partials
   plus F's (``partials``), each from ``ProblemSpec._coupling`` and
   ``ProblemSpec.nonlinearity``;
-* ``polish``: one Newton-polish Jacobian at 129 nodes, built column by
-  column (the reference loop below) and coloured (``solve._fd_jacobian``);
-  one dense Newton solve on it;
+* ``polish``: at 129 nodes and on the 21x21 square, at the mountain-pass
+  endpoint state: the free unknowns, the colours and the sublattice block
+  sizes of ``solve._jacobian_pattern``; microseconds per coloured Jacobian
+  (``solve._fd_jacobian``), per solve of its blocks, per Newton step
+  (the two together, as ``solve._newton_polish`` takes them), and per
+  dense solve of the assembled full Jacobian, the step's solve before the
+  blocks; and whether the blocks equal the column-by-column Jacobian (the
+  reference loop below) bit for bit with exact zeros between the
+  sublattices; at 129 nodes also the time of that loop;
 * ``batched_us``: at 129 nodes, the 21 states of a mountain-pass path
   through the energy kernel as one stacked call and as 21 single calls,
-  the 20 perturbed states of one coloured Jacobian through the gradient
-  kernel as one stacked call and as 20 single calls, and the relocation
+  the 12 perturbed states of one coloured Jacobian through the gradient
+  kernel as one stacked call and as 12 single calls, and the relocation
   gradients of the 3 lockstep ``pairs`` passes (the midpoints of their
   initial paths) as one stacked call and as 3 single calls;
 * ``line_search_us``: at 129 nodes, microseconds per ``backtracking_step``
@@ -37,7 +43,8 @@ It prints one JSON object with:
   mountain-pass relocation, Newton polish) of ``solve --theorem 2`` and
   ``pairs`` on ``configs/default.json``, counting every state of a stacked
   call, with the number of gradient-kernel calls, in all and per stage,
-  of Newton Jacobians built, and of exact Hessian builds and products;
+  of descents run, of Newton Jacobians built and of the block solves on
+  them, and of exact Hessian builds and products;
 * ``energy_evaluations``: for the same two runs, energy evaluations made by
   the solvers per stage, the share of them that are trials of
   ``backtracking_step``, and its steps (mountain-pass relocations, one per
@@ -179,34 +186,52 @@ def dense_jacobian(gfun, w, idx, h):
     return jac
 
 
-def polish():
-    prob, _ = problem([[0.0, 1.0]], [129])
+def polish_step(extents, nodes, column_loop_us):
+    prob, _ = problem(extents, nodes)
     grid = prob.grid
     h1, h2, t = solve._mountain_endpoints(prob)
     w = t * solve._pack(h1, h2)
     gfun = partial(_gradient, prob=prob, signs=None)
     idx = np.nonzero(np.concatenate([grid.interior.ravel()] * 2))[0]
     h = 1e-6 * max(1.0, float(np.max(np.abs(w))))
-    jac = dense_jacobian(gfun, w, idx, h)
+    pattern = solve._jacobian_pattern(grid, idx)
+    blocks = solve._fd_jacobian(gfun, w, idx, pattern)
     rhs = gfun(w)[idx]
+    full = np.zeros((idx.size, idx.size))
+    for members, jac in blocks:
+        full[np.ix_(members, members)] = jac
+
+    def solves(blocks):
+        return [np.linalg.solve(jac, rhs[members]) for members, jac in blocks]
+
+    dense = dense_jacobian(gfun, w, idx, h)
     out = {
         "free_dofs": int(idx.size),
-        "dense_jacobian_us": per_call_us(
-            lambda: dense_jacobian(gfun, w, idx, h), repeats=5
+        "colours": int(pattern[0].max() + 1),
+        "gradient_states_per_step": 2 * int(pattern[0].max() + 1),
+        "block_sizes": [int(members.size) for members, _ in blocks],
+        "colour_pattern_us": per_call_us(lambda: solve._jacobian_pattern(grid, idx)),
+        "coloured_jacobian_us": per_call_us(lambda: solve._fd_jacobian(gfun, w, idx, pattern)),
+        "block_solves_us": per_call_us(lambda: solves(blocks)),
+        "newton_step_us": per_call_us(
+            lambda: solves(solve._fd_jacobian(gfun, w, idx, pattern))
         ),
-        "dense_jacobian_gradient_calls": 2 * int(idx.size),
-        "newton_solve_us": per_call_us(lambda: np.linalg.solve(jac, rhs)),
+        "full_solve_us": per_call_us(lambda: np.linalg.solve(full, rhs)),
+        "blocks_equal_column_loop": bool(np.array_equal(full, dense)),
     }
-    pattern = solve._jacobian_pattern(grid, idx)
-    out["colour_pattern_us"] = per_call_us(lambda: solve._jacobian_pattern(grid, idx))
-    out["coloured_jacobian_us"] = per_call_us(
-        lambda: solve._fd_jacobian(gfun, w, idx, pattern)
-    )
-    out["coloured_jacobian_gradient_calls"] = 2 * int(pattern[0].max() + 1)
-    out["coloured_equals_dense"] = bool(
-        np.array_equal(solve._fd_jacobian(gfun, w, idx, pattern), jac)
-    )
+    if column_loop_us:
+        out["column_loop_jacobian_us"] = per_call_us(
+            lambda: dense_jacobian(gfun, w, idx, h), repeats=5
+        )
+        out["column_loop_gradient_calls"] = 2 * int(idx.size)
     return out
+
+
+def polish():
+    return {
+        "1d_n129": polish_step([[0.0, 1.0]], [129], True),
+        "2d_21x21": polish_step([[0.0, 1.0], [0.0, 1.0]], [21, 21], False),
+    }
 
 
 def relocation_maxima(prob):
@@ -286,7 +311,7 @@ def evaluation_counts():
     energies: dict[str, dict[str, int]] = {}
     in_step = [0]
     kernel_calls: dict[str, int] = {}
-    jacobian_builds = [0]
+    tallies = {"descents": 0, "jacobians": 0, "solves": 0}
     hessians = {"builds": 0, "products": 0}
 
     def tally(key, states):
@@ -340,18 +365,22 @@ def evaluation_counts():
         finally:
             in_step[0] -= 1
 
-    real_solve = np.linalg.solve
+    def tallied(key, fn):
+        def wrapper(*args, **kwargs):
+            tallies[key] += 1
+            return fn(*args, **kwargs)
 
-    def counted_solve(*args, **kwargs):
-        jacobian_builds[0] += 1
-        return real_solve(*args, **kwargs)
+        return wrapper
+
+    real_solve = np.linalg.solve
 
     patches = {
         "_gradient": counted_gradient,
         "_energy": counted_energy,
         "_hessian": counted_hessian,
         "backtracking_step": counted_step,
-        "descend": staged("descent", solve.descend),
+        "descend": tallied("descents", staged("descent", solve.descend)),
+        "_fd_jacobian": tallied("jacobians", solve._fd_jacobian),
         "_lockstep_passes": staged("mountain_pass", solve._lockstep_passes),
         "_newton_polish": staged("newton_polish", solve._newton_polish),
     }
@@ -362,7 +391,7 @@ def evaluation_counts():
         for name, fn in patches.items():
             setattr(solve, name, fn)
         optimize.backtracking_step = counted_step
-        np.linalg.solve = counted_solve
+        np.linalg.solve = tallied("solves", real_solve)
         for label, run in (
             ("solve_theorem_2", lambda: solve.find_six_solutions(prob, cfg)),
             ("pairs", lambda: solve.symmetric_pairs(prob, cli._PAIR_SITES, cfg)),
@@ -370,7 +399,7 @@ def evaluation_counts():
             counts.clear()
             energies.clear()
             kernel_calls.clear()
-            jacobian_builds[0] = 0
+            tallies.update(descents=0, jacobians=0, solves=0)
             hessians.update(builds=0, products=0)
             run()
             energy_out[label] = dict(sorted(energies.items()))
@@ -378,7 +407,9 @@ def evaluation_counts():
             out[label]["total"] = sum(counts.values())
             out[label]["kernel_calls"] = sum(kernel_calls.values())
             out[label]["kernel_calls_by_stage"] = dict(sorted(kernel_calls.items()))
-            out[label]["newton_jacobians"] = jacobian_builds[0]
+            out[label]["descents"] = tallies["descents"]
+            out[label]["newton_jacobians"] = tallies["jacobians"]
+            out[label]["newton_block_solves"] = tallies["solves"]
             out[label]["hessian_builds"] = hessians["builds"]
             out[label]["hessian_products"] = hessians["products"]
     finally:

@@ -2,7 +2,7 @@
 
     python3 tools/same_outputs.py PARENT CHANGE
 
-PARENT and CHANGE are the roots of two source checkouts.  Each of the 57
+PARENT and CHANGE are the roots of two source checkouts.  Each of the 64
 runs below is made once per tree, as ``python -m varexp.cli SUBCOMMAND ...
 --deterministic --out out`` with ``PYTHONPATH=<tree>/src`` and
 ``OPENBLAS_NUM_THREADS=1``, from a fresh working directory.  Both trees read
@@ -28,9 +28,11 @@ that the option parsers run too, and ``scan --t-list 1,1e308``, whose
 energy at t = 1e308 is not finite, so that the scan's refusal runs;
 ``eigen`` on the 2D config of the benchmark (read from PARENT); and
 ``check``, ``norm``, ``eigen``, ``pairs``, ``scan`` and ``solve --theorem
-1``/``2`` on each of the five configs below, which cover a variable p, a
-custom F, p < 2 in 1D and 2D, and every function, constant and operator of
-the expression language.  Last, ``check`` on three malformed configs, so
+1``/``2`` on each of the seven configs below, which cover a variable p, a
+custom F, p < 2 in 1D and 2D, every function, constant and operator of
+the expression language, an F that is even in u alone but not in (u, v),
+and one that is even in (u, v) but not in u alone, so that the quadrant
+runs take each of the two symmetries without the other.  Last, ``check`` on three malformed configs, so
 that diagnostics (standard error and exit status) are compared too.
 
 A change whose outputs are meant to differ lists the runs expected to
@@ -96,6 +98,12 @@ CONFIGS = {
     "custom_not_even_n33": _config(
         [[0.0, 1.0]], [33], 3.0, 3.0, 1.2,
         {"kind": "custom", "expression": "u^4 + v^4 + (1 + x)*u^2*v^2 + 0.1*u^2*v*abs(v)"},
+        4.0, 4.0, 20.0),
+    # Every hypothesis holds but reflection_symmetry: F(-u, v) != F(u, v).
+    "custom_not_reflective_n33": _config(
+        [[0.0, 1.0]], [33], 3.0, 3.0, 1.2,
+        {"kind": "custom",
+         "expression": "u^4 + v^4 + (1 + x)*u^2*v^2 + 0.1*u*abs(u)*v*abs(v)"},
         4.0, 4.0, 20.0),
 }
 
