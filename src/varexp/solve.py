@@ -79,7 +79,7 @@ from .energy import (
     _unpack,
     check_hypotheses,
 )
-from .grid import Grid, GridFunction, _STENCIL_REACH, tent_function
+from .grid import Grid, GridFunction, _STENCIL_REACH, _SUBLATTICE_ROTATION, tent_function
 from .optimize import _ARMIJO, _MAX_SHRINKS, _SHRINK, backtracking_step
 
 __all__ = [
@@ -439,19 +439,11 @@ def _respace(path: np.ndarray) -> np.ndarray:
     return out
 
 
-# The dense Jacobian and its dense solve are quadratic in memory and cubic in
-# time; beyond this many free degrees of freedom a mountain pass runs no
-# polish and stops after its first relocation chunk, flagged.  Colouring cuts
-# the gradient calls only.
+# The Jacobian pattern and the dense Jacobian it indexes are quadratic in
+# memory, the dense solve cubic in time; beyond this many free degrees of
+# freedom a mountain pass builds none of them, runs no polish and stops after
+# its first relocation chunk, flagged.  Colouring cuts the gradient calls only.
 _POLISH_DOF_CAP = 1600
-
-
-# Per number of axes, the rows M of the map r -> floor(M r / 2) that takes
-# each sublattice of the central stencil (nodes of one parity of their
-# coordinate sum) onto the integer lattice; the same-sublattice offsets o
-# with |o|_1 <= _STENCIL_REACH become the box of half-width
-# _STENCIL_REACH // 2 there.
-_SUBLATTICE_ROTATION = {1: ((1,),), 2: ((1, 1), (1, -1))}
 
 
 def _jacobian_pattern(grid: Grid, idx: np.ndarray):
@@ -473,9 +465,10 @@ def _jacobian_pattern(grid: Grid, idx: np.ndarray):
     Returns (colour, blocks): each free column's colour, and per non-empty
     sublattice, even sum first, (members, rows, cols): its positions in
     ``idx``, ascending, and its Jacobian entries as positions in
-    ``members``, row by row and in column order within a row.  They are
-    read off the diamond of offsets around each free node, so the memory
-    is linear in ``idx.size``, not quadratic.
+    ``members``, row by row and in column order within a row: the pairs
+    whose nodes lie within ``_STENCIL_REACH`` in the 1-norm, u's and v's
+    alike.  The mask is quadratic in a sublattice's unknowns, as is the
+    dense block it indexes; ``_POLISH_DOF_CAP`` bounds both.
     """
     period = _STENCIL_REACH + 1  # the width of the rotated diamond
     component, node = np.divmod(idx, grid.n_nodes)
@@ -487,33 +480,15 @@ def _jacobian_pattern(grid: Grid, idx: np.ndarray):
     )
     colour = np.unique(key, return_inverse=True)[1]
     parity = sum(r) % 2
-    # The same-sublattice offsets within reach, in C order: the nodes of a
-    # free node's diamond, u's then v's, in packed, and so in column, order.
-    box = np.indices((2 * _STENCIL_REACH + 1,) * grid.ndim).reshape(grid.ndim, -1)
-    box -= _STENCIL_REACH
-    diamond = box[:, (box.sum(axis=0) % 2 == 0)
-                  & (np.abs(box).sum(axis=0) <= _STENCIL_REACH)]
+    coords = np.array(r, dtype=np.int16)
     blocks = []
     for sub in (0, 1):
         members = np.flatnonzero(parity == sub)
-        if not members.size:
-            continue
-        inside = np.ones((members.size, diamond.shape[1]), dtype=bool)
-        neighbour = np.zeros((members.size, diamond.shape[1]), dtype=np.intp)
-        for ra, offsets, size in zip(r, diamond, grid.shape):
-            at = ra[members, None] + offsets
-            inside &= (at >= 0) & (at < size)
-            neighbour = neighbour * size + at
-        neighbour[~inside] = 0
-        position = np.full(2 * grid.n_nodes, -1)
-        position[idx[members]] = np.arange(members.size)
-        cols = np.concatenate(
-            [position[neighbour], position[neighbour + grid.n_nodes]], axis=1
-        )
-        del neighbour  # freed before the gathers below, which set the peak
-        entries = np.tile(inside, 2) & (cols >= 0)
-        rows = np.repeat(np.arange(members.size), np.count_nonzero(entries, axis=1))
-        blocks.append((members, rows, cols[entries]))
+        if members.size:
+            at = coords[:, members]
+            rows, cols = np.nonzero(
+                sum(np.abs(a[:, None] - a) for a in at) <= _STENCIL_REACH)
+            blocks.append((members, rows, cols))
     return colour, blocks
 
 

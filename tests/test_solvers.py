@@ -546,8 +546,14 @@ def test_mountain_pass_negation_equivariance():
 
 def test_unpolished_mountain_pass_stops_after_its_first_chunk(monkeypatch):
     """Success needs the polish, so a pass above the polish's size cap stops
-    after one relocation chunk instead of spending the whole budget."""
+    after one relocation chunk instead of spending the whole budget.  The
+    quadratic Jacobian pattern is never built above the cap."""
     monkeypatch.setattr(solve, "_POLISH_DOF_CAP", 0)
+
+    def refused(*args):
+        raise AssertionError("pattern built above the polish cap")
+
+    monkeypatch.setattr(solve, "_jacobian_pattern", refused)
     pt = mountain_pass(PROB, negative_endpoint(PROB), cfg=SolverConfig())
     assert pt.iterations <= 2000
     assert not pt.converged
@@ -1010,29 +1016,30 @@ def test_polish_jacobian_pattern_is_the_stencil_reach():
     assert seen.max() == 1
 
 
-def test_polish_jacobian_pattern_memory_is_linear_in_the_unknowns():
-    """At 65x65 (7 938 free unknowns) the pattern is read off per-node
-    diamonds of offsets: about 4.2 MB at the peak, of which the returned
-    arrays are 2.3 MB.  One idx.size x idx.size boolean alone would be
-    63 MB."""
-    grid = make_grid([(0.0, 1.0), (0.0, 1.0)], [65, 65])
+def test_polish_jacobian_pattern_memory_is_bounded_by_its_blocks():
+    """At 30x30 (1 568 free unknowns, the largest square at or under
+    ``_POLISH_DOF_CAP``) the pattern's peak memory is at most the bytes
+    of the two float64 blocks it indexes."""
+    grid = make_grid([(0.0, 1.0), (0.0, 1.0)], [30, 30])
     idx = free_dofs(grid)
+    assert idx.size == 1568 <= solve._POLISH_DOF_CAP
     tracemalloc.start()
     try:
         colour, blocks = solve._jacobian_pattern(grid, idx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8e6
+    assert peak <= sum(8 * members.size ** 2 for members, _, _ in blocks)
     for members, rows, cols in blocks:
         # Row by row, each row's columns ascending, each entry once.
         assert np.all(np.diff(rows) >= 0)
         assert np.all(np.diff(rows * members.size + cols) > 0)
     # Each u row and each v row sees the u and the v columns of its diamond.
-    assert sum(rows.size for _, rows, _ in blocks) == 4 * sum(
-        1 <= i + a <= 63 and 1 <= j + b <= 63
-        for i in range(1, 64) for j in range(1, 64)
+    entries = 4 * sum(
+        1 <= i + a <= 28 and 1 <= j + b <= 28
+        for i in range(1, 29) for j in range(1, 29)
         for a, b in stencil_diamond(2))
+    assert sum(rows.size for _, rows, _ in blocks) == entries == 26448
 
 
 def polish_problem(nodes):

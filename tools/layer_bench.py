@@ -27,7 +27,10 @@ It prints one JSON object with:
   dense solve of the assembled full Jacobian, the step's solve before the
   blocks; and whether the blocks equal the column-by-column Jacobian (the
   reference loop below) bit for bit with exact zeros between the
-  sublattices; at 129 nodes also the time of that loop;
+  sublattices; at 129 nodes also the time of that loop; and on the 30x30
+  square, the largest under ``solve._POLISH_DOF_CAP``, microseconds per
+  pattern build, its ``tracemalloc`` peak and the bytes of the two dense
+  blocks it indexes;
 * ``batched_us``: at 129 nodes, the 21 states of a mountain-pass path
   through the energy kernel as one stacked call and as 21 single calls,
   the 12 perturbed states of one coloured Jacobian through the gradient
@@ -71,6 +74,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -227,10 +231,31 @@ def polish_step(extents, nodes, column_loop_us):
     return out
 
 
+def pattern_build(nodes):
+    """Microseconds per ``solve._jacobian_pattern`` on the unit square of
+    ``nodes`` x ``nodes`` and its ``tracemalloc`` peak, beside the bytes of
+    the float64 blocks it indexes."""
+    grid = make_grid([[0.0, 1.0], [0.0, 1.0]], [nodes, nodes])
+    idx = np.nonzero(np.concatenate([grid.interior.ravel()] * 2))[0]
+    tracemalloc.start()
+    try:
+        blocks = solve._jacobian_pattern(grid, idx)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {
+        "free_dofs": int(idx.size),
+        "pattern_us": per_call_us(lambda: solve._jacobian_pattern(grid, idx)),
+        "pattern_peak_bytes": int(peak),
+        "block_bytes": int(sum(8 * members.size ** 2 for members, _, _ in blocks)),
+    }
+
+
 def polish():
     return {
         "1d_n129": polish_step([[0.0, 1.0]], [129], True),
         "2d_21x21": polish_step([[0.0, 1.0], [0.0, 1.0]], [21, 21], False),
+        "pattern_30x30": pattern_build(30),
     }
 
 
