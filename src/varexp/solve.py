@@ -113,9 +113,12 @@ _FIBERING_CHUNK = 111
 # Relative energy change that a descent's line search reads as round-off.
 _ROUNDOFF = 1e-12
 
-# Nontriviality threshold of a descent and distance of the deflation merge,
-# both in sup norm.
+# Distance of the deflation merge, in sup norm (see ``merge_points``).
 _DEFLATION_DISTANCE = 1e-4
+
+# A reported point is flagged ``semi_trivial`` when one component's sup is
+# at most this many times the other's (and the larger is above 0).
+_SEMI_TRIVIAL_RATIO = 1e-8
 
 # Largest lambda the theorems' smallness condition is taken to cover; runs
 # above it are flagged, not refused.
@@ -258,8 +261,15 @@ def _make_point(
 ) -> CriticalPoint:
     """The point at w, tagged ``quadrant``, the cone its run was held in,
     so that a run ending at the zero pair, which lies in every cone, keeps
-    its own; a run with no cone (None) takes ``classify_quadrant``'s tag."""
+    its own; a run with no cone (None) takes ``classify_quadrant``'s tag.
+    ``semi_trivial`` is appended to ``flags``, in place and once, when one
+    component's sup is at most ``_SEMI_TRIVIAL_RATIO`` times the other's;
+    the zero pair is not flagged."""
     u, v = _unpack(w, prob.grid)
+    small, large = sorted((u.sup_norm(), v.sup_norm()))
+    semi_trivial = 0.0 < large and small <= _SEMI_TRIVIAL_RATIO * large
+    if semi_trivial and "semi_trivial" not in flags:
+        flags.append("semi_trivial")
     return CriticalPoint(
         u=u,
         v=v,
@@ -578,13 +588,12 @@ def _stacked(fn, states: list[np.ndarray]) -> list:
 @dataclasses.dataclass(slots=True)
 class _Pass:
     """One pass of ``_lockstep_passes``: its path, the path energies, the
-    larger endpoint energy, its own counters, flags and stop, and its
-    point once it has one."""
+    larger endpoint energy, its own counters and stop, and its point once
+    it has one."""
 
     path: np.ndarray
     fvals: np.ndarray
     floor: float
-    flags: list[str]
     relocations: int = 0
     polish_steps: int = 0
     stack: int = 1
@@ -654,7 +663,7 @@ def _lockstep_passes(
     pattern = _jacobian_pattern(prob.grid, idx) if idx.size <= _POLISH_DOF_CAP else None
     paths = _stacked(proj, starts)
     passes = [
-        _Pass(path, fvals, floor, [] if pattern else ["polish_skipped_large_system"])
+        _Pass(path, fvals, floor)
         for path, fvals, floor in zip(paths, _stacked(f, paths), floors)
     ]
     active = passes
@@ -720,7 +729,7 @@ def _judge(prob, g, proj, p: _Pass, idx, pattern, cfg, quadrant) -> CriticalPoin
         "mountain_pass",
         p.relocations + p.polish_steps,
         True,
-        p.flags,
+        [] if pattern is not None else ["polish_skipped_large_system"],
         quadrant,
     )
     low = point.energy <= p.floor
@@ -732,11 +741,11 @@ def _judge(prob, g, proj, p: _Pass, idx, pattern, cfg, quadrant) -> CriticalPoin
     # Not accepted and relocation cannot resume: w is a best effort.
     point.converged = False
     if p.stop is not None:
-        p.flags.append(p.stop)
+        point.flags.append(p.stop)
     if low:
-        p.flags.append("energy_not_above_endpoints")
+        point.flags.append("energy_not_above_endpoints")
     if rough:
-        p.flags.append("refinement_not_converged")
+        point.flags.append("refinement_not_converged")
     return point
 
 
@@ -909,11 +918,6 @@ def _quadrant_inventory(
             pt = _reflected(reflected, prob, quadrant)
         else:
             pt = descend(prob, None, quadrant, cfg)
-            # Absolute on purpose: a component whose sup is at or below
-            # _DEFLATION_DISTANCE is flagged as below the nontriviality
-            # threshold, whatever the relative deflation merge decides.
-            if min(pt.u.sup_norm(), pt.v.sup_norm()) <= _DEFLATION_DISTANCE:
-                pt.flags.append("component_below_nontriviality_threshold")
         done[quadrant] = pt
 
     eligible = [

@@ -597,7 +597,7 @@ def test_solve_exits_2_below_its_theorems_point_count(tmp_path):
     inv = load_report(out / "results.json")["inventory"]
     assert inv["distinct_count"] == 0
     assert [r["converged"] for r in inv["runs"]] == [True] * 4
-    flags = ["no_negative_energy_start", "component_below_nontriviality_threshold"]
+    flags = ["no_negative_energy_start"]
     assert [r["flags"] for r in inv["runs"]] == [
         flags, flags + ["reflection_pair"], flags + ["negation_pair"],
         flags + ["reflection_pair", "negation_pair"]]

@@ -1251,10 +1251,57 @@ def test_find_constant_sign_runs_all_four_quadrants():
         assert run.converged
         assert run.residual <= FAST.gradient_stop
         assert run.energy < 0.0
-    # at this lambda the minimizers are microscopic; the solver must say so
-    assert all(
-        "component_below_nontriviality_threshold" in r.flags for r in inv.runs
-    )
+    # At this lambda the minimizers are microscopic, but both of their
+    # components are: none is semi-trivial.
+    for r in inv.runs:
+        small, large = sorted((r.u.sup_norm(), r.v.sup_norm()))
+        assert large < 1e-4 and small > solve._SEMI_TRIVIAL_RATIO * large
+        assert "semi_trivial" not in r.flags
+
+
+@pytest.mark.parametrize("ratio, flagged", [(0.0, True), (1e-9, True), (1e-7, False)])
+@pytest.mark.parametrize("swap", [False, True], ids=["u_large", "v_large"])
+def test_semi_trivial_flag_is_relative(ratio, flagged, swap):
+    """(u, 0) and (u, 1e-9 u) are flagged ``semi_trivial``, (u, 1e-7 u) is
+    not, whichever component is the larger; amplitude plays no part."""
+    b = smooth_bump(PROB.grid).values.ravel()
+    for scale in (1e-7, 1.0, 1e3):
+        u, v = scale * b, ratio * scale * b
+        w = np.concatenate([v, u] if swap else [u, v])
+        pt = solve._make_point(PROB, w, "descent", 1, True, ["given"])
+        assert pt.flags == (["given", "semi_trivial"] if flagged else ["given"])
+
+
+def test_semi_trivial_flag_spares_the_zero_pair_and_is_set_once():
+    """The zero pair keeps only its own flags.  An image of a flagged point
+    carries the flag once, beside its symmetry flag."""
+    zero = solve._make_point(PROB, np.zeros(2 * PROB.grid.n_nodes), "descent", 0,
+                             True, ["no_negative_energy_start"], "Q1")
+    assert zero.flags == ["no_negative_energy_start"]
+    b = smooth_bump(PROB.grid).values.ravel()
+    pt = solve._make_point(PROB, np.concatenate([b, 0.0 * b]), "descent", 1, True, [])
+    image = solve._negated(pt, PROB, "Q3")
+    assert pt.flags == ["semi_trivial"]
+    assert image.flags == ["semi_trivial", "negation_pair"]
+
+
+def test_semi_trivial_pass_keeps_its_stop_flags(monkeypatch):
+    """A pass whose polished point is semi-trivial carries the flag beside
+    the stop and verdict flags that ``_judge`` adds after it.  The polish
+    here zeroes v and leaves u as it is, so its point is (u, 0)."""
+    n = PROB.grid.n_nodes
+
+    def zero_v(g, proj, w, *args):
+        w = w.copy()
+        w[n:] = 0.0
+        return w, 0
+
+    monkeypatch.setattr(solve, "_newton_polish", zero_v)
+    pt = mountain_pass(PROB, negative_endpoint(PROB), cfg=SolverConfig(max_iterations=60))
+    assert not pt.converged
+    assert pt.flags[0] == "semi_trivial"
+    assert "relocation_budget_exhausted" in pt.flags
+    assert pt.flags.count("semi_trivial") == 1
 
 
 def test_runs_at_the_zero_pair_keep_their_quadrants(monkeypatch):
