@@ -490,6 +490,8 @@ def _jacobian_pattern(grid: Grid, idx: np.ndarray):
     )
     colour = np.unique(key, return_inverse=True)[1]
     parity = sum(r) % 2
+    # int16 holds every coordinate difference: within _POLISH_DOF_CAP an
+    # axis has at most 802 nodes.
     coords = np.array(r, dtype=np.int16)
     blocks = []
     for sub in (0, 1):
