@@ -157,6 +157,7 @@ def _eigen_block(prob: ProblemSpec, cfg: SolverConfig) -> dict:
             "value": res.value,
             "restart_values": list(res.restart_values),
             "iterations": list(res.iterations),
+            "evaluations": list(res.evaluations),
             "stop_reasons": list(res.stop_reasons),
         }
 

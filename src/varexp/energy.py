@@ -659,6 +659,8 @@ class RayleighResult:
     iterations: list[int]
     # ``OptimizeResult.stop_reason`` of each restart
     stop_reasons: list[str]
+    # ``OptimizeResult.evaluations`` of each restart
+    evaluations: list[int]
 
 
 def minimize_rayleigh(
@@ -708,4 +710,5 @@ def minimize_rayleigh(
         restart_values=[res.f_value for res in runs],
         iterations=[res.iterations for res in runs],
         stop_reasons=[res.stop_reason for res in runs],
+        evaluations=[res.evaluations for res in runs],
     )

@@ -12,7 +12,11 @@ bound in the projected form
 which reduces to the classical Armijo condition when there is no projection
 and stays meaningful on a clamped cone (the mountain-pass relocations).
 ``bb_minimize`` runs its own one-row halving loop, without the rounds of
-``backtracking_step``; both accept the same trial with the same bits.  Stationarity of a descent is measured by ||g||.
+``backtracking_step``; both accept the same trial with the same bits.  Its
+loop starts from the short Barzilai-Borwein step s.y / y.y of the last
+accepted move s = x+ - x and its gradient change y (Barzilai & Borwein
+1988), whose first trial is almost always accepted.  Stationarity of a
+descent is measured by ||g||.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ class OptimizeResult:
     converged: bool
     # "tolerance", "line_search_floor" or "iteration_cap"
     stop_reason: str
+    # calls of f: the start, every trial and every re-evaluation after a
+    # rescale
+    evaluations: int
 
 
 def backtracking_step(
@@ -143,23 +150,25 @@ def bb_minimize(
     Each iteration tries x - t*g from the clipped BB step t, halving t at
     most ``_MAX_SHRINKS`` times, and accepts the first trial that passes
     ``_sufficient_decrease``; a trial that does not move ends the search.
-    The next BB step is computed from the accepted trial's x+ - x and its
-    squared norm.  Terminates when the gradient norm drops to
-    ``gradient_stop``, when the line search hits its shrink budget
-    (numerical floor), or at the iteration cap.  An iterate whose sup norm
-    leaves ``_RESCALE_WINDOW`` is divided by it, a safeguard against
-    amplitude drift; between such rescales the accepted energy sequence is
-    strictly decreasing.
+    The next BB step is the short one, s.y / y.y, from the accepted trial's
+    s = x+ - x and y = g(x+) - g(x); it falls back to ``_STEP_INIT`` unless
+    both s.y and y.y are positive.  By Cauchy-Schwarz it is never longer
+    than the long step s.s / s.y, so its first trial is rarely rejected.
+    Terminates when the gradient norm drops to ``gradient_stop``, when the
+    line search hits its shrink budget (numerical floor), or at the
+    iteration cap.  An iterate whose sup norm leaves ``_RESCALE_WINDOW`` is
+    divided by it, a safeguard against amplitude drift; between such
+    rescales the accepted energy sequence is strictly decreasing.
     """
     x = np.array(x0, dtype=float)
     fx = f(x)
     g = grad(x)
     t_bb = _STEP_INIT
-    it = 0
+    it, evaluations = 0, 1
     for it in range(1, max_iterations + 1):
         stat = math.sqrt(float(g @ g))
         if stat <= gradient_stop:
-            return OptimizeResult(x, fx, stat, it - 1, True, "tolerance")
+            return OptimizeResult(x, fx, stat, it - 1, True, "tolerance", evaluations)
         t = min(max(t_bb, _BB_CLIP[0]), _BB_CLIP[1])
         accepted = False
         for _ in range(_MAX_SHRINKS):
@@ -169,25 +178,28 @@ def bb_minimize(
             if nd2 == 0.0:
                 break
             fn = f(xn)
+            evaluations += 1
             accepted = _sufficient_decrease(fn, fx, nd2, t)
             if accepted:
                 break
             t *= _SHRINK
         if not accepted:
             # Line-search floor: no acceptable decrease at any scale.
-            return OptimizeResult(x, fx, stat, it, False, "line_search_floor")
+            return OptimizeResult(x, fx, stat, it, False, "line_search_floor",
+                                  evaluations)
         gn = grad(xn)
         dg = gn - g
-        denom = float(np.dot(dx, dg))
-        t_bb = nd2 / denom if denom > 0.0 else _STEP_INIT
+        sy, yy = float(np.dot(dx, dg)), float(np.dot(dg, dg))
+        t_bb = sy / yy if sy > 0.0 and yy > 0.0 else _STEP_INIT
         x, fx, g = xn, fn, gn
         sup = float(np.max(np.abs(x)))
         if sup > 0.0 and not (_RESCALE_WINDOW[0] <= sup <= _RESCALE_WINDOW[1]):
             x = x / sup
             fx = f(x)
+            evaluations += 1
             g = grad(x)
             t_bb = _STEP_INIT
     stat = math.sqrt(float(g @ g))
     converged = stat <= gradient_stop
     reason = "tolerance" if converged else "iteration_cap"
-    return OptimizeResult(x, fx, stat, it, converged, reason)
+    return OptimizeResult(x, fx, stat, it, converged, reason, evaluations)

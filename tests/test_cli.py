@@ -721,6 +721,19 @@ def test_eigen_command_small_grid(tmp_path):
     assert est["p"]["stop_reasons"] == ["iteration_cap"] * len(est["p"]["iterations"])
 
 
+def test_eigen_reports_evaluations_per_restart(tmp_path):
+    """Under --deterministic too, each restart reports its evaluations of
+    the quotient: the start and at least one trial per iteration."""
+    code, out = run_cli(tmp_path, small_config(), "eigen", "--deterministic")
+    rep = load_report(out / "results.json")
+    assert rep["timings"] == {}
+    est = rep["eigen_estimates"]
+    for label in ("p", "q"):
+        iterations, evaluations = est[label]["iterations"], est[label]["evaluations"]
+        assert len(evaluations) == len(iterations) == len(est[label]["restart_values"])
+        assert all(e >= it + 1 for e, it in zip(evaluations, iterations))
+
+
 @pytest.mark.parametrize(
     "stop_reasons, expected_code",
     [(["tolerance", "tolerance"], 0),
@@ -734,7 +747,8 @@ def test_eigen_exits_2_when_least_restart_is_capped(tmp_path, monkeypatch,
     partial result: the command exits 2.  The second restart is the least."""
     def stub(field, **kwargs):
         return RayleighResult(value=1.0, minimizer=None, restart_values=[2.0, 1.0],
-                              iterations=[1, 1], stop_reasons=list(stop_reasons))
+                              iterations=[1, 1], stop_reasons=list(stop_reasons),
+                              evaluations=[2, 2])
 
     monkeypatch.setattr(cli, "minimize_rayleigh", stub)
     code, out = run_cli(tmp_path, small_config(), "eigen")
@@ -789,7 +803,7 @@ def test_eigen_minimizes_once_when_p_equals_q(tmp_path, monkeypatch, overrides,
         fields.append(field)
         return RayleighResult(value=field.min, minimizer=None,
                               restart_values=[field.min], iterations=[1],
-                              stop_reasons=["tolerance"])
+                              stop_reasons=["tolerance"], evaluations=[2])
 
     monkeypatch.setattr(cli, "minimize_rayleigh", counting)
     code, out = run_cli(tmp_path, small_config(**overrides), "eigen")

@@ -216,9 +216,9 @@ def test_bb_minimize_accepts_the_trial_of_a_one_row_backtracking_step():
         (xn, fn, k), = backtracking_step(f, [x], [fx], [g], [t0], identity, [1])
         assert k
         gn = grad(xn)
-        dx = xn - x
-        denom = float(np.dot(dx, gn - g))
-        t_bb = float(np.dot(dx, dx)) / denom if denom > 0.0 else optimize._STEP_INIT
+        dx, dg = xn - x, gn - g
+        sy, yy = float(np.dot(dx, dg)), float(np.dot(dg, dg))
+        t_bb = sy / yy if sy > 0.0 and yy > 0.0 else optimize._STEP_INIT
         reference.append((k, xn.tobytes(), fn))
         x, fx, g = xn, fn, gn
 
@@ -237,6 +237,34 @@ def test_bb_minimize_accepts_the_trial_of_a_one_row_backtracking_step():
     assert res.stop_reason == "iteration_cap" and res.iterations == 200
     assert accepted[1:] == reference  # accepted[0] is the start
     assert res.x.tobytes() == x.tobytes() and res.f_value == fx
+    assert res.evaluations == sum(trials)
+
+
+def test_bb_minimize_short_step_is_rarely_rejected():
+    """The short BB step s.y / y.y passes its first trial at almost every
+    iteration: over 1 000 iterations on the 2D Rayleigh quotient the
+    descent makes at most 1.25 evaluations of f per iteration (the long
+    step s.s / s.y made 2.21)."""
+    f, grad, x0 = rayleigh_17x17()
+    res = bb_minimize(f, grad, x0, max_iterations=1000)
+    assert res.stop_reason == "iteration_cap" and res.iterations == 1000
+    assert res.evaluations - 1 <= 1.25 * res.iterations
+
+
+def test_bb_minimize_falls_back_when_y_dot_y_underflows():
+    """A gradient change y = 1e-165 against s = 1e-150 gives s.y = 1e-315 > 0
+    but y.y = 1e-330, which underflows to 0: the step falls back to
+    ``_STEP_INIT`` instead of dividing by zero, so the second iteration
+    moves by the gradient itself."""
+    g0, y = -1e-150, 1e-165
+
+    def grad(x):
+        return np.array([0.0, g0 + (y if x[1] > 0.0 else 0.0)])
+
+    res = bb_minimize(lambda x: -float(x[1]), grad, np.array([1.0, 0.0]),
+                      max_iterations=2, gradient_stop=0.0)
+    assert (res.stop_reason, res.iterations) == ("iteration_cap", 2)
+    assert res.x[1] == -g0 - (g0 + y)
 
 
 def test_bb_minimize_stops_on_the_tolerance():
@@ -245,26 +273,31 @@ def test_bb_minimize_stops_on_the_tolerance():
     res = bb_minimize(lambda x: 0.5 * float(x @ x), lambda x: x, np.array([3.0, -4.0]))
     assert (res.stop_reason, res.iterations, res.converged) == ("tolerance", 1, True)
     assert not res.x.any() and res.f_value == 0.0
+    assert res.evaluations == 2
 
 
 def test_bb_minimize_stops_at_the_floor_when_no_trial_lowers_f():
     """f == 1 with a gradient of 1e-6 in every entry: c*t*||g||^2 is below
     half an ulp of 1, so the Armijo bound rounds to f(x) and every trial
     meets it with f(x+) == f(x).  None lowers f, so the first iteration
-    ends at the line-search floor instead of stepping on to the cap."""
+    ends at the line-search floor instead of stepping on to the cap, after
+    the start and all ``_MAX_SHRINKS`` trials."""
     res = bb_minimize(lambda x: 1.0, lambda x: np.full_like(x, 1e-6), np.zeros(8),
                       max_iterations=2000)
     assert (res.stop_reason, res.iterations, res.converged) == ("line_search_floor", 1, False)
     assert res.f_value == 1.0 and not res.x.any()
+    assert res.evaluations == 1 + _MAX_SHRINKS
 
 
 def test_bb_minimize_rescales_an_iterate_that_leaves_the_window():
     """-||x||^2 has no minimum: along -g = 2x the BB step falls back to 1,
     so each iteration triples x.  Once the sup norm passes 1e6, at 3**13,
     the iterate is divided by it, so after 40 iterations (13 + 13 + 13 + 1)
-    it has sup norm 3 instead of 3**40, and its energy is recomputed."""
+    it has sup norm 3 instead of 3**40, and its energy is recomputed: 44
+    evaluations, the start, one trial per iteration and three rescales."""
     res = bb_minimize(lambda x: -float(x @ x), lambda x: -2.0 * x, np.linspace(-1.0, 1.0, 9),
                       max_iterations=40)
     assert (res.stop_reason, res.iterations, res.converged) == ("iteration_cap", 40, False)
     assert float(np.max(np.abs(res.x))) == 3.0
     assert res.f_value == -float(res.x @ res.x)
+    assert res.evaluations == 44

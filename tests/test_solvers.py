@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -1480,6 +1481,22 @@ def test_symmetric_pairs_flags_collapsed_levels():
     assert len(inv.runs) == 3
     assert inv.distinct_count < 2 * len(inv.runs)
     assert "pair_runs_collapsed" in inv.flags
+
+
+def test_theorem2_and_pairs_never_call_bb_minimize(monkeypatch):
+    """Only ``minimize_rayleigh`` descends with ``bb_minimize``: with it
+    raising in every module that holds it, theorem 2 and ``pairs`` still
+    run to their inventories, so a change of its step rule leaves them
+    unchanged."""
+    def refused(*args, **kwargs):
+        raise AssertionError("bb_minimize called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "varexp" and hasattr(module, "bb_minimize"):
+            monkeypatch.setattr(module, "bb_minimize", refused)
+    assert energy.bb_minimize is refused
+    assert len(find_six_solutions(PROB, FAST).runs) == 6
+    assert len(symmetric_pairs(PROB, 3, FAST).runs) == 3
 
 
 DRIVERS = pytest.mark.parametrize(

@@ -52,10 +52,41 @@ def test_each_malformed_config_fails_with_its_own_message(name, message):
     assert str(err.value) == message
 
 
-def test_leaves_are_keyed_by_their_path():
-    assert same_outputs._leaves({"a": [1, {"b": 2}], "c": 3}) == {
-        ("a", 0): 1, ("a", 1, "b"): 2, ("c",): 3}
-    assert same_outputs._leaves(4.5) == {(): 4.5}
+def test_differing_leaves_are_keyed_by_their_path():
+    missing = same_outputs._MISSING
+    a = {"a": [1, {"b": 2}], "c": 3, "d": {"e": 1}}
+    b = {"a": [1, {"b": 5}], "c": 3.0, "f": 0}
+    assert list(same_outputs._differing(a, b)) == [
+        (("a", 1, "b"), 2, 5), (("c",), 3, 3.0), (("d",), {"e": 1}, missing),
+        (("f",), missing, 0)]
+    assert list(same_outputs._differing(4.5, 4.5)) == []
+
+
+def test_a_short_list_of_unequal_length_differs_whole():
+    """One removed flag is one difference, not a shift of every later
+    flag; a long list, or one of trees, still differs element by element."""
+    flags = ["f1", "f2", "f3"]
+    assert list(same_outputs._differing({"flags": flags}, {"flags": flags[::2]})) == [
+        (("flags",), flags, ["f1", "f3"])]
+    long_a, long_b = list(range(9)), list(range(1, 9))
+    assert len(list(same_outputs._differing(long_a, long_b))) == 9
+    assert list(same_outputs._differing([{"x": 1}], [{"x": 1}, {"x": 2}])) == [
+        ((1,), same_outputs._MISSING, {"x": 2})]
+
+
+def test_leaf_differences_names_each_leaf_with_both_values():
+    a = json.dumps({"eigen": {"p": {"value": 2.5, "flags": ["f1", "f2"]}}}).encode()
+    b = json.dumps({"eigen": {"p": {"value": 2.0, "flags": ["f2"], "evaluations": [7]}}}).encode()
+    assert same_outputs.leaf_differences(a, b) == [
+        "eigen.p.value: 2.5 -> 2.0",
+        "eigen.p.flags: ['f1', 'f2'] -> ['f2']",
+        "eigen.p.evaluations: absent -> [7]"]
+    many = json.dumps(list(range(25))).encode(), json.dumps(list(range(1, 26))).encode()
+    lines = same_outputs.leaf_differences(*many)
+    assert lines[0] == "[0]: 0 -> 1" and len(lines) == 21
+    assert lines[-1] == "... and 5 more"
+    assert same_outputs.leaf_differences(b'"' + b"x" * 200 + b'"', b'"y"') == [
+        "<root>: '" + "x" * 96 + "... -> 'y'"]
 
 
 def test_value_differences_counts_names_and_sizes_the_differing_leaves():

@@ -18,7 +18,10 @@ with its flags and iterations; for a ``check`` run, each hypothesis with
 ``passed`` and ``samples``.  When ``results.json`` differs, one more line
 sizes the difference: how many leaf values differ, under which keys, and the
 largest relative difference among the numeric ones, e.g. ``57 values
-differ, keys {residual}, max relative 2.05e-16``.  Outputs that are meant to
+differ, keys {residual}, max relative 2.05e-16``.  The first 20 of those
+leaves follow, one line each with its path and both values, e.g.
+``eigen_estimates.p.value: 128.07 -> 128.05``; a short list of scalars
+whose length changed is one leaf, shown whole.  Outputs that are meant to
 change can be judged on those.
 
 The runs: ``check``, ``norm``, ``scan``, ``eigen``, ``pairs`` and ``solve
@@ -188,36 +191,66 @@ def summary(result: dict) -> list[str]:
     return lines
 
 
-def _leaves(data, path: tuple = ()) -> dict:
-    """Every leaf of a JSON tree under its path of keys and list indices."""
-    if isinstance(data, dict):
-        items = data.items()
-    elif isinstance(data, list):
-        items = enumerate(data)
-    else:
-        return {path: data}
-    return {leaf: value for key, item in items
-            for leaf, value in _leaves(item, (*path, key)).items()}
+_MISSING = object()  # the side of a leaf that one tree lacks
+_SHORT_LIST = 8
+_LISTED = 20
+_VALUE_CHARS = 100
+
+
+def _differing(a, b, path: tuple = ()):
+    """(path, a value, b value) of every leaf that differs between two JSON
+    trees, in document order, the path being its keys and list indices; a
+    leaf that one tree lacks is ``_MISSING`` there.  Two lists of scalars
+    of unequal length, neither longer than ``_SHORT_LIST``, differ as one
+    value, whole, so that one removed flag reads as one removed flag and
+    not as a shift of every later one."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in [*a, *(k for k in b if k not in a)]:
+            yield from _differing(a.get(key, _MISSING), b.get(key, _MISSING), (*path, key))
+        return
+    if isinstance(a, list) and isinstance(b, list):
+        scalars = not any(isinstance(v, (dict, list)) for v in a + b)
+        if not (scalars and len(a) != len(b) and max(len(a), len(b)) <= _SHORT_LIST):
+            for i in range(max(len(a), len(b))):
+                yield from _differing(a[i] if i < len(a) else _MISSING,
+                                      b[i] if i < len(b) else _MISSING, (*path, i))
+            return
+    if repr(a) != repr(b):
+        yield path, a, b
 
 
 def value_differences(a: bytes, b: bytes) -> str:
     """Count, key names and largest relative size of the leaf values that
-    differ between two ``results.json`` texts; a leaf present in one only
-    counts as differing."""
-    la, lb = _leaves(json.loads(a)), _leaves(json.loads(b))
-    missing = object()
-    pairs = {path: (la.get(path, missing), lb.get(path, missing))
-             for path in la.keys() | lb.keys()}
-    differ = {path: xy for path, xy in pairs.items() if repr(xy[0]) != repr(xy[1])}
+    differ between two ``results.json`` texts (see ``_differing``)."""
+    differ = list(_differing(json.loads(a), json.loads(b)))
     keys = sorted({next((k for k in reversed(path) if isinstance(k, str)), "<root>")
-                   for path in differ})
-    numeric = [(x, y) for x, y in differ.values()
+                   for path, _, _ in differ})
+    numeric = [(x, y) for _, x, y in differ
                if type(x) in (int, float) and type(y) in (int, float)]
     line = f"{len(differ)} values differ, keys {{{', '.join(keys)}}}"
     if numeric:
         rel = max(abs(x - y) / (max(abs(x), abs(y)) or 1.0) for x, y in numeric)
         line += f", max relative {rel:.3g}"
     return line
+
+
+def _text(value) -> str:
+    text = "absent" if value is _MISSING else repr(value)
+    return text if len(text) <= _VALUE_CHARS else text[:_VALUE_CHARS - 3] + "..."
+
+
+def leaf_differences(a: bytes, b: bytes) -> list[str]:
+    """One line per leaf that differs between two ``results.json`` texts,
+    its path with the value in each, at most ``_LISTED`` of them and then
+    how many more there are."""
+    differ = list(_differing(json.loads(a), json.loads(b)))
+    lines = [
+        ("".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+         or "<root>") + f": {_text(x)} -> {_text(y)}"
+        for path, x, y in differ[:_LISTED]]
+    if len(differ) > _LISTED:
+        lines.append(f"... and {len(differ) - _LISTED} more")
+    return lines
 
 
 def main(argv: list[str]) -> int:
@@ -242,8 +275,10 @@ def main(argv: list[str]) -> int:
                 for tree, result in (("parent", a), ("change", b)):
                     print(f"  {tree}: " + "\n    ".join(summary(result)), flush=True)
                 if "results.json" in diff and all("results.json" in r["files"] for r in (a, b)):
-                    print("  results.json: " + value_differences(
-                        a["files"]["results.json"], b["files"]["results.json"]), flush=True)
+                    texts = a["files"]["results.json"], b["files"]["results.json"]
+                    print("  results.json: " + value_differences(*texts), flush=True)
+                    for line in leaf_differences(*texts):
+                        print(f"    {line}", flush=True)
     print(f"{len(matrix) - failed} of {len(matrix)} runs identical")
     return 1 if failed else 0
 
