@@ -13,9 +13,8 @@ Rayleigh quotient, the gradient norm and the polish Jacobian's colouring
 import what they need of it: ``_difference`` (the components and
 |grad x|^2), ``_flux_adjoint`` (the nodal gradient of a gradient modular),
 ``_difference_components`` and ``_adjoint_sum`` (D and D^T, for the
-kernel's Hessian product), ``_STENCIL_REACH`` (how far a nodal gradient
-reads) and ``_SUBLATTICE_ROTATION`` (the map that takes each sublattice of
-the stencil onto the integer lattice).
+kernel's Hessian product) and ``_STENCIL_REACH`` (how far a nodal gradient
+reads).
 """
 
 from __future__ import annotations
@@ -211,13 +210,6 @@ class VectorField:
 # the central difference composed with its adjoint reaches two steps (one at
 # the one-sided ends).  Nodes 2*_STENCIL_REACH + 1 apart never share a row.
 _STENCIL_REACH = 2
-
-# Per number of axes, the rows M of the map r -> floor(M r / 2) that takes
-# each sublattice of the central stencil (nodes of one parity of their
-# coordinate sum) onto the integer lattice; the same-sublattice offsets o
-# with |o|_1 <= _STENCIL_REACH become the box of half-width
-# _STENCIL_REACH // 2 there.
-_SUBLATTICE_ROTATION = {1: ((1,),), 2: ((1, 1), (1, -1))}
 
 
 @functools.lru_cache(maxsize=None)

@@ -79,7 +79,7 @@ from .energy import (
     _unpack,
     check_hypotheses,
 )
-from .grid import Grid, GridFunction, _STENCIL_REACH, _SUBLATTICE_ROTATION, tent_function
+from .grid import Grid, GridFunction, _STENCIL_REACH, tent_function
 from .optimize import _ARMIJO, _MAX_SHRINKS, _SHRINK, backtracking_step
 
 __all__ = [
@@ -464,13 +464,16 @@ def _jacobian_pattern(grid: Grid, idx: np.ndarray):
     r + o of its own sublattice (the parity of the coordinate sum) with
     |o|_1 <= ``_STENCIL_REACH`` (o in {-2, 0, 2} in 1D, the 9-point diamond
     in 2D), and couples u and v only through the pointwise source at r
-    itself, so the Jacobian is block-diagonal over the two sublattices.  In
-    the coordinates floor(M r / 2) of ``_SUBLATTICE_ROTATION`` that reach is
-    a box of half-width 1, and the free degree of freedom at node r of
-    component c (u or v) gets the colour (c, floor(M r / 2) mod 3 on each
-    axis), numbered in that order over the non-empty colours: 6 colours in
-    1D, 18 in 2D.  Both sublattices share the colours, since neither reads
-    the other, so a row sees at most one column of each colour.
+    itself, so the Jacobian is block-diagonal over the two sublattices.  The
+    free degree of freedom at node r of component c (u or v) gets the colour
+    (c, r mod 3 on each axis), numbered in that order over the non-empty
+    colours: 6 colours in 1D, 18 in 2D once an axis has 3 free nodes.  Two
+    columns of one sublattice share a row only when their nodes are at most
+    2 * ``_STENCIL_REACH`` = 4 apart in the 1-norm, while a nonzero offset
+    that is 0 mod 3 on every axis and has an even coordinate sum is at
+    least 6 long ((6), (3, 3), (6, 0)).  Both sublattices share the
+    colours, since neither reads the other, so a row sees at most one
+    column of each colour.
 
     Returns (colour, blocks): each free column's colour, and per non-empty
     sublattice, even sum first, (members, rows, cols): its positions in
@@ -480,13 +483,11 @@ def _jacobian_pattern(grid: Grid, idx: np.ndarray):
     alike.  The mask is quadratic in a sublattice's unknowns, as is the
     dense block it indexes; ``_POLISH_DOF_CAP`` bounds both.
     """
-    period = _STENCIL_REACH + 1  # the width of the rotated diamond
+    period = _STENCIL_REACH + 1
     component, node = np.divmod(idx, grid.n_nodes)
     r = np.unravel_index(node, grid.shape)
-    lattice = [sum(m * ra for m, ra in zip(row, r)) // 2
-               for row in _SUBLATTICE_ROTATION[grid.ndim]]
     key = np.ravel_multi_index(
-        (component, *(la % period for la in lattice)), (2,) + (period,) * grid.ndim
+        (component, *(ra % period for ra in r)), (2,) + (period,) * grid.ndim
     )
     colour = np.unique(key, return_inverse=True)[1]
     parity = sum(r) % 2
