@@ -120,6 +120,12 @@ _DEFLATION_DISTANCE = 1e-4
 # at most this many times the other's (and the larger is above 0).
 _SEMI_TRIVIAL_RATIO = 1e-8
 
+# A reported point is flagged ``one_sublattice`` when, on either component,
+# the largest second difference along an axis is at least this many times
+# the component's sup: 2 on a state that lives on one sublattice of the
+# central stencil, O(h^2) on a smooth one.
+_ONE_SUBLATTICE_RATIO = 1.0
+
 # Largest lambda the theorems' smallness condition is taken to cover; runs
 # above it are flagged, not refused.
 _LAMBDA_SMALLNESS = 1e-3
@@ -250,6 +256,15 @@ def _functional(prob: ProblemSpec, signs: tuple[int, int] | None):
     )
 
 
+def _sublattice_ratio(x: np.ndarray) -> float:
+    """max |x(i+1) - 2 x(i) + x(i-1)| / sup|x| over every axis; 0 for
+    x = 0."""
+    sup = float(np.max(np.abs(x)))
+    if sup == 0.0:
+        return 0.0
+    return max(float(np.max(np.abs(np.diff(x, 2, axis=a)))) for a in range(x.ndim)) / sup
+
+
 def _make_point(
     prob: ProblemSpec,
     w: np.ndarray,
@@ -264,12 +279,19 @@ def _make_point(
     its own; a run with no cone (None) takes ``classify_quadrant``'s tag.
     ``semi_trivial`` is appended to ``flags``, in place and once, when one
     component's sup is at most ``_SEMI_TRIVIAL_RATIO`` times the other's;
-    the zero pair is not flagged."""
+    the zero pair is not flagged.  ``one_sublattice`` is appended likewise
+    when a component's ``_sublattice_ratio`` is at least
+    ``_ONE_SUBLATTICE_RATIO``."""
     u, v = _unpack(w, prob.grid)
     small, large = sorted((u.sup_norm(), v.sup_norm()))
-    semi_trivial = 0.0 < large and small <= _SEMI_TRIVIAL_RATIO * large
-    if semi_trivial and "semi_trivial" not in flags:
-        flags.append("semi_trivial")
+    raised = {
+        "semi_trivial": 0.0 < large and small <= _SEMI_TRIVIAL_RATIO * large,
+        "one_sublattice": max(_sublattice_ratio(u.values), _sublattice_ratio(v.values))
+        >= _ONE_SUBLATTICE_RATIO,
+    }
+    for flag, up in raised.items():
+        if up and flag not in flags:
+            flags.append(flag)
     return CriticalPoint(
         u=u,
         v=v,

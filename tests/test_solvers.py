@@ -1286,6 +1286,56 @@ def test_semi_trivial_flag_spares_the_zero_pair_and_is_set_once():
     assert image.flags == ["semi_trivial", "negation_pair"]
 
 
+def sine_state(grid, one_sublattice):
+    """prod sin(pi x) over the axes, zeroed off the even-sum sublattice
+    when ``one_sublattice``."""
+    x = grid.coordinate_arrays()
+    s = np.prod([np.sin(np.pi * xa) for xa in x], axis=0)
+    if one_sublattice:
+        s[sum(np.indices(grid.shape)) % 2 == 1] = 0.0
+    return s.ravel()
+
+
+@pytest.mark.parametrize("prob", [PROB, PROB_2D], ids=["1d", "2d"])
+@pytest.mark.parametrize("u_one, v_one, v_zero, flagged", [
+    (True, False, False, True), (False, True, False, True),
+    (False, False, False, False), (True, False, True, True),
+    (False, False, True, False)],
+    ids=["u_one", "v_one", "smooth", "u_one_v_zero", "smooth_v_zero"])
+def test_one_sublattice_flag(prob, u_one, v_one, v_zero, flagged):
+    """A state that lives on one sublattice of the stencil (a sine on the
+    even-sum nodes, 0 on the others) is flagged ``one_sublattice`` in
+    either component; a smooth sine is not.  (u, 0) is judged on u
+    alone.  Amplitude plays no part."""
+    for scale in (1e-7, 1.0, 1e3):
+        u = scale * sine_state(prob.grid, u_one)
+        v = 0.0 * u if v_zero else 0.5 * scale * sine_state(prob.grid, v_one)
+        pt = solve._make_point(prob, np.concatenate([u, v]), "descent", 1, True, [])
+        assert ("one_sublattice" in pt.flags) == flagged
+        assert ("semi_trivial" in pt.flags) == v_zero
+
+
+def test_one_sublattice_ratio_reads_two_on_one_sublattice():
+    """The ratio is 2 on a one-sublattice state, O(h^2) on a smooth one,
+    and 0 on the zero state."""
+    for prob in (PROB, PROB_2D):
+        one = sine_state(prob.grid, True).reshape(prob.grid.shape)
+        smooth = sine_state(prob.grid, False).reshape(prob.grid.shape)
+        assert solve._sublattice_ratio(one) == pytest.approx(2.0, rel=1e-2)
+        assert solve._sublattice_ratio(smooth) < 0.1
+    assert solve._sublattice_ratio(np.zeros(PROB.grid.shape)) == 0.0
+
+
+def test_one_sublattice_flag_is_set_once_on_an_image():
+    """An image of a flagged point carries the flag once, beside its
+    symmetry flag."""
+    u = sine_state(PROB.grid, True)
+    pt = solve._make_point(PROB, np.concatenate([u, u]), "mountain_pass", 1, True, [])
+    image = solve._negated(pt, PROB, "Q3")
+    assert pt.flags == ["one_sublattice"]
+    assert image.flags == ["one_sublattice", "negation_pair"]
+
+
 def test_semi_trivial_pass_keeps_its_stop_flags(monkeypatch):
     """A pass whose polished point is semi-trivial carries the flag beside
     the stop and verdict flags that ``_judge`` adds after it.  The polish
