@@ -26,6 +26,7 @@ import numpy as np
 
 from .config import default_problem, parse_config
 from .energy import (
+    _RAYLEIGH_ITERATIONS,
     ProblemSpec,
     check_hypotheses,
     minimize_rayleigh,
@@ -152,7 +153,10 @@ def _norm_probes(prob: ProblemSpec, seed: int) -> dict:
 def _eigen_block(prob: ProblemSpec, cfg: SolverConfig) -> dict:
     """Rayleigh estimates for p and q; one minimization when the fields agree."""
     def estimate(field) -> dict:
-        res = minimize_rayleigh(field, seed=cfg.seed, gradient_stop=cfg.gradient_stop)
+        res = minimize_rayleigh(
+            field, seed=cfg.seed, gradient_stop=cfg.gradient_stop,
+            max_iterations=min(cfg.max_iterations, _RAYLEIGH_ITERATIONS),
+        )
         return {
             "value": res.value,
             "restart_values": list(res.restart_values),

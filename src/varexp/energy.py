@@ -97,6 +97,10 @@ QUADRANT_SIGNS = {"Q1": (1, 1), "Q2": (-1, 1), "Q3": (-1, -1), "Q4": (1, -1)}
 # (see ``_exponent_plan``).
 _FLUX_EPS = 1e-10
 
+# BB iterations per restart of ``minimize_rayleigh``; the CLI's ``eigen``
+# lowers it to the config's ``max_iterations``, never raises it.
+_RAYLEIGH_ITERATIONS = 4000
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class HypothesisConstants:
@@ -667,7 +671,7 @@ def minimize_rayleigh(
     p: ExponentField,
     restarts: int = 5,
     seed: int = 0,
-    max_iterations: int = 4000,
+    max_iterations: int = _RAYLEIGH_ITERATIONS,
     gradient_stop: float = 1e-8,
 ) -> RayleighResult:
     """Smallest Rayleigh quotient found by gradient descent over restarts.

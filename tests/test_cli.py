@@ -734,6 +734,20 @@ def test_eigen_reports_evaluations_per_restart(tmp_path):
         assert all(e >= it + 1 for e, it in zip(evaluations, iterations))
 
 
+def test_eigen_honours_solver_max_iterations(tmp_path):
+    """``solver.max_iterations`` below the Rayleigh cap caps every restart:
+    at 50 each restart reports at most 50 iterations and the least one,
+    stopped at that cap, makes the command exit 2."""
+    code, out = run_cli(tmp_path, small_config(**{"solver.max_iterations": 50}),
+                        "eigen", "--deterministic")
+    assert code == 2
+    est = load_report(out / "results.json")["eigen_estimates"]
+    for label in ("p", "q"):
+        assert est[label]["iterations"]
+        assert all(it <= 50 for it in est[label]["iterations"])
+        assert "iteration_cap" in est[label]["stop_reasons"]
+
+
 @pytest.mark.parametrize(
     "stop_reasons, expected_code",
     [(["tolerance", "tolerance"], 0),

@@ -26,13 +26,19 @@ def results_json(data) -> dict:
     return {"results.json": json.dumps(data).encode()}
 
 
-def test_runs_lists_sixty_four_runs_and_writes_their_configs(tmp_path):
+def test_runs_lists_sixty_five_runs_and_writes_their_configs(tmp_path):
     matrix = same_outputs.runs(ROOT, tmp_path)
-    assert len(matrix) == 64
-    assert len({label for label, _ in matrix}) == 64
+    assert len(matrix) == 65
+    assert len({label for label, _ in matrix}) == 65
     configs = [args[args.index("--config") + 1] for _, args in matrix if "--config" in args]
     assert all(Path(path).is_file() for path in configs)
-    assert len(set(configs)) == 1 + len(same_outputs.CONFIGS) + len(same_outputs.MALFORMED)
+    assert len(set(configs)) == 2 + len(same_outputs.CONFIGS) + len(same_outputs.MALFORMED)
+
+
+def test_capped_config_caps_eigen_below_its_own_cap():
+    prob, cfg = parse_config_text(json.dumps(same_outputs.CAPPED, indent=2))
+    assert prob.grid.shape == (33,)
+    assert cfg.max_iterations == 50
 
 
 @pytest.mark.parametrize("name", list(same_outputs.CONFIGS))

@@ -2,7 +2,7 @@
 
     python3 tools/same_outputs.py PARENT CHANGE
 
-PARENT and CHANGE are the roots of two source checkouts.  Each of the 64
+PARENT and CHANGE are the roots of two source checkouts.  Each of the 65
 runs below is made once per tree, as ``python -m varexp.cli SUBCOMMAND ...
 --deterministic --out out`` with ``PYTHONPATH=<tree>/src`` and
 ``OPENBLAS_NUM_THREADS=1``, from a fresh working directory.  Both trees read
@@ -29,7 +29,9 @@ The runs: ``check``, ``norm``, ``scan``, ``eigen``, ``pairs`` and ``solve
 1 --quadrants Q2,Q4``, ``scan --t-list 1,8,64`` and ``check --seed 3``, so
 that the option parsers run too, and ``scan --t-list 1,1e308``, whose
 energy at t = 1e308 is not finite, so that the scan's refusal runs;
-``eigen`` on the 2D config of the benchmark (read from PARENT); and
+``eigen`` on the 2D config of the benchmark (read from PARENT);
+``eigen`` on a 33-node config with ``solver.max_iterations`` = 50, so that
+the config's cap on every restart runs too; and
 ``check``, ``norm``, ``eigen``, ``pairs``, ``scan`` and ``solve --theorem
 1``/``2`` on each of the seven configs below, which cover a variable p, a
 custom F, p < 2 in 1D and 2D, every function, constant and operator of
@@ -117,6 +119,10 @@ MALFORMED = {
     "nodes_33.7": {**_BASE, "domain": {**_BASE["domain"], "nodes": [33.7]}},
 }
 
+# 33 nodes, and an iteration cap below eigen's own.
+CAPPED = {**_BASE, "domain": {**_BASE["domain"], "nodes": [33]},
+          "solver": {**_BASE["solver"], "max_iterations": 50}}
+
 DEFAULT_RUNS = (("check",), ("norm",), ("scan",), ("eigen",), ("pairs",),
                 ("solve", "--theorem", "1"), ("solve", "--theorem", "2"),
                 ("solve", "--theorem", "1", "--quadrants", "Q2,Q4"),
@@ -132,6 +138,9 @@ def runs(parent: Path, configs: Path) -> list[tuple[str, tuple[str, ...]]]:
     eigen_2d = configs / "eigen_2d_varp.json"
     eigen_2d.write_bytes((parent / "bench" / "eigen_2d_varp.json").read_bytes())
     out.append(("eigen_2d_varp eigen", ("eigen", "--config", str(eigen_2d))))
+    capped = configs / "capped_n33.json"
+    capped.write_text(json.dumps(CAPPED, indent=2), encoding="utf-8")
+    out.append(("capped_n33 eigen", ("eigen", "--config", str(capped))))
     for i, (name, data) in enumerate(CONFIGS.items()):
         path = configs / f"config_{i}.json"
         path.write_text(json.dumps(data, indent=2), encoding="utf-8")
