@@ -284,12 +284,10 @@ def _make_point(
     ``_ONE_SUBLATTICE_RATIO``."""
     u, v = _unpack(w, prob.grid)
     small, large = sorted((u.sup_norm(), v.sup_norm()))
-    raised = {
-        "semi_trivial": 0.0 < large and small <= _SEMI_TRIVIAL_RATIO * large,
-        "one_sublattice": max(_sublattice_ratio(u.values), _sublattice_ratio(v.values))
-        >= _ONE_SUBLATTICE_RATIO,
-    }
-    for flag, up in raised.items():
+    semi_trivial = 0.0 < large and small <= _SEMI_TRIVIAL_RATIO * large
+    ratio = max(_sublattice_ratio(u.values), _sublattice_ratio(v.values))
+    one_sublattice = ratio >= _ONE_SUBLATTICE_RATIO
+    for flag, up in (("semi_trivial", semi_trivial), ("one_sublattice", one_sublattice)):
         if up and flag not in flags:
             flags.append(flag)
     return CriticalPoint(
@@ -489,7 +487,7 @@ def _jacobian_pattern(grid: Grid, idx: np.ndarray):
     itself, so the Jacobian is block-diagonal over the two sublattices.  The
     free degree of freedom at node r of component c (u or v) gets the colour
     (c, r mod 3 on each axis), numbered in that order over the non-empty
-    colours: 6 colours in 1D, 18 in 2D once an axis has 3 free nodes.  Two
+    colours: 6 in 1D, 18 in 2D, once every axis has 3 free nodes.  Two
     columns of one sublattice share a row only when their nodes are at most
     2 * ``_STENCIL_REACH`` = 4 apart in the 1-norm, while a nonzero offset
     that is 0 mod 3 on every axis and has an even coordinate sum is at

@@ -991,8 +991,7 @@ def test_polish_jacobian_pattern_is_the_stencil_reach():
     steps away in the 1-norm.  A wider stencil must fail here: the dense
     Jacobian has to vanish outside that diamond (so also at the corners
     (+-2, +-2) of the even-sum 5x5 box), to be nonzero at every offset of
-    it, the pattern must list every entry inside it exactly once, and no
-    row may see two columns of one colour."""
+    it, and the pattern must list every entry inside it exactly once."""
     grid = PROB_2D.grid
     idx = free_dofs(grid)
     nodes = np.array(np.unravel_index(idx % grid.n_nodes, grid.shape))
@@ -1007,14 +1006,38 @@ def test_polish_jacobian_pattern_is_the_stencil_reach():
     assert np.count_nonzero(dense[~reach]) == 0
     seen_offsets = {tuple(offset[:, i, j]) for i, j in zip(*np.nonzero(dense))}
     assert seen_offsets == set(diamond)
-    colour, blocks = solve._jacobian_pattern(grid, idx)
+    _, blocks = solve._jacobian_pattern(grid, idx)
     filled = np.zeros(reach.shape, dtype=int)
-    seen = np.zeros((idx.size, colour.max() + 1), dtype=int)
     for members, rows, cols in blocks:
         np.add.at(filled, (members[rows], members[cols]), 1)
-        np.add.at(seen, (members[rows], colour[members[cols]]), 1)
     np.testing.assert_array_equal(filled, reach)
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [(3,), (4,), (5,), (33,), (129,), (1025,),
+     (3, 3), (4, 4), (5, 7), (17, 17), (21, 21), (30, 30), (12, 40)],
+    ids=lambda nodes: "x".join(map(str, nodes)))
+def test_polish_colouring_gives_a_row_one_column_per_colour(nodes):
+    """No row of the pattern sees two columns of one colour, on grids from
+    the tiny ones to beyond ``_POLISH_DOF_CAP``.  Once every axis has 3
+    free nodes, every residue occurs and the colour of a free degree of
+    freedom is its component and its node coordinates mod 3, in that
+    order: 6 colours in 1D, 18 in 2D."""
+    grid = make_grid([(0.0, 1.0)] * len(nodes), list(nodes))
+    idx = free_dofs(grid)
+    colour, blocks = solve._jacobian_pattern(grid, idx)
+    seen = np.zeros((idx.size, colour.max() + 1), dtype=int)
+    for members, rows, cols in blocks:
+        np.add.at(seen, (members[rows], colour[members[cols]]), 1)
     assert seen.max() == 1
+    if min(nodes) >= 5:
+        component, node = np.divmod(idx, grid.n_nodes)
+        expected = component
+        for r in np.unravel_index(node, grid.shape):
+            expected = 3 * expected + r % 3
+        np.testing.assert_array_equal(colour, expected)
+        assert colour.max() + 1 == 2 * 3 ** grid.ndim
 
 
 def test_polish_jacobian_pattern_memory_is_bounded_by_its_blocks():
