@@ -469,97 +469,90 @@ def _respace(path: np.ndarray) -> np.ndarray:
     return out
 
 
-# The Jacobian pattern and the dense Jacobian it indexes are quadratic in
-# memory, the dense solve cubic in time; beyond this many free degrees of
+# The Jacobian pattern's masks and the dense blocks they mask are quadratic
+# in memory, the dense solve cubic in time; beyond this many free degrees of
 # freedom a mountain pass builds none of them, runs no polish and stops after
 # its first relocation chunk, flagged.  Colouring cuts the gradient calls only.
 _POLISH_DOF_CAP = 1600
 
 
-def _jacobian_pattern(grid: Grid, idx: np.ndarray):
+def _jacobian_pattern(grid: Grid):
     """Curtis-Powell-Reid column colouring of the polish Jacobian, one
-    block per sublattice.
+    block per sublattice; None above ``_POLISH_DOF_CAP`` free unknowns.
 
     On zero-boundary states the nodal gradient at node r reads only nodes
     r + o of its own sublattice (the parity of the coordinate sum) with
     |o|_1 <= ``_STENCIL_REACH`` (o in {-2, 0, 2} in 1D, the 9-point diamond
     in 2D), and couples u and v only through the pointwise source at r
     itself, so the Jacobian is block-diagonal over the two sublattices.  The
-    free degree of freedom at node r of component c (u or v) gets the colour
-    (c, r mod 3 on each axis), numbered in that order over the non-empty
-    colours: 6 in 1D, 18 in 2D, once every axis has 3 free nodes.  Two
-    columns of one sublattice share a row only when their nodes are at most
-    2 * ``_STENCIL_REACH`` = 4 apart in the 1-norm, while a nonzero offset
-    that is 0 mod 3 on every axis and has an even coordinate sum is at
-    least 6 long ((6), (3, 3), (6, 0)).  Both sublattices share the
-    colours, since neither reads the other, so a row sees at most one
-    column of each colour.
+    free unknown at node r of component c (u or v) gets the colour
+    (c, r mod 3 on each axis), raveled: 2 * 3 ** ndim colours, some empty
+    on an axis with fewer than 3 free nodes.  Two columns of one sublattice
+    share a row only when their nodes are at most 2 * ``_STENCIL_REACH`` = 4
+    apart in the 1-norm, while a nonzero offset that is 0 mod 3 on every
+    axis and has an even coordinate sum is at least 6 long ((6), (3, 3),
+    (6, 0)).  Both sublattices share the colours, since neither reads the
+    other, so a row sees at most one column of each colour.
 
-    Returns (colour, blocks): each free column's colour, and per non-empty
-    sublattice, even sum first, (members, rows, cols): its positions in
-    ``idx``, ascending, and its Jacobian entries as positions in
-    ``members``, row by row and in column order within a row: the pairs
-    whose nodes lie within ``_STENCIL_REACH`` in the 1-norm, u's and v's
-    alike.  The mask is quadratic in a sublattice's unknowns, as is the
-    dense block it indexes; ``_POLISH_DOF_CAP`` bounds both.
+    Returns (idx, colour, blocks): the free unknowns, the interior nodes of
+    u then of v as positions in the packed state; each one's colour; and
+    per non-empty sublattice, even sum first, (members, mask): its
+    positions in ``idx``, ascending, and the mask of the member pairs whose
+    nodes lie within ``_STENCIL_REACH`` in the 1-norm, u's and v's alike,
+    quadratic in the sublattice's unknowns like the dense block it masks.
     """
+    idx = np.flatnonzero(np.tile(grid.interior.ravel(), 2))
+    if idx.size > _POLISH_DOF_CAP:
+        return None
     period = _STENCIL_REACH + 1
     component, node = np.divmod(idx, grid.n_nodes)
     r = np.unravel_index(node, grid.shape)
-    key = np.ravel_multi_index(
-        (component, *(ra % period for ra in r)), (2,) + (period,) * grid.ndim
-    )
-    colour = np.unique(key, return_inverse=True)[1]
+    colour = np.ravel_multi_index((component, *(ra % period for ra in r)),
+                                  (2,) + (period,) * grid.ndim)
     parity = sum(r) % 2
     # int16 holds every coordinate difference: within _POLISH_DOF_CAP an
     # axis has at most 802 nodes.
     coords = np.array(r, dtype=np.int16)
     blocks = []
-    for sub in (0, 1):
-        members = np.flatnonzero(parity == sub)
+    for members in (np.flatnonzero(parity == sub) for sub in (0, 1)):
         if members.size:
-            at = coords[:, members]
-            rows, cols = np.nonzero(
-                sum(np.abs(a[:, None] - a) for a in at) <= _STENCIL_REACH)
-            blocks.append((members, rows, cols))
-    return colour, blocks
+            reach = sum(np.abs(a[:, None] - a) for a in coords[:, members])
+            blocks.append((members, reach <= _STENCIL_REACH))
+    return idx, colour, blocks
 
 
-def _fd_jacobian(gfun, w: np.ndarray, idx: np.ndarray, pattern):
-    """Central-difference Jacobian of ``gfun`` over the free positions
-    ``idx``, one dense block per sublattice of ``_jacobian_pattern``:
+def _fd_jacobian(gfun, w: np.ndarray, pattern):
+    """Central-difference Jacobian of ``gfun`` over the free unknowns of
+    ``pattern`` (``_jacobian_pattern``), one dense block per sublattice:
     (gfun(w + h r) - gfun(w - h r)) / 2h along the indicator r of each
     colour, h = 1e-6 max(1, sup|w|), all 2 * colours states in one stacked
-    ``gfun`` call.  Returns (members, block) per sublattice; the entries
-    between the two sublattices are exactly zero and are not stored.
+    ``gfun`` call; each block is one gather of those differences under its
+    mask.  Returns (members, block) per sublattice; the entries between the
+    two sublattices are exactly zero and are not stored.
 
     Each entry reads the same floating-point inputs as a one-column-at-a-time
     difference, since no row sees a second perturbed column, so each block
-    equals that Jacobian's block bit for bit; entries off the pattern are
+    equals that Jacobian's block bit for bit; entries off the mask are
     zero in both.
     """
-    colour, blocks = pattern
+    idx, colour, blocks = pattern
     indicators = np.zeros((colour.max() + 1, w.size))
     indicators[colour, idx] = 1.0
     h = 1e-6 * max(1.0, float(np.max(np.abs(w))))
     grads = gfun(np.concatenate([w + h * indicators, w - h * indicators]))
     k = len(indicators)
     diffs = (grads[:k, idx] - grads[k:, idx]) / (2.0 * h)
-    out = []
-    for members, rows, cols in blocks:
-        jac = np.zeros((members.size, members.size))
-        jac[rows, cols] = diffs[colour[members[cols]], members[rows]]
-        out.append((members, jac))
-    return out
+    return [(members, np.where(mask, diffs[colour[members]][:, members].T, 0.0))
+            for members, mask in blocks]
 
 
-def _newton_polish(gfun, proj, w, idx, pattern, cfg):
+def _newton_polish(gfun, proj, w, pattern, cfg):
     """Damped Newton on the nodal gradient system ``gfun(w) = 0``.
 
     Column-coloured finite-difference Jacobian over the free (interior)
-    degrees of freedom ``idx`` (``_fd_jacobian`` on ``pattern``: one stacked
-    gradient call of 2 * 6 states per step in 1D, 2 * 18 in 2D, whatever
-    the grid size), stored as one dense block per sublattice and solved
+    unknowns of ``pattern`` (``_fd_jacobian``: one stacked gradient call
+    of 2 * 6 states per step in 1D, 2 * 18 in 2D, whatever the grid
+    size), stored as one dense block per sublattice and solved
     block by block, each by a direct solve with a least-squares fallback;
     step halving until the gradient norm decreases, each trial projected by
     ``proj``.  The gradient at an accepted trial is kept for the next step.
@@ -572,6 +565,7 @@ def _newton_polish(gfun, proj, w, idx, pattern, cfg):
     ill-conditioning squares.
     """
     target = max(0.01 * cfg.gradient_stop, 1e-13)
+    idx = pattern[0]
     iters = 0
     gw = gfun(w)
     for iters in range(1, _REFINE_ITERATIONS + 1):
@@ -580,7 +574,7 @@ def _newton_polish(gfun, proj, w, idx, pattern, cfg):
             break
         rhs = gw[idx]
         delta = np.empty(idx.size)
-        for members, jac in _fd_jacobian(gfun, w, idx, pattern):
+        for members, jac in _fd_jacobian(gfun, w, pattern):
             try:
                 delta[members] = np.linalg.solve(jac, rhs[members])
             except np.linalg.LinAlgError:
@@ -682,8 +676,7 @@ def _lockstep_passes(
         starts.append(wa + ramp * (wb - wa))
         floors.append(max(fa, fb))
 
-    idx = np.flatnonzero(np.tile(prob.grid.interior.ravel(), 2))
-    pattern = _jacobian_pattern(prob.grid, idx) if idx.size <= _POLISH_DOF_CAP else None
+    pattern = _jacobian_pattern(prob.grid)
     paths = _stacked(proj, starts)
     passes = [
         _Pass(path, fvals, floor)
@@ -729,14 +722,14 @@ def _lockstep_passes(
                 elif p.relocations % 2000:
                     still.append(p)
                     continue
-            p.point = _judge(prob, g, proj, p, idx, pattern, cfg, quadrant)
+            p.point = _judge(prob, g, proj, p, pattern, cfg, quadrant)
             if p.point is None:
                 still.append(p)
         active = still
     return [p.point for p in passes]
 
 
-def _judge(prob, g, proj, p: _Pass, idx, pattern, cfg, quadrant) -> CriticalPoint | None:
+def _judge(prob, g, proj, p: _Pass, pattern, cfg, quadrant) -> CriticalPoint | None:
     """Polishes the path maximum of pass ``p`` and returns the polished
     point, tagged ``quadrant`` (see ``_make_point``), converged, when it is
     accepted; None when relocation resumes; otherwise the point, not
@@ -744,7 +737,7 @@ def _judge(prob, g, proj, p: _Pass, idx, pattern, cfg, quadrant) -> CriticalPoin
     j = 1 + int(np.argmax(p.fvals[1:-1]))
     w, steps = p.path[j].copy(), 0
     if pattern is not None:
-        w, steps = _newton_polish(g, proj, w, idx, pattern, cfg)
+        w, steps = _newton_polish(g, proj, w, pattern, cfg)
     p.polish_steps += steps
     point = _make_point(
         prob,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import sys
 import tracemalloc
 
@@ -547,15 +548,24 @@ def test_mountain_pass_negation_equivariance():
 
 def test_unpolished_mountain_pass_stops_after_its_first_chunk(monkeypatch):
     """Success needs the polish, so a pass above the polish's size cap stops
-    after one relocation chunk instead of spending the whole budget.  The
-    quadratic Jacobian pattern is never built above the cap."""
+    after one relocation chunk instead of spending the whole budget.  Above
+    the cap the pattern is None, so no quadratic mask is built, and no
+    polish runs."""
     monkeypatch.setattr(solve, "_POLISH_DOF_CAP", 0)
+    built = solve._jacobian_pattern
+    patterns = []
+
+    def recorded(grid):
+        patterns.append(built(grid))
+        return patterns[-1]
 
     def refused(*args):
-        raise AssertionError("pattern built above the polish cap")
+        raise AssertionError("polish run above the cap")
 
-    monkeypatch.setattr(solve, "_jacobian_pattern", refused)
+    monkeypatch.setattr(solve, "_jacobian_pattern", recorded)
+    monkeypatch.setattr(solve, "_newton_polish", refused)
     pt = mountain_pass(PROB, negative_endpoint(PROB), cfg=SolverConfig())
+    assert patterns == [None]
     assert pt.iterations <= 2000
     assert not pt.converged
     assert "polish_skipped_large_system" in pt.flags
@@ -854,10 +864,6 @@ def make_problem_2d():
 PROB_2D = make_problem_2d()
 
 
-def free_dofs(grid):
-    return np.nonzero(np.concatenate([grid.interior.ravel()] * 2))[0]
-
-
 def random_state(prob, rng, amplitude):
     u = random_zero_boundary(prob.grid, rng).values
     v = random_zero_boundary(prob.grid, rng).values
@@ -904,10 +910,10 @@ def test_coloured_jacobian_equals_dense_column_loop(prob, quadrant, amplitude):
     sublattices are exactly zero."""
     gfun = solve._functional(prob, energy._quadrant_signs(quadrant))[1]
     w = random_state(prob, np.random.default_rng(31), amplitude)
-    idx = free_dofs(prob.grid)
+    pattern = solve._jacobian_pattern(prob.grid)
+    idx = pattern[0]
     h = polish_step(w)
-    pattern = solve._jacobian_pattern(prob.grid, idx)
-    blocks = solve._fd_jacobian(gfun, w, idx, pattern)
+    blocks = solve._fd_jacobian(gfun, w, pattern)
     dense = dense_fd_jacobian(gfun, w, idx, h)
     parity = sublattice(prob.grid, idx)
     assert [members.tolist() for members, _ in blocks] == [
@@ -942,11 +948,10 @@ def test_polish_jacobian_is_one_stacked_gradient_call(prob, n_colours, monkeypat
 
     monkeypatch.setattr(np.linalg, "solve", stop)
     w = random_state(prob, np.random.default_rng(37), 1.0)
-    idx = free_dofs(prob.grid)
-    pattern = solve._jacobian_pattern(prob.grid, idx)
-    assert pattern[0].max() + 1 == n_colours
+    pattern = solve._jacobian_pattern(prob.grid)
+    assert pattern[1].max() + 1 == n_colours
     with pytest.raises(JacobianBuilt):
-        solve._newton_polish(counted, proj, w, idx, pattern, SolverConfig())
+        solve._newton_polish(counted, proj, w, pattern, SolverConfig())
     assert states == [1, 2 * n_colours]
 
 
@@ -958,15 +963,14 @@ def test_newton_polish_never_evaluates_a_state_twice():
     pt = mountain_pass(PROB, far, cfg=FAST)
     w = solve._pack(pt.u, pt.v) + 1e-4 * random_state(PROB, np.random.default_rng(5), 1.0)
     _, gfun, proj = solve._functional(PROB, None)
-    idx = free_dofs(PROB.grid)
-    pattern = solve._jacobian_pattern(PROB.grid, idx)
+    pattern = solve._jacobian_pattern(PROB.grid)
     seen = []
 
     def counted(x):
         seen.append(x.copy())
         return gfun(x)
 
-    w, iters = solve._newton_polish(counted, proj, w, idx, pattern, SolverConfig())
+    w, iters = solve._newton_polish(counted, proj, w, pattern, SolverConfig())
     # The polish target at the default stop of 1e-8.
     assert np.linalg.norm(gfun(w)) <= 1e-10 and iters >= 3
     single = [x for x in seen if x.ndim == 1]
@@ -991,9 +995,10 @@ def test_polish_jacobian_pattern_is_the_stencil_reach():
     steps away in the 1-norm.  A wider stencil must fail here: the dense
     Jacobian has to vanish outside that diamond (so also at the corners
     (+-2, +-2) of the even-sum 5x5 box), to be nonzero at every offset of
-    it, and the pattern must list every entry inside it exactly once."""
+    it, and the pattern's masks must hold every entry inside it and no
+    other."""
     grid = PROB_2D.grid
-    idx = free_dofs(grid)
+    idx, _, blocks = solve._jacobian_pattern(grid)
     nodes = np.array(np.unravel_index(idx % grid.n_nodes, grid.shape))
     offset = nodes[:, None, :] - nodes[:, :, None]  # column node - row node
     diamond = stencil_diamond(grid.ndim)
@@ -1006,10 +1011,9 @@ def test_polish_jacobian_pattern_is_the_stencil_reach():
     assert np.count_nonzero(dense[~reach]) == 0
     seen_offsets = {tuple(offset[:, i, j]) for i, j in zip(*np.nonzero(dense))}
     assert seen_offsets == set(diamond)
-    _, blocks = solve._jacobian_pattern(grid, idx)
     filled = np.zeros(reach.shape, dtype=int)
-    for members, rows, cols in blocks:
-        np.add.at(filled, (members[rows], members[cols]), 1)
+    for members, mask in blocks:
+        filled[np.ix_(members, members)] += mask
     np.testing.assert_array_equal(filled, reach)
 
 
@@ -1018,26 +1022,32 @@ def test_polish_jacobian_pattern_is_the_stencil_reach():
     [(3,), (4,), (5,), (33,), (129,), (1025,),
      (3, 3), (4, 4), (5, 7), (17, 17), (21, 21), (30, 30), (12, 40)],
     ids=lambda nodes: "x".join(map(str, nodes)))
-def test_polish_colouring_gives_a_row_one_column_per_colour(nodes):
+def test_polish_colouring_gives_a_row_one_column_per_colour(nodes, monkeypatch):
     """No row of the pattern sees two columns of one colour, on grids from
-    the tiny ones to beyond ``_POLISH_DOF_CAP``.  Once every axis has 3
-    free nodes, every residue occurs and the colour of a free degree of
-    freedom is its component and its node coordinates mod 3, in that
-    order: 6 colours in 1D, 18 in 2D."""
+    the tiny ones to beyond ``_POLISH_DOF_CAP`` (lifted here, so that the
+    pattern is built).  The free unknowns are the interior nodes of u, then
+    those of v, and on every grid the colour of one is its component and
+    its node coordinates mod 3, in that order, uncompacted: below 6 in 1D
+    and 18 in 2D, every one of them taken once every axis has 3 free
+    nodes."""
+    monkeypatch.setattr(solve, "_POLISH_DOF_CAP", math.inf)
     grid = make_grid([(0.0, 1.0)] * len(nodes), list(nodes))
-    idx = free_dofs(grid)
-    colour, blocks = solve._jacobian_pattern(grid, idx)
-    seen = np.zeros((idx.size, colour.max() + 1), dtype=int)
-    for members, rows, cols in blocks:
+    idx, colour, blocks = solve._jacobian_pattern(grid)
+    np.testing.assert_array_equal(
+        idx, np.flatnonzero(np.concatenate([grid.interior.ravel()] * 2)))
+    n_colours = 2 * 3 ** grid.ndim
+    seen = np.zeros((idx.size, n_colours), dtype=int)
+    for members, mask in blocks:
+        rows, cols = np.nonzero(mask)
         np.add.at(seen, (members[rows], colour[members[cols]]), 1)
     assert seen.max() == 1
+    component, node = np.divmod(idx, grid.n_nodes)
+    expected = component
+    for r in np.unravel_index(node, grid.shape):
+        expected = 3 * expected + r % 3
+    np.testing.assert_array_equal(colour, expected)
     if min(nodes) >= 5:
-        component, node = np.divmod(idx, grid.n_nodes)
-        expected = component
-        for r in np.unravel_index(node, grid.shape):
-            expected = 3 * expected + r % 3
-        np.testing.assert_array_equal(colour, expected)
-        assert colour.max() + 1 == 2 * 3 ** grid.ndim
+        assert np.unique(colour).size == n_colours
 
 
 def test_polish_jacobian_pattern_memory_is_bounded_by_its_blocks():
@@ -1045,25 +1055,24 @@ def test_polish_jacobian_pattern_memory_is_bounded_by_its_blocks():
     ``_POLISH_DOF_CAP``) the pattern's peak memory is at most the bytes
     of the two float64 blocks it indexes."""
     grid = make_grid([(0.0, 1.0), (0.0, 1.0)], [30, 30])
-    idx = free_dofs(grid)
-    assert idx.size == 1568 <= solve._POLISH_DOF_CAP
     tracemalloc.start()
     try:
-        colour, blocks = solve._jacobian_pattern(grid, idx)
+        idx, colour, blocks = solve._jacobian_pattern(grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= sum(8 * members.size ** 2 for members, _, _ in blocks)
-    for members, rows, cols in blocks:
-        # Row by row, each row's columns ascending, each entry once.
-        assert np.all(np.diff(rows) >= 0)
-        assert np.all(np.diff(rows * members.size + cols) > 0)
+    assert idx.size == 1568 <= solve._POLISH_DOF_CAP
+    assert peak <= sum(8 * members.size ** 2 for members, _ in blocks)
+    for members, mask in blocks:
+        # One boolean per member pair, symmetric, with the diagonal.
+        assert mask.dtype == bool and mask.shape == (members.size,) * 2
+        assert np.array_equal(mask, mask.T) and mask.diagonal().all()
     # Each u row and each v row sees the u and the v columns of its diamond.
     entries = 4 * sum(
         1 <= i + a <= 28 and 1 <= j + b <= 28
         for i in range(1, 29) for j in range(1, 29)
         for a, b in stencil_diamond(2))
-    assert sum(rows.size for _, rows, _ in blocks) == entries == 26448
+    assert sum(int(mask.sum()) for _, mask in blocks) == entries == 26448
 
 
 def polish_problem(nodes):
@@ -1090,17 +1099,17 @@ def test_polish_step_on_tiny_grids(nodes, monkeypatch):
     residual."""
     prob = polish_problem(nodes)
     gfun = solve._functional(prob, None)[1]
-    idx = free_dofs(prob.grid)
     w = random_state(prob, np.random.default_rng(43), 1.0)
-    pattern = solve._jacobian_pattern(prob.grid, idx)
-    blocks = solve._fd_jacobian(gfun, w, idx, pattern)
+    pattern = solve._jacobian_pattern(prob.grid)
+    idx = pattern[0]
+    blocks = solve._fd_jacobian(gfun, w, pattern)
     parity = sublattice(prob.grid, idx)
     assert [members.tolist() for members, _ in blocks] == [
         np.flatnonzero(parity == s).tolist() for s in (0, 1) if np.any(parity == s)]
     assert np.array_equal(assembled(blocks, idx.size),
                           dense_fd_jacobian(gfun, w, idx, polish_step(w)))
     monkeypatch.setattr(solve, "_REFINE_ITERATIONS", 1)
-    wn, iters = solve._newton_polish(gfun, lambda x: x, w, idx, pattern, SolverConfig())
+    wn, iters = solve._newton_polish(gfun, lambda x: x, w, pattern, SolverConfig())
     assert iters == 1 and np.all(np.isfinite(wn))
     assert np.linalg.norm(gfun(wn)) < np.linalg.norm(gfun(w))
 
@@ -1112,10 +1121,10 @@ def test_block_solve_step_agrees_with_the_full_solve(prob, monkeypatch):
     (they differ at round-off only).  The step is read off the first
     trial the line search hands the projector."""
     gfun = solve._functional(prob, None)[1]
-    idx = free_dofs(prob.grid)
     w = random_state(prob, np.random.default_rng(47), 1.0)
-    pattern = solve._jacobian_pattern(prob.grid, idx)
-    full = assembled(solve._fd_jacobian(gfun, w, idx, pattern), idx.size)
+    pattern = solve._jacobian_pattern(prob.grid)
+    idx = pattern[0]
+    full = assembled(solve._fd_jacobian(gfun, w, pattern), idx.size)
     expected = np.linalg.solve(full, gfun(w)[idx])
     trials = []
 
@@ -1124,7 +1133,7 @@ def test_block_solve_step_agrees_with_the_full_solve(prob, monkeypatch):
         return x
 
     monkeypatch.setattr(solve, "_REFINE_ITERATIONS", 1)
-    solve._newton_polish(gfun, spy, w, idx, pattern, SolverConfig())
+    solve._newton_polish(gfun, spy, w, pattern, SolverConfig())
     step = (w - trials[0])[idx]
     assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
 

@@ -30,7 +30,7 @@ It prints one JSON object with:
   sublattices; at 129 nodes also the time of that loop; and on the 30x30
   square, the largest under ``solve._POLISH_DOF_CAP``, microseconds per
   pattern build, its ``tracemalloc`` peak and the bytes of the two dense
-  blocks it indexes;
+  blocks it masks;
 * ``batched_us``: at 129 nodes, the 21 states of a mountain-pass path
   through the energy kernel as one stacked call and as 21 single calls,
   the 12 perturbed states of one coloured Jacobian through the gradient
@@ -196,10 +196,10 @@ def polish_step(extents, nodes, column_loop_us):
     h1, h2, t = solve._mountain_endpoints(prob)
     w = t * solve._pack(h1, h2)
     gfun = partial(_gradient, prob=prob, signs=None)
-    idx = np.nonzero(np.concatenate([grid.interior.ravel()] * 2))[0]
     h = 1e-6 * max(1.0, float(np.max(np.abs(w))))
-    pattern = solve._jacobian_pattern(grid, idx)
-    blocks = solve._fd_jacobian(gfun, w, idx, pattern)
+    pattern = solve._jacobian_pattern(grid)
+    idx, colour, _ = pattern
+    blocks = solve._fd_jacobian(gfun, w, pattern)
     rhs = gfun(w)[idx]
     full = np.zeros((idx.size, idx.size))
     for members, jac in blocks:
@@ -211,14 +211,14 @@ def polish_step(extents, nodes, column_loop_us):
     dense = dense_jacobian(gfun, w, idx, h)
     out = {
         "free_dofs": int(idx.size),
-        "colours": int(pattern[0].max() + 1),
-        "gradient_states_per_step": 2 * int(pattern[0].max() + 1),
+        "colours": int(colour.max() + 1),
+        "gradient_states_per_step": 2 * int(colour.max() + 1),
         "block_sizes": [int(members.size) for members, _ in blocks],
-        "colour_pattern_us": per_call_us(lambda: solve._jacobian_pattern(grid, idx)),
-        "coloured_jacobian_us": per_call_us(lambda: solve._fd_jacobian(gfun, w, idx, pattern)),
+        "colour_pattern_us": per_call_us(lambda: solve._jacobian_pattern(grid)),
+        "coloured_jacobian_us": per_call_us(lambda: solve._fd_jacobian(gfun, w, pattern)),
         "block_solves_us": per_call_us(lambda: solves(blocks)),
         "newton_step_us": per_call_us(
-            lambda: solves(solve._fd_jacobian(gfun, w, idx, pattern))
+            lambda: solves(solve._fd_jacobian(gfun, w, pattern))
         ),
         "full_solve_us": per_call_us(lambda: np.linalg.solve(full, rhs)),
         "blocks_equal_column_loop": bool(np.array_equal(full, dense)),
@@ -234,20 +234,19 @@ def polish_step(extents, nodes, column_loop_us):
 def pattern_build(nodes):
     """Microseconds per ``solve._jacobian_pattern`` on the unit square of
     ``nodes`` x ``nodes`` and its ``tracemalloc`` peak, beside the bytes of
-    the float64 blocks it indexes."""
+    the float64 blocks it masks."""
     grid = make_grid([[0.0, 1.0], [0.0, 1.0]], [nodes, nodes])
-    idx = np.nonzero(np.concatenate([grid.interior.ravel()] * 2))[0]
     tracemalloc.start()
     try:
-        blocks = solve._jacobian_pattern(grid, idx)[1]
+        idx, _, blocks = solve._jacobian_pattern(grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return {
         "free_dofs": int(idx.size),
-        "pattern_us": per_call_us(lambda: solve._jacobian_pattern(grid, idx)),
+        "pattern_us": per_call_us(lambda: solve._jacobian_pattern(grid)),
         "pattern_peak_bytes": int(peak),
-        "block_bytes": int(sum(8 * members.size ** 2 for members, _, _ in blocks)),
+        "block_bytes": int(sum(8 * members.size ** 2 for members, _ in blocks)),
     }
 
 
@@ -267,12 +266,10 @@ def relocation_maxima(prob):
 
 def batched_us():
     prob, cfg = problem([[0.0, 1.0]], [129])
-    grid = prob.grid
     h1, h2, t = solve._mountain_endpoints(prob)
     w = t * solve._pack(h1, h2)
     path = np.linspace(0.0, 1.0, cfg.path_points)[:, None] * w
-    idx = np.nonzero(np.concatenate([grid.interior.ravel()] * 2))[0]
-    colour = solve._jacobian_pattern(grid, idx)[0]
+    idx, colour, _ = solve._jacobian_pattern(prob.grid)
     h = 1e-6 * max(1.0, float(np.max(np.abs(w))))
     perturbed = np.tile(w, (2 * (colour.max() + 1), 1))
     perturbed[2 * colour, idx] += h
