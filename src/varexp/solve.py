@@ -557,8 +557,8 @@ def _newton_polish(gfun, proj, w, pattern, cfg):
     step halving until the gradient norm decreases, each trial projected by
     ``proj``.  The gradient at an accepted trial is kept for the next step.
     Stops at residual max(0.01 * gradient_stop, 1e-13), at the step cap or
-    at the halving floor, and returns (w, iterations) with no verdict:
-    ``_judge`` alone accepts.  First-order
+    at the halving floor, and returns (w, steps), the Newton steps it
+    took, with no verdict: ``_judge`` alone accepts.  First-order
     alternatives (BB descent on 0.5*|G|^2 driven by Hessian-vector
     differences) were measured to creep near a saddle: the Hessian
     degenerates along the bump peak where |grad u| ~ 0, and the induced
@@ -566,9 +566,9 @@ def _newton_polish(gfun, proj, w, pattern, cfg):
     """
     target = max(0.01 * cfg.gradient_stop, 1e-13)
     idx = pattern[0]
-    iters = 0
+    steps = 0
     gw = gfun(w)
-    for iters in range(1, _REFINE_ITERATIONS + 1):
+    for _ in range(_REFINE_ITERATIONS):
         gn = float(np.linalg.norm(gw))
         if gn <= target:
             break
@@ -587,11 +587,12 @@ def _newton_polish(gfun, proj, w, pattern, cfg):
             gwn = gfun(wn)
             if float(np.linalg.norm(gwn)) < (1.0 - 1e-4 * step) * gn:
                 w, gw = wn, gwn
+                steps += 1
                 break
             step *= _SHRINK
         else:
             break
-    return w, iters
+    return w, steps
 
 
 def _stacked(fn, states: list[np.ndarray]) -> list:
