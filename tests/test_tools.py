@@ -1,7 +1,8 @@
 """The byte-identity tool ``tools/same_outputs.py``: its run matrix, its
 configs and its reports of a difference, on hand-built inputs (no run of
-the command line).  Also a smoke run of the benchmark's layer tracer
-``bench/layer_trace.py`` around small in-process runs of the command."""
+the command line).  Also smoke runs of the benchmark's layer tracer
+``bench/layer_trace.py`` around small in-process runs of the command and of
+every section of ``tools/layer_bench.py``."""
 
 import importlib.util
 import json
@@ -173,3 +174,46 @@ def test_layer_tracer_traces_small_runs_and_uninstalls(tmp_path, monkeypatch):
         metrics = layer_trace.layer_metrics(tracer)
         assert {key: metrics[key] for key in counts} == counts, name
     assert varexp.solve.descend is descend
+
+
+def test_layer_bench_runs_every_section(tmp_path, monkeypatch, capsys):
+    """A smoke run of ``tools/layer_bench.py``'s ``main()``: every section
+    runs against the solver's current private names, each timing stubbed to
+    one call and the 33-node default config wherever the tool reads
+    ``CONFIG``; it prints one JSON object with its documented keys and
+    restores every name it patched."""
+    spec = importlib.util.spec_from_file_location("layer_bench", ROOT / "tools" / "layer_bench.py")
+    layer_bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layer_bench)
+    import numpy as np
+    import varexp.optimize
+    import varexp.solve
+
+    config = json.loads((ROOT / "configs" / "default.json").read_text())
+    config["domain"]["nodes"] = [33]
+    path = tmp_path / "n33.json"
+    path.write_text(json.dumps(config))
+    monkeypatch.setattr(layer_bench, "CONFIG", path)
+    monkeypatch.setattr(layer_bench, "per_call_us", lambda fn, **kwargs: (fn(), 1.0)[1])
+    names = {name: getattr(varexp.solve, name) for name in (
+        "_gradient", "_energy", "_hessian", "backtracking_step", "descend",
+        "_fd_jacobian", "_lockstep_passes", "_newton_polish")}
+    step, solve_ = varexp.optimize.backtracking_step, np.linalg.solve
+    assert layer_bench.main() == 0
+    out = json.loads(capsys.readouterr().out)
+    assert list(out) == ["host", "kernel_us", "hessian_us", "source_us", "polish",
+                         "batched_us", "line_search_us", "rayleigh_us",
+                         "gradient_calls", "energy_evaluations"]
+    assert list(out["polish"]) == ["1d_n129", "2d_21x21", "pattern_30x30"]
+    for size in ("1d_n129", "2d_21x21"):
+        assert out["polish"][size]["blocks_equal_column_loop"] is True
+    assert out["polish"]["1d_n129"]["colours"] == 6
+    assert out["polish"]["2d_21x21"]["colours"] == 18
+    assert out["polish"]["pattern_30x30"]["free_dofs"] == 1568
+    for run in ("solve_theorem_2", "pairs"):
+        counts = out["gradient_calls"][run]
+        assert counts["newton_jacobians"] > 0 and counts["newton_polish"] > 0
+        assert set(out["energy_evaluations"][run]) >= {"mountain_pass"}
+    assert {name: getattr(varexp.solve, name) for name in names} == names
+    assert varexp.optimize.backtracking_step is step and np.linalg.solve is solve_
+
