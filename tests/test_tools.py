@@ -1,8 +1,9 @@
 """The byte-identity tool ``tools/same_outputs.py``: its run matrix, its
 configs and its reports of a difference, on hand-built inputs (no run of
 the command line).  Also smoke runs of the benchmark's layer tracer
-``bench/layer_trace.py`` around small in-process runs of the command and of
-every section of ``tools/layer_bench.py``."""
+``bench/layer_trace.py`` around small in-process runs of the command, of
+every section of ``tools/layer_bench.py`` and of the null-permutation
+check ``tools/null_permutation.py`` on one small ``pairs`` run."""
 
 import importlib.util
 import json
@@ -217,3 +218,38 @@ def test_layer_bench_runs_every_section(tmp_path, monkeypatch, capsys):
     assert {name: getattr(varexp.solve, name) for name in names} == names
     assert varexp.optimize.backtracking_step is step and np.linalg.solve is solve_
 
+
+def test_null_permutation_moves_no_outcome_of_the_33_node_pairs(monkeypatch):
+    """``tools/null_permutation.py`` on the 33-node default config: the
+    ``pairs`` passes (k = 3, 11 path points) reach the same outcomes with
+    the polish's block solves run on the reversed system, and numpy's
+    solvers are restored afterwards, also after an exception."""
+    import numpy as np
+
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import null_permutation
+    from varexp import solve
+
+    config = json.loads((ROOT / "configs" / "default.json").read_text())
+    config["domain"]["nodes"] = [33]
+    config["solver"]["path_points"] = 11
+    prob, cfg = parse_config_text(json.dumps(config))
+    solves = []
+    real = np.linalg.solve
+
+    def run():
+        solves.append(np.linalg.solve is real)
+        return solve.symmetric_pairs(prob, 3, cfg)
+
+    assert null_permutation.compare(run) == []
+    assert solves == [True, False]
+    assert np.linalg.solve is real
+    with pytest.raises(RuntimeError), null_permutation.reversed_solves():
+        raise RuntimeError
+    assert np.linalg.solve is real
+    a = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    b = np.array([1.0, 2.0, 3.0])
+    with null_permutation.reversed_solves():
+        x, y = np.linalg.solve(a, b), np.linalg.lstsq(a, b, rcond=None)[0]
+    np.testing.assert_allclose(x, real(a, b), rtol=1e-14)
+    np.testing.assert_allclose(y, real(a, b), rtol=1e-13)
