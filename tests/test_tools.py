@@ -9,6 +9,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from varexp.config import parse_config_text
@@ -186,7 +187,6 @@ def test_layer_bench_runs_every_section(tmp_path, monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("layer_bench", ROOT / "tools" / "layer_bench.py")
     layer_bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layer_bench)
-    import numpy as np
     import varexp.optimize
     import varexp.solve
 
@@ -224,8 +224,6 @@ def test_null_permutation_moves_no_outcome_of_the_33_node_pairs(monkeypatch):
     ``pairs`` passes (k = 3, 11 path points) reach the same outcomes with
     the polish's block solves run on the reversed system, and numpy's
     solvers are restored afterwards, also after an exception."""
-    import numpy as np
-
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     import null_permutation
     from varexp import solve
