@@ -13,7 +13,7 @@ solves, so an outcome that moves under it is decided by rounding.
 One line is printed per run: ``same``, or every difference between the two
 of ``complete``, ``distinct_count`` and the inventory's flags, of each run's
 and each point's flags, and of each run's and each point's energy that
-moves by more than 1e-10 relative.  A driver that refuses a config (a
+moves by more than 1e-10 relative.  A run that refuses its config (a
 failed theorem precondition) is compared by its error message.  The exit
 status is 1 when any run differs and 0 when none does.
 """
